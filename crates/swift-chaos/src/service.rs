@@ -375,7 +375,7 @@ pub fn run_service_seed(seed: u64, templates: bool, shards: u32) -> SeedOutcome 
         }
     }
 
-    // Template differential: session-held template caches must be a pure
+    // Template differential: the fleet's template cache must be a pure
     // control-plane cost optimization.
     if templates {
         let off = execute_service(seed, false, shards);

@@ -799,11 +799,11 @@ impl std::fmt::Debug for Simulation {
 }
 
 /// A long-lived control-plane session: scheduler state that outlives any
-/// single [`Simulation`], so consecutive jobs admitted through one warm
-/// executor-pool session reuse control-plane artifacts instead of paying
-/// a cold re-derivation per process. Today that state is the
-/// scheduling-template cache; `swift-service` keeps one session per warm
-/// pool and threads it through [`Simulation::new_in_session`].
+/// single [`Simulation`], so consecutive jobs admitted by one controller
+/// reuse control-plane artifacts instead of paying a cold re-derivation
+/// per job. Today that state is the scheduling-template cache;
+/// `swift-service` keeps one session for its whole fleet and threads it
+/// through [`Simulation::new_in_session`].
 #[derive(Debug)]
 pub struct SchedulerSession {
     cache: TemplateCache,
@@ -874,7 +874,7 @@ impl Simulation {
     ) -> Self {
         let machine_count = cluster.machine_count();
         let jobs = workload
-            .iter()
+            .into_iter()
             .map(|spec| {
                 Self::prepare_job(&cluster, &cfg, spec, machine_count, cache.as_deref_mut())
             })
@@ -918,10 +918,10 @@ impl Simulation {
             scratch_stages: Vec::new(),
             scratch_locality: Vec::new(),
         };
-        for (i, spec) in workload.iter().enumerate() {
-            let delay = sim.cfg.policy.partition_overhead;
+        let delay = sim.cfg.policy.partition_overhead;
+        for (i, job) in sim.jobs.iter().enumerate() {
             sim.q
-                .schedule(CTL_SHARD, spec.submit_at + delay, Event::Submit(i as u32));
+                .schedule(CTL_SHARD, job.submit_at + delay, Event::Submit(i as u32));
         }
         sim
     }
@@ -1038,11 +1038,11 @@ impl Simulation {
     fn prepare_job(
         cluster: &Cluster,
         cfg: &SimConfig,
-        spec: &JobSpec,
+        spec: JobSpec,
         machines: u32,
         cache: Option<&mut TemplateCache>,
     ) -> JobSt {
-        let dag = spec.dag.clone();
+        let JobSpec { dag, submit_at } = spec;
 
         // Control-plane artifacts: from the template cache when enabled
         // (instantiated by parameter patching on a hit, planned from
@@ -1183,7 +1183,7 @@ impl Simulation {
         JobSt {
             part,
             template,
-            submit_at: spec.submit_at,
+            submit_at,
             finished: None,
             aborted: false,
             tasks: vec![TaskSt::default(); offset as usize],

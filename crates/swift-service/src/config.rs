@@ -37,9 +37,9 @@ pub struct ServiceConfig {
     pub retry_after: SimDuration,
     /// Telemetry sampling cadence (`None` = no counter frames).
     pub sample_every: Option<SimDuration>,
-    /// Reuse scheduling templates across jobs of a session (the
-    /// control-plane side of warm reuse). Report bytes are invariant to
-    /// this flag; only the returned template counters change.
+    /// Reuse scheduling templates across the fleet's jobs. Report bytes
+    /// are invariant to this flag; only the returned template counters
+    /// change.
     pub templates: bool,
     /// Shard lane count forwarded to every per-job simulation
     /// (`0` = legacy single queue, `1` = default).

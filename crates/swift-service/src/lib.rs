@@ -13,10 +13,12 @@
 //!   than its quota, and dispatch order across tenants is deficit round
 //!   robin weighted by job cost (total tasks), so a storm from one tenant
 //!   cannot starve the rest;
-//! * **warm executor-pool sessions** — a tenant's session (executors +
-//!   scheduler control-plane state, including the scheduling-template
-//!   cache) survives job completion and is reused by its next job,
+//! * **warm executor-pool sessions** — a tenant's session (its
+//!   executors) survives job completion and is reused by its next job,
 //!   skipping the cold registration delay; idle sessions expire on a TTL;
+//! * **one control-plane session** — the scheduling-template cache
+//!   belongs to the controller, not to a pool: a shape planned for any
+//!   tenant's job is a hit for every later job of the fleet;
 //! * **failure handling** — a fleet machine failure kills the sessions on
 //!   it; their in-flight jobs requeue at the front of their band and
 //!   restart on fresh sessions.

@@ -143,9 +143,9 @@ impl ServiceReport {
 pub struct ServiceRun {
     /// The deterministic report.
     pub report: ServiceReport,
-    /// Template-cache lookups across all sessions.
+    /// Template-cache lookups: one per inner simulation.
     pub template_lookups: u64,
-    /// Template-cache hits across all sessions.
+    /// Template-cache hits.
     pub template_hits: u64,
 }
 

@@ -63,9 +63,6 @@ struct Session {
     /// Bumped on every reuse; outstanding expire events carry the old
     /// generation and become no-ops.
     expire_gen: u64,
-    /// The long-lived control-plane session (template cache) reused
-    /// across this warm session's jobs.
-    sched: SchedulerSession,
 }
 
 #[derive(Debug, Default)]
@@ -108,6 +105,11 @@ struct JobSt {
 pub struct ServiceSim {
     cfg: ServiceConfig,
     cluster: Cluster,
+    /// Config of every inner per-job simulation.
+    inner_cfg: SimConfig,
+    /// The controller's one control-plane session: its template cache
+    /// serves every job of the fleet.
+    sched: SchedulerSession,
     workload: Vec<ServiceJob>,
     jobs: Vec<JobSt>,
     tenants: Vec<Tenant>,
@@ -142,8 +144,6 @@ pub struct ServiceSim {
     events: u64,
     sim_events: u64,
     jobs_digest: u64,
-    template_lookups: u64,
-    template_hits: u64,
 }
 
 impl std::fmt::Debug for ServiceSim {
@@ -178,12 +178,17 @@ impl ServiceSim {
             cfg.executors_per_machine,
             CostModel::default(),
         );
+        let mut inner_cfg = SimConfig::swift();
+        inner_cfg.shards = cfg.shards;
+        let sched = SchedulerSession::new(&inner_cfg.policy);
         let tenant_count = workload.iter().map(|j| j.tenant + 1).max().unwrap_or(0);
         let mut tenants = Vec::with_capacity(tenant_count as usize);
         tenants.resize_with(tenant_count as usize, Tenant::default);
         let mut sim = ServiceSim {
             cfg,
             cluster,
+            inner_cfg,
+            sched,
             jobs: workload
                 .iter()
                 .map(|_| JobSt {
@@ -221,8 +226,6 @@ impl ServiceSim {
             events: 0,
             sim_events: 0,
             jobs_digest: 0xcbf2_9ce4_8422_2325,
-            template_lookups: 0,
-            template_hits: 0,
         };
         for i in 0..sim.workload.len() {
             let at = sim.workload[i].submit_at;
@@ -628,23 +631,19 @@ impl ServiceSim {
                 executors,
                 running: None,
                 expire_gen: 0,
-                sched: SchedulerSession::new(&swift_scheduler::PolicyConfig::swift()),
             },
         );
         Ok((sid, false))
     }
 
-    /// Releases a session's surviving executors and folds its template
-    /// counters into the run totals. Caller removes it from `idle`.
+    /// Releases a session's surviving executors. Caller removes it from
+    /// `idle`.
     fn destroy_session(&mut self, sid: u32) {
         let sess = self
             .sessions
             .remove(&sid)
             .expect("destroying a live session");
         assert!(sess.running.is_none(), "destroying a session mid-run");
-        let stats = sess.sched.template_stats();
-        self.template_lookups += stats.lookups;
-        self.template_hits += stats.hits();
         for eid in &sess.executors {
             // Executors on a failed machine were already revoked by
             // `fail_machine`; only pooled (still-busy) ones go back.
@@ -684,21 +683,20 @@ impl ServiceSim {
                 .as_micros(),
         );
 
-        let inner_cluster = Cluster::new(1, self.cfg.session_executors, CostModel::default());
-        let mut sim_cfg = SimConfig::swift();
-        sim_cfg.shards = self.cfg.shards;
-        sim_cfg.templates = false; // the session (below) is the opt-in
+        let inner_cluster =
+            Cluster::new(1, self.cfg.session_executors, self.cluster.cost().clone());
         let spec = JobSpec::at_zero(self.workload[job].dag.clone());
         let inner_obs = self.observer.job_sim_observer(job, tenant);
-        let sess = self
-            .sessions
+        self.sessions
             .get_mut(&sid)
-            .expect("acquired session is live");
-        sess.running = Some(job);
+            .expect("acquired session is live")
+            .running = Some(job);
+        // `inner_cfg.templates` stays off: passing the session is the opt-in.
+        let inner_cfg = self.inner_cfg.clone();
         let mut sim = if self.cfg.templates {
-            Simulation::new_in_session(inner_cluster, sim_cfg, vec![spec], &mut sess.sched)
+            Simulation::new_in_session(inner_cluster, inner_cfg, vec![spec], &mut self.sched)
         } else {
-            Simulation::new(inner_cluster, sim_cfg, vec![spec])
+            Simulation::new(inner_cluster, inner_cfg, vec![spec])
         };
         if let Some(obs) = inner_obs {
             sim.set_observer(obs);
@@ -786,10 +784,11 @@ impl ServiceSim {
             jobs_digest: self.jobs_digest,
             tenants: self.tenants.into_iter().map(|t| t.report).collect(),
         };
+        let templates = self.sched.template_stats();
         ServiceRun {
             report,
-            template_lookups: self.template_lookups,
-            template_hits: self.template_hits,
+            template_lookups: templates.lookups,
+            template_hits: templates.hits(),
         }
     }
 }

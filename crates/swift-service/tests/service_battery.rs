@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use swift_service::{ServiceConfig, ServiceObserver, ServiceSim};
+use swift_service::{ServiceConfig, ServiceObserver, ServiceRun, ServiceSim};
 use swift_sim::{SimDuration, SimTime};
 use swift_workload::{
     generate_service_workload, terasort_dag, JobPriority, ServiceJob, ServiceWorkloadConfig,
@@ -323,11 +323,14 @@ fn warm_pool_beats_cold_teardown_on_tail_latency() {
 
 // ---- machine failures ----
 
-#[test]
-fn machine_failure_requeues_without_losing_jobs() {
+/// 200 battery jobs with two fleet machines failing under them.
+fn run_with_machine_failures(templates: bool) -> ServiceRun {
     let mut wl = battery_workload(13);
     wl.jobs = 200;
-    let cfg = ServiceConfig::default();
+    let cfg = ServiceConfig {
+        templates,
+        ..ServiceConfig::default()
+    };
     let mut sim = ServiceSim::new(cfg, generate_service_workload(&wl));
     sim.fail_machines(vec![
         (
@@ -339,8 +342,57 @@ fn machine_failure_requeues_without_losing_jobs() {
             swift_cluster::MachineId(5),
         ),
     ]);
-    let r = sim.run().report;
+    sim.run()
+}
+
+#[test]
+fn machine_failure_requeues_without_losing_jobs() {
+    let r = run_with_machine_failures(true).report;
     assert!(r.sessions_killed > 0, "failures killed no session");
     assert!(r.jobs_restarted > 0, "failures requeued no job");
     assert_eq!(r.jobs_completed, r.jobs_admitted, "a requeued job was lost");
+}
+
+// ---- the fleet-wide scheduler session ----
+
+#[test]
+fn every_inner_simulation_looks_up_the_fleet_template_cache_once() {
+    let run = run_with_machine_failures(true);
+    let r = &run.report;
+    assert!(r.jobs_restarted > 0, "no restart to count");
+    // One inner simulation per dispatch: every admitted job once, plus
+    // once more per machine-failure restart.
+    assert_eq!(run.template_lookups, r.jobs_admitted + r.jobs_restarted);
+    assert_eq!(run.template_lookups, r.warm_hits + r.cold_starts);
+    // Per-session caches scored 18 hits in these 212 lookups: a session
+    // killed by a failure took its templates with it.
+    assert!(
+        run.template_hits > 18,
+        "fleet-wide cache hit {} of {} lookups",
+        run.template_hits,
+        run.template_lookups
+    );
+
+    let off = run_with_machine_failures(false);
+    assert_eq!((off.template_lookups, off.template_hits), (0, 0));
+    assert_eq!(off.report.digest(), r.digest());
+}
+
+#[test]
+fn fleet_template_cache_outlives_warm_sessions() {
+    let run = ServiceSim::new(
+        ServiceConfig::default(),
+        generate_service_workload(&battery_workload(5)),
+    )
+    .run();
+    assert!(run.report.sessions_expired > 0, "no session ever expired");
+    assert_eq!(run.template_lookups, run.report.jobs_admitted);
+    // Per-session caches, each dying with its session's TTL, hit 54 of
+    // these 380 lookups (0.14).
+    assert!(
+        run.template_hits * 2 > run.template_lookups,
+        "fleet-wide cache hit only {} of {} lookups",
+        run.template_hits,
+        run.template_lookups
+    );
 }
