@@ -33,6 +33,7 @@
 use crate::dag::{DagBuilder, JobDag};
 use crate::edge::EdgeKind;
 use crate::ids::StageId;
+use swift_sim::Fnv64;
 
 /// Caller-supplied class values: one per stage (by [`StageId`] index) and
 /// one per edge (by edge index in [`JobDag::edges`]).
@@ -56,24 +57,6 @@ pub struct ShapeFingerprint {
     edges: Vec<(u32, u32, bool, u64)>,
 }
 
-/// Incremental word-at-a-time 64-bit mixer (rotate-xor-multiply, FxHash
-/// style) — the one hash every signature digest in this module speaks.
-/// One multiply per `u64` keeps digesting off the lookup critical path.
-struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x517c_c1b7_2722_0a95;
-
-    fn new() -> Self {
-        Fnv64(Self::OFFSET)
-    }
-
-    fn eat(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(Self::PRIME);
-    }
-}
-
 /// Packs one fingerprint edge into the word [`Fnv64`] eats first.
 fn edge_word(src_pos: u32, dst_pos: u32, barrier: bool) -> u64 {
     u64::from(src_pos) << 33 | u64::from(dst_pos) << 1 | u64::from(barrier)
@@ -93,7 +76,7 @@ impl ShapeFingerprint {
             h.eat(edge_word(a, b, barrier));
             h.eat(c);
         }
-        h.0
+        h.finish()
     }
 
     /// True iff this fingerprint equals [`as_numbered_fingerprint`]`(dag,
@@ -224,7 +207,7 @@ impl ShapeProbe {
             h.eat(edge_word(a, b, barrier));
             h.eat(c);
         }
-        h.0
+        h.finish()
     }
 
     /// True iff the filled shape equals `fp` (which must itself be an
@@ -260,7 +243,7 @@ impl ShapeProbe {
             let mut h = Fnv64::new();
             h.eat(c);
             h.eat(u64::from(ind) << 32 | u64::from(outd));
-            key = key.wrapping_add(h.0);
+            key = key.wrapping_add(h.finish());
         }
         for &(s, d, barrier, c) in &self.edges {
             let mut h = Fnv64::new();
@@ -269,12 +252,12 @@ impl ShapeProbe {
             h.eat(c << 1 | u64::from(barrier));
             h.eat(self.stages[s as usize]);
             h.eat(self.stages[d as usize]);
-            key = key.wrapping_add(h.0);
+            key = key.wrapping_add(h.finish());
         }
         let mut lens = Fnv64::new();
         lens.eat(self.stages.len() as u64);
         lens.eat(self.edges.len() as u64);
-        key.wrapping_add(lens.0)
+        key.wrapping_add(lens.finish())
     }
 
     /// Materializes the filled shape's class vectors (the edge class is
@@ -304,7 +287,7 @@ pub fn as_numbered_hash64(dag: &JobDag, classes: &ShapeClasses) -> u64 {
         ));
         h.eat(class);
     }
-    h.0
+    h.finish()
 }
 
 /// Past this many stages the individualization search is skipped and the

@@ -2,7 +2,7 @@
 //! figure and table of the evaluation.
 
 use swift_dag::StageId;
-use swift_sim::{SimDuration, SimTime};
+use swift_sim::{Fnv64, SimDuration, SimTime};
 
 /// The four task phases of Fig. 9b: task launching (L), shuffle reading
 /// (SR; table scanning for source stages), record processing (P) and
@@ -162,20 +162,95 @@ impl RunReport {
         &self.jobs[index]
     }
 
-    /// A stable 64-bit digest of the whole report (FNV-1a over the `Debug`
-    /// rendering). Two reports have the same digest iff they are
-    /// byte-identical, so this is the compact form of the chaos harness's
-    /// same-seed determinism invariant: any behavioral change to the
-    /// simulator — intended or not — shows up as a digest change.
+    /// A stable 64-bit digest of the whole report: every field of the
+    /// report, its jobs, their stages and phases, folded word by word
+    /// through [`Fnv64`]. Equal reports have equal digests, so unequal
+    /// digests prove unequal reports — the compact form of the chaos
+    /// harness's same-seed determinism invariant, and what the pinned
+    /// digest tests hold against the past. (The converse is only
+    /// overwhelmingly likely: it is a 64-bit hash.)
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in format!("{self:?}").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
+        // Destructured without `..` here and in every `eat` below: a new
+        // field does not compile until it is hashed.
+        let RunReport {
+            policy,
+            jobs,
+            utilization,
+            makespan,
+            events_processed,
+        } = self;
+        let mut h = Fnv64::new();
+        h.eat_str(policy);
+        h.eat(jobs.len() as u64);
+        for job in jobs {
+            job.eat(&mut h);
         }
-        h
+        h.eat(utilization.len() as u64);
+        for &(at_secs, running) in utilization {
+            h.eat(at_secs.to_bits());
+            h.eat(u64::from(running));
+        }
+        h.eat(makespan.as_micros());
+        h.eat(*events_processed);
+        h.finish()
+    }
+}
+
+impl JobReport {
+    fn eat(&self, h: &mut Fnv64) {
+        let JobReport {
+            job_index,
+            name,
+            submitted,
+            finished,
+            elapsed,
+            aborted,
+            stages,
+            total_tasks,
+            rerun_tasks,
+            idle_time,
+            occupied_time,
+        } = self;
+        h.eat(*job_index as u64);
+        h.eat_str(name);
+        h.eat(submitted.as_micros());
+        h.eat(finished.as_micros());
+        h.eat(elapsed.as_micros());
+        h.eat(u64::from(*aborted));
+        h.eat(stages.len() as u64);
+        for stage in stages {
+            stage.eat(h);
+        }
+        h.eat(*total_tasks);
+        h.eat(*rerun_tasks);
+        h.eat(idle_time.as_micros());
+        h.eat(occupied_time.as_micros());
+    }
+}
+
+impl StageReport {
+    fn eat(&self, h: &mut Fnv64) {
+        let StageReport {
+            stage,
+            name,
+            tasks,
+            phases,
+            completed_at,
+        } = self;
+        let PhaseBreakdown {
+            launch,
+            shuffle_read,
+            process,
+            shuffle_write,
+        } = phases;
+        h.eat(u64::from(stage.raw()));
+        h.eat_str(name);
+        h.eat(u64::from(*tasks));
+        h.eat(launch.as_micros());
+        h.eat(shuffle_read.as_micros());
+        h.eat(process.as_micros());
+        h.eat(shuffle_write.as_micros());
+        h.eat(completed_at.as_micros());
     }
 }
 
@@ -245,5 +320,79 @@ mod tests {
         // All jobs aborted: no completed occupancy at all.
         let r = run(vec![job(0, true, 9_999, 1)]);
         assert_eq!(r.idle_ratio(), 0.0);
+    }
+
+    fn us(micros: u64) -> SimDuration {
+        SimDuration::from_micros(micros)
+    }
+
+    fn at(micros: u64) -> SimTime {
+        SimTime::ZERO + us(micros)
+    }
+
+    /// The compiler makes `digest` name every field; this checks that it
+    /// also hashes each one.
+    #[test]
+    fn digest_moves_with_every_field() {
+        let mut base = run(vec![job(0, false, 10, 100)]);
+        base.utilization = vec![(0.5, 3)];
+        base.jobs[0].stages = vec![StageReport {
+            stage: StageId(1),
+            name: "J1".to_string(),
+            tasks: 4,
+            phases: PhaseBreakdown {
+                launch: us(1),
+                shuffle_read: us(2),
+                process: us(3),
+                shuffle_write: us(4),
+            },
+            completed_at: at(50),
+        }];
+
+        type Perturb = fn(&mut RunReport);
+        let perturbations: &[(&str, Perturb)] = &[
+            ("policy", |r| r.policy.push('x')),
+            ("jobs", |r| r.jobs.push(job(1, false, 0, 0))),
+            ("utilization", |r| r.utilization.push((1.0, 0))),
+            ("utilization.0", |r| r.utilization[0].0 = -0.5),
+            ("utilization.1", |r| r.utilization[0].1 = 4),
+            ("makespan", |r| r.makespan = at(9)),
+            ("events_processed", |r| r.events_processed = 1),
+            ("job_index", |r| r.jobs[0].job_index = 1),
+            ("job.name", |r| r.jobs[0].name.push('x')),
+            ("submitted", |r| r.jobs[0].submitted = at(1)),
+            ("finished", |r| r.jobs[0].finished = at(1)),
+            ("elapsed", |r| r.jobs[0].elapsed = us(1)),
+            ("aborted", |r| r.jobs[0].aborted = true),
+            ("stages", |r| r.jobs[0].stages.clear()),
+            ("total_tasks", |r| r.jobs[0].total_tasks = 1),
+            ("rerun_tasks", |r| r.jobs[0].rerun_tasks = 1),
+            ("idle_time", |r| r.jobs[0].idle_time = us(1)),
+            ("occupied_time", |r| r.jobs[0].occupied_time = us(1)),
+            ("stage", |r| r.jobs[0].stages[0].stage = StageId(2)),
+            ("stage.name", |r| r.jobs[0].stages[0].name.clear()),
+            ("tasks", |r| r.jobs[0].stages[0].tasks = 5),
+            ("completed_at", |r| {
+                r.jobs[0].stages[0].completed_at = at(51)
+            }),
+            ("launch", |r| r.jobs[0].stages[0].phases.launch = us(9)),
+            ("shuffle_read", |r| {
+                r.jobs[0].stages[0].phases.shuffle_read = us(9)
+            }),
+            ("process", |r| r.jobs[0].stages[0].phases.process = us(9)),
+            ("shuffle_write", |r| {
+                r.jobs[0].stages[0].phases.shuffle_write = us(9)
+            }),
+        ];
+        let mut seen = vec![("nothing", base.digest())];
+        for &(field, perturb) in perturbations {
+            let mut r = base.clone();
+            perturb(&mut r);
+            let digest = r.digest();
+            for &(other, other_digest) in &seen {
+                assert_ne!(digest, other_digest, "perturbing {field} and {other}");
+            }
+            seen.push((field, digest));
+        }
     }
 }

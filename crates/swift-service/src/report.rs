@@ -1,6 +1,6 @@
 //! The service run report: counts, fairness and tail-latency evidence.
 
-use swift_sim::SimTime;
+use swift_sim::{Fnv64, SimTime};
 
 /// Nearest-rank percentile summary over a raw sample set, in microseconds.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -104,8 +104,8 @@ pub struct ServiceReport {
     pub events: u64,
     /// Events processed by all per-job simulations combined.
     pub sim_events: u64,
-    /// FNV fold of every per-job `RunReport` digest, in completion order
-    /// — ties the service digest to the full inner scheduling behavior.
+    /// Fold of every per-job `RunReport` digest, in dispatch order — ties
+    /// the service digest to the full inner scheduling behavior.
     pub jobs_digest: u64,
     /// Per-tenant accounting, tenant-id order.
     pub tenants: Vec<TenantReport>,
@@ -122,17 +122,91 @@ impl ServiceReport {
         }
     }
 
-    /// A stable 64-bit digest (FNV-1a over the `Debug` rendering), same
-    /// construction as `RunReport::digest`: equal iff byte-identical.
+    /// A stable 64-bit digest, same construction as `RunReport::digest`:
+    /// every field folded word by word through [`Fnv64`]. Equal reports
+    /// have equal digests, so unequal digests prove unequal reports.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in format!("{self:?}").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
+        // Destructured without `..`, like `RunReport::digest`: a new field
+        // does not compile until it is hashed.
+        let ServiceReport {
+            jobs_submitted,
+            jobs_admitted,
+            jobs_rejected,
+            jobs_completed,
+            jobs_restarted,
+            warm_hits,
+            cold_starts,
+            sessions_expired,
+            sessions_killed,
+            peak_queue_depth,
+            max_deficit_stall,
+            sched_latency,
+            makespan,
+            events,
+            sim_events,
+            jobs_digest,
+            tenants,
+        } = self;
+        let LatencySummary {
+            samples,
+            mean_us,
+            p50_us,
+            p90_us,
+            p99_us,
+            p999_us,
+            max_us,
+        } = sched_latency;
+        let mut h = Fnv64::new();
+        for word in [
+            *jobs_submitted,
+            *jobs_admitted,
+            *jobs_rejected,
+            *jobs_completed,
+            *jobs_restarted,
+            *warm_hits,
+            *cold_starts,
+            *sessions_expired,
+            *sessions_killed,
+            u64::from(*peak_queue_depth),
+            u64::from(*max_deficit_stall),
+            *samples,
+            *mean_us,
+            *p50_us,
+            *p90_us,
+            *p99_us,
+            *p999_us,
+            *max_us,
+            makespan.as_micros(),
+            *events,
+            *sim_events,
+            *jobs_digest,
+            tenants.len() as u64,
+        ] {
+            h.eat(word);
         }
-        h
+        for tenant in tenants {
+            let TenantReport {
+                submitted,
+                admitted,
+                rejected,
+                completed,
+                restarted,
+                warm_hits,
+                cold_starts,
+            } = tenant;
+            for word in [
+                *submitted,
+                *admitted,
+                *rejected,
+                *completed,
+                *restarted,
+                *warm_hits,
+                *cold_starts,
+            ] {
+                h.eat(word);
+            }
+        }
+        h.finish()
     }
 }
 
@@ -175,5 +249,73 @@ mod tests {
         assert_eq!(one.p50_us, 7);
         assert_eq!(one.p999_us, 7);
         assert_eq!(one.max_us, 7);
+    }
+
+    #[test]
+    fn digest_moves_with_every_field() {
+        let base = ServiceReport {
+            jobs_submitted: 0,
+            jobs_admitted: 0,
+            jobs_rejected: 0,
+            jobs_completed: 0,
+            jobs_restarted: 0,
+            warm_hits: 0,
+            cold_starts: 0,
+            sessions_expired: 0,
+            sessions_killed: 0,
+            peak_queue_depth: 0,
+            max_deficit_stall: 0,
+            sched_latency: LatencySummary::default(),
+            makespan: SimTime::ZERO,
+            events: 0,
+            sim_events: 0,
+            jobs_digest: 0,
+            tenants: vec![TenantReport::default()],
+        };
+        type Perturb = fn(&mut ServiceReport);
+        let perturbations: &[(&str, Perturb)] = &[
+            ("jobs_submitted", |r| r.jobs_submitted = 1),
+            ("jobs_admitted", |r| r.jobs_admitted = 1),
+            ("jobs_rejected", |r| r.jobs_rejected = 1),
+            ("jobs_completed", |r| r.jobs_completed = 1),
+            ("jobs_restarted", |r| r.jobs_restarted = 1),
+            ("warm_hits", |r| r.warm_hits = 1),
+            ("cold_starts", |r| r.cold_starts = 1),
+            ("sessions_expired", |r| r.sessions_expired = 1),
+            ("sessions_killed", |r| r.sessions_killed = 1),
+            ("peak_queue_depth", |r| r.peak_queue_depth = 1),
+            ("max_deficit_stall", |r| r.max_deficit_stall = 1),
+            ("samples", |r| r.sched_latency.samples = 1),
+            ("mean_us", |r| r.sched_latency.mean_us = 1),
+            ("p50_us", |r| r.sched_latency.p50_us = 1),
+            ("p90_us", |r| r.sched_latency.p90_us = 1),
+            ("p99_us", |r| r.sched_latency.p99_us = 1),
+            ("p999_us", |r| r.sched_latency.p999_us = 1),
+            ("max_us", |r| r.sched_latency.max_us = 1),
+            ("makespan", |r| {
+                r.makespan = SimTime::ZERO + swift_sim::SimDuration::from_micros(1)
+            }),
+            ("events", |r| r.events = 1),
+            ("sim_events", |r| r.sim_events = 1),
+            ("jobs_digest", |r| r.jobs_digest = 1),
+            ("tenants", |r| r.tenants.push(TenantReport::default())),
+            ("tenant.submitted", |r| r.tenants[0].submitted = 1),
+            ("tenant.admitted", |r| r.tenants[0].admitted = 1),
+            ("tenant.rejected", |r| r.tenants[0].rejected = 1),
+            ("tenant.completed", |r| r.tenants[0].completed = 1),
+            ("tenant.restarted", |r| r.tenants[0].restarted = 1),
+            ("tenant.warm_hits", |r| r.tenants[0].warm_hits = 1),
+            ("tenant.cold_starts", |r| r.tenants[0].cold_starts = 1),
+        ];
+        let mut seen = vec![("nothing", base.digest())];
+        for &(field, perturb) in perturbations {
+            let mut r = base.clone();
+            perturb(&mut r);
+            let digest = r.digest();
+            for &(other, other_digest) in &seen {
+                assert_ne!(digest, other_digest, "perturbing {field} and {other}");
+            }
+            seen.push((field, digest));
+        }
     }
 }

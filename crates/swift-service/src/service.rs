@@ -17,7 +17,7 @@ use swift_cluster::{Cluster, CostModel, ExecutorId, ExecutorState, MachineHealth
 use swift_metrics as metrics;
 use swift_metrics::Registry;
 use swift_scheduler::{JobSpec, SchedulerSession, SimConfig, Simulation};
-use swift_sim::{SimDuration, SimTime};
+use swift_sim::{Fnv64, SimDuration, SimTime};
 use swift_workload::{JobPriority, ServiceJob};
 
 use crate::config::ServiceConfig;
@@ -143,7 +143,7 @@ pub struct ServiceSim {
     makespan: SimTime,
     events: u64,
     sim_events: u64,
-    jobs_digest: u64,
+    jobs_digest: Fnv64,
 }
 
 impl std::fmt::Debug for ServiceSim {
@@ -225,7 +225,7 @@ impl ServiceSim {
             makespan: SimTime::ZERO,
             events: 0,
             sim_events: 0,
-            jobs_digest: 0xcbf2_9ce4_8422_2325,
+            jobs_digest: Fnv64::new(),
         };
         for i in 0..sim.workload.len() {
             let at = sim.workload[i].submit_at;
@@ -703,11 +703,8 @@ impl ServiceSim {
         }
         let report = sim.run();
         self.sim_events += report.events_processed;
-        // Fold the inner digest in completion-schedule order: any inner
-        // behavioral change surfaces in the service digest.
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        self.jobs_digest ^= report.digest();
-        self.jobs_digest = self.jobs_digest.wrapping_mul(FNV_PRIME);
+        // Any inner behavioral change surfaces in the service digest.
+        self.jobs_digest.eat(report.digest());
         self.observer.on_job_report(now, job, tenant, &report);
         let runtime = report.makespan.saturating_since(SimTime::ZERO);
         self.jobs[job].running = true;
@@ -781,7 +778,7 @@ impl ServiceSim {
             makespan: self.makespan,
             events: self.events,
             sim_events: self.sim_events,
-            jobs_digest: self.jobs_digest,
+            jobs_digest: self.jobs_digest.finish(),
             tenants: self.tenants.into_iter().map(|t| t.report).collect(),
         };
         let templates = self.sched.template_stats();

@@ -9,6 +9,8 @@
 //!   same-timestamp events) that doubles as the simulation clock;
 //! * [`SimRng`] — a seedable RNG with the log-normal / exponential / Zipf
 //!   distributions the trace generator and cost models sample from;
+//! * [`Fnv64`] — the word-at-a-time hasher every shape signature and
+//!   report digest folds through;
 //! * [`stats`] — quartile ("four quartile method" [26] in the paper) and
 //!   CDF helpers used to report every figure.
 //!
@@ -18,12 +20,14 @@
 
 #![warn(missing_docs)]
 
+mod hash;
 mod queue;
 mod rng;
 mod shard;
 pub mod stats;
 mod time;
 
+pub use hash::Fnv64;
 pub use queue::EventQueue;
 pub use rng::{SimRng, ZipfTable};
 pub use shard::{ShardStats, ShardedEventQueue};
