@@ -30,13 +30,6 @@ pub fn cluster_2000() -> Cluster {
     Cluster::new(2_000, 32, CostModel::default())
 }
 
-/// A 5 000-node cluster — beyond the paper's largest deployment, used by
-/// the `trace_replay_5000` scale scenario to stress the sharded simulator
-/// core (more machine groups than any realistic lane count).
-pub fn cluster_5000() -> Cluster {
-    Cluster::new(5_000, 32, CostModel::default())
-}
-
 /// Converts trace jobs to scheduler job specs. The DAGs are shared
 /// (`Arc` refcount bumps), not deep-copied, so converting a 2 000-job
 /// trace — or converting the same trace once per policy under test —
@@ -117,8 +110,7 @@ mod tests {
     fn clusters_have_expected_sizes() {
         assert_eq!(cluster_100().executor_count(), 3_200);
         assert_eq!(cluster_100().machine_count(), 100);
-        assert_eq!(cluster_5000().machine_count(), 5_000);
-        assert_eq!(cluster_5000().executor_count(), 160_000);
+        assert_eq!(cluster_2000().executor_count(), 64_000);
     }
 
     #[test]

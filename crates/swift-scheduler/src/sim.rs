@@ -35,7 +35,7 @@ use swift_cluster::{Cluster, ExecutorId, MachineHealth, MachineId, ShardMap};
 use swift_dag::{partition, JobDag, Partition, StageId, TaskId};
 use swift_ft::{plan_recovery, ExecutionSnapshot, FailureKind, RecoveryPlan, TaskRunState};
 use swift_shuffle::{SegmentKey, ShuffleMedium, ShuffleScheme};
-use swift_sim::{EventQueue, ShardStats, ShardedEventQueue, SimDuration, SimTime};
+use swift_sim::{ShardStats, ShardedEventQueue, SimDuration, SimTime};
 
 /// One job to run: its DAG plus submission time.
 ///
@@ -203,12 +203,11 @@ pub struct CounterSample {
     /// Bytes staged across all Cache Workers (the shadow model's store
     /// occupancy; 0 unless [`SimObserver::wants_cache_model`]).
     pub cache_store_bytes: u64,
-    /// Events merged through shard lanes so far (cumulative; equals
-    /// `events_processed` under the sharded core, 0 under the legacy
-    /// single queue — the crosscheck suite pins the equality).
+    /// Events merged through shard lanes so far (cumulative; always equals
+    /// `events_processed` — the crosscheck suite pins the equality).
     pub shard_events: u64,
     /// Cumulative inter-shard messages: schedules whose handling-context
-    /// shard differed from the target event's shard (0 when not sharded).
+    /// shard differed from the target event's shard (0 at K = 1).
     pub cross_shard_messages: u64,
     /// Cumulative window barriers crossed by the sharded core.
     pub shard_window_barriers: u64,
@@ -406,21 +405,15 @@ pub struct SimConfig {
     /// pure cost optimization — run reports and traces are byte-identical
     /// either way (the differential suite enforces this).
     pub templates: bool,
-    /// Shard-lane count K for the sharded event core (clamped to the
-    /// machine count). Events are partitioned across K per-machine-group
+    /// Shard-lane count K ≥ 1 for the event core (clamped to
+    /// `1..=machines`). Events are partitioned across K per-machine-group
     /// lanes and merged at window barriers in global `(time, seq)` order,
     /// so reports, traces and counter frames are byte-identical at any K
-    /// (the shard-equivalence suite enforces this). `0` selects the
-    /// legacy single-queue core, kept as the overhead baseline the perf
-    /// harness gates against.
+    /// (the shard-equivalence suite enforces this).
     pub shards: u32,
     /// Barrier window width for the sharded core (clamped to ≥ 1 µs).
     /// A pure performance knob: the merge order is window-independent.
     pub shard_window: SimDuration,
-    /// Refill shard lanes on scoped worker threads at window barriers.
-    /// Wall-clock only — lane refills are independent and deterministic,
-    /// so the merged stream is byte-identical either way.
-    pub shard_threads: bool,
 }
 
 impl SimConfig {
@@ -434,7 +427,6 @@ impl SimConfig {
             templates: false,
             shards: 1,
             shard_window: SimDuration::from_millis(256),
-            shard_threads: false,
         }
     }
 
@@ -619,113 +611,6 @@ enum Event {
 /// merge at the same deterministic window barriers as machine events.
 const CTL_SHARD: u32 = 0;
 
-/// The simulator's event queue: the sharded K-lane core by default, or
-/// the legacy single heap (`SimConfig::shards == 0`), kept as the
-/// baseline the perf harness measures single-shard overhead against.
-/// Both pop in the identical global `(time, seq)` order, so which one
-/// runs is invisible to reports, traces and counters.
-#[derive(Debug)]
-enum SimQueue {
-    Single(EventQueue<Event>),
-    Sharded(ShardedEventQueue<Event>),
-}
-
-impl SimQueue {
-    #[inline]
-    fn now(&self) -> SimTime {
-        match self {
-            SimQueue::Single(q) => q.now(),
-            SimQueue::Sharded(q) => q.now(),
-        }
-    }
-
-    #[inline]
-    fn processed(&self) -> u64 {
-        match self {
-            SimQueue::Single(q) => q.processed(),
-            SimQueue::Sharded(q) => q.processed(),
-        }
-    }
-
-    #[inline]
-    fn pending(&self) -> usize {
-        match self {
-            SimQueue::Single(q) => q.pending(),
-            SimQueue::Sharded(q) => q.pending(),
-        }
-    }
-
-    #[inline]
-    fn schedule(&mut self, shard: u32, at: SimTime, ev: Event) {
-        match self {
-            SimQueue::Single(q) => q.schedule(at, ev),
-            SimQueue::Sharded(q) => q.schedule(shard, at, ev),
-        }
-    }
-
-    #[inline]
-    fn schedule_in(&mut self, shard: u32, delay: SimDuration, ev: Event) {
-        match self {
-            SimQueue::Single(q) => q.schedule_in(delay, ev),
-            SimQueue::Sharded(q) => q.schedule_in(shard, delay, ev),
-        }
-    }
-
-    #[inline]
-    fn schedule_now(&mut self, shard: u32, ev: Event) {
-        match self {
-            SimQueue::Single(q) => q.schedule_now(ev),
-            SimQueue::Sharded(q) => q.schedule_now(shard, ev),
-        }
-    }
-
-    /// Drains the earliest timestamp's batch; under the sharded core also
-    /// records each event's shard into `shards` (parallel to `out`) so the
-    /// run loop can set the handling context per event.
-    #[inline]
-    fn pop_batch(&mut self, out: &mut Vec<Event>, shards: &mut Vec<u32>) -> usize {
-        match self {
-            SimQueue::Single(q) => {
-                let n = q.pop_batch_at_now(out);
-                // Everything is "shard 0" under the single queue, so the
-                // run loop's zip stays in lockstep with the batch.
-                shards.extend(std::iter::repeat_n(CTL_SHARD, n));
-                n
-            }
-            SimQueue::Sharded(q) => q.pop_batch_with_shards(out, shards),
-        }
-    }
-
-    #[inline]
-    fn set_context(&mut self, shard: u32) {
-        if let SimQueue::Sharded(q) = self {
-            q.set_context(shard);
-        }
-    }
-
-    /// Shard telemetry counters for the counter-sample path (all zero
-    /// under the legacy queue): `(events, cross_msgs, barriers, stalls)`.
-    #[inline]
-    fn shard_counters(&self) -> (u64, u64, u64, u64) {
-        match self {
-            SimQueue::Single(_) => (0, 0, 0, 0),
-            SimQueue::Sharded(q) => (
-                q.processed(),
-                q.cross_shard_messages(),
-                q.window_barriers(),
-                q.stall_windows(),
-            ),
-        }
-    }
-
-    fn stats(&self) -> Option<ShardStats> {
-        match self {
-            SimQueue::Single(_) => None,
-            SimQueue::Sharded(q) => Some(q.stats()),
-        }
-    }
-}
-
 #[derive(Clone, Debug)]
 struct Request {
     job: usize,
@@ -745,7 +630,8 @@ pub struct Simulation {
     cluster: Cluster,
     cfg: SimConfig,
     jobs: Vec<JobSt>,
-    q: SimQueue,
+    /// The K-lane event core; pops in global `(time, seq)` order at any K.
+    q: ShardedEventQueue<Event>,
     /// Machine/executor → shard-group routing (identity at K = 1).
     shard_map: ShardMap,
     reqs: VecDeque<Request>,
@@ -883,15 +769,9 @@ impl Simulation {
         let shard_map = ShardMap::new(
             machine_count,
             cluster.executor_count() / machine_count,
-            cfg.shards.max(1),
+            cfg.shards,
         );
-        let q = if cfg.shards == 0 {
-            SimQueue::Single(EventQueue::new())
-        } else {
-            let mut sq = ShardedEventQueue::new(shard_map.shards(), cfg.shard_window);
-            sq.set_thread_refill(cfg.shard_threads);
-            SimQueue::Sharded(sq)
-        };
+        let q = ShardedEventQueue::new(shard_map.shards(), cfg.shard_window);
         let mut sim = Simulation {
             cluster,
             cfg,
@@ -988,15 +868,13 @@ impl Simulation {
                 let s = c.stats();
                 (c.len() as u64, s.hits(), s.misses)
             });
-        let (shard_events, cross_shard_messages, shard_window_barriers, shard_barrier_stalls) =
-            self.q.shard_counters();
         let sample = CounterSample {
             event_queue_depth: self.q.pending() as u64,
             events_processed: self.q.processed(),
-            shard_events,
-            cross_shard_messages,
-            shard_window_barriers,
-            shard_barrier_stalls,
+            shard_events: self.q.processed(),
+            cross_shard_messages: self.q.cross_shard_messages(),
+            shard_window_barriers: self.q.window_barriers(),
+            shard_barrier_stalls: self.q.stall_windows(),
             pending_requests: self.reqs.len() as u64,
             pending_gang_tasks: self.reqs.iter().map(|r| r.tasks.len() as u64).sum(),
             wave_jobs: self.wave_jobs.len() as u64,
@@ -1209,10 +1087,9 @@ impl Simulation {
     }
 
     /// Like [`Simulation::run`], but also returns the sharded core's
-    /// telemetry counters (`None` under the legacy single-queue core).
-    /// Deliberately *not* part of the [`RunReport`]: reports must stay
-    /// byte-identical across shard counts, windows and exec modes.
-    pub fn run_with_shard_stats(mut self) -> (RunReport, Option<ShardStats>) {
+    /// telemetry counters. Deliberately *not* part of the [`RunReport`]:
+    /// reports must stay byte-identical across shard counts and windows.
+    pub fn run_with_shard_stats(mut self) -> (RunReport, ShardStats) {
         let report = self.run_inner();
         let stats = self.q.stats();
         (report, stats)
@@ -1233,7 +1110,7 @@ impl Simulation {
         // events — so the event stream and its digest are untouched.
         let mut next_counter = self.obs_counter_window.map(|w| SimTime::ZERO + w);
         let mut batch_shards = Vec::new();
-        while self.q.pop_batch(&mut batch, &mut batch_shards) > 0 {
+        while self.q.pop_batch_with_shards(&mut batch, &mut batch_shards) > 0 {
             for (ev, shard) in batch.drain(..).zip(batch_shards.drain(..)) {
                 // Attribute the handler's follow-up schedules to the shard
                 // that owned the event, so cross-shard message counts are

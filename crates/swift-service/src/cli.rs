@@ -111,6 +111,10 @@ fn run_serve(args: &[String]) -> i32 {
             }
         }
     }
+    if cfg.shards == 0 {
+        eprintln!("serve: --shards must be at least 1 (K=1 is the single-lane core)\n{USAGE}");
+        return 2;
+    }
     let sim = ServiceSim::new(cfg, generate_service_workload(&wl));
     let run = sim.run();
     println!(
@@ -210,5 +214,16 @@ pub fn run_cli(args: &[String]) -> i32 {
             eprintln!("{USAGE}");
             2
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_shards_is_a_usage_error() {
+        let args: Vec<String> = ["serve", "--shards", "0"].map(String::from).into();
+        assert_eq!(run_cli(&args), 2);
     }
 }

@@ -41,8 +41,8 @@ pub struct ServiceConfig {
     /// are invariant to this flag; only the returned template counters
     /// change.
     pub templates: bool,
-    /// Shard lane count forwarded to every per-job simulation
-    /// (`0` = legacy single queue, `1` = default).
+    /// Shard lane count K ≥ 1 forwarded to every per-job simulation
+    /// (default 1).
     pub shards: u32,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! 1. **Determinism** — same-seed runs produce byte-identical
 //!    `ServiceReport`s (digest compare), and the digest is invariant to
-//!    the shard count (K ∈ {0, 1, 4}) and the templates flag.
+//!    the shard count (K ∈ {1, 4}) and the templates flag.
 //! 2. **Quota invariant** — no tenant ever holds more executors than its
 //!    quota (live-asserted inside the loop on every admission; witnessed
 //!    here through the session event stream).
@@ -77,14 +77,11 @@ fn same_seed_reports_are_byte_identical() {
 
 #[test]
 fn digest_is_invariant_to_shard_count() {
-    let baseline = run_digest(7, 1, true);
-    for shards in [0u32, 4] {
-        assert_eq!(
-            run_digest(7, shards, true),
-            baseline,
-            "shards={shards} changed the service report"
-        );
-    }
+    assert_eq!(
+        run_digest(7, 4, true),
+        run_digest(7, 1, true),
+        "shards=4 changed the service report"
+    );
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! insertion counter shared by every lane. The shard id names the lane an
 //! event is stored in and is recorded for telemetry; it is *not* a
 //! tie-breaker. That choice is what makes the merged stream byte-identical
-//! to the single-threaded core for the same seed at any K: per-lane
+//! to a single [`EventQueue`] for the same seed at any K: per-lane
 //! sequence numbers would reorder same-timestamp cross-shard events.
 //!
 //! Time advances through fixed-width *windows* separated by deterministic
@@ -25,22 +25,13 @@
 //! *window barrier*: it finds the earliest pending timestamp `t` across all
 //! `next`/`far` containers, advances the horizon to the end of `t`'s
 //! window, and refills every lane's `run` (drain `far` below the horizon,
-//! absorb all of `next`, one `sort_unstable`). Refills are independent per
-//! lane, so they can optionally run on scoped worker threads — the result
-//! is byte-identical either way because each lane's sort is deterministic
-//! and the merge order is fixed by the global key.
+//! absorb all of `next`, one `sort_unstable`).
 //!
 //! Replacing per-event heap sifts with bulk sorts (plus smaller per-lane
-//! heaps) is where the single-thread win comes from; the thread shim adds
-//! wall-clock parallelism for barrier refills on large windows.
+//! heaps) is where the win over the plain [`EventQueue`] comes from.
 
 use crate::queue::{MinHeap4, Scheduled};
 use crate::time::{SimDuration, SimTime};
-
-/// Minimum number of staged events (across all lanes) before a barrier
-/// refill is worth fanning out to scoped threads; below this the spawn
-/// overhead dominates. Deterministic: depends only on queue state.
-const PAR_REFILL_MIN: usize = 8192;
 
 /// Telemetry counters for a sharded run. All values are deterministic
 /// functions of the schedule (and therefore of the seed).
@@ -169,7 +160,6 @@ pub struct ShardedEventQueue<E> {
     /// Shard context attributed as the *source* of subsequent schedules;
     /// `None` outside event handling (initial seeding).
     context: Option<u32>,
-    threads: bool,
     cross_shard_messages: u64,
     window_barriers: u64,
     stall_windows: u64,
@@ -190,7 +180,7 @@ impl<E> std::fmt::Debug for ShardedEventQueue<E> {
     }
 }
 
-impl<E: Send> ShardedEventQueue<E> {
+impl<E> ShardedEventQueue<E> {
     /// Creates an empty queue with `shards` lanes and the given barrier
     /// window. `shards` is clamped to at least 1 and `window` to at least
     /// one microsecond.
@@ -204,19 +194,10 @@ impl<E: Send> ShardedEventQueue<E> {
             seq: 0,
             processed: 0,
             context: None,
-            threads: false,
             cross_shard_messages: 0,
             window_barriers: 0,
             stall_windows: 0,
         }
-    }
-
-    /// Enables or disables the scoped-thread barrier refill shim. Purely a
-    /// wall-clock knob: the pop order (and thus every digest) is identical
-    /// either way, because lane refills are independent and each lane's
-    /// sort is deterministic.
-    pub fn set_thread_refill(&mut self, on: bool) {
-        self.threads = on;
     }
 
     /// Number of shard lanes (K).
@@ -369,11 +350,9 @@ impl<E: Send> ShardedEventQueue<E> {
     /// events are pending anywhere (quiesced).
     fn advance_window(&mut self) -> bool {
         let mut min_key = u128::MAX;
-        let mut staged = 0usize;
         for lane in &self.lanes {
             let far = lane.far.peek().map_or(u128::MAX, |s| s.key);
             min_key = min_key.min(lane.next_min).min(far);
-            staged += lane.next.len() + lane.far.len();
         }
         if min_key == u128::MAX {
             return false;
@@ -383,20 +362,8 @@ impl<E: Send> ShardedEventQueue<E> {
         debug_assert!(horizon > self.horizon);
         self.horizon = horizon;
         self.window_barriers += 1;
-        if self.threads && self.lanes.len() > 1 && staged >= PAR_REFILL_MIN {
-            // Lane refills are disjoint and deterministic, so scoped worker
-            // threads cannot affect the merged order — this is a pure
-            // wall-clock shim, proven byte-identical by the K-sweep gates.
-            // swift-analyze: allow(SW002) — deterministic per-lane sort fan-out; merge order fixed by the global (time, seq) key
-            std::thread::scope(|s| {
-                for lane in &mut self.lanes {
-                    s.spawn(move || lane.refill(horizon));
-                }
-            });
-        } else {
-            for lane in &mut self.lanes {
-                lane.refill(horizon);
-            }
+        for lane in &mut self.lanes {
+            lane.refill(horizon);
         }
         let idle = self
             .lanes
@@ -505,7 +472,7 @@ mod tests {
     /// Pops both queues to exhaustion, rescheduling follow-ups from a
     /// deterministic script, and asserts identical event order, clocks and
     /// processed counts.
-    fn assert_equivalent(seed: u64, shards: u32, window_ms: u64, threads: bool) {
+    fn assert_equivalent(seed: u64, shards: u32, window_ms: u64) {
         let mut rng = Rng(seed | 1);
         let n = 400;
         let mut plan: Vec<(u64, u32)> = Vec::new(); // (time µs, payload)
@@ -518,7 +485,6 @@ mod tests {
             reference.schedule(SimTime(t), v);
         }
         let mut sharded = ShardedEventQueue::new(shards, SimDuration::from_millis(window_ms));
-        sharded.set_thread_refill(threads);
         for &(t, v) in &plan {
             sharded.schedule(v % shards.max(1), SimTime(t), v);
         }
@@ -562,15 +528,8 @@ mod tests {
     fn matches_event_queue_across_k() {
         for seed in [1u64, 7, 42] {
             for k in [1u32, 2, 4, 8] {
-                assert_equivalent(seed, k, 10, false);
+                assert_equivalent(seed, k, 10);
             }
-        }
-    }
-
-    #[test]
-    fn matches_event_queue_with_thread_refill() {
-        for k in [2u32, 8] {
-            assert_equivalent(99, k, 1, true);
         }
     }
 
@@ -578,8 +537,8 @@ mod tests {
     fn window_extremes_do_not_change_order() {
         // One-µs windows (a barrier per distinct timestamp) and huge
         // windows (everything in one run) must both merge identically.
-        assert_equivalent(5, 4, 1, false);
-        assert_equivalent(5, 4, 1_000_000, false);
+        assert_equivalent(5, 4, 1);
+        assert_equivalent(5, 4, 1_000_000);
     }
 
     #[test]

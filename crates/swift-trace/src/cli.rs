@@ -21,10 +21,9 @@
 //! regardless of run length — the file is byte-identical to the buffered
 //! path.
 //!
-//! `--shards K` runs the scenario on the sharded simulator core with K
-//! lanes (0 = the legacy single-queue core). Sharding is byte-invisible,
-//! so the output is identical at any K — which is exactly what the CI
-//! byte-compare smoke pins with `trace diff`.
+//! `--shards K` runs the scenario on the simulator core with K ≥ 1 lanes.
+//! Sharding is byte-invisible, so the output is identical at any K — which
+//! is exactly what the CI byte-compare smoke pins with `trace diff`.
 //!
 //! `trace diff A B` compares two rendered trace files structurally:
 //! first divergent line, per-event-kind count deltas, per-series
@@ -109,6 +108,12 @@ pub fn run_cli(args: &[String]) -> i32 {
                 }
             },
             "--shards" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(0) => {
+                    eprintln!(
+                        "trace: --shards must be at least 1 (K=1 is the single-lane core)\n{USAGE}"
+                    );
+                    return 2;
+                }
                 Some(v) => shards = Some(v),
                 None => {
                     eprintln!("trace: --shards needs an integer\n{USAGE}");
@@ -166,7 +171,7 @@ pub fn run_cli(args: &[String]) -> i32 {
             }
         };
         let run = match shards {
-            Some(k) => scenarios::run_traced_sink_sharded(&name, seed, cfg, sink, k, false),
+            Some(k) => scenarios::run_traced_sink_sharded(&name, seed, cfg, sink, k),
             None => scenarios::run_traced_sink(&name, seed, cfg, sink),
         };
         let Some((sink, _report)) = run else {
@@ -192,7 +197,7 @@ pub fn run_cli(args: &[String]) -> i32 {
     }
 
     let run = match shards {
-        Some(k) => scenarios::run_traced_sharded(&name, seed, cfg, k, false),
+        Some(k) => scenarios::run_traced_sharded(&name, seed, cfg, k),
         None => scenarios::run_traced(&name, seed, cfg),
     };
     let Some((trace, report)) = run else {
@@ -241,4 +246,15 @@ pub fn run_cli(args: &[String]) -> i32 {
         );
     }
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_shards_is_a_usage_error() {
+        let args: Vec<String> = ["tiny", "--shards", "0"].map(String::from).into();
+        assert_eq!(run_cli(&args), 2);
+    }
 }

@@ -70,7 +70,7 @@ pub struct RecorderConfig {
     /// barriers, barrier stalls). Off by default — and off in
     /// [`RecorderConfig::full`] — because the extra columns change frame
     /// shape, and default frames must stay byte-identical across shard
-    /// counts (the legacy core reports these as zero).
+    /// counts (messages, barriers and stalls all vary with K).
     pub shard_series: bool,
 }
 

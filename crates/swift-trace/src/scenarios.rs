@@ -296,12 +296,11 @@ pub fn build_with(name: &str, seed: u64, templates: bool) -> Option<Simulation> 
 }
 
 /// Like [`build`], but running on the sharded event core with `shards`
-/// lanes (0 = the legacy single-queue core) and optionally the scoped
-/// worker-thread refill shim — the entry point of the shard-equivalence
+/// lanes (clamped to ≥ 1) — the entry point of the shard-equivalence
 /// suite, which runs the same scenario at several K and compares reports,
 /// traces and counter frames byte for byte.
-pub fn build_sharded(name: &str, seed: u64, shards: u32, threads: bool) -> Option<Simulation> {
-    build_sharded_with_window(name, seed, shards, threads, None)
+pub fn build_sharded(name: &str, seed: u64, shards: u32) -> Option<Simulation> {
+    build_sharded_with_window(name, seed, shards, None)
 }
 
 /// Like [`build_sharded`], with an explicit barrier window (`None` keeps
@@ -311,7 +310,6 @@ pub fn build_sharded_with_window(
     name: &str,
     seed: u64,
     shards: u32,
-    threads: bool,
     window: Option<SimDuration>,
 ) -> Option<Simulation> {
     let sc = find(name)?;
@@ -321,7 +319,6 @@ pub fn build_sharded_with_window(
     let cfg = SimConfig {
         templates: sc.templates,
         shards,
-        shard_threads: threads,
         shard_window: window.unwrap_or(base.shard_window),
         ..base
     };
@@ -336,9 +333,8 @@ pub fn run_traced_sharded(
     seed: u64,
     cfg: RecorderConfig,
     shards: u32,
-    threads: bool,
 ) -> Option<(Trace, RunReport)> {
-    let mut sim = build_sharded(name, seed, shards, threads)?;
+    let mut sim = build_sharded(name, seed, shards)?;
     let (recorder, handle) = TraceRecorder::new(name, seed, cfg);
     sim.set_observer(Box::new(recorder));
     let report = sim.run();
@@ -394,9 +390,8 @@ pub fn run_traced_sink_sharded<S: TraceSink + 'static>(
     cfg: RecorderConfig,
     sink: S,
     shards: u32,
-    threads: bool,
 ) -> Option<(S, RunReport)> {
-    let mut sim = build_sharded(name, seed, shards, threads)?;
+    let mut sim = build_sharded(name, seed, shards)?;
     let (recorder, handle) = TraceRecorder::with_sink(name, seed, cfg, sink);
     sim.set_observer(Box::new(recorder));
     let report = sim.run();

@@ -3,16 +3,15 @@
 //!
 //! The sharded core (`swift_sim::ShardedEventQueue`) partitions pending
 //! events across K machine-group lanes and merges them at deterministic
-//! window barriers in global `(time, seq)` order — the exact order of the
-//! legacy single heap. Sharding is a pure *wall-clock* optimization: no
-//! report, trace or counter frame may move by a byte when K, the barrier
-//! window, or the thread-refill shim changes. This suite pins that
-//! contract from the outside:
+//! window barriers in global `(time, seq)` order — the exact order of a
+//! single heap. Sharding is a pure *wall-clock* optimization: no report,
+//! trace or counter frame may move by a byte when K or the barrier window
+//! changes. This suite pins that contract from the outside (the six
+//! historical pins in `report_digest.rs` hold K = 1 itself in place):
 //!
 //! * every registry scenario, across seeds, produces a byte-identical
 //!   [`swift::scheduler::RunReport`] digest, event trace and counter
-//!   frames for K ∈ {1, 2, 4, 8}, against the legacy core (K = 0);
-//! * the scoped-thread refill shim changes nothing either;
+//!   frames for K ∈ {2, 4, 8}, against the single-lane core (K = 1);
 //! * extreme barrier windows (1 µs and 1000 s) merge identically, so the
 //!   window is provably a tuning knob, not a semantics knob;
 //! * shard telemetry is conserved: per-lane event counts sum to the
@@ -31,11 +30,11 @@ fn differential_recorder() -> RecorderConfig {
     }
 }
 
-/// Runs `(scenario, seed)` at a shard count (0 = legacy single queue) and
-/// returns `(event text, counter text, report digest)`.
-fn run_at(name: &str, seed: u64, shards: u32, threads: bool) -> (String, String, u64) {
+/// Runs `(scenario, seed)` at a shard count and returns
+/// `(event text, counter text, report digest)`.
+fn run_at(name: &str, seed: u64, shards: u32) -> (String, String, u64) {
     let (trace, report) =
-        scenarios::run_traced_sharded(name, seed, differential_recorder(), shards, threads)
+        scenarios::run_traced_sharded(name, seed, differential_recorder(), shards)
             .expect("registry scenario exists");
     (
         trace.render_text(),
@@ -44,16 +43,16 @@ fn run_at(name: &str, seed: u64, shards: u32, threads: bool) -> (String, String,
     )
 }
 
-/// The headline gate: for every scenario in the registry, the legacy core
-/// and the sharded core at K ∈ {1, 2, 4, 8} are byte-identical — same
+/// The headline gate: for every scenario in the registry, the single-lane
+/// core and the sharded core at K ∈ {2, 4, 8} are byte-identical — same
 /// report digest, same rendered event stream, same counter frames.
 #[test]
 fn sharded_equals_single_across_registry() {
     for name in scenarios::names() {
         for seed in [1u64, 23] {
-            let (events, counters, digest) = run_at(name, seed, 0, false);
-            for k in [1u32, 2, 4, 8] {
-                let (ev_k, ctr_k, digest_k) = run_at(name, seed, k, false);
+            let (events, counters, digest) = run_at(name, seed, 1);
+            for k in [2u32, 4, 8] {
+                let (ev_k, ctr_k, digest_k) = run_at(name, seed, k);
                 assert_eq!(
                     digest, digest_k,
                     "{name}/{seed}: report digest diverged at K = {k}"
@@ -71,25 +70,9 @@ fn sharded_equals_single_across_registry() {
     }
 }
 
-/// The thread-refill shim is wall-clock only: same bytes as sequential
-/// refills at the same K.
-#[test]
-fn thread_refill_shim_is_byte_invisible() {
-    for name in ["multijob", "fault"] {
-        for k in [2u32, 8] {
-            let sequential = run_at(name, 7, k, false);
-            let threaded = run_at(name, 7, k, true);
-            assert_eq!(
-                sequential, threaded,
-                "{name}: thread-refill shim changed bytes at K = {k}"
-            );
-        }
-    }
-}
-
 /// Runs a scenario with an explicit barrier window and returns the digest.
 fn digest_with_window(name: &str, shards: u32, window: SimDuration) -> u64 {
-    scenarios::build_sharded_with_window(name, 11, shards, false, Some(window))
+    scenarios::build_sharded_with_window(name, 11, shards, Some(window))
         .expect("scenario exists")
         .run()
         .digest()
@@ -121,10 +104,9 @@ fn barrier_window_is_a_tuning_knob() {
 fn lane_event_counts_sum_to_events_processed() {
     for name in scenarios::names() {
         for k in [1u32, 2, 4, 8] {
-            let sim = scenarios::build_sharded(name, 3, k, false).expect("scenario exists");
+            let sim = scenarios::build_sharded(name, 3, k).expect("scenario exists");
             let machines = sim.cluster().machine_count();
             let (report, stats) = sim.run_with_shard_stats();
-            let stats = stats.expect("sharded core reports stats");
             assert_eq!(stats.shards, k.clamp(1, machines), "{name}: lane count");
             assert_eq!(
                 stats.events_per_shard.iter().sum::<u64>(),
@@ -138,15 +120,6 @@ fn lane_event_counts_sum_to_events_processed() {
             );
         }
     }
-}
-
-/// The legacy core reports no shard stats — callers can tell which core
-/// ran without consulting the config.
-#[test]
-fn legacy_core_reports_no_shard_stats() {
-    let sim = scenarios::build_sharded("tiny", 1, 0, false).expect("scenario exists");
-    let (_, stats) = sim.run_with_shard_stats();
-    assert!(stats.is_none(), "legacy queue must not fabricate stats");
 }
 
 /// Sums one counter series across every frame of a trace.
@@ -172,7 +145,7 @@ fn shard_series_opt_in_widens_frames_and_telescopes() {
         ..differential_recorder()
     };
     let (trace, report) =
-        scenarios::run_traced_sharded("multijob", 5, opt_in, 4, false).expect("scenario exists");
+        scenarios::run_traced_sharded("multijob", 5, opt_in, 4).expect("scenario exists");
     assert_eq!(
         series_total(&trace, swift::metrics::SIM_SHARD_EVENTS),
         report.events_processed,
@@ -188,7 +161,7 @@ fn shard_series_opt_in_widens_frames_and_telescopes() {
 
     // Default recorder: no shard series, even on the sharded core.
     let (default_trace, _) =
-        scenarios::run_traced_sharded("multijob", 5, differential_recorder(), 4, false)
+        scenarios::run_traced_sharded("multijob", 5, differential_recorder(), 4)
             .expect("scenario exists");
     assert!(
         !default_trace.render_counters_text().contains("sim.shard."),

@@ -11,7 +11,8 @@
 //! * every registry scenario, across three seeds, produces a byte-identical
 //!   [`RunReport`] digest and a byte-identical event trace with the cache
 //!   on and off (template bookkeeping events excluded — they only exist on
-//!   the cache-on side by construction);
+//!   the cache-on side by construction), and the cache-on side scores at
+//!   least one hit, so the differential never goes vacuous;
 //! * a fault injected into a job whose plan came *from the cache* recovers
 //!   exactly like a from-scratch run: instantiation shares no mutable state
 //!   between jobs, so invalidation and replanning see a normal plan.
@@ -24,7 +25,7 @@ use swift::ft::FailureKind;
 use swift::scheduler::{FailureAt, FailureInjection, JobSpec, SimConfig, Simulation};
 use swift::sim::{SimDuration, SimTime};
 use swift::trace::scenarios;
-use swift::trace::{RecorderConfig, Trace, TraceEventKind};
+use swift::trace::{RecorderConfig, Trace, TraceEventKind, TraceRecorder};
 
 /// Recorder settings for differential comparison: everything except the
 /// template events themselves (which announce cache hits and misses, and
@@ -37,12 +38,15 @@ fn differential_recorder() -> RecorderConfig {
 }
 
 /// Runs `(scenario, seed)` with the cache forced on or off and returns
-/// the trace plus the report digest.
-fn run_side(name: &str, seed: u64, templates: bool) -> (Trace, u64) {
-    let (trace, report) =
-        scenarios::run_traced_with(name, seed, differential_recorder(), templates)
-            .expect("registry scenario exists");
-    (trace, report.digest())
+/// the trace, the report digest and the template-cache hit count (every
+/// lookup happens at construction, so the count is final before the run).
+fn run_side(name: &str, seed: u64, templates: bool) -> (Trace, u64, u64) {
+    let mut sim = scenarios::build_with(name, seed, templates).expect("registry scenario exists");
+    let hits = sim.template_stats().map_or(0, |s| s.hits());
+    let (recorder, handle) = TraceRecorder::new(name, seed, differential_recorder());
+    sim.set_observer(Box::new(recorder));
+    let report = sim.run();
+    (handle.finish(), report.digest(), hits)
 }
 
 /// The headline gate: for every scenario in the registry and three seeds,
@@ -50,10 +54,12 @@ fn run_side(name: &str, seed: u64, templates: bool) -> (Trace, u64) {
 /// same rendered event stream.
 #[test]
 fn cache_on_equals_cache_off_across_registry() {
+    let mut hits = 0;
     for name in scenarios::names() {
         for seed in [1u64, 7, 23] {
-            let (trace_on, digest_on) = run_side(name, seed, true);
-            let (trace_off, digest_off) = run_side(name, seed, false);
+            let (trace_on, digest_on, hits_on) = run_side(name, seed, true);
+            let (trace_off, digest_off, _) = run_side(name, seed, false);
+            hits += hits_on;
             assert_eq!(
                 digest_on, digest_off,
                 "{name}/{seed}: report digest diverged with the template cache on"
@@ -68,6 +74,7 @@ fn cache_on_equals_cache_off_across_registry() {
                 .unwrap_or_else(|e| panic!("{name}/{seed}: cache-on span discipline: {e}"));
         }
     }
+    assert!(hits > 0, "the cache-on side never hit the template cache");
 }
 
 fn fault_profile(input: u64, output: u64, process_us: u64) -> StageProfile {
@@ -151,7 +158,7 @@ fn run_faulted(templates: bool, recorder: RecorderConfig) -> (Trace, u64) {
     };
     let mut sim = Simulation::new(cluster, cfg, specs);
     sim.inject_failures(injections);
-    let (rec, handle) = swift::trace::TraceRecorder::new("faulted_repeat", 0, recorder);
+    let (rec, handle) = TraceRecorder::new("faulted_repeat", 0, recorder);
     sim.set_observer(Box::new(rec));
     let report = sim.run();
     (handle.finish(), report.digest())
