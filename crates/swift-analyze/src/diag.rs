@@ -76,8 +76,8 @@ pub enum Code {
     SW109,
     /// A plan instantiated from the scheduling-template cache diverges
     /// from from-scratch planning (partition, unit plan or scheme
-    /// priors), or the canonical signature fails to unify two
-    /// equal-shape DAGs.
+    /// priors), or the cache misses on an identical rebuild of a job (its
+    /// shape key depends on something other than the shape).
     SW110,
 }
 

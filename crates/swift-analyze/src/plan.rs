@@ -296,13 +296,13 @@ pub fn validate_schemes_sized(
 
 /// Validates scheduling-template instantiation fidelity (**SW110**).
 ///
-/// Registers a template from a stage-permuted clone of `dag`, looks `dag`
-/// itself up, and compares the instantiated artifacts against from-scratch
-/// planning under the same `policy` — the cache must be a pure cost
-/// optimization, never a behavioral one. Findings:
+/// Registers a template from an identical rebuild of `dag` under another
+/// job id, looks `dag` itself up, and compares the served artifacts
+/// against from-scratch planning under the same `policy` — the cache must
+/// be a pure cost optimization, never a behavioral one. Findings:
 ///
-/// * the canonical signature fails to unify the two equal-shape DAGs
-///   (no hit at all, for a canonical-capable partitioning);
+/// * the cache misses on the identical rebuild: the shape key depends on
+///   something other than the shape;
 /// * the instantiated graphlet partition, unit plan or scheme priors
 ///   differ structurally from their from-scratch counterparts;
 /// * a `template-scheme` claim names a scheme the instantiated priors
@@ -321,8 +321,8 @@ pub fn validate_template_roundtrip(
         report.diagnostics.push(Diagnostic::new(
             Code::SW110,
             spans.span("template"),
-            "template cache missed on a stage-permuted clone of the same shape: the \
-             canonical signature failed to unify two equal-shape DAGs"
+            "template cache missed on an identical rebuild under another job id: the \
+             shape key depends on something other than the shape"
                 .to_string(),
         ));
         return report;

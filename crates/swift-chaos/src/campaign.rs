@@ -344,7 +344,7 @@ pub struct SeedOutcome {
     /// Template-cache lookups in the fine-grained run (0 unless the seed
     /// ran in `--templates` mode).
     pub template_lookups: u64,
-    /// Template-cache hits (identity or canonical) in the fine-grained run.
+    /// Template-cache hits in the fine-grained run.
     pub template_hits: u64,
 }
 

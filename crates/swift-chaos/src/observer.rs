@@ -41,7 +41,7 @@ pub struct ChaosState {
     pub reads_checked: u64,
     /// Template-cache lookups observed (0 unless `SimConfig::templates`).
     pub template_lookups: u64,
-    /// Template-cache hits observed (identity or canonical).
+    /// Template-cache hits observed.
     pub template_hits: u64,
 }
 
@@ -91,7 +91,7 @@ impl SimObserver for ChaosObserver {
     fn on_template_decision(&mut self, _now: SimTime, _job: usize, decision: &TemplateDecision) {
         let mut st = self.0.borrow_mut();
         st.template_lookups += 1;
-        if matches!(decision.outcome, TemplateOutcome::Hit { .. }) {
+        if matches!(decision.outcome, TemplateOutcome::Hit) {
             st.template_hits += 1;
         }
     }

@@ -403,6 +403,38 @@ pub fn descendants(dag: &JobDag, start: StageId) -> Vec<StageId> {
     out
 }
 
+/// Rebuilds `dag` as job `job_id` with its stages inserted in the given
+/// order (a permutation of all stage ids), preserving names, task counts,
+/// operator chains, idempotence flags, profiles, explicit edge kinds and
+/// the edge enumeration order. The identity order yields an identical
+/// rebuild; any other order describes the same job under a different
+/// stage numbering.
+pub fn permuted_clone(dag: &JobDag, insertion_order: &[StageId], job_id: u64) -> JobDag {
+    assert_eq!(
+        insertion_order.len(),
+        dag.stage_count(),
+        "insertion order must cover every stage exactly once"
+    );
+    let mut b = DagBuilder::new(job_id, dag.name.clone());
+    let mut new_id = vec![StageId(0); dag.stage_count()];
+    for &old in insertion_order {
+        let s = dag.stage(old);
+        let mut sb = b
+            .stage(s.name.clone(), s.task_count)
+            .ops(s.operators.iter().cloned())
+            .profile(s.profile.clone());
+        if !s.idempotent {
+            sb = sb.non_idempotent();
+        }
+        new_id[old.index()] = sb.build();
+    }
+    for e in dag.edges() {
+        b.edge_kind(new_id[e.src.index()], new_id[e.dst.index()], e.kind);
+    }
+    b.build()
+        .expect("permuting stage insertion preserves DAG validity")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,6 +553,27 @@ mod tests {
         let back = dag.clone();
         assert_eq!(dag, back);
         assert_eq!(dag.total_tasks(), back.total_tasks());
+    }
+
+    #[test]
+    fn permuted_clone_preserves_stage_payloads() {
+        let d1 = diamond();
+        let identity: Vec<StageId> = (0..4).map(StageId).collect();
+        let same = permuted_clone(&d1, &identity, 6);
+        assert_eq!(same.job_id, JobId(6));
+        assert_eq!((same.stages(), same.edges()), (d1.stages(), d1.edges()));
+
+        let perm: Vec<StageId> = [3u32, 1, 0, 2].into_iter().map(StageId).collect();
+        let d2 = permuted_clone(&d1, &perm, 6);
+        assert_eq!(d2.stage_count(), d1.stage_count());
+        assert_eq!(d2.edges().len(), d1.edges().len());
+        for old in d1.stages() {
+            let new = d2.stage_by_name(&old.name).unwrap();
+            assert_eq!(new.task_count, old.task_count);
+            assert_eq!(new.operators, old.operators);
+            assert_eq!(new.idempotent, old.idempotent);
+            assert_eq!(new.profile, old.profile);
+        }
     }
 
     #[test]

@@ -40,16 +40,11 @@ mod edge;
 mod ids;
 mod operator;
 mod partition;
-mod signature;
 mod stage;
 
-pub use dag::{descendants, DagBuilder, DagError, JobDag, StageBuilder};
+pub use dag::{descendants, permuted_clone, DagBuilder, DagError, JobDag, StageBuilder};
 pub use edge::{classify_edge, Edge, EdgeKind};
 pub use ids::{GraphletId, JobId, StageId, TaskId};
 pub use operator::Operator;
 pub use partition::{partition, Graphlet, Partition};
-pub use signature::{
-    as_numbered_fingerprint, as_numbered_hash64, canonical_fingerprint, permuted_clone,
-    ShapeClasses, ShapeFingerprint, ShapeProbe,
-};
 pub use stage::{Stage, StageProfile};

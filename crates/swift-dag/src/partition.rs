@@ -126,42 +126,6 @@ impl Partition {
         debug_assert_eq!(order.len(), n, "graphlet dependency graph must be acyclic");
         order
     }
-
-    /// Reconstructs the partition of `dag` from its graphlet stage sets
-    /// alone, reproducing exactly what [`partition`] would compute — the
-    /// same graphlet numbering, trigger stages and dependency lists.
-    ///
-    /// [`partition`] numbers graphlets by the topological position of each
-    /// graphlet's earliest stage (the Algorithm 1 seed), so given the bare
-    /// sets this constructor recovers the numbering by sorting groups on
-    /// their minimum topo position and then re-running the same
-    /// materialisation pass. This is what lets a scheduling-template cache
-    /// transport a partition from one job to an isomorphic job: map the
-    /// cached stage sets through the isomorphism and rebuild.
-    ///
-    /// `groups` must cover every stage of `dag` exactly once (checked by
-    /// `debug_assert`; violating it in release builds yields a partition
-    /// that is simply wrong, not unsound).
-    pub fn from_stage_sets(dag: &JobDag, groups: Vec<BTreeSet<StageId>>) -> Partition {
-        let n = dag.stage_count();
-        debug_assert_eq!(
-            groups.iter().map(BTreeSet::len).sum::<usize>(),
-            n,
-            "groups must cover every stage exactly once"
-        );
-        let mut pos = vec![0u32; n];
-        for (i, &s) in dag.topo_order().iter().enumerate() {
-            pos[s.index()] = i as u32;
-        }
-        let mut ordered = groups;
-        ordered.sort_by_key(|set| {
-            set.iter()
-                .map(|s| pos[s.index()])
-                .min()
-                .expect("groups must be non-empty")
-        });
-        materialise(dag, ordered)
-    }
 }
 
 /// Partitions `dag` into graphlets following the paper's Algorithm 1
@@ -260,10 +224,9 @@ pub fn partition(dag: &JobDag) -> Partition {
     materialise(dag, stage_sets)
 }
 
-/// Shared tail of [`partition`] and [`Partition::from_stage_sets`]: turns
-/// the per-graphlet stage sets (already in final graphlet-id order) into a
-/// full [`Partition`] — graphlets, trigger stages and the barrier-edge
-/// dependency structure.
+/// Final pass of [`partition`]: turns the per-graphlet stage sets
+/// (already in final graphlet-id order) into a full [`Partition`] —
+/// graphlets, trigger stages and the barrier-edge dependency structure.
 fn materialise(dag: &JobDag, stage_sets: Vec<BTreeSet<StageId>>) -> Partition {
     let n = dag.stage_count();
     let scc_count = stage_sets.len();

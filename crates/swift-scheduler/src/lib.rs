@@ -37,7 +37,7 @@ pub use sim::{
     Simulation,
 };
 pub use template::{
-    compute_priors, roundtrip_artifacts, SchemePrior, TemplateArtifacts, TemplateCache,
-    TemplateDecision, TemplateHit, TemplateLookup, TemplateOutcome, TemplateStats, TemplateTicket,
+    compute_priors, roundtrip_artifacts, SchemePrior, TemplateCache, TemplateDecision, TemplateHit,
+    TemplateLookup, TemplateOutcome, TemplateStats, TemplateTicket,
 };
 pub use units::{plan_units, ScheduleUnit, UnitPlan};

@@ -196,7 +196,7 @@ pub struct CounterSample {
     pub busy_executors: u64,
     /// Entries in the scheduling-template cache (0 with the cache off).
     pub template_entries: u64,
-    /// Cumulative template-cache hits (identity + canonical).
+    /// Cumulative template-cache hits.
     pub template_hits: u64,
     /// Cumulative template-cache misses.
     pub template_misses: u64,
@@ -400,7 +400,7 @@ pub struct SimConfig {
     /// re-launched process reports its status immediately).
     pub process_restart_delay: SimDuration,
     /// Enable the scheduling-template cache on the admission path: jobs
-    /// whose canonical DAG shape was already planned reuse the cached
+    /// whose as-numbered DAG shape was already planned reuse the cached
     /// partition, unit plan and scheme priors by parameter patching. A
     /// pure cost optimization — run reports and traces are byte-identical
     /// either way (the differential suite enforces this).
@@ -487,8 +487,8 @@ struct StageSt {
 
 struct JobSt {
     dag: Arc<JobDag>,
-    /// `Arc`: identity template-cache hits share the partition with the
-    /// cached template instead of cloning it.
+    /// `Arc`: template-cache hits share the partition with the cached
+    /// template instead of cloning it.
     part: Arc<Partition>,
     plan: Arc<UnitPlan>,
     /// How admission interacted with the template cache (`None` when the
@@ -940,9 +940,7 @@ impl Simulation {
                         debug_assert_eq!(*hit.priors, compute_priors(&dag, &hit.plan, &cfg.policy));
                     }
                     let decision = TemplateDecision {
-                        outcome: TemplateOutcome::Hit {
-                            canonical: hit.canonical,
-                        },
+                        outcome: TemplateOutcome::Hit,
                         signature: hit.signature,
                         units: hit.plan.len() as u32,
                         edges: dag.edges().len() as u32,

@@ -6,14 +6,16 @@
 //! shuffle-scheme decisions — all pure functions of the job's *shape*: its
 //! DAG structure, per-stage resource class and per-edge size bucket.
 //! Production traces repeat shapes constantly, so the cache keys these
-//! artifacts by a canonical shape signature ([`swift_dag::canonical_fingerprint`])
-//! and instantiates them for each new job by *parameter patching* instead
-//! of re-planning: cached structure is transported through the
-//! class-preserving isomorphism, while job-specific numbers (exact edge
-//! sizes, phase durations, gang counts) are recomputed by the admission
-//! path from the job's own profiles.
+//! artifacts by the job's *as-numbered* shape — the stage classes in
+//! stage-id order plus the edge list in the DAG's own enumeration order —
+//! and serves a job whose shape equals a cached one the cached artifacts
+//! verbatim. Like Execution Templates, it caches the repeated block as the
+//! driver issues it, not up to isomorphism: a rebuild that inserts its
+//! stages or edges in another order is another shape, and misses.
+//! Job-specific numbers (exact edge sizes, phase durations, gang counts)
+//! are recomputed by the admission path from the job's own profiles.
 //!
-//! The cache is a pure cost optimization: instantiated artifacts are
+//! The cache is a pure cost optimization: served artifacts are
 //! *definitionally equal* to what from-scratch planning would produce
 //! (verified by `debug_assert` on every hit, by the SW110 validator in
 //! `swift-analyze`, and by the differential test suite comparing
@@ -27,21 +29,19 @@
 //! | schedule-unit plan | phase durations (cost model over profiles) |
 //! | scheme + medium + crossing per edge | gang sizes, task ids, offsets |
 //!
-//! Scheme decisions are cacheable because the signature's edge class is
-//! the *selection bucket* (Direct/Remote/Local under the policy's
+//! Scheme decisions are cacheable because the shape's edge class is the
+//! *selection bucket* (Direct/Remote/Local under the policy's
 //! thresholds), not the raw size: two edges in the same bucket always
 //! select the same scheme, including the §III-B barrier-edge upgrade of
 //! Direct to Remote on memory-staged crossing edges.
 
 use crate::config::{Partitioning, PolicyConfig, ShuffleSelection};
-use crate::units::{plan_units, units_from_partition, UnitPlan};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::units::{plan_units, UnitPlan};
+use std::collections::HashMap;
 use std::sync::Arc;
-use swift_dag::{
-    canonical_fingerprint, partition, permuted_clone, JobDag, Partition, ShapeClasses,
-    ShapeFingerprint, ShapeProbe, Stage, StageId,
-};
+use swift_dag::{partition, permuted_clone, EdgeKind, JobDag, Partition, Stage, StageId};
 use swift_shuffle::{ShuffleMedium, ShuffleScheme};
+use swift_sim::Fnv64;
 
 /// One cached shuffle-scheme decision, in DAG edge order: everything about
 /// the edge's scheme that is shape-determined. The admission path combines
@@ -106,33 +106,14 @@ pub fn compute_priors(dag: &JobDag, plan: &UnitPlan, policy: &PolicyConfig) -> V
 pub struct TemplateStats {
     /// Total admissions that consulted the cache.
     pub lookups: u64,
-    /// Hits under the identity numbering (same stage insertion order).
-    pub identity_hits: u64,
-    /// Hits found through the canonical (insertion-order-independent) form.
-    pub canonical_hits: u64,
     /// Lookups that found no equal-shape template.
     pub misses: u64,
-    /// Templates registered (equals `misses` on the admission path).
-    pub insertions: u64,
-    /// Lookups that had to compute the probe's canonical form (a
-    /// same-shape-key candidate existed): the expensive WL refinements
-    /// the shape key could not avoid.
-    pub canonical_probes: u64,
 }
 
 impl TemplateStats {
-    /// Total hits (identity + canonical).
+    /// Lookups served by a cached template.
     pub fn hits(&self) -> u64 {
-        self.identity_hits + self.canonical_hits
-    }
-
-    /// Hit fraction in `[0, 1]`; `0` before the first lookup.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / self.lookups as f64
-        }
+        self.lookups - self.misses
     }
 }
 
@@ -143,119 +124,181 @@ pub enum TemplateOutcome {
     /// No equal-shape template existed; the job was planned from scratch
     /// and its artifacts registered.
     Miss,
-    /// An equal-shape template was instantiated by parameter patching.
-    Hit {
-        /// `false`: the identity numbering matched (fast path); `true`:
-        /// the match came through the canonical form and cached structure
-        /// was transported through the isomorphism.
-        canonical: bool,
-    },
+    /// An equal-shape template served the job its cached artifacts.
+    Hit,
 }
 
 /// One job's template-cache decision: the outcome plus the dimensions the
 /// trace events publish.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TemplateDecision {
-    /// Hit or miss (and which index matched).
+    /// Hit or miss.
     pub outcome: TemplateOutcome,
     /// 64-bit digest identifying the template that served (or, on a miss,
-    /// was registered by) this admission: the template's as-numbered shape
-    /// fingerprint. Hits report the same digest as the miss that created
-    /// the template, whichever numbering the hitting job uses.
+    /// was registered by) this admission: the hash of its as-numbered
+    /// shape. Hits report the same digest as the miss that created the
+    /// template.
     pub signature: u64,
-    /// Number of schedule units in the (instantiated or fresh) plan.
+    /// Number of schedule units in the (served or fresh) plan.
     pub units: u32,
     /// Number of DAG edges covered by scheme priors.
     pub edges: u32,
 }
 
-/// The control-plane artifacts a hit hands to the admission path.
+/// The control-plane artifacts a hit hands to the admission path: the
+/// serving template's own `Arc`s, shared verbatim.
 #[derive(Clone, Debug)]
 pub struct TemplateHit {
-    /// The job's graphlet partition (shared on identity hits,
-    /// reconstructed through the isomorphism on canonical hits).
+    /// The job's graphlet partition.
     pub part: Arc<Partition>,
     /// The job's schedule-unit plan.
     pub plan: Arc<UnitPlan>,
-    /// Per-edge scheme priors in the job's own edge order (shared on
-    /// identity hits — the pinned edge order makes them verbatim-valid —
-    /// rebuilt through the isomorphism on canonical hits).
+    /// Per-edge scheme priors in the job's own edge order (the shape pins
+    /// the edge enumeration order, so they apply as cached).
     pub priors: Arc<Vec<SchemePrior>>,
-    /// Whether the hit came through the canonical form.
-    pub canonical: bool,
     /// The serving template's signature digest (for observers).
     pub signature: u64,
 }
 
-/// Proof of a completed miss lookup: carries the fingerprints so
-/// [`TemplateCache::insert`] does not recompute them.
+/// Proof of a completed miss lookup: carries the job's shape so
+/// [`TemplateCache::insert`] does not recompute it.
 #[derive(Clone, Debug)]
 pub struct TemplateTicket {
-    ident_fp: ShapeFingerprint,
-    ident_hash: u64,
-    shape_key: u64,
-    /// The canonical form, present only if the lookup had to compute it
-    /// (i.e. a same-shape-class candidate existed but did not match).
-    canon: Option<(ShapeFingerprint, Vec<StageId>)>,
+    shape: Shape,
+    hash: u64,
 }
 
 impl TemplateTicket {
-    /// The template signature digest (for observers): the as-numbered
-    /// shape fingerprint of the template this miss will register.
+    /// The template signature digest (for observers): the hash of the
+    /// as-numbered shape this miss will register.
     pub fn signature(&self) -> u64 {
-        self.ident_hash
+        self.hash
     }
 }
 
 /// Result of [`TemplateCache::lookup`].
 #[derive(Clone, Debug)]
 pub enum TemplateLookup {
-    /// An equal-shape template was found and instantiated.
+    /// An equal-shape template was found; its artifacts serve the job.
     Hit(TemplateHit),
     /// No template matched; plan from scratch, then register the artifacts
     /// with [`TemplateCache::insert`].
     Miss(TemplateTicket),
 }
 
+/// The policy inputs a shape's classes depend on, and the class
+/// functions over them.
+struct Classes {
+    /// Bubble cuts ([`Partitioning::Bubbles`]) depend on exact task
+    /// counts, so under that partitioning the exact count joins the
+    /// stage class.
+    exact_tasks: bool,
+    intra: ShuffleSelection,
+    cross: ShuffleSelection,
+}
+
+impl Classes {
+    fn new(policy: &PolicyConfig) -> Self {
+        Classes {
+            exact_tasks: matches!(policy.partitioning, Partitioning::Bubbles { .. }),
+            intra: policy.intra_unit_shuffle,
+            cross: policy.cross_unit_shuffle,
+        }
+    }
+
+    /// The per-stage resource class: a power-of-two task-count bucket plus
+    /// the structural flags scheme selection and partitioning can see.
+    fn stage(&self, s: &Stage) -> u64 {
+        let bucket = u64::from(u32::BITS - s.task_count.leading_zeros());
+        let mut c = bucket;
+        c = c << 1 | u64::from(s.sorts_output());
+        c = c << 1 | u64::from(s.requires_sorted_input());
+        c = c << 1 | u64::from(s.is_source_stage());
+        c = c << 1 | u64::from(s.is_sink_stage());
+        c = c << 1 | u64::from(s.idempotent);
+        if self.exact_tasks {
+            c = c << 32 | u64::from(s.task_count);
+        }
+        c
+    }
+
+    /// The per-edge class: the edge's selection bucket under both the
+    /// cross-unit and intra-unit selection (whichever applies once the
+    /// plan is known, equal classes imply equal selected schemes).
+    fn edge(&self, size: u64) -> u64 {
+        selection_bucket(&self.cross, size) << 2 | selection_bucket(&self.intra, size)
+    }
+}
+
+/// A job's as-numbered shape, the cache key: the stage classes in
+/// stage-id order and one `(src, dst, is_barrier, edge_class)` tuple per
+/// edge in the DAG's own enumeration order. Job ids, names and stage
+/// profiles deliberately do not participate. Shapes compare exactly, so
+/// a [`Shape::hash64`] collision can never alias two different shapes.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Shape {
+    stages: Vec<u64>,
+    edges: Vec<(u32, u32, bool, u64)>,
+}
+
+impl Shape {
+    /// Refills the shape from `dag` in one walk, reusing its buffers.
+    fn fill(&mut self, dag: &JobDag, classes: &Classes) {
+        self.stages.clear();
+        self.stages
+            .extend(dag.stages().iter().map(|s| classes.stage(s)));
+        self.edges.clear();
+        self.edges.extend(dag.edges().iter().map(|e| {
+            (
+                e.src.raw(),
+                e.dst.raw(),
+                e.kind == EdgeKind::Barrier,
+                classes.edge(dag.edge_shuffle_size(e)),
+            )
+        }));
+    }
+
+    /// A stable 64-bit digest of the shape: the index key and the
+    /// signature trace events report.
+    fn hash64(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.eat(self.stages.len() as u64);
+        for &s in &self.stages {
+            h.eat(s);
+        }
+        for &(src, dst, barrier, class) in &self.edges {
+            h.eat(u64::from(src) << 33 | u64::from(dst) << 1 | u64::from(barrier));
+            h.eat(class);
+        }
+        h.finish()
+    }
+}
+
 struct Template {
-    ident_fp: ShapeFingerprint,
-    /// `ident_fp.hash64()`, precomputed: the index key and the signature
+    shape: Shape,
+    /// `shape.hash64()`, precomputed: the index key and the signature
     /// digest every decision involving this template reports.
-    ident_hash: u64,
-    /// The donor DAG, kept so the canonical form can be derived on demand.
-    dag: Arc<JobDag>,
-    /// The canonical fingerprint plus canonical stage order
-    /// (`order[p]` = the template DAG's stage at canonical position `p`),
-    /// computed lazily: most templates are never probed canonically, and
-    /// Weisfeiler–Leman refinement is the single most expensive step of
-    /// the whole lookup path.
-    canon: Option<(ShapeFingerprint, Vec<StageId>)>,
+    hash: u64,
     part: Arc<Partition>,
     plan: Arc<UnitPlan>,
     priors: Arc<Vec<SchemePrior>>,
 }
 
-/// A per-run cache of control-plane decisions keyed by canonical DAG
-/// shape. One cache serves one policy (the policy's thresholds and
-/// partitioning are baked into the signature's classes), which is why
+/// A cache of control-plane decisions keyed by as-numbered DAG shape.
+/// One cache serves one policy (the policy's thresholds and partitioning
+/// are baked into the shape's classes), which is why
 /// [`TemplateCache::new`] takes the [`PolicyConfig`].
 pub struct TemplateCache {
-    partitioning: Partitioning,
-    intra: ShuffleSelection,
-    cross: ShuffleSelection,
-    /// Hash-indexed candidates under the identity numbering. The index is
-    /// only ever probed point-wise (never iterated), so ordering is
-    /// irrelevant and the O(1) map wins on the hot path.
-    ident_index: HashMap<u64, Vec<usize>>,
-    /// Candidates by permutation-invariant class-multiset key — a cheap
-    /// necessary condition for canonical equality that decides whether the
-    /// expensive canonical form needs computing at all.
-    shape_index: HashMap<u64, Vec<usize>>,
+    classes: Classes,
+    /// Template indices by shape hash. The index is only ever probed
+    /// point-wise (never iterated), so ordering is irrelevant and the
+    /// O(1) map wins on the hot path.
+    index: HashMap<u64, Vec<usize>>,
     templates: Vec<Template>,
     stats: TemplateStats,
     /// Reusable probe buffers: lookups walk the DAG once and allocate
     /// nothing on the hit path.
-    probe: ShapeProbe,
+    probe: Shape,
 }
 
 impl std::fmt::Debug for TemplateCache {
@@ -271,14 +314,11 @@ impl TemplateCache {
     /// Creates an empty cache for jobs admitted under `policy`.
     pub fn new(policy: &PolicyConfig) -> Self {
         TemplateCache {
-            partitioning: policy.partitioning.clone(),
-            intra: policy.intra_unit_shuffle,
-            cross: policy.cross_unit_shuffle,
-            ident_index: HashMap::new(),
-            shape_index: HashMap::new(),
+            classes: Classes::new(policy),
+            index: HashMap::new(),
             templates: Vec::new(),
             stats: TemplateStats::default(),
-            probe: ShapeProbe::default(),
+            probe: Shape::default(),
         }
     }
 
@@ -297,138 +337,46 @@ impl TemplateCache {
         self.stats
     }
 
-    /// The per-stage resource class: a power-of-two task-count bucket plus
-    /// the structural flags scheme selection and partitioning can see.
-    /// Under [`Partitioning::Bubbles`] the exact task count joins the
-    /// class, because bubble cuts depend on exact counts.
-    fn stage_class(&self, s: &Stage) -> u64 {
-        let bucket = u64::from(u32::BITS - s.task_count.leading_zeros());
-        let mut c = bucket;
-        c = c << 1 | u64::from(s.sorts_output());
-        c = c << 1 | u64::from(s.requires_sorted_input());
-        c = c << 1 | u64::from(s.is_source_stage());
-        c = c << 1 | u64::from(s.is_sink_stage());
-        c = c << 1 | u64::from(s.idempotent);
-        if matches!(self.partitioning, Partitioning::Bubbles { .. }) {
-            c = c << 32 | u64::from(s.task_count);
-        }
-        c
-    }
-
-    /// The per-edge class: the edge's selection bucket under both the
-    /// cross-unit and intra-unit selection (whichever applies once the
-    /// plan is known, equal classes imply equal selected schemes).
-    fn edge_class(&self, size: u64) -> u64 {
-        selection_bucket(&self.cross, size) << 2 | selection_bucket(&self.intra, size)
-    }
-
-    fn classes(&self, dag: &JobDag) -> ShapeClasses {
-        ShapeClasses {
-            stage: dag.stages().iter().map(|s| self.stage_class(s)).collect(),
-            edge: dag
-                .edges()
-                .iter()
-                .map(|e| self.edge_class(dag.edge_shuffle_size(e)))
-                .collect(),
-        }
-    }
-
-    /// Looks up the template for `dag`'s shape, instantiating on a hit.
-    /// Fingerprints are confirmed by full exact comparison — a 64-bit hash
-    /// collision degrades to a miss, never to a wrong instantiation.
+    /// Looks up the template for `dag`'s shape. A candidate is confirmed
+    /// by full exact comparison — a 64-bit hash collision degrades to a
+    /// miss, never to a wrong hit.
     pub fn lookup(&mut self, dag: &JobDag) -> TemplateLookup {
         self.stats.lookups += 1;
-
-        // Fast path: the workload rebuilt an already-seen job the same
-        // way — reuse the artifacts by identity. One walk over the DAG
-        // fills the reusable probe buffers; the hash and the exact
-        // confirmation then run over hot contiguous memory, so a hit
-        // allocates nothing beyond the artifacts it returns.
-        let mut probe = std::mem::take(&mut self.probe);
-        probe.fill(
-            dag,
-            |s| self.stage_class(s),
-            |_, size| self.edge_class(size),
-        );
-        let ident_hash = probe.hash64();
-        if let Some(cands) = self.ident_index.get(&ident_hash) {
-            for &ti in cands {
-                if probe.matches(&self.templates[ti].ident_fp) {
-                    self.stats.identity_hits += 1;
-                    let hit = self.instantiate(dag, ti, None);
-                    self.probe = probe;
-                    return TemplateLookup::Hit(hit);
-                }
-            }
-        }
-        let ident_fp = probe.to_fingerprint();
-
-        // Canonical path: an isomorphic shape under a different stage
-        // numbering. Bubble partitioning is excluded — bubble cuts follow
-        // the DAG's own topological order, which an isomorphism does not
-        // preserve, so only identity reuse is sound there. The expensive
-        // canonical form (WL refinement + individualization search) is
-        // computed only when a template with the same permutation-invariant
-        // shape key exists — for both the probe and, lazily, the candidate.
-        if matches!(self.partitioning, Partitioning::Bubbles { .. }) {
-            self.probe = probe;
+        self.probe.fill(dag, &self.classes);
+        let hash = self.probe.hash64();
+        let found = self.index.get(&hash).and_then(|cands| {
+            cands
+                .iter()
+                .map(|&ti| &self.templates[ti])
+                .find(|t| t.shape == self.probe)
+        });
+        let Some(t) = found else {
             self.stats.misses += 1;
             return TemplateLookup::Miss(TemplateTicket {
-                ident_fp,
-                ident_hash,
-                shape_key: 0,
-                canon: None,
+                shape: self.probe.clone(),
+                hash,
             });
-        }
-
-        let shape_key = probe.multiset_key64();
-        let cands: Vec<usize> = self
-            .shape_index
-            .get(&shape_key)
-            .cloned()
-            .unwrap_or_default();
-        let mut probe_canon: Option<(ShapeFingerprint, Vec<StageId>)> = None;
-        if !cands.is_empty() {
-            let classes = probe.to_classes();
-            for ti in cands {
-                if self.templates[ti].canon.is_none() {
-                    let tdag = Arc::clone(&self.templates[ti].dag);
-                    let tclasses = self.classes(&tdag);
-                    self.templates[ti].canon = Some(canonical_fingerprint(&tdag, &tclasses));
-                }
-                if probe_canon.is_none() {
-                    self.stats.canonical_probes += 1;
-                }
-                let (canon_fp, canon_order) =
-                    probe_canon.get_or_insert_with(|| canonical_fingerprint(dag, &classes));
-                if self.templates[ti]
-                    .canon
-                    .as_ref()
-                    .is_some_and(|(fp, _)| fp == canon_fp)
-                {
-                    self.stats.canonical_hits += 1;
-                    let order = std::mem::take(canon_order);
-                    let hit = self.instantiate(dag, ti, Some(&order));
-                    self.probe = probe;
-                    return TemplateLookup::Hit(hit);
-                }
-            }
-        }
-        self.probe = probe;
-
-        self.stats.misses += 1;
-        TemplateLookup::Miss(TemplateTicket {
-            ident_fp,
-            ident_hash,
-            shape_key,
-            canon: probe_canon,
+        };
+        debug_assert!(
+            t.priors.len() == dag.edges().len()
+                && t.priors
+                    .iter()
+                    .zip(dag.edges())
+                    .all(|(p, e)| p.src == e.src && p.dst == e.dst),
+            "the shape pins the edge order"
+        );
+        TemplateLookup::Hit(TemplateHit {
+            part: Arc::clone(&t.part),
+            plan: Arc::clone(&t.plan),
+            priors: Arc::clone(&t.priors),
+            signature: t.hash,
         })
     }
 
     /// Registers the from-scratch artifacts computed after a miss. `dag`
-    /// is the job the artifacts were planned for; the cache keeps a handle
-    /// so the canonical form can be derived later if a permuted sibling
-    /// ever probes this shape.
+    /// is the job the artifacts were planned for, and the one `ticket`'s
+    /// lookup was made for (checked in debug builds); the cache keeps the
+    /// ticket's shape, not the DAG.
     pub fn insert(
         &mut self,
         ticket: TemplateTicket,
@@ -437,134 +385,25 @@ impl TemplateCache {
         plan: Arc<UnitPlan>,
         priors: Arc<Vec<SchemePrior>>,
     ) {
-        let ti = self.templates.len();
-        self.ident_index
-            .entry(ticket.ident_hash)
+        debug_assert!(
+            {
+                let mut shape = Shape::default();
+                shape.fill(dag, &self.classes);
+                shape == ticket.shape
+            },
+            "a ticket must be inserted with the DAG it was looked up for"
+        );
+        self.index
+            .entry(ticket.hash)
             .or_default()
-            .push(ti);
-        if !matches!(self.partitioning, Partitioning::Bubbles { .. }) {
-            self.shape_index
-                .entry(ticket.shape_key)
-                .or_default()
-                .push(ti);
-        }
+            .push(self.templates.len());
         self.templates.push(Template {
-            ident_fp: ticket.ident_fp,
-            ident_hash: ticket.ident_hash,
-            dag: Arc::clone(dag),
-            canon: ticket.canon,
+            shape: ticket.shape,
+            hash: ticket.hash,
             part,
             plan,
             priors,
         });
-        self.stats.insertions += 1;
-    }
-
-    /// Instantiates template `ti` for `dag`. `canon_order` is `None` for
-    /// identity hits (stage map is the identity) and the job's canonical
-    /// order for canonical hits (stage map pairs canonical positions).
-    fn instantiate(&self, dag: &JobDag, ti: usize, canon_order: Option<&[StageId]>) -> TemplateHit {
-        let t = &self.templates[ti];
-        // For canonical hits, `map[s]` = the job stage at template stage
-        // `s`'s canonical position.
-        let map: Option<Vec<StageId>> = canon_order.map(|order| {
-            let t_order = &t
-                .canon
-                .as_ref()
-                .expect("a canonical hit implies the template's canonical form was computed")
-                .1;
-            let mut map = vec![StageId(0); t_order.len()];
-            for (p, &s) in t_order.iter().enumerate() {
-                map[s.index()] = order[p];
-            }
-            map
-        });
-        let (part, plan) = match &map {
-            None => (Arc::clone(&t.part), Arc::clone(&t.plan)),
-            Some(map) => {
-                let groups: Vec<BTreeSet<StageId>> = t
-                    .part
-                    .graphlets()
-                    .iter()
-                    .map(|g| g.stages.iter().map(|&s| map[s.index()]).collect())
-                    .collect();
-                let part = Arc::new(Partition::from_stage_sets(dag, groups));
-                // Graphlet units fall out of the reconstructed partition
-                // (this is the saving: no second flood-fill); the other
-                // partitionings re-derive their cheap plans directly.
-                let plan = match self.partitioning {
-                    Partitioning::Graphlets => Arc::new(units_from_partition(dag, &part)),
-                    _ => Arc::new(plan_units(dag, &self.partitioning)),
-                };
-                (part, plan)
-            }
-        };
-
-        // Identity fast path: the as-numbered fingerprint pins the edge
-        // enumeration order, so on an identity hit the cached priors apply
-        // verbatim — one `Vec` clone, no re-keying.
-        if map.is_none() {
-            debug_assert!(
-                t.priors.len() == dag.edges().len()
-                    && t.priors
-                        .iter()
-                        .zip(dag.edges())
-                        .all(|(p, e)| p.src == e.src && p.dst == e.dst),
-                "identity fingerprints pin the edge order"
-            );
-            return TemplateHit {
-                part,
-                plan,
-                priors: Arc::clone(&t.priors),
-                canonical: false,
-                signature: t.ident_hash,
-            };
-        }
-
-        // Canonical hit: priors are transported through the isomorphism,
-        // then re-keyed by (src, dst) into the job's own edge order.
-        let by_pair: BTreeMap<(u32, u32), (ShuffleScheme, ShuffleMedium, bool)> = t
-            .priors
-            .iter()
-            .map(|p| {
-                let (src, dst) = match &map {
-                    None => (p.src, p.dst),
-                    Some(map) => (map[p.src.index()], map[p.dst.index()]),
-                };
-                ((src.raw(), dst.raw()), (p.scheme, p.medium, p.crossing))
-            })
-            .collect();
-        let priors: Vec<SchemePrior> = dag
-            .edges()
-            .iter()
-            .enumerate()
-            .map(|(ei, e)| {
-                let &(scheme, medium, cached_crossing) = by_pair
-                    .get(&(e.src.raw(), e.dst.raw()))
-                    .expect("equal fingerprints guarantee an edge bijection");
-                let crossing = plan.unit_of(e.src) != plan.unit_of(e.dst);
-                debug_assert_eq!(
-                    cached_crossing, crossing,
-                    "transported crossing flag must match the instantiated plan"
-                );
-                SchemePrior {
-                    edge: ei as u32,
-                    src: e.src,
-                    dst: e.dst,
-                    scheme,
-                    medium,
-                    crossing,
-                }
-            })
-            .collect();
-
-        TemplateHit {
-            part,
-            plan,
-            priors: Arc::new(priors),
-            canonical: canon_order.is_some(),
-            signature: t.ident_hash,
-        }
     }
 }
 
@@ -585,30 +424,15 @@ fn selection_bucket(sel: &ShuffleSelection, size: u64) -> u64 {
     }
 }
 
-/// The artifacts [`roundtrip_artifacts`] produced by instantiating a
-/// template registered from a stage-permuted clone of the same DAG.
-#[derive(Clone, Debug)]
-pub struct TemplateArtifacts {
-    /// The instantiated partition.
-    pub part: Arc<Partition>,
-    /// The instantiated unit plan.
-    pub plan: Arc<UnitPlan>,
-    /// The instantiated scheme priors.
-    pub priors: Arc<Vec<SchemePrior>>,
-    /// Whether the hit came through the canonical form (it does whenever
-    /// the permutation actually changed the numbering).
-    pub canonical: bool,
-}
-
-/// Validator entry point (SW110): registers a template from a
-/// stage-permuted clone of `dag` (reversed insertion order, different job
-/// id), then looks `dag` itself up. On the expected hit, returns the
-/// instantiated artifacts for comparison against from-scratch planning;
-/// `None` means the canonical signature failed to unify two equal-shape
-/// DAGs (itself an SW110 finding for canonical-capable partitionings).
-pub fn roundtrip_artifacts(dag: &JobDag, policy: &PolicyConfig) -> Option<TemplateArtifacts> {
+/// Validator entry point (SW110): registers a template from an identical
+/// rebuild of `dag` (same stage insertion order, different job id), then
+/// looks `dag` itself up. On the expected hit, returns the served
+/// artifacts for comparison against from-scratch planning; `None` means
+/// the cache missed on an identical rebuild — the shape key depends on
+/// something other than the shape (itself an SW110 finding).
+pub fn roundtrip_artifacts(dag: &JobDag, policy: &PolicyConfig) -> Option<TemplateHit> {
     let mut cache = TemplateCache::new(policy);
-    let order: Vec<StageId> = (0..dag.stage_count() as u32).rev().map(StageId).collect();
+    let order: Vec<StageId> = (0..dag.stage_count() as u32).map(StageId).collect();
     let donor = Arc::new(permuted_clone(dag, &order, dag.job_id.raw() ^ 0x7E11));
     match cache.lookup(&donor) {
         TemplateLookup::Miss(ticket) => {
@@ -619,12 +443,7 @@ pub fn roundtrip_artifacts(dag: &JobDag, policy: &PolicyConfig) -> Option<Templa
         TemplateLookup::Hit(_) => unreachable!("empty cache cannot hit"),
     }
     match cache.lookup(dag) {
-        TemplateLookup::Hit(h) => Some(TemplateArtifacts {
-            part: h.part,
-            plan: h.plan,
-            priors: h.priors,
-            canonical: h.canonical,
-        }),
+        TemplateLookup::Hit(h) => Some(h),
         TemplateLookup::Miss(_) => None,
     }
 }
@@ -634,10 +453,10 @@ mod tests {
     use super::*;
     use swift_dag::{DagBuilder, Operator};
 
-    fn two_graphlet_dag(job: u64) -> JobDag {
+    fn two_graphlet_dag(job: u64, m_tasks: u32) -> JobDag {
         let mut b = DagBuilder::new(job, "two-graphlets");
         let m = b
-            .stage("M", 200)
+            .stage("M", m_tasks)
             .op(Operator::TableScan { table: "t".into() })
             .op(Operator::MergeSort)
             .op(Operator::ShuffleWrite)
@@ -667,97 +486,62 @@ mod tests {
     fn identity_hit_shares_artifacts() {
         let policy = PolicyConfig::swift();
         let mut cache = TemplateCache::new(&policy);
-        let d1 = Arc::new(two_graphlet_dag(1));
+        let d1 = Arc::new(two_graphlet_dag(1, 200));
         register(&mut cache, &d1, &policy);
-        let d2 = two_graphlet_dag(2);
-        match cache.lookup(&d2) {
-            TemplateLookup::Hit(h) => {
-                assert!(!h.canonical);
-                assert_eq!(*h.part, partition(&d2));
-                assert_eq!(*h.plan, plan_units(&d2, &policy.partitioning));
-                assert_eq!(*h.priors, compute_priors(&d2, &h.plan, &policy));
-            }
-            TemplateLookup::Miss(_) => panic!("equal shape must hit"),
-        }
+        let d2 = two_graphlet_dag(2, 200);
+        let (TemplateLookup::Hit(a), TemplateLookup::Hit(b)) =
+            (cache.lookup(&d2), cache.lookup(&d2))
+        else {
+            panic!("equal shape must hit");
+        };
+        assert!(Arc::ptr_eq(&a.part, &b.part) && Arc::ptr_eq(&a.priors, &b.priors));
+        assert_eq!(*a.part, partition(&d2));
+        assert_eq!(*a.plan, plan_units(&d2, &policy.partitioning));
+        assert_eq!(*a.priors, compute_priors(&d2, &a.plan, &policy));
         let s = cache.stats();
-        assert_eq!((s.lookups, s.identity_hits, s.misses), (2, 1, 1));
-    }
-
-    #[test]
-    fn canonical_hit_reconstructs_partition_exactly() {
-        let policy = PolicyConfig::swift();
-        let mut cache = TemplateCache::new(&policy);
-        let d1 = Arc::new(two_graphlet_dag(1));
-        register(&mut cache, &d1, &policy);
-        // Same shape, stages inserted in reverse order.
-        let perm: Vec<StageId> = (0..2).rev().map(StageId).collect();
-        let d2 = permuted_clone(&d1, &perm, 2);
-        match cache.lookup(&d2) {
-            TemplateLookup::Hit(h) => {
-                assert!(h.canonical);
-                assert_eq!(*h.part, partition(&d2));
-                assert_eq!(*h.plan, plan_units(&d2, &policy.partitioning));
-                assert_eq!(*h.priors, compute_priors(&d2, &h.plan, &policy));
-            }
-            TemplateLookup::Miss(_) => panic!("isomorphic shape must hit canonically"),
-        }
-        assert_eq!(cache.stats().canonical_hits, 1);
+        assert_eq!((s.lookups, s.hits(), s.misses), (3, 2, 1));
     }
 
     #[test]
     fn different_bucket_misses() {
         let policy = PolicyConfig::swift();
         let mut cache = TemplateCache::new(&policy);
-        let d1 = Arc::new(two_graphlet_dag(1));
-        register(&mut cache, &d1, &policy);
-        // 200×100 = 20_000 sits in the Remote bucket; shrink the consumer
-        // so the edge crosses into the Direct bucket (40×100 = 4_000).
-        let mut b = DagBuilder::new(3, "two-graphlets");
-        let m = b
-            .stage("M", 40)
-            .op(Operator::TableScan { table: "t".into() })
-            .op(Operator::MergeSort)
-            .op(Operator::ShuffleWrite)
-            .build();
-        let r = b
-            .stage("R", 100)
-            .op(Operator::ShuffleRead)
-            .op(Operator::HashAggregate)
-            .op(Operator::AdhocSink)
-            .build();
-        b.edge(m, r);
-        let d2 = b.build().unwrap();
+        register(&mut cache, &Arc::new(two_graphlet_dag(1, 200)), &policy);
+        // 200×100 = 20_000 sits in the Remote bucket; shrinking the
+        // producer to 40 tasks moves the edge into the Direct bucket
+        // (40×100 = 4_000).
+        let d2 = two_graphlet_dag(3, 40);
         assert!(matches!(cache.lookup(&d2), TemplateLookup::Miss(_)));
     }
 
     #[test]
-    fn bubbles_policy_only_hits_identically() {
-        let policy = PolicyConfig::bubble(150, swift_sim::SimDuration::from_millis(1));
-        let mut cache = TemplateCache::new(&policy);
-        let d1 = Arc::new(two_graphlet_dag(1));
-        register(&mut cache, &d1, &policy);
-        // Identity rebuild hits...
-        assert!(matches!(
-            cache.lookup(&two_graphlet_dag(2)),
-            TemplateLookup::Hit(h) if !h.canonical
-        ));
-        // ...but a permuted clone does not (bubble cuts are topo-bound).
-        let perm: Vec<StageId> = (0..2).rev().map(StageId).collect();
-        let d2 = permuted_clone(&d1, &perm, 3);
-        assert!(matches!(cache.lookup(&d2), TemplateLookup::Miss(_)));
+    fn bubbles_policy_keys_exact_task_counts() {
+        // 200 and 250 tasks share a power-of-two bucket and (200×100,
+        // 250×100) a selection bucket: one shape under graphlets, two
+        // under bubbles, whose cuts follow exact counts.
+        let bubble = PolicyConfig::bubble(150, swift_sim::SimDuration::from_millis(1));
+        for (policy, want_hit) in [(PolicyConfig::swift(), true), (bubble, false)] {
+            let mut cache = TemplateCache::new(&policy);
+            register(&mut cache, &Arc::new(two_graphlet_dag(1, 200)), &policy);
+            let hit = matches!(
+                cache.lookup(&two_graphlet_dag(2, 250)),
+                TemplateLookup::Hit(_)
+            );
+            assert_eq!(hit, want_hit, "{}", policy.name);
+        }
     }
 
     #[test]
     fn roundtrip_artifacts_match_scratch_planning() {
         let policy = PolicyConfig::swift();
         for dag in [
-            two_graphlet_dag(9),
+            two_graphlet_dag(9, 200),
             swift_workload::tpch_sim_dag(9, 9),
             swift_workload::tpch_sim_dag(13, 13),
             swift_workload::terasort_dag(100, 40, 40, 64 << 20),
         ] {
             let a = roundtrip_artifacts(&dag, &policy)
-                .unwrap_or_else(|| panic!("{}: signature failed to unify", dag.name));
+                .unwrap_or_else(|| panic!("{}: identical rebuild missed", dag.name));
             assert_eq!(*a.part, partition(&dag), "{}", dag.name);
             assert_eq!(
                 *a.plan,

@@ -1,7 +1,7 @@
 //! Schedule units: the gang-scheduled sub-graphs each policy produces.
 
 use crate::config::Partitioning;
-use swift_dag::{partition, JobDag, Partition, StageId};
+use swift_dag::{partition, JobDag, StageId};
 
 /// One gang-scheduled unit of a job under some policy: a graphlet for
 /// Swift, the whole job for JetScope, a single stage for Spark, a bubble
@@ -67,7 +67,24 @@ impl UnitPlan {
 /// Builds the unit plan for `dag` under the given partitioning rule.
 pub fn plan_units(dag: &JobDag, partitioning: &Partitioning) -> UnitPlan {
     match partitioning {
-        Partitioning::Graphlets => units_from_partition(dag, &partition(dag)),
+        Partitioning::Graphlets => {
+            let p = partition(dag);
+            let units = p
+                .graphlets()
+                .iter()
+                .map(|g| ScheduleUnit {
+                    id: g.id.raw(),
+                    stages: g.stages.clone(),
+                })
+                .collect();
+            let stage_to_unit = (0..dag.stage_count())
+                .map(|s| p.graphlet_of(StageId(s as u32)).raw())
+                .collect();
+            UnitPlan {
+                units,
+                stage_to_unit,
+            }
+        }
         Partitioning::WholeJob => {
             let stages: Vec<StageId> = dag.stages().iter().map(|s| s.id).collect();
             UnitPlan {
@@ -90,27 +107,6 @@ pub fn plan_units(dag: &JobDag, partitioning: &Partitioning) -> UnitPlan {
             }
         }
         Partitioning::Bubbles { max_tasks } => plan_bubbles(dag, *max_tasks),
-    }
-}
-
-/// Derives the Graphlets unit plan from an already-computed partition,
-/// letting callers that hold one (the admission path, the template cache)
-/// skip the second flood-fill `plan_units` would otherwise run.
-pub(crate) fn units_from_partition(dag: &JobDag, p: &Partition) -> UnitPlan {
-    let units = p
-        .graphlets()
-        .iter()
-        .map(|g| ScheduleUnit {
-            id: g.id.raw(),
-            stages: g.stages.clone(),
-        })
-        .collect();
-    let stage_to_unit = (0..dag.stage_count())
-        .map(|s| p.graphlet_of(StageId(s as u32)).raw())
-        .collect();
-    UnitPlan {
-        units,
-        stage_to_unit,
     }
 }
 

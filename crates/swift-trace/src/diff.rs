@@ -1,6 +1,6 @@
 //! `trace diff`: structural comparison of two rendered trace files.
 //!
-//! Works on the stable text format (v2), so it can compare traces
+//! Works on the stable text format (v3), so it can compare traces
 //! produced by any sink — in-memory render, streamed file, chaos
 //! `--trace-on-failure` dump — without re-running anything. Reports the
 //! first divergent line, per-event-kind count deltas, and per-series
@@ -163,7 +163,7 @@ pub fn render(r: &DiffReport, label_a: &str, label_b: &str) -> String {
 mod tests {
     use super::*;
 
-    const A: &str = "# swift-trace v2\n# scenario=x seed=1\n\
+    const A: &str = "# swift-trace v3\n# scenario=x seed=1\n\
                      0 job_submitted job=0\n\
                      10 counters window=0 s1=5 s13=8\n\
                      20 run_finished events=9\n\
@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn missing_tail_reports_end_of_input() {
-        let b = "# swift-trace v2\n# scenario=x seed=1\n0 job_submitted job=0\n";
+        let b = "# swift-trace v3\n# scenario=x seed=1\n0 job_submitted job=0\n";
         let r = diff_texts(A, b);
         assert!(!r.identical);
         let (line, _, lb) = r.first_divergence.clone().unwrap();

@@ -77,18 +77,15 @@ pub enum TraceEventKind {
     TemplateMiss {
         /// Workload index.
         job: u32,
-        /// Canonical shape-signature digest.
+        /// Shape-signature digest of the template the miss registers.
         signature: u64,
     },
     /// The scheduling-template cache matched the job's shape.
     TemplateHit {
         /// Workload index.
         job: u32,
-        /// Canonical shape-signature digest.
+        /// Shape-signature digest of the serving template.
         signature: u64,
-        /// Whether the match came through the canonical (insertion-order
-        /// independent) form rather than the identity numbering.
-        canonical: bool,
     },
     /// A cached template was instantiated for the job by parameter
     /// patching (follows a [`TraceEventKind::TemplateHit`]).
@@ -466,18 +463,9 @@ impl TraceEvent {
                 s.push_str(" crossing=");
                 push_bool(s, *crossing);
             }
-            TraceEventKind::TemplateMiss { job, signature } => {
+            TraceEventKind::TemplateMiss { job, signature }
+            | TraceEventKind::TemplateHit { job, signature } => {
                 let _ = write!(s, " job={job} signature={signature:016x}");
-            }
-            TraceEventKind::TemplateHit {
-                job,
-                signature,
-                canonical,
-            } => {
-                let _ = write!(
-                    s,
-                    " job={job} signature={signature:016x} canonical={canonical}"
-                );
             }
             TraceEventKind::TemplateInstantiate { job, units, edges } => {
                 s.push_str(" job=");

@@ -161,17 +161,13 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     &format!("\"signature\":\"{signature:016x}\""),
                 );
             }
-            TraceEventKind::TemplateHit {
-                job,
-                signature,
-                canonical,
-            } => {
+            TraceEventKind::TemplateHit { job, signature } => {
                 w.instant(
                     job + 1,
                     JOB_TID,
                     ts,
                     "template hit",
-                    &format!("\"signature\":\"{signature:016x}\",\"canonical\":{canonical}"),
+                    &format!("\"signature\":\"{signature:016x}\""),
                 );
             }
             TraceEventKind::TemplateInstantiate { job, units, edges } => {

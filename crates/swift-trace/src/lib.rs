@@ -55,8 +55,9 @@ use swift_sim::SimDuration;
 /// Version tag in the text header; bump when the line format changes
 /// (goldens must be re-blessed). v2 moved the event count from the
 /// header to a trailing `# events=N` footer so a streaming writer never
-/// needs to seek, and added `counters` frame lines.
-pub const TEXT_FORMAT_VERSION: u32 = 2;
+/// needs to seek, and added `counters` frame lines. v3 dropped the
+/// `canonical=` field from `template_hit` lines.
+pub const TEXT_FORMAT_VERSION: u32 = 3;
 
 /// A finished recording: the full event stream of one simulated run.
 #[derive(Clone, Debug, PartialEq)]

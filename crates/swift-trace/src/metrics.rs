@@ -87,8 +87,6 @@ pub struct TraceMetrics {
     pub template_misses: u64,
     /// Template-cache hits (`template_hit` events).
     pub template_hits: u64,
-    /// Hits that matched through the canonical form.
-    pub template_canonical_hits: u64,
     /// Templates instantiated by parameter patching.
     pub template_instantiations: u64,
     /// Total events in the trace (including the `run_finished` marker).
@@ -187,11 +185,8 @@ impl TraceMetrics {
         if self.template_misses + self.template_hits > 0 {
             let _ = writeln!(
                 s,
-                "template_cache hits={} canonical_hits={} misses={} instantiations={}",
-                self.template_hits,
-                self.template_canonical_hits,
-                self.template_misses,
-                self.template_instantiations
+                "template_cache hits={} misses={} instantiations={}",
+                self.template_hits, self.template_misses, self.template_instantiations
             );
         }
         let _ = writeln!(
@@ -372,11 +367,8 @@ pub fn derive(trace: &Trace, schedule_overhead: SimDuration) -> TraceMetrics {
             TraceEventKind::TemplateMiss { .. } => {
                 m.template_misses += 1;
             }
-            TraceEventKind::TemplateHit { canonical, .. } => {
+            TraceEventKind::TemplateHit { .. } => {
                 m.template_hits += 1;
-                if *canonical {
-                    m.template_canonical_hits += 1;
-                }
             }
             TraceEventKind::TemplateInstantiate { .. } => {
                 m.template_instantiations += 1;

@@ -414,13 +414,12 @@ impl<S: TraceSink> SimObserver for TraceRecorder<S> {
                     signature: d.signature,
                 },
             ),
-            TemplateOutcome::Hit { canonical } => {
+            TemplateOutcome::Hit => {
                 self.push(
                     now,
                     TraceEventKind::TemplateHit {
                         job: job as u32,
                         signature: d.signature,
-                        canonical,
                     },
                 );
                 self.push(

@@ -136,8 +136,9 @@ fn single(dag: JobDag) -> Vec<JobSpec> {
 
 /// The `repeat_shapes` workload: four staggered jobs of which the first
 /// two introduce fresh shapes (template misses) and the last two repeat
-/// the diamond — once as an identical rebuild (identity hit) and once
-/// with the stages inserted in reverse order (canonical hit).
+/// the diamond — once as an identical rebuild (a hit) and once with the
+/// stages inserted in reverse order, which misses: the cache keys a job
+/// by its as-numbered shape, so insertion order is part of the shape.
 fn repeat_shapes_workload(seed: u64) -> Vec<JobSpec> {
     let diamond = diamond_dag(seed);
     let reversed: Vec<StageId> = (0..diamond.stage_count() as u32)
@@ -246,7 +247,7 @@ pub const SCENARIOS: [Scenario; 7] = [
     },
     Scenario {
         name: "repeat_shapes",
-        description: "repeated DAG shapes with the template cache on: miss, miss, identity hit, canonical hit",
+        description: "repeated DAG shapes with the template cache on: miss, miss, hit, reordered-rebuild miss",
         machines: 6,
         executors_per_machine: 3,
         templates: true,

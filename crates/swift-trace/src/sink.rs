@@ -135,7 +135,7 @@ impl StreamSink<File> {
 }
 
 impl<W: Write + std::fmt::Debug> StreamSink<W> {
-    /// Wraps `out` with the default chunk size, staging the v2 header
+    /// Wraps `out` with the default chunk size, staging the text header
     /// (nothing reaches `out` until the first chunk flush).
     pub fn new(out: W, scenario: &str, seed: u64) -> Self {
         Self::with_chunk(out, scenario, seed, DEFAULT_CHUNK_BYTES)

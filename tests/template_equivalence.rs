@@ -3,8 +3,8 @@
 //!
 //! The cache (`swift_scheduler::TemplateCache`) memoizes control-plane
 //! decisions — graphlet partition, gang-layout skeleton, shuffle-scheme
-//! priors — keyed by canonical DAG shape, and instantiates them per job by
-//! parameter patching. It is a pure *cost* optimization: a cached plan must
+//! priors — keyed by the job's as-numbered DAG shape, and instantiates them
+//! per job by parameter patching. It is a pure *cost* optimization: a cached plan must
 //! be indistinguishable from one computed from scratch. This suite pins
 //! that contract from the outside:
 //!
