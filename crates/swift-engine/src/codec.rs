@@ -18,8 +18,16 @@ const TAG_BOOL_TRUE: u8 = 5;
 
 /// Encodes a batch of rows.
 pub fn encode_rows(rows: &[Row]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + rows.len() * 16);
-    buf.put_u32_le(rows.len() as u32);
+    encode(rows.iter())
+}
+
+/// Encodes the rows `rows` yields into one exactly sized buffer.
+pub(crate) fn encode<'a>(rows: impl Iterator<Item = &'a Row> + Clone) -> Bytes {
+    let (count, len) = rows.clone().fold((0usize, 4usize), |(n, len), row| {
+        (n + 1, len + 4 + row.iter().map(encoded_len).sum::<usize>())
+    });
+    let mut buf = BytesMut::with_capacity(len);
+    buf.put_u32_le(count as u32);
     for row in rows {
         buf.put_u32_le(row.len() as u32);
         for v in row {
@@ -44,6 +52,14 @@ pub fn encode_rows(rows: &[Row]) -> Bytes {
         }
     }
     buf.freeze()
+}
+
+fn encoded_len(v: &Value) -> usize {
+    match v {
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+        Value::Null | Value::Bool(_) => 1,
+    }
 }
 
 /// Decodes a batch of rows previously produced by [`encode_rows`].
@@ -83,9 +99,10 @@ pub fn decode_rows(mut data: Bytes) -> Result<Vec<Row>> {
                     let len = data.get_u32_le() as usize;
                     need(&data, len)?;
                     let bytes = data.copy_to_bytes(len);
-                    Value::Str(String::from_utf8(bytes.to_vec()).map_err(|e| {
+                    let s = std::str::from_utf8(&bytes).map_err(|e| {
                         EngineError::Type(format!("corrupt shuffle payload: bad utf8: {e}"))
-                    })?)
+                    })?;
+                    Value::Str(s.to_owned())
                 }
                 TAG_BOOL_FALSE => Value::Bool(false),
                 TAG_BOOL_TRUE => Value::Bool(true),

@@ -13,15 +13,16 @@
 //! *correctness* of the operator set, the shuffle transports and the
 //! recovery logic on real rows.
 
-use crate::codec::{decode_rows, encode_rows};
+use crate::codec::{decode_rows, encode, encode_rows};
 use crate::error::{EngineError, Result};
-use crate::plan::{EngineJob, OutputPartitioning, StagePlan};
-use crate::task::{run_task, TaskInputs};
+use crate::plan::{hash_key, EngineJob, OutputPartitioning, StagePlan};
+use crate::task::{run_task_owned, TaskInputs};
 use crate::value::{Catalog, Row};
 use std::collections::HashSet;
 use std::sync::Arc;
 use swift_dag::{partition, StageId, TaskId};
 use swift_ft::{plan_recovery, ExecutionSnapshot, FailureKind, TaskRunState};
+use swift_shuffle::bytes::Bytes;
 use swift_shuffle::sync::Mutex;
 use swift_shuffle::{CacheWorkerStore, SegmentKey};
 
@@ -248,12 +249,13 @@ impl Engine {
                                 task: format!("{} (injected)", TaskId::new(stage_id, task_index)),
                             });
                         }
-                        let rows = run_task(catalog, plan, task_index, stage.task_count, &inputs)?;
+                        let rows =
+                            run_task_owned(catalog, plan, task_index, stage.task_count, inputs)?;
                         // Route output to each outgoing edge.
                         for (out_i, (edge_idx, e)) in dag.outgoing_indexed(stage_id).enumerate() {
                             let n = dag.stage(e.dst).task_count;
-                            let buckets = route(&rows, &plan.outputs[out_i], n);
-                            for (p, bucket) in buckets.into_iter().enumerate() {
+                            let payloads = route(&rows, &plan.outputs[out_i], n);
+                            for (p, payload) in payloads.into_iter().enumerate() {
                                 store.put(
                                     SegmentKey {
                                         job: job_key,
@@ -261,11 +263,16 @@ impl Engine {
                                         producer: task_index,
                                         partition: p as u32,
                                     },
-                                    encode_rows(&bucket),
+                                    payload,
                                 )?;
                             }
                         }
-                        Ok(rows)
+                        // Only a sink's rows outlive the task.
+                        Ok(if plan.outputs.is_empty() {
+                            rows
+                        } else {
+                            Vec::new()
+                        })
                     })();
                     results.lock().push((slot, res));
                 });
@@ -277,32 +284,27 @@ impl Engine {
     }
 }
 
-/// Splits `rows` into `n` per-consumer buckets.
-fn route(rows: &[Row], part: &OutputPartitioning, n: u32) -> Vec<Vec<Row>> {
+/// Encodes `rows` into one payload per consumer task, straight from the
+/// borrowed rows: no row is cloned, and a broadcast is encoded once and
+/// shared by every consumer.
+fn route(rows: &[Row], part: &OutputPartitioning, n: u32) -> Vec<Bytes> {
     let n = n as usize;
-    let mut buckets: Vec<Vec<Row>> = vec![Vec::new(); n];
     match part {
         OutputPartitioning::Hash(cols) => {
+            let mut buckets: Vec<Vec<&Row>> = vec![Vec::new(); n];
             for row in rows {
-                let b = (crate::plan::hash_key(row, cols) % n as u64) as usize;
-                buckets[b].push(row.clone());
+                buckets[(hash_key(row, cols) % n as u64) as usize].push(row);
             }
+            buckets.iter().map(|b| encode(b.iter().copied())).collect()
         }
-        OutputPartitioning::Single => {
-            buckets[0] = rows.to_vec();
-        }
-        OutputPartitioning::Broadcast => {
-            for b in &mut buckets {
-                *b = rows.to_vec();
-            }
-        }
-        OutputPartitioning::RoundRobin => {
-            for (i, row) in rows.iter().enumerate() {
-                buckets[i % n].push(row.clone());
-            }
-        }
+        OutputPartitioning::Single => (0..n)
+            .map(|p| encode_rows(if p == 0 { rows } else { &[] }))
+            .collect(),
+        OutputPartitioning::Broadcast => vec![encode_rows(rows); n],
+        OutputPartitioning::RoundRobin => (0..n)
+            .map(|p| encode(rows.iter().skip(p).step_by(n)))
+            .collect(),
     }
-    buckets
 }
 
 /// Snapshot of engine progress for the recovery planner.

@@ -2,6 +2,7 @@
 
 use crate::error::EngineError;
 use crate::value::{Row, Value};
+use std::borrow::Cow;
 
 /// Binary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,59 +93,93 @@ impl Expr {
 
     /// Evaluates against `row`.
     pub fn eval(&self, row: &Row) -> Result<Value, EngineError> {
-        match self {
-            Expr::Col(i) => row.get(*i).cloned().ok_or_else(|| {
-                EngineError::Type(format!("column {i} out of range ({} cols)", row.len()))
+        self.eval_ref(row).map(Cow::into_owned)
+    }
+
+    /// Evaluates against `row`, borrowing column values and literals
+    /// instead of cloning them; only computed values are owned.
+    pub(crate) fn eval_ref<'a>(&'a self, row: &'a [Value]) -> Result<Cow<'a, Value>, EngineError> {
+        Ok(match self {
+            Expr::Col(i) => Cow::Borrowed(column(row, *i)?),
+            Expr::Lit(v) => Cow::Borrowed(v),
+            Expr::Not(e) => Cow::Owned(match &*e.eval_ref(row)? {
+                Value::Bool(b) => Value::Bool(!b),
+                Value::Null => Value::Null,
+                other => return Err(EngineError::Type(format!("NOT on non-boolean {other}"))),
             }),
-            Expr::Lit(v) => Ok(v.clone()),
-            Expr::Not(e) => match e.eval(row)? {
-                Value::Bool(b) => Ok(Value::Bool(!b)),
-                Value::Null => Ok(Value::Null),
-                other => Err(EngineError::Type(format!("NOT on non-boolean {other}"))),
-            },
-            Expr::IsNull(e) => Ok(Value::Bool(e.eval(row)?.is_null())),
+            Expr::IsNull(e) => Cow::Owned(Value::Bool(e.eval_ref(row)?.is_null())),
             Expr::Like { expr, pattern } => {
-                let v = expr.eval(row)?;
+                let v = expr.eval_ref(row)?;
                 if v.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
                 let s = v
                     .as_str()
                     .ok_or_else(|| EngineError::Type(format!("LIKE on non-string {v}")))?;
-                Ok(Value::Bool(like_match(s, pattern)))
+                Cow::Owned(Value::Bool(like_match(s, pattern)))
             }
             Expr::Substr { expr, start, len } => {
-                let v = expr.eval(row)?;
+                let v = expr.eval_ref(row)?;
                 if v.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
                 let s = v
                     .as_str()
                     .ok_or_else(|| EngineError::Type(format!("substr on non-string {v}")))?;
                 let start = start.saturating_sub(1);
                 let out: String = s.chars().skip(start).take(*len).collect();
-                Ok(Value::Str(out))
+                Cow::Owned(Value::Str(out))
             }
             Expr::Bin { op, l, r } => {
-                let lv = l.eval(row)?;
-                let rv = r.eval(row)?;
-                eval_bin(*op, lv, rv)
+                Cow::Owned(eval_bin(*op, &*l.eval_ref(row)?, &*r.eval_ref(row)?)?)
             }
-        }
+        })
+    }
+
+    /// This expression over a row whose column `j` is column `map[j]` of
+    /// the input; `None` if it reads a column `map` does not have.
+    pub(crate) fn remap_cols(&self, map: &[usize]) -> Option<Expr> {
+        let boxed = |e: &Expr| e.remap_cols(map).map(Box::new);
+        Some(match self {
+            Expr::Col(j) => Expr::Col(*map.get(*j)?),
+            Expr::Lit(v) => Expr::Lit(v.clone()),
+            Expr::Bin { op, l, r } => Expr::Bin {
+                op: *op,
+                l: boxed(l)?,
+                r: boxed(r)?,
+            },
+            Expr::Not(e) => Expr::Not(boxed(e)?),
+            Expr::IsNull(e) => Expr::IsNull(boxed(e)?),
+            Expr::Like { expr, pattern } => Expr::Like {
+                expr: boxed(expr)?,
+                pattern: pattern.clone(),
+            },
+            Expr::Substr { expr, start, len } => Expr::Substr {
+                expr: boxed(expr)?,
+                start: *start,
+                len: *len,
+            },
+        })
     }
 }
 
-fn eval_bin(op: BinOp, l: Value, r: Value) -> Result<Value, EngineError> {
+/// Column `i` of `row`, or the type error every column read reports.
+pub(crate) fn column(row: &[Value], i: usize) -> Result<&Value, EngineError> {
+    row.get(i)
+        .ok_or_else(|| EngineError::Type(format!("column {i} out of range ({} cols)", row.len())))
+}
+
+fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, EngineError> {
     use BinOp::*;
     match op {
         And | Or => {
             // SQL three-valued logic.
-            let lb = match &l {
+            let lb = match l {
                 Value::Bool(b) => Some(*b),
                 Value::Null => None,
                 other => return Err(EngineError::Type(format!("{op:?} on non-boolean {other}"))),
             };
-            let rb = match &r {
+            let rb = match r {
                 Value::Bool(b) => Some(*b),
                 Value::Null => None,
                 other => return Err(EngineError::Type(format!("{op:?} on non-boolean {other}"))),
@@ -162,7 +197,7 @@ fn eval_bin(op: BinOp, l: Value, r: Value) -> Result<Value, EngineError> {
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
-            let ord = l.total_cmp(&r);
+            let ord = l.total_cmp(r);
             let b = match op {
                 Eq => ord == std::cmp::Ordering::Equal,
                 Ne => ord != std::cmp::Ordering::Equal,
@@ -179,7 +214,7 @@ fn eval_bin(op: BinOp, l: Value, r: Value) -> Result<Value, EngineError> {
                 return Ok(Value::Null);
             }
             // Integer arithmetic stays integral except division.
-            if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
+            if let (Value::Int(a), Value::Int(b)) = (l, r) {
                 return Ok(match op {
                     Add => Value::Int(a.wrapping_add(*b)),
                     Sub => Value::Int(a.wrapping_sub(*b)),
@@ -214,17 +249,28 @@ fn eval_bin(op: BinOp, l: Value, r: Value) -> Result<Value, EngineError> {
 }
 
 /// Glob-style match for SQL `LIKE`: `%` = any run, `_` = any single char.
+/// ASCII input matches byte by byte; anything else char by char, so `_`
+/// always consumes one whole character.
 pub fn like_match(s: &str, pattern: &str) -> bool {
+    if s.is_ascii() && pattern.is_ascii() {
+        return glob(s.as_bytes(), pattern.as_bytes());
+    }
     let s: Vec<char> = s.chars().collect();
     let p: Vec<char> = pattern.chars().collect();
+    glob(&s, &p)
+}
+
+/// [`like_match`] over bytes or chars.
+fn glob<T: Copy + PartialEq + From<u8>>(s: &[T], p: &[T]) -> bool {
+    let (any_run, any_one) = (T::from(b'%'), T::from(b'_'));
     // Iterative two-pointer with backtracking on the last `%`.
     let (mut si, mut pi) = (0usize, 0usize);
     let (mut star, mut star_s) = (usize::MAX, 0usize);
     while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
+        if pi < p.len() && (p[pi] == any_one || p[pi] == s[si]) {
             si += 1;
             pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
+        } else if pi < p.len() && p[pi] == any_run {
             star = pi;
             star_s = si;
             pi += 1;
@@ -236,7 +282,7 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
             return false;
         }
     }
-    while pi < p.len() && p[pi] == '%' {
+    while pi < p.len() && p[pi] == any_run {
         pi += 1;
     }
     pi == p.len()
@@ -301,11 +347,14 @@ impl Accumulator {
             }
             _ => {}
         }
-        if self.min.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
-            self.min = Some(v.clone());
-        }
-        if self.max.as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) {
-            self.max = Some(v.clone());
+        match self.func {
+            AggFunc::Min if self.min.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) => {
+                self.min = Some(v.clone());
+            }
+            AggFunc::Max if self.max.as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) => {
+                self.max = Some(v.clone());
+            }
+            _ => {}
         }
     }
 
@@ -404,6 +453,26 @@ mod tests {
         assert!(like_match("abc", "%"));
         assert!(like_match("forest green paint", "%green%"));
         assert!(!like_match("greenish", "green"));
+    }
+
+    #[test]
+    fn like_on_non_ascii_agrees_with_the_char_path() {
+        let by_chars = |s: &str, p: &str| {
+            let s: Vec<char> = s.chars().collect();
+            let p: Vec<char> = p.chars().collect();
+            glob(&s, &p)
+        };
+        for s in ["é", "naïve", "e", "naive", ""] {
+            for p in ["_", "__", "%ï%", "na_ve", "%", "é", "n%e", "%_"] {
+                assert_eq!(like_match(s, p), by_chars(s, p), "{s:?} LIKE {p:?}");
+            }
+        }
+        // `_` is one character, not one byte.
+        assert!(like_match("é", "_"));
+        assert!(!like_match("é", "__"));
+        assert!(like_match("naïve", "%ï%"));
+        assert!(like_match("naïve", "na_ve"));
+        assert!(!like_match("naive", "%ï%"));
     }
 
     #[test]

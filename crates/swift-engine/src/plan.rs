@@ -248,34 +248,69 @@ pub fn hash_key(row: &[Value], cols: &[usize]) -> u64 {
         }
     };
     for &c in cols {
-        match row.get(c) {
-            None | Some(Value::Null) => eat(&[0]),
-            Some(Value::Bool(b)) => eat(&[1, *b as u8]),
-            Some(Value::Int(i)) => {
+        match KeyPart::of(row.get(c)) {
+            KeyPart::Null => eat(&[0]),
+            KeyPart::Bool(b) => eat(&[1, b as u8]),
+            KeyPart::Int(i) => {
                 eat(&[2]);
                 eat(&i.to_le_bytes());
             }
-            Some(Value::Float(f)) => {
-                // Canonicalise integral floats to the Int encoding.
-                if f.fract() == 0.0
-                    && f.is_finite()
-                    && *f >= i64::MIN as f64
-                    && *f <= i64::MAX as f64
-                {
-                    eat(&[2]);
-                    eat(&(*f as i64).to_le_bytes());
-                } else {
-                    eat(&[3]);
-                    eat(&f.to_le_bytes());
-                }
+            KeyPart::Float(bits) => {
+                eat(&[3]);
+                eat(&bits.to_le_bytes());
             }
-            Some(Value::Str(s)) => {
+            KeyPart::Str(s) => {
                 eat(&[4]);
                 eat(s.as_bytes());
             }
         }
     }
     h
+}
+
+/// Whether `a`'s key columns `ak` and `b`'s key columns `bk` hold the same
+/// key, under the canonical form [`hash_key`] hashes: `Int(2)` equals
+/// `Float(2.0)`, and NULL (or a missing column) equals NULL, as GROUP BY
+/// wants — joins drop NULL keys before they compare. Equal keys therefore
+/// hash equally. Allocates nothing.
+pub(crate) fn keys_eq(a: &[Value], ak: &[usize], b: &[Value], bk: &[usize]) -> bool {
+    ak.len() == bk.len()
+        && ak
+            .iter()
+            .zip(bk)
+            .all(|(&x, &y)| KeyPart::of(a.get(x)) == KeyPart::of(b.get(y)))
+}
+
+/// One key column in canonical form.
+#[derive(PartialEq)]
+enum KeyPart<'a> {
+    Null,
+    Bool(bool),
+    /// Integers, and floats holding an integral value in `i64` range.
+    Int(i64),
+    /// Every other float, by bit pattern.
+    Float(u64),
+    Str(&'a str),
+}
+
+impl<'a> KeyPart<'a> {
+    fn of(v: Option<&'a Value>) -> Self {
+        match v {
+            None | Some(Value::Null) => KeyPart::Null,
+            Some(Value::Bool(b)) => KeyPart::Bool(*b),
+            Some(Value::Int(i)) => KeyPart::Int(*i),
+            Some(Value::Float(f))
+                if f.fract() == 0.0
+                    && f.is_finite()
+                    && *f >= i64::MIN as f64
+                    && *f <= i64::MAX as f64 =>
+            {
+                KeyPart::Int(*f as i64)
+            }
+            Some(Value::Float(f)) => KeyPart::Float(f.to_bits()),
+            Some(Value::Str(s)) => KeyPart::Str(s),
+        }
+    }
 }
 
 #[cfg(test)]

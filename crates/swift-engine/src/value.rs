@@ -200,17 +200,6 @@ impl Table {
         );
         Table { name, schema, rows }
     }
-
-    /// The rows assigned to scan task `task` of `task_count` (round-robin
-    /// striping, deterministic).
-    pub fn partition(&self, task: u32, task_count: u32) -> Vec<Row> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| (*i as u32) % task_count == task)
-            .map(|(_, r)| r.clone())
-            .collect()
-    }
 }
 
 /// A named collection of tables the engine can scan.
@@ -286,19 +275,6 @@ mod tests {
         assert_eq!(s.col("b"), Some(1));
         assert_eq!(s.col("z"), None);
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn table_partition_covers_all_rows() {
-        let s = Schema::new(vec!["x"]);
-        let rows: Vec<Row> = (0..10).map(|i| vec![Value::Int(i)]).collect();
-        let t = Table::new("t", s, rows);
-        let mut all: Vec<Row> = (0..3).flat_map(|k| t.partition(k, 3)).collect();
-        all.sort_by(|a, b| a[0].total_cmp(&b[0]));
-        assert_eq!(all.len(), 10);
-        for (i, r) in all.iter().enumerate() {
-            assert_eq!(r[0], Value::Int(i as i64));
-        }
     }
 
     #[test]

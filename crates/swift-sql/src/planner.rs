@@ -13,9 +13,14 @@
 //!   graphlets of Fig. 4.
 //!
 //! A light optimizer pushes single-relation `WHERE` conjuncts down into
-//! the scan stages.
+//! the scan stages, and prunes columns at the scan: each scan projects
+//! only the columns whose names the query mentions somewhere (matched by
+//! name, qualifier ignored — conservative), so unused columns never ride
+//! through joins and shuffles. The pruning `Project` is an executable
+//! operator only; the stage DAG, and so its simulation, is unchanged.
 
 use crate::ast::*;
+use std::collections::HashSet;
 use std::fmt;
 use swift_dag::{DagBuilder, JobDag, Operator, StageProfile};
 use swift_engine::{
@@ -91,6 +96,8 @@ struct Planner<'a> {
     edges: Vec<(usize, usize)>,
     /// Output schema of every stage.
     schemas: Vec<Vec<ColRef>>,
+    /// Lowercased name of every column the query mentions.
+    referenced: HashSet<String>,
 }
 
 /// Plans `query` against `catalog` into an executable [`EngineJob`].
@@ -101,12 +108,15 @@ pub fn plan_query(
     name: &str,
     opts: &PlanOptions,
 ) -> PResult<EngineJob> {
+    let mut referenced = HashSet::new();
+    referenced_columns(query, &mut referenced);
     let mut p = Planner {
         catalog,
         opts,
         stages: Vec::new(),
         edges: Vec::new(),
         schemas: Vec::new(),
+        referenced,
     };
     let rel = p.plan_select(query)?;
     // Attach the sink to the top stage.
@@ -235,13 +245,15 @@ impl Planner<'_> {
                     .get(name)
                     .ok_or_else(|| PlanError(format!("unknown table {name}")))?;
                 let binding = alias.clone().unwrap_or_else(|| name.clone());
-                let schema: Vec<ColRef> = table
-                    .schema
-                    .fields()
+                let fields = table.schema.fields();
+                let kept: Vec<usize> = (0..fields.len())
+                    .filter(|&i| self.referenced.contains(&fields[i].to_ascii_lowercase()))
+                    .collect();
+                let schema: Vec<ColRef> = kept
                     .iter()
-                    .map(|f| ColRef {
+                    .map(|&i| ColRef {
                         qualifier: Some(binding.clone()),
-                        name: f.clone(),
+                        name: fields[i].clone(),
                     })
                     .collect();
                 let rows = table.rows.len() as u64;
@@ -252,6 +264,11 @@ impl Planner<'_> {
                 self.stages[stage].exec_ops.push(ExecOp::Scan {
                     table: name.clone(),
                 });
+                if kept.len() < fields.len() {
+                    self.stages[stage]
+                        .exec_ops
+                        .push(ExecOp::Project(kept.into_iter().map(Expr::col).collect()));
+                }
                 self.stages[stage].profile = StageProfile {
                     input_rows_per_task: rows / self.opts.scan_tasks.max(1) as u64,
                     input_bytes_per_task: rows * 64 / self.opts.scan_tasks.max(1) as u64,
@@ -776,6 +793,29 @@ fn split_conjuncts(e: &AstExpr) -> Vec<&AstExpr> {
     }
 }
 
+/// Adds the lowercased name of every column `q` mentions — in SELECT, ON,
+/// WHERE, GROUP BY, ORDER BY and its subqueries — to `out`.
+fn referenced_columns(q: &Query, out: &mut HashSet<String>) {
+    let exprs = q
+        .select
+        .iter()
+        .map(|s| &s.expr)
+        .chain(q.joins.iter().flat_map(|j| &j.on))
+        .chain(&q.where_clause)
+        .chain(&q.group_by)
+        .chain(q.order_by.iter().map(|k| &k.expr));
+    for e in exprs {
+        visit_columns(e, &mut |_, name| {
+            out.insert(name.to_ascii_lowercase());
+        });
+    }
+    for t in std::iter::once(&q.from).chain(q.joins.iter().map(|j| &j.table)) {
+        if let TableRef::Subquery { query, .. } = t {
+            referenced_columns(query, out);
+        }
+    }
+}
+
 fn visit_columns<'a>(e: &'a AstExpr, f: &mut impl FnMut(&'a Option<String>, &'a str)) {
     match e {
         AstExpr::Column { qualifier, name } => f(qualifier, name),
@@ -791,5 +831,23 @@ fn visit_columns<'a>(e: &'a AstExpr, f: &mut impl FnMut(&'a Option<String>, &'a 
             }
         }
         AstExpr::Lit(_) => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn referenced_columns_covers_every_clause() {
+        let q = crate::parse(
+            "select A, sum(b) as s from (select c from t where d > 1) x \
+             join u on x.e = u.f where g = 1 group by h order by i",
+        )
+        .unwrap();
+        let mut got = HashSet::new();
+        referenced_columns(&q, &mut got);
+        let want: HashSet<String> = "a b c d e f g h i".split(' ').map(String::from).collect();
+        assert_eq!(got, want);
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end SQL tests: parse → plan → execute on real data, in both
 //! planner modes, cross-checked against hand-computed answers.
 
-use swift_engine::{Catalog, Engine, Row, Schema, Table, Value};
+use swift_engine::{Catalog, Engine, EngineJob, ExecOp, Expr, Row, Schema, Table, Value};
 use swift_sql::{compile, parse, run_sql, PlanOptions};
 
 fn iv(i: i64) -> Value {
@@ -277,6 +277,111 @@ fn left_side_on_predicate_is_rejected_under_left_join() {
         &PlanOptions::default(),
     );
     assert!(err.is_err());
+}
+
+/// The scan stages of `job`: (table, the columns its pruning `Project`
+/// keeps, or `None` when it keeps them all).
+fn scans(job: &EngineJob) -> Vec<(String, Option<Vec<usize>>)> {
+    job.plans
+        .iter()
+        .filter_map(|p| match p.ops.as_slice() {
+            [ExecOp::Scan { table }, rest @ ..] => {
+                let kept = match rest.first() {
+                    Some(ExecOp::Project(exprs)) if p.ops.len() > 1 => Some(
+                        exprs
+                            .iter()
+                            .map(|e| match e {
+                                Expr::Col(c) => *c,
+                                other => panic!("pruning projects columns, not {other:?}"),
+                            })
+                            .collect(),
+                    ),
+                    _ => None,
+                };
+                Some((table.clone(), kept))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn q9_scans_carry_only_referenced_columns() {
+    let cat = swift_workload::generate_catalog(1, 1);
+    for prefer_sort in [false, true] {
+        let opts = PlanOptions {
+            prefer_sort,
+            ..PlanOptions::default()
+        };
+        let job = compile(swift_workload::Q9_SQL, &cat, 1, &opts).unwrap();
+        let scans = scans(&job);
+        let lineitem = scans.iter().find(|(t, _)| t == "tpch_lineitem").unwrap();
+        // l_orderkey, l_partkey, l_suppkey, l_quantity, l_extendedprice,
+        // l_discount — not l_shipdate.
+        assert_eq!(lineitem.1, Some(vec![0, 1, 2, 3, 4, 5]));
+        let width = |t: &str| cat.get(t).unwrap().schema.len();
+        let joined: usize = scans
+            .iter()
+            .map(|(t, kept)| kept.as_ref().map_or(width(t), Vec::len))
+            .sum();
+        assert_eq!(joined, 17, "Q9's widest joined row");
+    }
+}
+
+#[test]
+fn columns_named_only_in_on_group_by_or_a_subquery_survive() {
+    let cat = catalog();
+    let o = PlanOptions::default();
+    // `region` and `name` appear only in ON.
+    let sql = "select s.amount from sales s join regions r on s.region = r.name";
+    let job = compile(sql, &cat, 1, &o).unwrap();
+    assert_eq!(
+        scans(&job),
+        vec![
+            ("sales".into(), Some(vec![0, 2])),
+            ("regions".into(), Some(vec![0]))
+        ]
+    );
+    assert_eq!(run(sql, &o).1.len(), 120);
+    // `year` appears only in GROUP BY.
+    let (_, rows) = run(
+        "select count(*) as n from sales group by year order by n",
+        &o,
+    );
+    assert_eq!(rows, vec![vec![iv(60)], vec![iv(60)]]);
+    // `year` and `product` appear only inside the subquery.
+    let (_, rows) = run(
+        "select yr from (select year as yr from sales where product like 'green%') t \
+         order by yr",
+        &o,
+    );
+    assert_eq!(rows.len(), 60);
+    assert_eq!(rows[0], vec![sv("2019")]);
+}
+
+#[test]
+fn a_query_naming_every_column_is_not_pruned() {
+    let sql = "select s.region, s.product, s.amount, s.year, r.manager \
+               from sales s join regions r on s.region = r.name";
+    let job = compile(sql, &catalog(), 1, &PlanOptions::default()).unwrap();
+    assert_eq!(
+        scans(&job),
+        vec![("sales".into(), None), ("regions".into(), None)]
+    );
+}
+
+#[test]
+fn unknown_columns_still_fail_after_pruning() {
+    let cat = catalog();
+    let o = PlanOptions::default();
+    for sql in [
+        "select nope from sales",
+        "select amount from sales where nope > 1",
+        "select count(*) as n from sales group by nope",
+    ] {
+        let err = compile(sql, &cat, 1, &o).unwrap_err().to_string();
+        assert!(err.contains("unknown column"), "{sql}: {err}");
+    }
 }
 
 #[test]

@@ -25,6 +25,25 @@ fn q9_sql_runs_and_modes_agree() {
     assert_eq!(cols, vec!["nation", "o_year", "sum_profit"]);
     assert_eq!(hash, sorted, "hash and sort-merge plans agree");
     assert!(!hash.is_empty());
+    // Every parallelism answers the same; only float sums may reassociate.
+    for scan_tasks in [1, 3] {
+        for shuffle_tasks in [1, 3] {
+            for prefer_sort in [false, true] {
+                let opts = PlanOptions {
+                    scan_tasks,
+                    shuffle_tasks,
+                    prefer_sort,
+                };
+                let (_, rows) = run_sql(&engine, Q9_SQL, &opts).unwrap();
+                assert_eq!(rows.len(), hash.len(), "{opts:?}");
+                for (r, h) in rows.iter().zip(&hash) {
+                    assert_eq!(r[..2], h[..2], "{opts:?}");
+                    let (a, b) = (r[2].as_f64().unwrap(), h[2].as_f64().unwrap());
+                    assert!((a - b).abs() <= 1e-9 * a.abs().max(b.abs()), "{opts:?}");
+                }
+            }
+        }
+    }
     // ORDER BY nation asc, o_year desc holds.
     for w in hash.windows(2) {
         let n = w[0][0].total_cmp(&w[1][0]);
