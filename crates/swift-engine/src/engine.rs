@@ -13,10 +13,11 @@
 //! *correctness* of the operator set, the shuffle transports and the
 //! recovery logic on real rows.
 
-use crate::codec::{decode_rows, encode, encode_rows};
+use crate::batch::{hash_keys, index, Batch};
+use crate::codec::{decode, encode};
 use crate::error::{EngineError, Result};
-use crate::plan::{hash_key, EngineJob, OutputPartitioning, StagePlan};
-use crate::task::{run_task_owned, TaskInputs};
+use crate::plan::{EngineJob, OutputPartitioning, StagePlan};
+use crate::task::run_batches;
 use crate::value::{Catalog, Row};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -111,7 +112,7 @@ impl Engine {
             graphlets: part.len(),
             ..RunStats::default()
         };
-        let mut sink_rows: Vec<(u32, Vec<Row>)> = Vec::new();
+        let mut sink: Vec<(u32, Batch)> = Vec::new();
         let mut finished: HashSet<TaskId> = HashSet::new();
         // Injection bookkeeping: a listed task fails exactly once.
         let mut pending_failures: HashSet<TaskId> = opts.fail_once.iter().copied().collect();
@@ -140,10 +141,10 @@ impl Engine {
                 let mut failed: Vec<TaskId> = Vec::new();
                 for (idx, res) in to_run.iter().zip(results) {
                     match res {
-                        Ok(rows) => {
+                        Ok(batch) => {
                             finished.insert(TaskId::new(stage_id, *idx));
                             if plan.outputs.is_empty() {
-                                sink_rows.push((*idx, rows));
+                                sink.push((*idx, batch));
                             }
                         }
                         Err(EngineError::TaskFailed { .. }) => {
@@ -195,13 +196,13 @@ impl Engine {
 
         // Order sink output by task index so Single-partitioned sorted
         // results remain globally sorted.
-        sink_rows.sort_by_key(|(idx, _)| *idx);
-        let rows = sink_rows.into_iter().flat_map(|(_, r)| r).collect();
+        sink.sort_by_key(|(idx, _)| *idx);
+        let rows = sink.into_iter().flat_map(|(_, b)| b.into_rows()).collect();
         Ok(RunOutcome { rows, stats })
     }
 
-    /// Runs the given tasks of one stage concurrently; returns one result
-    /// per task in `to_run` order.
+    /// Runs the given tasks of one stage, concurrently when there are
+    /// several; returns one result per task in `to_run` order.
     #[allow(clippy::too_many_arguments)]
     fn run_stage_tasks(
         &self,
@@ -212,10 +213,9 @@ impl Engine {
         store: &CacheWorkerStore,
         job_key: u64,
         pending_failures: &mut HashSet<TaskId>,
-    ) -> Result<Vec<std::result::Result<Vec<Row>, EngineError>>> {
+    ) -> Result<Vec<Result<Batch>>> {
         let dag = &job.dag;
         let stage = dag.stage(stage_id);
-        let catalog = Arc::clone(&self.catalog);
         // Which of this wave's tasks must fail (consume the injection).
         let failing: HashSet<u32> = to_run
             .iter()
@@ -223,57 +223,55 @@ impl Engine {
             .filter(|&i| pending_failures.remove(&TaskId::new(stage_id, i)))
             .collect();
 
-        type SlotResult = (usize, std::result::Result<Vec<Row>, EngineError>);
-        let results: Mutex<Vec<SlotResult>> = Mutex::new(Vec::with_capacity(to_run.len()));
+        let run_one = |task_index: u32| -> Result<Batch> {
+            // Gather inputs from the shuffle store.
+            let mut inputs = Vec::new();
+            for (edge_idx, e) in dag.incoming_indexed(stage_id) {
+                let m = dag.stage(e.src).task_count;
+                let payloads = store.collect_keep(job_key, edge_idx as u32, task_index, m)?;
+                inputs.push(payloads.iter().map(decode).collect::<Result<Vec<_>>>()?);
+            }
+            if failing.contains(&task_index) {
+                return Err(EngineError::TaskFailed {
+                    task: format!("{} (injected)", TaskId::new(stage_id, task_index)),
+                });
+            }
+            let batch = run_batches(&self.catalog, plan, task_index, stage.task_count, inputs)?;
+            // Route output to each outgoing edge.
+            for (out_i, (edge_idx, e)) in dag.outgoing_indexed(stage_id).enumerate() {
+                let n = dag.stage(e.dst).task_count;
+                let payloads = route(&batch, &plan.outputs[out_i], n);
+                for (p, payload) in payloads.into_iter().enumerate() {
+                    store.put(
+                        SegmentKey {
+                            job: job_key,
+                            edge: edge_idx as u32,
+                            producer: task_index,
+                            partition: p as u32,
+                        },
+                        payload,
+                    )?;
+                }
+            }
+            // Only a sink's rows outlive the task.
+            Ok(if plan.outputs.is_empty() {
+                batch
+            } else {
+                Batch::default()
+            })
+        };
+
+        // A lone task (a final merge, say) runs on this thread.
+        if let [task_index] = to_run {
+            return Ok(vec![run_one(*task_index)]);
+        }
+        let results: Mutex<Vec<(usize, Result<Batch>)>> =
+            Mutex::new(Vec::with_capacity(to_run.len()));
         std::thread::scope(|scope| {
             for (slot, &task_index) in to_run.iter().enumerate() {
-                let catalog = &catalog;
-                let results = &results;
-                let failing = &failing;
+                let (run_one, results) = (&run_one, &results);
                 scope.spawn(move || {
-                    let res = (|| -> std::result::Result<Vec<Row>, EngineError> {
-                        // Gather inputs from the shuffle store.
-                        let mut inputs: TaskInputs = Vec::new();
-                        for (edge_idx, e) in dag.incoming_indexed(stage_id) {
-                            let m = dag.stage(e.src).task_count;
-                            let payloads =
-                                store.collect_keep(job_key, edge_idx as u32, task_index, m)?;
-                            let mut per_producer = Vec::with_capacity(m as usize);
-                            for p in payloads {
-                                per_producer.push(decode_rows(p)?);
-                            }
-                            inputs.push(per_producer);
-                        }
-                        if failing.contains(&task_index) {
-                            return Err(EngineError::TaskFailed {
-                                task: format!("{} (injected)", TaskId::new(stage_id, task_index)),
-                            });
-                        }
-                        let rows =
-                            run_task_owned(catalog, plan, task_index, stage.task_count, inputs)?;
-                        // Route output to each outgoing edge.
-                        for (out_i, (edge_idx, e)) in dag.outgoing_indexed(stage_id).enumerate() {
-                            let n = dag.stage(e.dst).task_count;
-                            let payloads = route(&rows, &plan.outputs[out_i], n);
-                            for (p, payload) in payloads.into_iter().enumerate() {
-                                store.put(
-                                    SegmentKey {
-                                        job: job_key,
-                                        edge: edge_idx as u32,
-                                        producer: task_index,
-                                        partition: p as u32,
-                                    },
-                                    payload,
-                                )?;
-                            }
-                        }
-                        // Only a sink's rows outlive the task.
-                        Ok(if plan.outputs.is_empty() {
-                            rows
-                        } else {
-                            Vec::new()
-                        })
-                    })();
+                    let res = run_one(task_index);
                     results.lock().push((slot, res));
                 });
             }
@@ -284,26 +282,30 @@ impl Engine {
     }
 }
 
-/// Encodes `rows` into one payload per consumer task, straight from the
-/// borrowed rows: no row is cloned, and a broadcast is encoded once and
+/// Splits `batch` by consumer task and encodes one columnar payload per
+/// consumer, straight from the batch: a broadcast is encoded once and
 /// shared by every consumer.
-fn route(rows: &[Row], part: &OutputPartitioning, n: u32) -> Vec<Bytes> {
+fn route(batch: &Batch, part: &OutputPartitioning, n: u32) -> Vec<Bytes> {
     let n = n as usize;
+    let len = batch.len();
     match part {
         OutputPartitioning::Hash(cols) => {
-            let mut buckets: Vec<Vec<&Row>> = vec![Vec::new(); n];
-            for row in rows {
-                buckets[(hash_key(row, cols) % n as u64) as usize].push(row);
+            let mut parts: Vec<Vec<u32>> = vec![Vec::new(); n];
+            for (i, h) in hash_keys(batch, cols).into_iter().enumerate() {
+                parts[(h % n as u64) as usize].push(index(i));
             }
-            buckets.iter().map(|b| encode(b.iter().copied())).collect()
+            parts
+                .iter()
+                .map(|rows| encode(batch, rows.iter().map(|&i| i as usize)))
+                .collect()
         }
         OutputPartitioning::Single => (0..n)
-            .map(|p| encode_rows(if p == 0 { rows } else { &[] }))
+            .map(|p| encode(batch, 0..if p == 0 { len } else { 0 }))
             .collect(),
-        OutputPartitioning::Broadcast => vec![encode_rows(rows); n],
-        OutputPartitioning::RoundRobin => (0..n)
-            .map(|p| encode(rows.iter().skip(p).step_by(n)))
-            .collect(),
+        OutputPartitioning::Broadcast => vec![encode(batch, 0..len); n],
+        OutputPartitioning::RoundRobin => {
+            (0..n).map(|p| encode(batch, (p..len).step_by(n))).collect()
+        }
     }
 }
 

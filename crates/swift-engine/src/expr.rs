@@ -1,7 +1,8 @@
 //! Scalar expressions and aggregate functions.
 
+use crate::batch::{Batch, Column, ColumnBuilder};
 use crate::error::EngineError;
-use crate::value::{Row, Value};
+use crate::value::{Value, ValueRef};
 use std::borrow::Cow;
 
 /// Binary operators.
@@ -33,7 +34,7 @@ pub enum BinOp {
     Or,
 }
 
-/// A scalar expression evaluated against one row.
+/// A scalar expression, evaluated over every row of a batch.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Expr {
     /// Column by position.
@@ -91,97 +92,119 @@ impl Expr {
         }
     }
 
-    /// Evaluates against `row`.
-    pub fn eval(&self, row: &Row) -> Result<Value, EngineError> {
-        self.eval_ref(row).map(Cow::into_owned)
-    }
-
-    /// Evaluates against `row`, borrowing column values and literals
-    /// instead of cloning them; only computed values are owned.
-    pub(crate) fn eval_ref<'a>(&'a self, row: &'a [Value]) -> Result<Cow<'a, Value>, EngineError> {
+    /// Evaluates over every row of `batch`.
+    pub(crate) fn eval<'a>(&'a self, batch: &'a Batch) -> Result<Operand<'a>, EngineError> {
+        let n = batch.len();
         Ok(match self {
-            Expr::Col(i) => Cow::Borrowed(column(row, *i)?),
-            Expr::Lit(v) => Cow::Borrowed(v),
-            Expr::Not(e) => Cow::Owned(match &*e.eval_ref(row)? {
-                Value::Bool(b) => Value::Bool(!b),
-                Value::Null => Value::Null,
-                other => return Err(EngineError::Type(format!("NOT on non-boolean {other}"))),
-            }),
-            Expr::IsNull(e) => Cow::Owned(Value::Bool(e.eval_ref(row)?.is_null())),
-            Expr::Like { expr, pattern } => {
-                let v = expr.eval_ref(row)?;
-                if v.is_null() {
-                    return Ok(Cow::Owned(Value::Null));
-                }
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| EngineError::Type(format!("LIKE on non-string {v}")))?;
-                Cow::Owned(Value::Bool(like_match(s, pattern)))
-            }
-            Expr::Substr { expr, start, len } => {
-                let v = expr.eval_ref(row)?;
-                if v.is_null() {
-                    return Ok(Cow::Owned(Value::Null));
-                }
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| EngineError::Type(format!("substr on non-string {v}")))?;
-                let start = start.saturating_sub(1);
-                let out: String = s.chars().skip(start).take(*len).collect();
-                Cow::Owned(Value::Str(out))
-            }
+            Expr::Col(i) => Operand::Column(Cow::Borrowed(batch.col(*i)?)),
+            Expr::Lit(v) => Operand::Scalar(Cow::Borrowed(v)),
+            Expr::Not(e) => map(&e.eval(batch)?, n, |v| match v {
+                ValueRef::Bool(b) => Ok(ValueRef::Bool(!b)),
+                ValueRef::Null => Ok(ValueRef::Null),
+                other => Err(EngineError::Type(format!("NOT on non-boolean {other}"))),
+            })?,
+            Expr::IsNull(e) => map(&e.eval(batch)?, n, |v| Ok(ValueRef::Bool(v.is_null())))?,
+            Expr::Like { expr, pattern } => map(&expr.eval(batch)?, n, |v| match v {
+                ValueRef::Null => Ok(ValueRef::Null),
+                ValueRef::Str(s) => Ok(ValueRef::Bool(like_match(s, pattern))),
+                other => Err(EngineError::Type(format!("LIKE on non-string {other}"))),
+            })?,
+            Expr::Substr { expr, start, len } => map(&expr.eval(batch)?, n, |v| match v {
+                ValueRef::Null => Ok(ValueRef::Null),
+                ValueRef::Str(s) => Ok(ValueRef::Str(substr(s, *start, *len))),
+                other => Err(EngineError::Type(format!("substr on non-string {other}"))),
+            })?,
             Expr::Bin { op, l, r } => {
-                Cow::Owned(eval_bin(*op, &*l.eval_ref(row)?, &*r.eval_ref(row)?)?)
+                let (l, r) = (l.eval(batch)?, r.eval(batch)?);
+                match (&l, &r) {
+                    (Operand::Scalar(a), Operand::Scalar(b)) => {
+                        Operand::Scalar(Cow::Owned(eval_bin(*op, a.view(), b.view())?.to_value()))
+                    }
+                    _ => {
+                        let mut out = ColumnBuilder::with_capacity(n);
+                        for i in 0..n {
+                            out.push(eval_bin(*op, l.get(i), r.get(i))?);
+                        }
+                        Operand::Column(Cow::Owned(out.finish()))
+                    }
+                }
             }
         })
     }
+}
 
-    /// This expression over a row whose column `j` is column `map[j]` of
-    /// the input; `None` if it reads a column `map` does not have.
-    pub(crate) fn remap_cols(&self, map: &[usize]) -> Option<Expr> {
-        let boxed = |e: &Expr| e.remap_cols(map).map(Box::new);
-        Some(match self {
-            Expr::Col(j) => Expr::Col(*map.get(*j)?),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Bin { op, l, r } => Expr::Bin {
-                op: *op,
-                l: boxed(l)?,
-                r: boxed(r)?,
-            },
-            Expr::Not(e) => Expr::Not(boxed(e)?),
-            Expr::IsNull(e) => Expr::IsNull(boxed(e)?),
-            Expr::Like { expr, pattern } => Expr::Like {
-                expr: boxed(expr)?,
-                pattern: pattern.clone(),
-            },
-            Expr::Substr { expr, start, len } => Expr::Substr {
-                expr: boxed(expr)?,
-                start: *start,
-                len: *len,
-            },
-        })
+/// An expression's value over a batch: a column, or one value every row
+/// shares.
+#[derive(Debug)]
+pub(crate) enum Operand<'a> {
+    Column(Cow<'a, Column>),
+    Scalar(Cow<'a, Value>),
+}
+
+impl Operand<'_> {
+    /// The value in row `i`.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> ValueRef<'_> {
+        match self {
+            Operand::Column(c) => c.get(i),
+            Operand::Scalar(v) => v.view(),
+        }
+    }
+
+    /// The value as a column of `len` rows.
+    pub(crate) fn into_column(self, len: usize) -> Column {
+        match self {
+            Operand::Column(c) => c.into_owned(),
+            Operand::Scalar(v) => Column::repeat(v.view(), len),
+        }
     }
 }
 
-/// Column `i` of `row`, or the type error every column read reports.
-pub(crate) fn column(row: &[Value], i: usize) -> Result<&Value, EngineError> {
-    row.get(i)
-        .ok_or_else(|| EngineError::Type(format!("column {i} out of range ({} cols)", row.len())))
+/// `f` applied to every row of `x` (once, if `x` is a scalar).
+fn map<'x>(
+    x: &'x Operand<'_>,
+    n: usize,
+    mut f: impl FnMut(ValueRef<'x>) -> Result<ValueRef<'x>, EngineError>,
+) -> Result<Operand<'static>, EngineError> {
+    Ok(match x {
+        Operand::Scalar(v) => Operand::Scalar(Cow::Owned(f(v.view())?.to_value())),
+        Operand::Column(c) => {
+            let mut out = ColumnBuilder::with_capacity(n);
+            for i in 0..n {
+                out.push(f(c.get(i))?);
+            }
+            Operand::Column(Cow::Owned(out.finish()))
+        }
+    })
 }
 
-fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, EngineError> {
+/// `substr(s, start, len)`: `len` characters from the 1-based `start`.
+fn substr(s: &str, start: usize, len: usize) -> &str {
+    let mut bounds = s
+        .char_indices()
+        .map(|(i, _)| i)
+        .chain(std::iter::once(s.len()));
+    let from = bounds.nth(start.saturating_sub(1)).unwrap_or(s.len());
+    let to = match len {
+        0 => from,
+        _ => bounds.nth(len - 1).unwrap_or(s.len()),
+    };
+    &s[from..to]
+}
+
+fn eval_bin(op: BinOp, l: ValueRef<'_>, r: ValueRef<'_>) -> Result<ValueRef<'static>, EngineError> {
     use BinOp::*;
     match op {
         And | Or => {
             // SQL three-valued logic.
             let lb = match l {
-                Value::Bool(b) => Some(*b),
-                Value::Null => None,
+                ValueRef::Bool(b) => Some(b),
+                ValueRef::Null => None,
                 other => return Err(EngineError::Type(format!("{op:?} on non-boolean {other}"))),
             };
             let rb = match r {
-                Value::Bool(b) => Some(*b),
-                Value::Null => None,
+                ValueRef::Bool(b) => Some(b),
+                ValueRef::Null => None,
                 other => return Err(EngineError::Type(format!("{op:?} on non-boolean {other}"))),
             };
             let out = match (op, lb, rb) {
@@ -191,11 +214,11 @@ fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, EngineError> {
                 (Or, Some(false), Some(false)) => Some(false),
                 _ => None,
             };
-            Ok(out.map_or(Value::Null, Value::Bool))
+            Ok(out.map_or(ValueRef::Null, ValueRef::Bool))
         }
         Eq | Ne | Lt | Le | Gt | Ge => {
             if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
+                return Ok(ValueRef::Null);
             }
             let ord = l.total_cmp(r);
             let b = match op {
@@ -207,23 +230,23 @@ fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, EngineError> {
                 Ge => ord != std::cmp::Ordering::Less,
                 _ => unreachable!(),
             };
-            Ok(Value::Bool(b))
+            Ok(ValueRef::Bool(b))
         }
         Add | Sub | Mul | Div => {
             if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
+                return Ok(ValueRef::Null);
             }
             // Integer arithmetic stays integral except division.
-            if let (Value::Int(a), Value::Int(b)) = (l, r) {
+            if let (ValueRef::Int(a), ValueRef::Int(b)) = (l, r) {
                 return Ok(match op {
-                    Add => Value::Int(a.wrapping_add(*b)),
-                    Sub => Value::Int(a.wrapping_sub(*b)),
-                    Mul => Value::Int(a.wrapping_mul(*b)),
+                    Add => ValueRef::Int(a.wrapping_add(b)),
+                    Sub => ValueRef::Int(a.wrapping_sub(b)),
+                    Mul => ValueRef::Int(a.wrapping_mul(b)),
                     Div => {
-                        if *b == 0 {
-                            Value::Null
+                        if b == 0 {
+                            ValueRef::Null
                         } else {
-                            Value::Float(*a as f64 / *b as f64)
+                            ValueRef::Float(a as f64 / b as f64)
                         }
                     }
                     _ => unreachable!(),
@@ -237,7 +260,7 @@ fn eval_bin(op: BinOp, l: &Value, r: &Value) -> Result<Value, EngineError> {
                     )))
                 }
             };
-            Ok(Value::Float(match op {
+            Ok(ValueRef::Float(match op {
                 Add => a + b,
                 Sub => a - b,
                 Mul => a * b,
@@ -306,7 +329,7 @@ pub enum AggFunc {
 
 /// Running accumulator for one aggregate.
 #[derive(Clone, Debug)]
-pub struct Accumulator {
+pub(crate) struct Accumulator {
     func: AggFunc,
     count: u64,
     sum: f64,
@@ -318,7 +341,7 @@ pub struct Accumulator {
 
 impl Accumulator {
     /// Fresh accumulator for `func`.
-    pub fn new(func: AggFunc) -> Self {
+    pub(crate) fn new(func: AggFunc) -> Self {
         Accumulator {
             func,
             count: 0,
@@ -331,35 +354,45 @@ impl Accumulator {
     }
 
     /// Folds one input value.
-    pub fn push(&mut self, v: &Value) {
+    pub(crate) fn push(&mut self, v: ValueRef<'_>) {
         if v.is_null() {
             return;
         }
         self.count += 1;
         match v {
-            Value::Int(i) => {
-                self.int_sum = self.int_sum.wrapping_add(*i);
-                self.sum += *i as f64;
+            ValueRef::Int(i) => {
+                self.int_sum = self.int_sum.wrapping_add(i);
+                self.sum += i as f64;
             }
-            Value::Float(f) => {
+            ValueRef::Float(f) => {
                 self.ints_only = false;
                 self.sum += f;
             }
             _ => {}
         }
         match self.func {
-            AggFunc::Min if self.min.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) => {
-                self.min = Some(v.clone());
+            AggFunc::Min
+                if self
+                    .min
+                    .as_ref()
+                    .is_none_or(|m| v.total_cmp(m.view()).is_lt()) =>
+            {
+                self.min = Some(v.to_value());
             }
-            AggFunc::Max if self.max.as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) => {
-                self.max = Some(v.clone());
+            AggFunc::Max
+                if self
+                    .max
+                    .as_ref()
+                    .is_none_or(|m| v.total_cmp(m.view()).is_gt()) =>
+            {
+                self.max = Some(v.to_value());
             }
             _ => {}
         }
     }
 
     /// Final aggregate value.
-    pub fn finish(&self) -> Value {
+    pub(crate) fn finish(&self) -> Value {
         match self.func {
             AggFunc::Count => Value::Int(self.count as i64),
             AggFunc::Sum => {
@@ -388,37 +421,46 @@ impl Accumulator {
 mod tests {
     use super::*;
 
-    fn row() -> Row {
-        vec![
-            Value::Int(10),
-            Value::Str("green apple".into()),
-            Value::Float(2.5),
-            Value::Null,
-        ]
+    /// Evaluation over the one-row batch (10, "green apple", 2.5, NULL).
+    trait EvalRow {
+        fn eval_row(&self) -> Result<Value, EngineError>;
+    }
+
+    impl EvalRow for Expr {
+        fn eval_row(&self) -> Result<Value, EngineError> {
+            let row = vec![
+                Value::Int(10),
+                Value::Str("green apple".into()),
+                Value::Float(2.5),
+                Value::Null,
+            ];
+            let batch = Batch::from_rows(&[row]).unwrap();
+            self.eval(&batch).map(|v| v.get(0).to_value())
+        }
     }
 
     #[test]
     fn arithmetic_and_comparison() {
         let e = Expr::bin(BinOp::Mul, Expr::col(0), Expr::lit(3i64));
-        assert_eq!(e.eval(&row()).unwrap(), Value::Int(30));
+        assert_eq!(e.eval_row().unwrap(), Value::Int(30));
         let e = Expr::bin(BinOp::Add, Expr::col(0), Expr::col(2));
-        assert_eq!(e.eval(&row()).unwrap(), Value::Float(12.5));
+        assert_eq!(e.eval_row().unwrap(), Value::Float(12.5));
         let e = Expr::bin(BinOp::Gt, Expr::col(0), Expr::lit(5i64));
-        assert_eq!(e.eval(&row()).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval_row().unwrap(), Value::Bool(true));
         let e = Expr::bin(BinOp::Div, Expr::lit(7i64), Expr::lit(2i64));
-        assert_eq!(e.eval(&row()).unwrap(), Value::Float(3.5));
+        assert_eq!(e.eval_row().unwrap(), Value::Float(3.5));
         let e = Expr::bin(BinOp::Div, Expr::lit(7i64), Expr::lit(0i64));
-        assert_eq!(e.eval(&row()).unwrap(), Value::Null);
+        assert_eq!(e.eval_row().unwrap(), Value::Null);
     }
 
     #[test]
     fn null_propagation() {
         let e = Expr::bin(BinOp::Add, Expr::col(3), Expr::lit(1i64));
-        assert_eq!(e.eval(&row()).unwrap(), Value::Null);
+        assert_eq!(e.eval_row().unwrap(), Value::Null);
         let e = Expr::bin(BinOp::Eq, Expr::col(3), Expr::col(3));
-        assert_eq!(e.eval(&row()).unwrap(), Value::Null);
+        assert_eq!(e.eval_row().unwrap(), Value::Null);
         let e = Expr::IsNull(Box::new(Expr::col(3)));
-        assert_eq!(e.eval(&row()).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval_row().unwrap(), Value::Bool(true));
     }
 
     #[test]
@@ -427,17 +469,17 @@ mod tests {
         let n = Expr::col(3);
         assert_eq!(
             Expr::bin(BinOp::And, t.clone(), n.clone())
-                .eval(&row())
+                .eval_row()
                 .unwrap(),
             Value::Null
         );
         assert_eq!(
-            Expr::bin(BinOp::Or, t, n.clone()).eval(&row()).unwrap(),
+            Expr::bin(BinOp::Or, t, n.clone()).eval_row().unwrap(),
             Value::Bool(true)
         );
         let f = Expr::lit(false);
         assert_eq!(
-            Expr::bin(BinOp::And, f, n).eval(&row()).unwrap(),
+            Expr::bin(BinOp::And, f, n).eval_row().unwrap(),
             Value::Bool(false)
         );
     }
@@ -482,13 +524,13 @@ mod tests {
             start: 1,
             len: 5,
         };
-        assert_eq!(e.eval(&row()).unwrap(), Value::Str("green".into()));
+        assert_eq!(e.eval_row().unwrap(), Value::Str("green".into()));
         let e = Expr::Substr {
             expr: Box::new(Expr::col(1)),
             start: 7,
             len: 5,
         };
-        assert_eq!(e.eval(&row()).unwrap(), Value::Str("apple".into()));
+        assert_eq!(e.eval_row().unwrap(), Value::Str("apple".into()));
     }
 
     #[test]
@@ -500,11 +542,11 @@ mod tests {
         let mut min = Accumulator::new(AggFunc::Min);
         let mut max = Accumulator::new(AggFunc::Max);
         for v in &vals {
-            sum.push(v);
-            cnt.push(v);
-            avg.push(v);
-            min.push(v);
-            max.push(v);
+            sum.push(v.view());
+            cnt.push(v.view());
+            avg.push(v.view());
+            min.push(v.view());
+            max.push(v.view());
         }
         assert_eq!(sum.finish(), Value::Int(10));
         assert_eq!(cnt.finish(), Value::Int(3));
@@ -523,8 +565,8 @@ mod tests {
     #[test]
     fn mixed_int_float_sum_degrades_to_float() {
         let mut sum = Accumulator::new(AggFunc::Sum);
-        sum.push(&Value::Int(1));
-        sum.push(&Value::Float(0.5));
+        sum.push(ValueRef::Int(1));
+        sum.push(ValueRef::Float(0.5));
         assert_eq!(sum.finish(), Value::Float(1.5));
     }
 }

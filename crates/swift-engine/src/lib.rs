@@ -2,15 +2,16 @@
 //!
 //! While `swift-cluster`/`swift-scheduler` reproduce the paper's *timing*
 //! results in simulation, this crate demonstrates the system's
-//! *correctness* on real data: dynamically typed rows ([`Value`],
+//! *correctness* on real data: dynamically typed tables ([`Value`],
 //! [`Schema`], [`Table`]), scalar expressions and aggregates ([`Expr`],
 //! [`AggFunc`]), the full relational operator set of §II-A ([`ExecOp`]:
 //! scans, filters, projections, hash and sort-merge joins, hash and
-//! streamed aggregation, sorts, limits), and a multi-threaded driver
-//! ([`Engine`]) that moves every shuffle payload through the real Cache
-//! Worker store of `swift-shuffle` (bounded memory, actual LRU spill
-//! files) and recovers injected task failures through the same `swift-ft`
-//! planner the simulator uses.
+//! streamed aggregation, sorts, limits) running a column batch at a time,
+//! and a multi-threaded driver ([`Engine`]) that moves every shuffle
+//! partition as one columnar payload through the real Cache Worker store
+//! of `swift-shuffle` (bounded memory, actual LRU spill files) and
+//! recovers injected task failures through the same `swift-ft` planner
+//! the simulator uses.
 //!
 //! ```
 //! use swift_engine::*;
@@ -61,6 +62,7 @@
 
 #![warn(missing_docs)]
 
+mod batch;
 mod codec;
 mod engine;
 mod error;
@@ -69,13 +71,13 @@ mod plan;
 mod task;
 mod value;
 
+pub use batch::hash_key;
 pub use codec::{decode_rows, encode_rows};
 pub use engine::{Engine, RunOptions, RunOutcome, RunStats};
 pub use error::{EngineError, Result};
-pub use expr::{like_match, Accumulator, AggFunc, BinOp, Expr};
+pub use expr::{like_match, AggFunc, BinOp, Expr};
 pub use plan::{
-    hash_key, AggExpr, EngineJob, ExecOp, JoinType, OutputPartitioning, SortKey, StagePlan,
-    WindowFunc,
+    AggExpr, EngineJob, ExecOp, JoinType, OutputPartitioning, SortKey, StagePlan, WindowFunc,
 };
 pub use task::{run_task, sort_rows, TaskInputs};
 pub use value::{Catalog, Row, Schema, Table, Value};

@@ -7,7 +7,6 @@
 
 use crate::error::{EngineError, Result};
 use crate::expr::{AggFunc, Expr};
-use crate::value::Value;
 use swift_dag::JobDag;
 
 /// Join type.
@@ -235,84 +234,6 @@ impl EngineJob {
     }
 }
 
-/// Stable hash of a key tuple for [`OutputPartitioning::Hash`]. Numeric
-/// values that compare equal hash equally (`Int(2)` vs `Float(2.0)`), so
-/// co-partitioned joins behave like [`Value::sql_eq`].
-pub fn hash_key(row: &[Value], cols: &[usize]) -> u64 {
-    // FNV-1a over a canonical byte rendering.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    for &c in cols {
-        match KeyPart::of(row.get(c)) {
-            KeyPart::Null => eat(&[0]),
-            KeyPart::Bool(b) => eat(&[1, b as u8]),
-            KeyPart::Int(i) => {
-                eat(&[2]);
-                eat(&i.to_le_bytes());
-            }
-            KeyPart::Float(bits) => {
-                eat(&[3]);
-                eat(&bits.to_le_bytes());
-            }
-            KeyPart::Str(s) => {
-                eat(&[4]);
-                eat(s.as_bytes());
-            }
-        }
-    }
-    h
-}
-
-/// Whether `a`'s key columns `ak` and `b`'s key columns `bk` hold the same
-/// key, under the canonical form [`hash_key`] hashes: `Int(2)` equals
-/// `Float(2.0)`, and NULL (or a missing column) equals NULL, as GROUP BY
-/// wants — joins drop NULL keys before they compare. Equal keys therefore
-/// hash equally. Allocates nothing.
-pub(crate) fn keys_eq(a: &[Value], ak: &[usize], b: &[Value], bk: &[usize]) -> bool {
-    ak.len() == bk.len()
-        && ak
-            .iter()
-            .zip(bk)
-            .all(|(&x, &y)| KeyPart::of(a.get(x)) == KeyPart::of(b.get(y)))
-}
-
-/// One key column in canonical form.
-#[derive(PartialEq)]
-enum KeyPart<'a> {
-    Null,
-    Bool(bool),
-    /// Integers, and floats holding an integral value in `i64` range.
-    Int(i64),
-    /// Every other float, by bit pattern.
-    Float(u64),
-    Str(&'a str),
-}
-
-impl<'a> KeyPart<'a> {
-    fn of(v: Option<&'a Value>) -> Self {
-        match v {
-            None | Some(Value::Null) => KeyPart::Null,
-            Some(Value::Bool(b)) => KeyPart::Bool(*b),
-            Some(Value::Int(i)) => KeyPart::Int(*i),
-            Some(Value::Float(f))
-                if f.fract() == 0.0
-                    && f.is_finite()
-                    && *f >= i64::MIN as f64
-                    && *f <= i64::MAX as f64 =>
-            {
-                KeyPart::Int(*f as i64)
-            }
-            Some(Value::Float(f)) => KeyPart::Float(f.to_bits()),
-            Some(Value::Str(s)) => KeyPart::Str(s),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,26 +303,5 @@ mod tests {
         let mut j = simple_job();
         j.plans[1].ops.insert(1, ExecOp::Scan { table: "x".into() });
         assert!(j.validate().is_err());
-    }
-
-    #[test]
-    fn hash_key_is_type_canonical() {
-        let a = hash_key(&[Value::Int(42)], &[0]);
-        let b = hash_key(&[Value::Float(42.0)], &[0]);
-        assert_eq!(a, b);
-        let c = hash_key(&[Value::Float(42.5)], &[0]);
-        assert_ne!(a, c);
-        let d = hash_key(&[Value::Str("42".into())], &[0]);
-        assert_ne!(a, d);
-    }
-
-    #[test]
-    fn hash_key_spreads() {
-        // Not a collision test — just that different keys do not all land
-        // in one bucket mod small n.
-        let buckets: std::collections::HashSet<u64> = (0..100)
-            .map(|i| hash_key(&[Value::Int(i)], &[0]) % 8)
-            .collect();
-        assert!(buckets.len() >= 4, "poor spread: {buckets:?}");
     }
 }

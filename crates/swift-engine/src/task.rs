@@ -1,17 +1,23 @@
 //! Task execution: running one stage plan over one task's inputs.
 //!
-//! Rows move through a stage: each operator consumes the stream it is
-//! handed, input edges are taken by value, and a row is cloned only where
-//! it must exist twice — a table row a scan keeps, a build row joined to
-//! several probe rows, a probe row with several matches.
+//! Every operator consumes and produces a [`Batch`]. Rows appear only at
+//! the boundary: [`run_task`] turns its input rows into batches once and
+//! its output batch back into rows, and [`sort_rows`] sorts through the
+//! batch sort. Joins, groupings and sorts work on row indices and gather
+//! every output column once, in the order the row engine emitted rows:
+//! hash-join matches in probe order and then build order, groups in
+//! first-seen (or key) order, sorts stable — so float sums add up in the
+//! same order.
 
+use crate::batch::{
+    cmp_keys, has_null_key, hash_keys, index, keys_eq, sort_indices, Batch, Column, ColumnBuilder,
+    NONE,
+};
 use crate::error::{EngineError, Result};
-use crate::expr::{column, Accumulator, Expr};
-use crate::plan::{hash_key, keys_eq, AggExpr, ExecOp, JoinType, SortKey, StagePlan, WindowFunc};
-use crate::value::{Catalog, Row, Table, Value};
+use crate::expr::{Accumulator, Expr};
+use crate::plan::{AggExpr, ExecOp, JoinType, SortKey, StagePlan, WindowFunc};
+use crate::value::{Catalog, Row, Table, Value, ValueRef};
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// The inputs of one task: `inputs[edge][producer]` = rows that producer
 /// task sent to this task's partition, with `edge` indexing the stage's
@@ -27,25 +33,29 @@ pub fn run_task(
     task_count: u32,
     inputs: &TaskInputs,
 ) -> Result<Vec<Row>> {
-    run_task_owned(catalog, plan, task_index, task_count, inputs.clone())
+    let inputs = inputs
+        .iter()
+        .map(|edge| edge.iter().map(|rows| Batch::from_rows(rows)).collect())
+        .collect::<Result<_>>()?;
+    Ok(run_batches(catalog, plan, task_index, task_count, inputs)?.into_rows())
 }
 
-/// [`run_task`] over inputs it may consume.
-pub(crate) fn run_task_owned(
+/// [`run_task`] over batches: `inputs[edge][producer]`.
+pub(crate) fn run_batches(
     catalog: &Catalog,
     plan: &StagePlan,
     task_index: u32,
     task_count: u32,
-    inputs: TaskInputs,
-) -> Result<Vec<Row>> {
+    inputs: Vec<Vec<Batch>>,
+) -> Result<Batch> {
     let mut edges = Edges::new(inputs, &plan.ops);
     let (mut stream, rest) = match plan.ops.split_first() {
         Some((ExecOp::Scan { table }, rest)) => {
             let t = catalog
                 .get(table)
                 .ok_or_else(|| EngineError::Unknown(format!("table {table}")))?;
-            let (rows, fused) = scan(t, rest, task_index, task_count)?;
-            (rows, &rest[fused..])
+            let (batch, fused) = scan(t, rest, task_index, task_count)?;
+            (batch, &rest[fused..])
         }
         _ => (edges.take(0)?, &plan.ops[..]),
     };
@@ -58,12 +68,12 @@ pub(crate) fn run_task_owned(
 /// A task's input edges, handed out by value. An edge several operators
 /// read (a self-join) is cloned for all but its last reader.
 struct Edges {
-    inputs: TaskInputs,
+    inputs: Vec<Vec<Batch>>,
     readers: Vec<usize>,
 }
 
 impl Edges {
-    fn new(inputs: TaskInputs, ops: &[ExecOp]) -> Self {
+    fn new(inputs: Vec<Vec<Batch>>, ops: &[ExecOp]) -> Self {
         let mut readers = vec![0; inputs.len()];
         let mut read = |edge: usize| {
             if let Some(r) = readers.get_mut(edge) {
@@ -82,62 +92,38 @@ impl Edges {
     }
 
     /// The rows of `edge`, producer by producer.
-    fn take(&mut self, edge: usize) -> Result<Vec<Row>> {
+    fn take(&mut self, edge: usize) -> Result<Batch> {
         let per_producer = self
             .inputs
             .get_mut(edge)
             .ok_or_else(|| EngineError::Plan(format!("missing input edge {edge}")))?;
         self.readers[edge] -= 1;
         if self.readers[edge] > 0 {
-            return Ok(per_producer.iter().flatten().cloned().collect());
+            return Batch::concat(per_producer.clone());
         }
-        let mut parts = std::mem::take(per_producer);
-        if parts.len() == 1 {
-            return Ok(parts.pop().expect("one part"));
-        }
-        let mut rows = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-        for p in parts {
-            rows.extend(p);
-        }
-        Ok(rows)
+        Batch::concat(std::mem::take(per_producer))
     }
 }
 
 /// Scans this task's stripe of `table` (row `i` goes to task
-/// `i % task_count`), fused with the `Filter`s and column-only `Project`s
-/// that lead `ops`: predicates run on the borrowed table row and only a
-/// surviving row — or just its projected columns — is cloned. Returns
-/// the rows and how many of `ops` the scan absorbed.
-fn scan(table: &Table, ops: &[ExecOp], task: u32, task_count: u32) -> Result<(Vec<Row>, usize)> {
-    // Both in table columns: the projection so far, and every predicate.
-    let mut cols: Option<Vec<usize>> = None;
-    let mut preds: Vec<Expr> = Vec::new();
+/// `i % task_count`) into a batch, building the columns straight from the
+/// borrowed table rows. The column-only `Project`s that lead `ops` are
+/// fused: only the columns they keep are built. Returns the batch and how
+/// many of `ops` the scan absorbed.
+fn scan(table: &Table, ops: &[ExecOp], task: u32, task_count: u32) -> Result<(Batch, usize)> {
+    let mut cols: Vec<usize> = (0..table.schema.len()).collect();
     let mut fused = 0;
     for op in ops {
-        match op {
-            ExecOp::Filter(p) => match &cols {
-                None => preds.push(p.clone()),
-                Some(cols) => match p.remap_cols(cols) {
-                    Some(p) => preds.push(p),
-                    None => break,
-                },
-            },
-            ExecOp::Project(exprs) => {
-                let next = exprs
-                    .iter()
-                    .map(|e| match (e, &cols) {
-                        (Expr::Col(c), None) => Some(*c),
-                        (Expr::Col(c), Some(cols)) => cols.get(*c).copied(),
-                        _ => None,
-                    })
-                    .collect();
-                match next {
-                    Some(next) => cols = Some(next),
-                    None => break,
-                }
-            }
-            _ => break,
-        }
+        let ExecOp::Project(exprs) = op else { break };
+        let next: Option<Vec<usize>> = exprs
+            .iter()
+            .map(|e| match e {
+                Expr::Col(c) => cols.get(*c).copied(),
+                _ => None,
+            })
+            .collect();
+        let Some(next) = next else { break };
+        cols = next;
         fused += 1;
     }
     let stripe = table
@@ -145,38 +131,40 @@ fn scan(table: &Table, ops: &[ExecOp], task: u32, task_count: u32) -> Result<(Ve
         .iter()
         .skip(task as usize)
         .step_by(task_count as usize);
-    let mut out = Vec::with_capacity(if preds.is_empty() { stripe.len() } else { 0 });
-    'rows: for row in stripe {
-        for p in &preds {
-            if !p.eval_ref(row)?.is_true() {
-                continue 'rows;
-            }
+    let mut builders: Vec<ColumnBuilder> = cols
+        .iter()
+        .map(|_| ColumnBuilder::with_capacity(stripe.len()))
+        .collect();
+    let mut len = 0;
+    for row in stripe {
+        for (b, &c) in builders.iter_mut().zip(&cols) {
+            let v = row.get(c).ok_or_else(|| {
+                EngineError::Type(format!("column {c} out of range ({} cols)", row.len()))
+            })?;
+            b.push(v.view());
         }
-        out.push(match &cols {
-            None => row.clone(),
-            Some(cols) => {
-                let mut r = Vec::with_capacity(cols.len());
-                for &c in cols {
-                    r.push(column(row, c)?.clone());
-                }
-                r
-            }
-        });
+        len += 1;
     }
-    Ok((out, fused))
+    let columns = builders.into_iter().map(ColumnBuilder::finish).collect();
+    Ok((Batch::new(columns, len), fused))
 }
 
-fn apply(op: &ExecOp, stream: Vec<Row>, edges: &mut Edges) -> Result<Vec<Row>> {
+fn apply(op: &ExecOp, stream: Batch, edges: &mut Edges) -> Result<Batch> {
     match op {
         ExecOp::Scan { table } => Err(EngineError::Plan(format!("Scan({table}) not first"))),
         ExecOp::Filter(pred) => {
-            let mut out = Vec::with_capacity(stream.len());
-            for row in stream {
-                if pred.eval_ref(&row)?.is_true() {
-                    out.push(row);
-                }
-            }
-            Ok(out)
+            let keep: Vec<u32> = {
+                let p = pred.eval(&stream)?;
+                (0..stream.len())
+                    .filter(|&i| p.get(i).is_true())
+                    .map(index)
+                    .collect()
+            };
+            Ok(if keep.len() == stream.len() {
+                stream
+            } else {
+                stream.gather(&keep)
+            })
         }
         ExecOp::Project(exprs) => project(stream, exprs),
         ExecOp::HashJoin {
@@ -186,7 +174,9 @@ fn apply(op: &ExecOp, stream: Vec<Row>, edges: &mut Edges) -> Result<Vec<Row>> {
             join_type,
         } => {
             let build = edges.take(*right_edge)?;
-            Ok(hash_join(stream, build, left_keys, right_keys, *join_type))
+            Ok(hash_join(
+                &stream, &build, left_keys, right_keys, *join_type,
+            ))
         }
         ExecOp::MergeJoin {
             right_edge,
@@ -195,101 +185,81 @@ fn apply(op: &ExecOp, stream: Vec<Row>, edges: &mut Edges) -> Result<Vec<Row>> {
             join_type,
         } => {
             let right = edges.take(*right_edge)?;
-            Ok(merge_join(stream, right, left_keys, right_keys, *join_type))
+            Ok(merge_join(
+                &stream, &right, left_keys, right_keys, *join_type,
+            ))
         }
-        ExecOp::Sort(keys) => Ok(sort_rows(stream, keys)),
-        ExecOp::HashAggregate { group, aggs } => hash_aggregate(stream, group, aggs),
-        ExecOp::StreamedAggregate { group, aggs } => streamed_aggregate(stream, group, aggs),
+        ExecOp::Sort(keys) => Ok(stream.gather(&sort_indices(&stream, keys))),
+        ExecOp::HashAggregate { group, aggs } => {
+            let groups = hash_groups(&stream, group);
+            aggregate(&stream, group, aggs, groups)
+        }
+        ExecOp::StreamedAggregate { group, aggs } => {
+            let groups = sorted_groups(&stream, group);
+            aggregate(&stream, group, aggs, groups)
+        }
         ExecOp::Window {
             partition_by,
             order_by,
             func,
-        } => Ok(window(stream, partition_by, order_by, *func)),
+        } => Ok(window(&stream, partition_by, order_by, *func)),
         ExecOp::Limit(n) => {
             let mut s = stream;
-            s.truncate(*n as usize);
+            s.truncate(usize::try_from(*n).unwrap_or(usize::MAX));
             Ok(s)
         }
     }
 }
 
-/// Where one projected column comes from.
-#[derive(Clone, Copy)]
-enum Source {
-    /// Moved out of the input row: the column's last plain reference.
-    Move(usize),
-    /// Cloned: a plain reference the same column has again later on.
-    Clone(usize),
-    /// Computed by the expression.
-    Eval,
-}
-
-/// Projection that moves plain column references out of the input row
-/// instead of cloning them. Computed columns are evaluated first, while
-/// the row is still whole.
-fn project(stream: Vec<Row>, exprs: &[Expr]) -> Result<Vec<Row>> {
-    let sources: Vec<Source> = exprs
+/// Projection. Computed columns are evaluated first, while the input is
+/// whole; then each plain column reference takes its input column — the
+/// last reference moves it, earlier ones clone it.
+fn project(input: Batch, exprs: &[Expr]) -> Result<Batch> {
+    let len = input.len();
+    let mut out: Vec<Option<Column>> = exprs
         .iter()
-        .enumerate()
-        .map(|(i, e)| match e {
-            Expr::Col(c) if exprs[i + 1..].contains(e) => Source::Clone(*c),
-            Expr::Col(c) => Source::Move(*c),
-            _ => Source::Eval,
+        .map(|e| match e {
+            Expr::Col(_) => Ok(None),
+            e => Ok(Some(e.eval(&input)?.into_column(len))),
         })
-        .collect();
-    let mut out = Vec::with_capacity(stream.len());
-    for mut row in stream {
-        let mut nr = Vec::with_capacity(exprs.len());
-        for (src, e) in sources.iter().zip(exprs) {
-            nr.push(match src {
-                Source::Eval => e.eval(&row)?,
-                Source::Move(_) | Source::Clone(_) => Value::Null,
-            });
+        .collect::<Result<_>>()?;
+    for e in exprs {
+        if let Expr::Col(c) = e {
+            input.col(*c)?;
         }
-        for (slot, src) in nr.iter_mut().zip(&sources) {
-            match *src {
-                Source::Clone(c) => *slot = column(&row, c)?.clone(),
-                Source::Move(c) => {
-                    column(&row, c)?;
-                    *slot = std::mem::replace(&mut row[c], Value::Null);
-                }
-                Source::Eval => {}
-            }
-        }
-        out.push(nr);
     }
-    Ok(out)
+    let mut columns: Vec<Option<Column>> = input.into_columns().into_iter().map(Some).collect();
+    for (i, e) in exprs.iter().enumerate() {
+        let Expr::Col(c) = e else { continue };
+        let col = match columns.get_mut(*c) {
+            None => Column::nulls(0), // an empty batch of unknown width
+            Some(slot) if exprs[i + 1..].contains(e) => slot
+                .clone()
+                .expect("an earlier reference clones, only the last moves"),
+            Some(slot) => slot.take().expect("only the last reference moves"),
+        };
+        out[i] = Some(col);
+    }
+    Ok(Batch::new(out.into_iter().flatten().collect(), len))
 }
 
-/// Window evaluation: sort by (partition keys, order keys), then stream
-/// through each partition maintaining the function's running state. The
-/// computed value is appended as a new trailing column.
-fn window(
-    stream: Vec<Row>,
-    partition_by: &[usize],
-    order_by: &[SortKey],
-    func: WindowFunc,
-) -> Vec<Row> {
-    let mut keys: Vec<SortKey> = partition_by
-        .iter()
-        .map(|&c| SortKey {
-            col: c,
-            desc: false,
-        })
-        .collect();
+/// Window evaluation: sort by (partition keys, order keys), then walk each
+/// partition keeping the function's running state. The computed value is
+/// appended as a new trailing column.
+fn window(input: &Batch, partition_by: &[usize], order_by: &[SortKey], func: WindowFunc) -> Batch {
+    let mut keys = ascending(partition_by);
     keys.extend_from_slice(order_by);
-    let sorted = sort_rows(stream, &keys);
+    let mut sorted = input.gather(&sort_indices(input, &keys));
     let order_cols: Vec<usize> = order_by.iter().map(|k| k.col).collect();
-    let mut out: Vec<Row> = Vec::with_capacity(sorted.len());
+    let mut out = ColumnBuilder::with_capacity(sorted.len());
     let mut row_number = 0u64;
     let mut rank = 0u64;
     let mut cum = 0.0f64;
     let mut cum_int = 0i64;
     let mut ints_only = true;
-    for mut row in sorted {
-        // The previous row, without the column this operator appended.
-        let prev = out.last().map(|p| &p[..p.len() - 1]);
-        let same_partition = prev.is_some_and(|p| keys_eq(p, partition_by, &row, partition_by));
+    for k in 0..sorted.len() {
+        let same_partition =
+            k > 0 && keys_eq(&sorted, partition_by, k - 1, &sorted, partition_by, k);
         if !same_partition {
             row_number = 0;
             rank = 0;
@@ -299,339 +269,328 @@ fn window(
         }
         row_number += 1;
         let tied = same_partition
-            && prev.is_some_and(|p| key_cmp(p, &row, &order_cols, &order_cols) == Ordering::Equal);
+            && cmp_keys(&sorted, &order_cols, k - 1, &sorted, &order_cols, k) == Ordering::Equal;
         if !tied {
             rank = row_number;
         }
-        let value = match func {
-            WindowFunc::RowNumber => Value::Int(row_number as i64),
-            WindowFunc::Rank => Value::Int(rank as i64),
+        out.push(match func {
+            WindowFunc::RowNumber => ValueRef::Int(row_number as i64),
+            WindowFunc::Rank => ValueRef::Int(rank as i64),
             WindowFunc::CumSum(col) => {
-                match row.get(col) {
-                    Some(Value::Int(i)) => {
-                        cum_int = cum_int.wrapping_add(*i);
-                        cum += *i as f64;
+                match sorted.value(col, k) {
+                    ValueRef::Int(i) => {
+                        cum_int = cum_int.wrapping_add(i);
+                        cum += i as f64;
                     }
-                    Some(Value::Float(f)) => {
+                    ValueRef::Float(f) => {
                         ints_only = false;
                         cum += f;
                     }
                     _ => {}
                 }
                 if ints_only {
-                    Value::Int(cum_int)
+                    ValueRef::Int(cum_int)
                 } else {
-                    Value::Float(cum)
+                    ValueRef::Float(cum)
                 }
             }
-        };
-        row.push(value);
-        out.push(row);
+        });
     }
-    out
+    sorted.push_column(out.finish());
+    sorted
 }
 
-/// No entry: the end of a hash chain.
-const NONE: usize = usize::MAX;
-
-fn has_null_key(row: &[Value], cols: &[usize]) -> bool {
-    cols.iter().any(|&c| row.get(c).is_none_or(Value::is_null))
+fn ascending(cols: &[usize]) -> Vec<SortKey> {
+    cols.iter()
+        .map(|&col| SortKey { col, desc: false })
+        .collect()
 }
 
-/// `l ++ r` in one exactly sized allocation.
-fn joined(l: &[Value], r: &[Value]) -> Row {
-    let mut out = Vec::with_capacity(l.len() + r.len());
-    out.extend_from_slice(l);
-    out.extend_from_slice(r);
-    out
+/// Ids chained by key hash: `heads[hash & mask]` starts a chain and
+/// `next[id]` continues it.
+struct Chains {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    mask: usize,
 }
 
-/// `l ++ r`, reusing `l`.
-fn joined_into(mut l: Row, r: &[Value]) -> Row {
-    l.reserve_exact(r.len());
-    l.extend_from_slice(r);
-    l
+impl Chains {
+    /// Chains for ids below `n`.
+    fn new(n: usize) -> Self {
+        let buckets = n.next_power_of_two();
+        Chains {
+            heads: vec![NONE; buckets],
+            next: vec![NONE; n],
+            mask: buckets - 1,
+        }
+    }
+
+    /// Links `id` at the head of its hash's chain.
+    fn link(&mut self, id: u32, hash: u64) {
+        let bucket = &mut self.heads[hash as usize & self.mask];
+        self.next[id as usize] = *bucket;
+        *bucket = id;
+    }
+
+    fn head(&self, hash: u64) -> u32 {
+        self.heads[hash as usize & self.mask]
+    }
 }
 
-/// `l` padded with `width` NULLs: an unmatched row of a left join.
-fn padded(mut l: Row, width: usize) -> Row {
-    l.reserve_exact(width);
-    l.extend(std::iter::repeat_n(Value::Null, width));
-    l
+/// Row indices of a join's output: `left[k]` ++ `right[k]` is output row
+/// `k`, and a [`NONE`] right row pads the left row with NULLs.
+#[derive(Default)]
+struct Pairs {
+    left: Vec<u32>,
+    right: Vec<u32>,
+}
+
+impl Pairs {
+    fn push(&mut self, l: usize, r: u32) {
+        self.left.push(index(l));
+        self.right.push(r);
+    }
+
+    /// The joined batch. An empty right side pads with `right_width` NULL
+    /// columns, as it has no columns to gather from.
+    fn gather(self, left: &Batch, right: &Batch, join_type: JoinType) -> Batch {
+        let len = self.left.len();
+        let mut columns = left.gather(&self.left).into_columns();
+        match join_type {
+            JoinType::Left { right_width } if right.len() == 0 => {
+                columns.extend((0..right_width).map(|_| Column::nulls(len)));
+            }
+            _ => columns.extend(right.gather(&self.right).into_columns()),
+        }
+        Batch::new(columns, len)
+    }
 }
 
 /// Hash join. Build rows are chained per key hash in build order and each
-/// candidate is confirmed with [`keys_eq`], so a probe row's matches come
-/// out in build order. The probe row is moved into its last match.
+/// candidate is confirmed by key equality, so a probe row's matches come
+/// out in build order.
 fn hash_join(
-    probe: Vec<Row>,
-    build: Vec<Row>,
+    probe: &Batch,
+    build: &Batch,
     lk: &[usize],
     rk: &[usize],
     join_type: JoinType,
-) -> Vec<Row> {
-    let right_width = match join_type {
-        JoinType::Left { right_width } => right_width,
-        JoinType::Inner => build.first().map_or(0, Vec::len),
-    };
-    // Key hash -> (first, last) build row of its chain; `next` links it.
-    let mut chains: HashMap<u64, (usize, usize)> = HashMap::with_capacity(build.len());
-    let mut next = vec![NONE; build.len()];
-    for (i, row) in build.iter().enumerate() {
-        if has_null_key(row, rk) {
-            continue; // NULL keys never join
-        }
-        match chains.entry(hash_key(row, rk)) {
-            Entry::Occupied(mut e) => {
-                let last = &mut e.get_mut().1;
-                next[*last] = i;
-                *last = i;
-            }
-            Entry::Vacant(e) => {
-                e.insert((i, i));
-            }
+) -> Batch {
+    let left_join = matches!(join_type, JoinType::Left { .. });
+    let build_hashes = hash_keys(build, rk);
+    let mut chains = Chains::new(build.len());
+    // Linking at the head, last row first, leaves each chain in build order.
+    for i in (0..build.len()).rev() {
+        if !has_null_key(build, rk, i) {
+            chains.link(index(i), build_hashes[i]); // NULL keys never join
         }
     }
-    let mut out = Vec::with_capacity(probe.len());
-    for l in probe {
-        let mut i = if has_null_key(&l, lk) {
-            NONE
-        } else {
-            chains
-                .get(&hash_key(&l, lk))
-                .map_or(NONE, |&(first, _)| first)
-        };
-        let mut last_match = NONE;
-        while i != NONE {
-            if keys_eq(&l, lk, &build[i], rk) {
-                if last_match != NONE {
-                    out.push(joined(&l, &build[last_match]));
+    let mut out = Pairs::default();
+    for (p, h) in hash_keys(probe, lk).into_iter().enumerate() {
+        let mut matched = false;
+        if !has_null_key(probe, lk, p) {
+            let mut b = chains.head(h);
+            while b != NONE {
+                let bi = b as usize;
+                if build_hashes[bi] == h && keys_eq(probe, lk, p, build, rk, bi) {
+                    out.push(p, b);
+                    matched = true;
                 }
-                last_match = i;
+                b = chains.next[bi];
             }
-            i = next[i];
         }
-        if last_match != NONE {
-            out.push(joined_into(l, &build[last_match]));
-        } else if matches!(join_type, JoinType::Left { .. }) {
-            out.push(padded(l, right_width));
+        if !matched && left_join {
+            out.push(p, NONE);
         }
     }
-    out
+    out.gather(probe, build, join_type)
 }
 
-fn key_cmp(a: &[Value], b: &[Value], ak: &[usize], bk: &[usize]) -> Ordering {
-    for (&ca, &cb) in ak.iter().zip(bk) {
-        let av = a.get(ca).unwrap_or(&Value::Null);
-        let bv = b.get(cb).unwrap_or(&Value::Null);
-        let ord = av.total_cmp(bv);
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
-/// Inner sort-merge join over inputs sorted by their keys. Inputs are
+/// Sort-merge join over inputs sorted by their keys. Inputs are
 /// defensively re-sorted (the "merge" of pre-sorted runs is then O(n));
 /// correctness never depends on the producer having sorted.
 fn merge_join(
-    left: Vec<Row>,
-    right: Vec<Row>,
+    left: &Batch,
+    right: &Batch,
     lk: &[usize],
     rk: &[usize],
     join_type: JoinType,
-) -> Vec<Row> {
-    let right_width = match join_type {
-        JoinType::Left { right_width } => right_width,
-        JoinType::Inner => right.first().map_or(0, Vec::len),
-    };
-    let lkeys: Vec<SortKey> = lk
-        .iter()
-        .map(|&c| SortKey {
-            col: c,
-            desc: false,
-        })
-        .collect();
-    let rkeys: Vec<SortKey> = rk
-        .iter()
-        .map(|&c| SortKey {
-            col: c,
-            desc: false,
-        })
-        .collect();
-    let mut left = sort_rows(left, &lkeys);
-    let right = sort_rows(right, &rkeys);
-    let mut out = Vec::with_capacity(left.len());
+) -> Batch {
     let left_join = matches!(join_type, JoinType::Left { .. });
-    let emit_unmatched = |l: Row, out: &mut Vec<Row>| {
-        if left_join {
-            out.push(padded(l, right_width));
-        }
-    };
+    let ls = sort_indices(left, &ascending(lk));
+    let rs = sort_indices(right, &ascending(rk));
+    let mut out = Pairs::default();
     let (mut i, mut j) = (0usize, 0usize);
-    while i < left.len() && j < right.len() {
+    while i < ls.len() && j < rs.len() {
+        let (l, r) = (ls[i] as usize, rs[j] as usize);
         // NULL keys never match (but left rows still survive a left join).
-        if has_null_key(&left[i], lk) {
-            emit_unmatched(std::mem::take(&mut left[i]), &mut out);
+        if has_null_key(left, lk, l) {
+            if left_join {
+                out.push(l, NONE);
+            }
             i += 1;
             continue;
         }
-        if has_null_key(&right[j], rk) {
+        if has_null_key(right, rk, r) {
             j += 1;
             continue;
         }
-        match key_cmp(&left[i], &right[j], lk, rk) {
+        match cmp_keys(left, lk, l, right, rk, r) {
             Ordering::Less => {
-                emit_unmatched(std::mem::take(&mut left[i]), &mut out);
+                if left_join {
+                    out.push(l, NONE);
+                }
                 i += 1;
             }
             Ordering::Greater => j += 1,
             Ordering::Equal => {
-                // Find the full equal block on both sides.
-                let i_end = (i..left.len())
-                    .take_while(|&x| key_cmp(&left[x], &left[i], lk, lk) == Ordering::Equal)
-                    .last()
-                    .unwrap()
-                    + 1;
-                let j_end = (j..right.len())
-                    .take_while(|&x| key_cmp(&right[x], &right[j], rk, rk) == Ordering::Equal)
-                    .last()
-                    .unwrap()
-                    + 1;
-                let (block, last) = (&right[j..j_end - 1], &right[j_end - 1]);
-                for l in &mut left[i..i_end] {
-                    for r in block {
-                        out.push(joined(l, r));
+                // The full equal block on both sides.
+                let same = |s: &[u32], b: &Batch, k: &[usize], x: usize| {
+                    s.iter()
+                        .take_while(|&&y| cmp_keys(b, k, y as usize, b, k, x) == Ordering::Equal)
+                        .count()
+                };
+                let i_end = i + same(&ls[i..], left, lk, l);
+                let j_end = j + same(&rs[j..], right, rk, r);
+                for &l in &ls[i..i_end] {
+                    for &r in &rs[j..j_end] {
+                        out.push(l as usize, r);
                     }
-                    out.push(joined_into(std::mem::take(l), last));
                 }
                 i = i_end;
                 j = j_end;
             }
         }
     }
-    // Left-side tail.
-    for l in left.drain(i..) {
-        emit_unmatched(l, &mut out);
+    if left_join {
+        for &l in &ls[i..] {
+            out.push(l as usize, NONE);
+        }
     }
-    out
+    out.gather(left, right, join_type)
 }
 
 /// Stable sort by the given keys.
-pub fn sort_rows(mut rows: Vec<Row>, keys: &[SortKey]) -> Vec<Row> {
-    rows.sort_by(|a, b| {
-        for k in keys {
-            let av = a.get(k.col).unwrap_or(&Value::Null);
-            let bv = b.get(k.col).unwrap_or(&Value::Null);
-            let mut ord = av.total_cmp(bv);
-            if k.desc {
-                ord = ord.reverse();
-            }
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
-    });
-    rows
-}
-
-/// One group of an aggregation: its first row (which carries the key) and
-/// its running accumulators.
-type Group = (Row, Vec<Accumulator>);
-
-fn new_accumulators(aggs: &[AggExpr]) -> Vec<Accumulator> {
-    aggs.iter().map(|a| Accumulator::new(a.func)).collect()
-}
-
-fn accumulate(accs: &mut [Accumulator], aggs: &[AggExpr], row: &[Value]) -> Result<()> {
-    for (acc, a) in accs.iter_mut().zip(aggs) {
-        acc.push(&*a.expr.eval_ref(row)?);
-    }
-    Ok(())
-}
-
-fn finish_group(key_row: &[Value], group: &[usize], accs: &[Accumulator]) -> Row {
-    let mut out = Vec::with_capacity(group.len() + accs.len());
-    out.extend(
-        group
-            .iter()
-            .map(|&c| key_row.get(c).cloned().unwrap_or(Value::Null)),
-    );
-    out.extend(accs.iter().map(Accumulator::finish));
-    out
-}
-
-/// Hash aggregation. Groups are kept in first-seen order (the output
-/// order) and chained per key hash; a row allocates only when it opens a
-/// new group, which then keeps the row itself as its key.
-fn hash_aggregate(stream: Vec<Row>, group: &[usize], aggs: &[AggExpr]) -> Result<Vec<Row>> {
-    let mut groups: Vec<Group> = Vec::new();
-    // Key hash -> newest group with it; `older[g]` is the group before g.
-    let mut newest: HashMap<u64, usize> = HashMap::new();
-    let mut older: Vec<usize> = Vec::new();
-    for row in stream {
-        let h = hash_key(&row, group);
-        let mut g = newest.get(&h).copied().unwrap_or(NONE);
-        while g != NONE && !keys_eq(&groups[g].0, group, &row, group) {
-            g = older[g];
-        }
-        if g == NONE {
-            let mut accs = new_accumulators(aggs);
-            accumulate(&mut accs, aggs, &row)?;
-            older.push(newest.insert(h, groups.len()).unwrap_or(NONE));
-            groups.push((row, accs));
-        } else {
-            accumulate(&mut groups[g].1, aggs, &row)?;
-        }
-    }
-    // Global aggregate (no GROUP BY): emit one row even for empty input.
-    if group.is_empty() && groups.is_empty() {
-        return Ok(vec![finish_group(&[], group, &new_accumulators(aggs))]);
-    }
-    Ok(groups
+pub fn sort_rows(rows: Vec<Row>, keys: &[SortKey]) -> Vec<Row> {
+    // Sort a batch of just the key columns, then move the rows into place.
+    let key_columns = keys
         .iter()
-        .map(|(row, accs)| finish_group(row, group, accs))
-        .collect())
-}
-
-fn streamed_aggregate(stream: Vec<Row>, group: &[usize], aggs: &[AggExpr]) -> Result<Vec<Row>> {
-    // Input must be sorted by the group keys; sort defensively so the
-    // operator is correct on any input (sorted input makes this a no-op
-    // pass for the sort).
-    let keys: Vec<SortKey> = group
-        .iter()
-        .map(|&c| SortKey {
-            col: c,
-            desc: false,
+        .map(|k| {
+            let mut b = ColumnBuilder::with_capacity(rows.len());
+            for row in &rows {
+                b.push(row.get(k.col).map_or(ValueRef::Null, Value::view));
+            }
+            b.finish()
         })
         .collect();
-    let stream = sort_rows(stream, &keys);
-    let mut out = Vec::new();
-    let mut current: Option<Group> = None;
-    for row in stream {
-        match &mut current {
-            Some((first, accs)) if keys_eq(first, group, &row, group) => {
-                accumulate(accs, aggs, &row)?;
+    let key_batch = Batch::new(key_columns, rows.len());
+    let renumbered: Vec<SortKey> = keys
+        .iter()
+        .enumerate()
+        .map(|(col, k)| SortKey { col, desc: k.desc })
+        .collect();
+    let mut slots: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
+    sort_indices(&key_batch, &renumbered)
+        .into_iter()
+        .map(|i| {
+            slots[i as usize]
+                .take()
+                .expect("a permutation names each row once")
+        })
+        .collect()
+}
+
+/// How an aggregation's input falls into groups.
+struct Groups {
+    /// Input rows in the order their values are folded.
+    order: Vec<u32>,
+    /// `group_of[k]` is the group of row `order[k]`.
+    group_of: Vec<u32>,
+    /// Each group's first row, which carries its key, in output order.
+    firsts: Vec<u32>,
+}
+
+/// Groups in first-seen order, found through chains per key hash; a
+/// candidate group is confirmed by key equality with its first row.
+fn hash_groups(input: &Batch, group: &[usize]) -> Groups {
+    let hashes = hash_keys(input, group);
+    let mut chains = Chains::new(input.len());
+    let mut firsts: Vec<u32> = Vec::new();
+    let mut group_of = Vec::with_capacity(input.len());
+    for (i, &h) in hashes.iter().enumerate() {
+        let mut g = chains.head(h);
+        while g != NONE {
+            let first = firsts[g as usize] as usize;
+            if hashes[first] == h && keys_eq(input, group, first, input, group, i) {
+                break;
             }
-            _ => {
-                if let Some((first, accs)) = current.take() {
-                    out.push(finish_group(&first, group, &accs));
-                }
-                let mut accs = new_accumulators(aggs);
-                accumulate(&mut accs, aggs, &row)?;
-                current = Some((row, accs));
-            }
+            g = chains.next[g as usize];
         }
+        if g == NONE {
+            g = index(firsts.len());
+            chains.link(g, h);
+            firsts.push(index(i));
+        }
+        group_of.push(g);
     }
-    if let Some((first, accs)) = current.take() {
-        out.push(finish_group(&first, group, &accs));
+    Groups {
+        order: (0..index(input.len())).collect(),
+        group_of,
+        firsts,
     }
-    if group.is_empty() && out.is_empty() {
-        out.push(finish_group(&[], group, &new_accumulators(aggs)));
+}
+
+/// Groups in key order (the paper's "sort aggregate"): the input is
+/// sorted by the group keys — defensively, so any input is correct — and
+/// a group ends where the key changes.
+fn sorted_groups(input: &Batch, group: &[usize]) -> Groups {
+    let order = sort_indices(input, &ascending(group));
+    let mut firsts: Vec<u32> = Vec::new();
+    let mut group_of = Vec::with_capacity(order.len());
+    for &i in &order {
+        let same = firsts
+            .last()
+            .is_some_and(|&first| keys_eq(input, group, first as usize, input, group, i as usize));
+        if !same {
+            firsts.push(i);
+        }
+        group_of.push(index(firsts.len() - 1));
     }
-    Ok(out)
+    Groups {
+        order,
+        group_of,
+        firsts,
+    }
+}
+
+/// Output rows `group_keys ++ aggregates`, one per group. A global
+/// aggregate (no GROUP BY) emits one row even for empty input.
+fn aggregate(input: &Batch, group: &[usize], aggs: &[AggExpr], groups: Groups) -> Result<Batch> {
+    let n_groups = if group.is_empty() {
+        1
+    } else {
+        groups.firsts.len()
+    };
+    let mut columns: Vec<Column> = group
+        .iter()
+        .map(|&c| match input.column(c) {
+            Some(col) => col.gather(&groups.firsts),
+            None => Column::nulls(n_groups),
+        })
+        .collect();
+    for agg in aggs {
+        let arg = agg.expr.eval(input)?;
+        let mut accs = vec![Accumulator::new(agg.func); n_groups];
+        for (&row, &g) in groups.order.iter().zip(&groups.group_of) {
+            accs[g as usize].push(arg.get(row as usize));
+        }
+        let mut out = ColumnBuilder::with_capacity(n_groups);
+        for acc in &accs {
+            out.push(acc.finish().view());
+        }
+        columns.push(out.finish());
+    }
+    Ok(Batch::new(columns, n_groups))
 }
 
 #[cfg(test)]
@@ -676,7 +635,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_fuses_leading_filters_and_column_projections() {
+    fn scan_then_filters_and_projections_in_order() {
         let c = catalog();
         let ge5 = Expr::bin(BinOp::Ge, Expr::col(0), Expr::lit(5i64));
         // Filter on the table row, project (k, id, k), filter on the
@@ -691,8 +650,7 @@ mod tests {
         let out = run_task(&c, &p, 0, 1, &vec![]).unwrap();
         // id >= 5 and id % 3 == 0: ids 6 and 9.
         assert_eq!(out, vec![vec![iv(6)], vec![iv(9)]]);
-        // A filter reading past the projection is not fused, and fails
-        // as it did unfused.
+        // A filter reading past the projection fails.
         let bad = plan(vec![
             ExecOp::Scan { table: "t".into() },
             ExecOp::Project(vec![Expr::col(0)]),
@@ -770,8 +728,7 @@ mod tests {
             right_keys: vec![0],
             join_type: JoinType::Inner,
         }]);
-        let mut out = run_task(&Catalog::new(), &p, 0, 1, &inputs).unwrap();
-        out.sort_by(|a, b| key_cmp(a, b, &[0, 1, 3], &[0, 1, 3]));
+        let out = run_task(&Catalog::new(), &p, 0, 1, &inputs).unwrap();
         assert_eq!(out.len(), 4, "2 left x 2 right matches on key 1");
         assert!(out.iter().all(|r| r.len() == 4));
     }

@@ -66,24 +66,17 @@ impl Value {
     /// strings. Cross-type comparisons order by type rank, so sorting is
     /// always well-defined.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Null => 0,
-                Bool(_) => 1,
-                Int(_) | Float(_) => 2,
-                Str(_) => 3,
-            }
-        }
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
-            (Str(a), Str(b)) => a.cmp(b),
-            (a, b) => rank(a).cmp(&rank(b)),
+        self.view().total_cmp(other.view())
+    }
+
+    /// The value as a borrowed view.
+    pub(crate) fn view(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Bool(b) => ValueRef::Bool(*b),
         }
     }
 
@@ -100,12 +93,83 @@ impl Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.view(), f)
+    }
+}
+
+/// One value borrowed from wherever it is stored — a [`Value`], or a slot
+/// of a column — so reading it allocates nothing. Its semantics are
+/// [`Value`]'s: [`Value::total_cmp`] is [`ValueRef::total_cmp`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum ValueRef<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Bool(bool),
+}
+
+impl ValueRef<'_> {
+    /// An owned copy.
+    pub(crate) fn to_value(self) -> Value {
         match self {
-            Value::Null => f.write_str("NULL"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{x}"),
-            Value::Str(s) => f.write_str(s),
-            Value::Bool(b) => write!(f, "{b}"),
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+            ValueRef::Bool(b) => Value::Bool(b),
+        }
+    }
+
+    pub(crate) fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// SQL three-valued truth: only `true` is true.
+    pub(crate) fn is_true(self) -> bool {
+        matches!(self, ValueRef::Bool(true))
+    }
+
+    pub(crate) fn as_f64(self) -> Option<f64> {
+        match self {
+            ValueRef::Int(i) => Some(i as f64),
+            ValueRef::Float(f) => Some(f),
+            _ => None,
+        }
+    }
+
+    /// See [`Value::total_cmp`].
+    pub(crate) fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
+        use ValueRef::*;
+        fn rank(v: ValueRef<'_>) -> u8 {
+            match v {
+                Null => 0,
+                Bool(_) => 1,
+                Int(_) | Float(_) => 2,
+                Str(_) => 3,
+            }
+        }
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => a.total_cmp(&b),
+            (Int(a), Float(b)) => (a as f64).total_cmp(&b),
+            (Float(a), Int(b)) => a.total_cmp(&(b as f64)),
+            (Str(a), Str(b)) => a.cmp(b),
+            (a, b) => rank(a).cmp(&rank(b)),
+        }
+    }
+}
+
+impl fmt::Display for ValueRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ValueRef::Null => f.write_str("NULL"),
+            ValueRef::Int(i) => write!(f, "{i}"),
+            ValueRef::Float(x) => write!(f, "{x}"),
+            ValueRef::Str(s) => f.write_str(s),
+            ValueRef::Bool(b) => write!(f, "{b}"),
         }
     }
 }
