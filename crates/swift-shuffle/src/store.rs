@@ -12,7 +12,8 @@ use crate::sync::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
 #[derive(Debug)]
 enum Payload {
     Memory(Bytes),
@@ -132,6 +133,9 @@ struct StoreState {
     lru: LruList,
     in_memory: u64,
     spilled_bytes_total: u64,
+    /// Where spill files go: created by the first spill, so a store that
+    /// never spills never touches the file system.
+    spill_dir: Option<PathBuf>,
 }
 
 impl StoreState {
@@ -185,7 +189,6 @@ pub struct CacheWorkerStore {
     // shuffles as queue events), so the locking is deliberate.
     state: Mutex<StoreState>, // swift-analyze: allow(SW008) — threaded service emulation, not sim state
     arrived: Condvar, // swift-analyze: allow(SW008) — threaded service emulation, not sim state
-    spill_dir: PathBuf,
 }
 
 // Manual impl: must not take the lock (Debug can be called while held).
@@ -193,34 +196,37 @@ impl std::fmt::Debug for CacheWorkerStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CacheWorkerStore")
             .field("capacity", &self.capacity)
-            .field("spill_dir", &self.spill_dir)
             .finish_non_exhaustive()
+    }
+}
+
+/// Creates a fresh spill directory under the system temp dir.
+fn create_spill_dir() -> io::Result<PathBuf> {
+    // Probe for an unused directory instead of a process-global counter:
+    // `create_dir` failing with AlreadyExists is the atomicity primitive,
+    // so no shared mutable state is needed.
+    let base = std::env::temp_dir();
+    let pid = std::process::id();
+    let mut id = 0u32;
+    loop {
+        let cand = base.join(format!("swift-cache-worker-{pid}-{id}"));
+        match fs::create_dir(&cand) {
+            Ok(()) => return Ok(cand),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists && id < 10_000 => id += 1,
+            Err(e) => return Err(e),
+        }
     }
 }
 
 impl CacheWorkerStore {
     /// Creates a store holding at most `capacity` bytes in memory; overflow
-    /// spills to a fresh directory under the system temp dir.
+    /// spills to a fresh directory under the system temp dir, created by
+    /// the first spill.
     pub fn new(capacity: u64) -> io::Result<Self> {
-        // Probe for an unused directory instead of a process-global
-        // counter: `create_dir` failing with AlreadyExists is the
-        // atomicity primitive, so no shared mutable state is needed.
-        let base = std::env::temp_dir();
-        let pid = std::process::id();
-        let mut id = 0u32;
-        let spill_dir = loop {
-            let cand = base.join(format!("swift-cache-worker-{pid}-{id}"));
-            match fs::create_dir(&cand) {
-                Ok(()) => break cand,
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists && id < 10_000 => id += 1,
-                Err(e) => return Err(e),
-            }
-        };
         Ok(CacheWorkerStore {
             capacity,
             state: Mutex::new(StoreState::default()),
             arrived: Condvar::new(),
-            spill_dir,
         })
     }
 
@@ -413,8 +419,8 @@ impl CacheWorkerStore {
         Ok(())
     }
 
-    fn spill_path(&self, key: &SegmentKey) -> PathBuf {
-        self.spill_dir.join(format!(
+    fn spill_path(dir: &Path, key: &SegmentKey) -> PathBuf {
+        dir.join(format!(
             "{}-{}-{}-{}.seg",
             key.job, key.edge, key.producer, key.partition
         ))
@@ -427,18 +433,19 @@ impl CacheWorkerStore {
             let Some(key) = st.lru.lru_key() else {
                 break; // everything left is already spilled
             };
+            let dir = match &st.spill_dir {
+                Some(dir) => dir,
+                None => st.spill_dir.insert(create_spill_dir()?),
+            };
+            let path = Self::spill_path(dir, &key);
             let e = st.segments.get_mut(&key).expect("listed segments exist");
-            let Payload::Memory(b) = std::mem::replace(
-                &mut e.payload,
-                Payload::Spilled {
-                    path: self.spill_path(&key),
-                },
-            ) else {
+            let Payload::Memory(b) =
+                std::mem::replace(&mut e.payload, Payload::Spilled { path: path.clone() })
+            else {
                 unreachable!("LRU list holds only in-memory segments");
             };
             st.lru.unlink(e.lru);
             e.lru = NIL;
-            let path = self.spill_path(&key);
             let mut f = fs::File::create(&path)?;
             f.write_all(&b)?;
             f.sync_data()?;
@@ -451,7 +458,9 @@ impl CacheWorkerStore {
 
 impl Drop for CacheWorkerStore {
     fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.spill_dir);
+        if let Some(dir) = &self.state.lock().spill_dir {
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 }
 
@@ -508,6 +517,20 @@ mod tests {
         assert_eq!(got, big);
         let collected = store.collect(1, 0, 0, 1).unwrap();
         assert_eq!(collected[0], big);
+        let dir = store.state.lock().spill_dir.clone().expect("spilled");
+        assert!(dir.is_dir());
+        drop(store);
+        assert!(!dir.exists(), "drop removes the spill directory");
+    }
+
+    #[test]
+    fn a_store_that_never_spills_creates_no_directory() {
+        let store = CacheWorkerStore::new(1 << 20).unwrap();
+        store.put(key(1, 0, 0), Bytes::from(vec![1u8; 64])).unwrap();
+        store.collect_keep(1, 0, 0, 1).unwrap();
+        store.delete_job(1).unwrap();
+        assert_eq!(store.spilled_bytes_total(), 0);
+        assert!(store.state.lock().spill_dir.is_none());
     }
 
     #[test]
