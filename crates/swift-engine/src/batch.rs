@@ -736,3 +736,170 @@ pub(crate) fn keys_eq(
 pub(crate) fn has_null_key(batch: &Batch, cols: &[usize], i: usize) -> bool {
     cols.iter().any(|&c| batch.value(c, i).is_null())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn values() -> Vec<Value> {
+        let s = |x: &str| Value::Str(x.into());
+        vec![
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(0),
+            Value::Int(2),
+            Value::Int(-3),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+            Value::Float(2.0),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(2.5),
+            Value::Float(f64::NAN),
+            Value::Float(i64::MAX as f64),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(f64::INFINITY),
+            s(""),
+            s("a"),
+            s("é"),
+            s("2"),
+        ]
+    }
+
+    /// The values laid out as one-column batches in every column shape:
+    /// typed with and without NULLs, Int mixed with Float, and everything
+    /// in one mixed column.
+    fn layouts() -> Vec<(Batch, Vec<Value>)> {
+        let all = values();
+        let only = |keep: fn(&Value) -> bool| -> Vec<Value> {
+            all.iter().filter(|v| keep(v)).cloned().collect()
+        };
+        let groups = [
+            only(|v| matches!(v, Value::Int(_))),
+            only(|v| matches!(v, Value::Int(_) | Value::Null)),
+            only(|v| matches!(v, Value::Float(_))),
+            only(|v| matches!(v, Value::Float(_) | Value::Null)),
+            only(|v| matches!(v, Value::Str(_) | Value::Null)),
+            only(|v| matches!(v, Value::Bool(_) | Value::Null)),
+            only(|v| matches!(v, Value::Int(_) | Value::Float(_))),
+            all.clone(),
+        ];
+        groups
+            .into_iter()
+            .map(|g| {
+                let rows: Vec<Row> = g.iter().map(|v| vec![v.clone()]).collect();
+                (Batch::from_rows(&rows).unwrap(), g)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_keys_agree_with_value_semantics() {
+        let layouts = layouts();
+        let kinds: Vec<_> = layouts
+            .iter()
+            .map(|(b, _)| {
+                (
+                    std::mem::discriminant(b.columns()[0].data()),
+                    b.columns()[0].valid().is_some(),
+                )
+            })
+            .collect();
+        assert!(kinds.contains(&(std::mem::discriminant(&Data::Int(vec![])), false)));
+        assert!(kinds.contains(&(std::mem::discriminant(&Data::Float(vec![])), true)));
+        assert_eq!(kinds[6].0, std::mem::discriminant(&Data::Mixed(vec![])));
+        for (a, avs) in &layouts {
+            let hashes = hash_keys(a, &[0]);
+            for (i, x) in avs.iter().enumerate() {
+                assert_eq!(hashes[i], hash_key(std::slice::from_ref(x), &[0]), "{x:?}");
+                for (j, y) in avs.iter().enumerate() {
+                    let col = &a.columns()[0];
+                    assert_eq!(col.cmp_rows(i, j), x.total_cmp(y), "{x:?} vs {y:?}");
+                }
+                for (b, bvs) in &layouts {
+                    for (j, y) in bvs.iter().enumerate() {
+                        let same_key = KeyPart::of(x.view()) == KeyPart::of(y.view());
+                        assert_eq!(cmp_keys(a, &[0], i, b, &[0], j), x.total_cmp(y));
+                        assert_eq!(keys_eq(a, &[0], i, b, &[0], j), same_key, "{x:?} vs {y:?}");
+                        if same_key {
+                            assert_eq!(hashes[i], hash_key(std::slice::from_ref(y), &[0]));
+                        }
+                    }
+                }
+            }
+            for desc in [false, true] {
+                let mut want: Vec<u32> = (0..index(avs.len())).collect();
+                want.sort_by(|&p, &q| {
+                    let ord = avs[p as usize].total_cmp(&avs[q as usize]);
+                    if desc {
+                        ord.reverse()
+                    } else {
+                        ord
+                    }
+                });
+                assert_eq!(sort_indices(a, &[SortKey { col: 0, desc }]), want);
+            }
+        }
+        // The cases results depend on.
+        let same = |x: Value, y: Value| KeyPart::of(x.view()) == KeyPart::of(y.view());
+        assert!(same(Value::Int(2), Value::Float(2.0)));
+        assert!(same(Value::Float(-0.0), Value::Float(0.0)));
+        assert!(Value::Float(-0.0).total_cmp(&Value::Float(0.0)).is_lt());
+        assert!(same(Value::Float(f64::NAN), Value::Float(f64::NAN)));
+        assert!(same(Value::Null, Value::Null), "NULL groups with NULL");
+        assert!(same(Value::Int(i64::MAX), Value::Float(i64::MAX as f64)));
+        assert!(!same(Value::Int(2), Value::Str("2".into())));
+    }
+
+    #[test]
+    fn a_missing_key_column_reads_as_null() {
+        let b = Batch::from_rows(&[vec![Value::Int(1)]]).unwrap();
+        assert_eq!(
+            hash_keys(&b, &[0, 5])[0],
+            hash_key(&[Value::Int(1)], &[0, 5])
+        );
+        assert!(has_null_key(&b, &[5], 0));
+        assert!(b.col(5).is_err());
+        assert_eq!(Batch::default().col(5).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn hash_key_is_type_canonical() {
+        let a = hash_key(&[Value::Int(42)], &[0]);
+        let b = hash_key(&[Value::Float(42.0)], &[0]);
+        assert_eq!(a, b);
+        let c = hash_key(&[Value::Float(42.5)], &[0]);
+        assert_ne!(a, c);
+        let d = hash_key(&[Value::Str("42".into())], &[0]);
+        assert_ne!(a, d);
+    }
+
+    #[test]
+    fn hash_key_spreads() {
+        // Not a collision test — just that different keys do not all land
+        // in one bucket mod small n.
+        let buckets: std::collections::HashSet<u64> = (0..100)
+            .map(|i| hash_key(&[Value::Int(i)], &[0]) % 8)
+            .collect();
+        assert!(buckets.len() >= 4, "poor spread: {buckets:?}");
+    }
+
+    #[test]
+    fn gather_pads_and_concat_mixes() {
+        let ints = Batch::from_rows(&[vec![Value::Int(1)], vec![Value::Int(2)]]).unwrap();
+        let padded = ints.gather(&[1, NONE, 0]);
+        assert_eq!(
+            padded.clone().into_rows(),
+            vec![vec![Value::Int(2)], vec![Value::Null], vec![Value::Int(1)]]
+        );
+        let floats = Batch::from_rows(&[vec![Value::Float(2.0)]]).unwrap();
+        let both = Batch::concat(vec![padded, Batch::default(), floats]).unwrap();
+        assert_eq!(both.len(), 4);
+        assert_eq!(both.value(0, 3), ValueRef::Float(2.0));
+        assert_eq!(both.value(0, 0), ValueRef::Int(2));
+        let wide = Batch::from_rows(&[vec![Value::Int(1), Value::Int(2)]]).unwrap();
+        assert!(Batch::concat(vec![ints, wide]).is_err());
+        assert!(Batch::from_rows(&[vec![Value::Int(1)], vec![]]).is_err());
+    }
+}
