@@ -11,7 +11,7 @@
 //! | [`shuffle`] | `swift-shuffle` | Direct/Local/Remote shuffle, adaptive selection, Cache Worker (accounting + real store with LRU spill) |
 //! | [`scheduler`] | `swift-scheduler` | event-driven Swift Admin + JetScope / Bubble / Spark baselines |
 //! | [`ft`] | `swift-ft` | failure detection and fine-grained graphlet recovery (§IV) |
-//! | [`engine`] | `swift-engine` | real multi-threaded execution engine (rows, operators, real shuffle data path) |
+//! | [`engine`] | `swift-engine` | real multi-threaded execution engine (column batches, operators, real shuffle data path) |
 //! | [`sql`] | `swift-sql` | SQL subset parser + planner (Fig. 1 dialect) |
 //! | [`workload`] | `swift-workload` | TPC-H datagen + query DAGs, Terasort, Fig. 8 trace generator |
 //! | [`trace`] | `swift-trace` | deterministic run tracing, golden-scenario registry, Chrome export |
