@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline with no external crates, so this module
 //! provides the small slice of the `bytes` crate API the data path needs:
-//! [`Bytes`] (an immutable, reference-counted view with a read cursor) and
+//! [`Bytes`] (an immutable, reference-counted view of a byte range) and
 //! [`BytesMut`] (a growable write buffer that freezes into [`Bytes`]).
 //! Clones of a `Bytes` share one allocation, which is what makes the
 //! Cache Worker's peek-and-re-serve recovery path cheap.
@@ -36,11 +36,11 @@ impl Default for Repr {
     }
 }
 
-/// An immutable, cheaply clonable byte buffer with a consuming read cursor.
+/// An immutable, cheaply clonable view of a byte range.
 ///
-/// Reads (`get_u8`, `get_u32_le`, ...) advance the cursor; `Deref<[u8]>`
-/// exposes the unread remainder. Equality and hashing consider only the
-/// unread remainder, matching the upstream `bytes::Bytes` semantics.
+/// `Deref<[u8]>` exposes the range; [`Bytes::slice`] narrows it without a
+/// copy. Equality and hashing consider only the bytes in view, matching
+/// the upstream `bytes::Bytes` semantics.
 #[derive(Clone, Default)]
 pub struct Bytes {
     data: Repr,
@@ -70,68 +70,26 @@ impl Bytes {
         Bytes::from(data.to_vec())
     }
 
-    /// Unread bytes remaining behind the cursor.
-    pub fn remaining(&self) -> usize {
+    /// Number of bytes in view.
+    pub fn len(&self) -> usize {
         self.end - self.start
     }
 
-    /// Length of the unread remainder (alias of [`Bytes::remaining`], for
-    /// slice-like call sites).
-    pub fn len(&self) -> usize {
-        self.remaining()
-    }
-
-    /// Whether no unread bytes remain.
+    /// Whether no bytes are in view.
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
 
-    /// Copies the unread remainder into a fresh `Vec`.
+    /// Copies the bytes in view into a fresh `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         self[..].to_vec()
     }
 
-    fn take(&mut self, n: usize) -> &[u8] {
-        assert!(
-            self.remaining() >= n,
-            "buffer underflow: wanted {n}, have {}",
-            self.remaining()
-        );
-        let s = self.start;
-        self.start += n;
-        &self.data.as_slice()[s..s + n]
-    }
-
-    /// Reads one byte, advancing the cursor.
-    pub fn get_u8(&mut self) -> u8 {
-        self.take(1)[0]
-    }
-
-    /// Reads a little-endian `u32`, advancing the cursor.
-    pub fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().expect("4 bytes"))
-    }
-
-    /// Reads a little-endian `i64`, advancing the cursor.
-    pub fn get_i64_le(&mut self) -> i64 {
-        i64::from_le_bytes(self.take(8).try_into().expect("8 bytes"))
-    }
-
-    /// Reads a little-endian `u64`, advancing the cursor.
-    pub fn get_u64_le(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().expect("8 bytes"))
-    }
-
-    /// Reads a little-endian `f64`, advancing the cursor.
-    pub fn get_f64_le(&mut self) -> f64 {
-        f64::from_le_bytes(self.take(8).try_into().expect("8 bytes"))
-    }
-
-    /// Returns a sub-view of the unread remainder over `range` (sharing
-    /// the same allocation); does not advance the cursor.
+    /// Returns a sub-view over `range` of the bytes in view (sharing the
+    /// same allocation).
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(
-            range.start <= range.end && range.end <= self.remaining(),
+            range.start <= range.end && range.end <= self.len(),
             "slice out of bounds"
         );
         Bytes {
@@ -139,19 +97,6 @@ impl Bytes {
             start: self.start + range.start,
             end: self.start + range.end,
         }
-    }
-
-    /// Splits off the next `len` bytes as their own `Bytes` (sharing the
-    /// same allocation), advancing the cursor.
-    pub fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        assert!(self.remaining() >= len, "buffer underflow");
-        let out = Bytes {
-            data: self.data.clone(),
-            start: self.start,
-            end: self.start + len,
-        };
-        self.start += len;
-        out
     }
 }
 
@@ -249,11 +194,6 @@ impl BytesMut {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `u64`.
-    pub fn put_u64_le(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian `i64`.
     pub fn put_i64_le(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -280,35 +220,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_all_widths() {
+    fn writes_all_widths() {
         let mut w = BytesMut::with_capacity(64);
         w.put_u8(7);
         w.put_u32_le(0xDEAD_BEEF);
         w.put_i64_le(-42);
-        w.put_u64_le(u64::MAX - 3);
         w.put_f64_le(1.25);
         w.put_slice(b"tail");
-        let mut b = w.freeze();
-        assert_eq!(b.remaining(), 1 + 4 + 8 + 8 + 8 + 4);
-        assert_eq!(b.get_u8(), 7);
-        assert_eq!(b.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(b.get_i64_le(), -42);
-        assert_eq!(b.get_u64_le(), u64::MAX - 3);
-        assert_eq!(b.get_f64_le(), 1.25);
-        assert_eq!(&b[..], b"tail");
-        let tail = b.copy_to_bytes(4);
-        assert_eq!(tail, Bytes::from_static(b"tail"));
-        assert!(b.is_empty());
+        let b = w.freeze();
+        let mut want = vec![7];
+        want.extend(0xDEAD_BEEFu32.to_le_bytes());
+        want.extend((-42i64).to_le_bytes());
+        want.extend(1.25f64.to_le_bytes());
+        want.extend(b"tail");
+        assert_eq!(b, want);
+        assert_eq!(b.slice(21..25), Bytes::from_static(b"tail"));
     }
 
     #[test]
-    fn clones_share_storage_and_cursor_is_per_clone() {
+    fn clones_and_slices_share_storage() {
         let a = Bytes::from(vec![1, 2, 3, 4]);
-        let mut b = a.clone();
-        assert_eq!(b.get_u8(), 1);
-        assert_eq!(a.len(), 4, "clone's cursor does not affect the original");
-        assert_eq!(b.len(), 3);
-        assert_ne!(a, b, "equality is over the unread remainder");
+        let b = a.slice(1..4);
+        assert!(std::ptr::eq(&a[1], &b[0]), "a slice shares the allocation");
+        assert_eq!(a.len(), 4);
+        assert_ne!(a, b, "equality is over the bytes in view");
+        assert_eq!(b, a.clone().slice(1..4));
     }
 
     #[test]
@@ -321,10 +257,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "buffer underflow")]
-    fn underflow_panics() {
-        let mut b = Bytes::from(vec![1]);
-        b.get_u32_le();
+    #[should_panic(expected = "slice out of bounds")]
+    fn slicing_past_the_end_panics() {
+        Bytes::from(vec![1]).slice(0..4);
     }
 
     #[test]
