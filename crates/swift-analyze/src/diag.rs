@@ -37,9 +37,10 @@ pub enum Code {
     SW007,
     /// Shared mutable state (interior mutability: `Mutex`, `RwLock`,
     /// `RefCell`, `Cell`, `UnsafeCell`, atomics — or a `static mut`-like
-    /// global) declared in a crate on the `Simulation` step path. A
-    /// sharded event loop (ROADMAP item 4) cannot prove exclusive access
-    /// across shard boundaries for such state.
+    /// global) declared in a crate on the `Simulation` step path. Such
+    /// state can change behind a shared reference, outside event order,
+    /// and a global outlives the run: a seed replayed in the same process
+    /// (as the chaos harness does) would start from the last run's state.
     SW008,
     /// A `swift-analyze: allow(SWxxx)` suppression that matched no
     /// diagnostic — stale after the underlying finding was fixed, or

@@ -252,21 +252,3 @@ pub(crate) fn boundary_matches(hay: &str, needle: &str) -> Vec<usize> {
     }
     out
 }
-
-/// The trailing identifier of `s` (skipping whitespace), if any.
-pub(crate) fn last_ident(s: &str) -> Option<String> {
-    let trimmed = s.trim_end();
-    let end = trimmed.len();
-    let start = trimmed
-        .char_indices()
-        .rev()
-        .take_while(|(_, c)| c.is_alphanumeric() || *c == '_')
-        .map(|(i, _)| i)
-        .last()?;
-    let ident = &trimmed[start..end];
-    if ident.is_empty() || ident.chars().next().is_some_and(|c| c.is_numeric()) {
-        None
-    } else {
-        Some(ident.to_string())
-    }
-}

@@ -4,7 +4,7 @@
 //!   Rust source — lexical rules (`SW001`–`SW003`, `SW005`, `SW006`) plus
 //!   the dataflow-aware determinism taint engine ([`taint`]) with
 //!   cross-function summaries ([`summary`]) for order-taint findings
-//!   (`SW004`, `SW007`, `SW109`), shard-safety (`SW008`) and stale
+//!   (`SW004`, `SW007`, `SW109`), shared state (`SW008`) and stale
 //!   suppressions (`SW009`);
 //! * **Pass 2** ([`plan`]): structural validation of DAGs, graphlet
 //!   partitions, shuffle-scheme choices, recovery plans and
@@ -31,9 +31,7 @@ pub use plan::{
     validate_gang, validate_partition, validate_plan_versions, validate_recovery_plan_shape,
     validate_schemes, validate_schemes_sized, validate_template_roundtrip, SpanMap,
 };
-pub use source::{
-    legacy_sw004_lines, scan_source, DETERMINISM_SENSITIVE_CRATES, SIM_FACING_CRATES,
-};
+pub use source::{scan_source, DETERMINISM_SENSITIVE_CRATES, SIM_FACING_CRATES};
 
 use std::path::{Path, PathBuf};
 use swift_dag::{partition, JobDag, StageId};

@@ -440,7 +440,7 @@ const TRANSPARENT_WRAPPERS: [&str; 15] = [
     "ManuallyDrop",
 ];
 
-/// Interior-mutability markers for the SW008 shard-safety lint.
+/// Interior-mutability markers for the SW008 shared-state lint.
 const INTERIOR_MUTABLE: [&str; 6] = [
     "Mutex",
     "RwLock",

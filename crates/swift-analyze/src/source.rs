@@ -9,7 +9,8 @@
 //! * **The determinism taint engine** ([`crate::taint`]) for everything
 //!   order-related: unordered iteration whose order *survives* (SW004),
 //!   order-tainted values reaching determinism sinks (SW007), shared
-//!   mutable state on shard paths (SW008), and float accumulation over
+//!   mutable state on the simulation step path (SW008), and float
+//!   accumulation over
 //!   nondeterministic order (SW109). The engine is dataflow-aware: it
 //!   tracks taint through bindings, method chains
 //!   (`m.lock().unwrap().iter()`), `for` loops and helper returns
@@ -38,15 +39,16 @@
 use std::collections::BTreeSet;
 
 use crate::diag::{Code, Diagnostic, Report, Span};
-use crate::lex::{boundary_matches, last_ident, lex, test_mask, LineInfo};
+use crate::lex::{boundary_matches, LineInfo};
 use crate::summary::{build_summaries, prepare, PreparedFile, Summaries};
 use crate::taint::{taint_file, RawDiag};
 
 /// Crates whose event flow must be a pure function of the seed.
-/// `swift-cluster` joined when it grew the machine→shard map that routes
-/// every event to a lane: a nondeterministic shard assignment would not
-/// change the merged order (the `(time, seq)` key is shard-blind) but
-/// would corrupt the per-shard telemetry counters.
+/// `swift-cluster` is among them because the scheduler calls into it on
+/// every event: executor allocation picks which machine a task runs on,
+/// and the cost model computes the timestamp of every event it
+/// schedules, so a wall clock or environment read there would change the
+/// event order and every report downstream.
 pub const SIM_FACING_CRATES: [&str; 7] = [
     "swift-sim",
     "swift-scheduler",
@@ -59,9 +61,10 @@ pub const SIM_FACING_CRATES: [&str; 7] = [
 
 /// Crates where unordered iteration / foreign randomness / address
 /// ordering can leak nondeterminism into reports and ledgers. The whole
-/// set is also under the SW008 shard-safety lint: anything on the sim
-/// step path may now run inside a parallel lane refill, so interior
-/// mutability and `static mut` globals are flagged at the declaration.
+/// set is also under the SW008 shared-state lint: state on the sim step
+/// path must be threaded through `&mut` so every mutation happens in
+/// event order, so interior mutability and `static mut` globals are
+/// flagged at the declaration.
 pub const DETERMINISM_SENSITIVE_CRATES: [&str; 9] = [
     "swift-sim",
     "swift-scheduler",
@@ -262,121 +265,6 @@ fn resolve(file_label: &str, lines: &[LineInfo], mask: &[bool], mut raw: Vec<Raw
     report
 }
 
-// ---- legacy lexical SW004 oracle ----
-
-/// Iteration patterns of the pre-taint lexical SW004 rule.
-const LEGACY_ITER_METHODS: [&str; 7] = [
-    ".iter()",
-    ".iter_mut()",
-    ".into_iter()",
-    ".keys()",
-    ".values()",
-    ".values_mut()",
-    ".drain(",
-];
-
-/// Collects identifiers declared with `HashMap`/`HashSet` types in the
-/// file the way the legacy scanner did: struct fields and let bindings
-/// with annotations plus `let name = HashMap::new()` inference.
-fn hash_typed_names(lines: &[LineInfo]) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    for li in lines {
-        let code = &li.code;
-        for ty in ["HashMap", "HashSet"] {
-            for pos in boundary_matches(code, ty) {
-                if code[pos..].starts_with(&format!("{ty}::")) {
-                    if let Some(eq) = code[..pos].rfind('=') {
-                        if let Some(name) = last_ident(&code[..eq]) {
-                            push_unique(&mut names, name);
-                            continue;
-                        }
-                    }
-                }
-                if let Some(colon) = code[..pos].rfind(':') {
-                    if code[..pos].ends_with("::") {
-                        continue;
-                    }
-                    if let Some(name) = last_ident(&code[..colon]) {
-                        push_unique(&mut names, name);
-                    }
-                }
-            }
-        }
-    }
-    names
-}
-
-fn push_unique(names: &mut Vec<String>, name: String) {
-    if !names.contains(&name) {
-        names.push(name);
-    }
-}
-
-/// What the pre-taint *lexical* SW004 rule would have flagged (1-based
-/// lines). Kept as a differential oracle: fixture tests assert the
-/// dataflow engine catches shapes (`m.lock().unwrap().iter()`, taint
-/// through re-binding, taint through helper returns) on which this
-/// scanner stays silent.
-pub fn legacy_sw004_lines(content: &str) -> Vec<u32> {
-    let lines = lex(content);
-    let mask = test_mask(&lines);
-    let hash_names = hash_typed_names(&lines);
-    let mut out = Vec::new();
-    for (n, li) in lines.iter().enumerate() {
-        if mask[n] {
-            continue;
-        }
-        let code = &li.code;
-        let mut hit = false;
-        // Builder-style continuation lines: `.keys()` opening a line
-        // iterates the previous line's trailing identifier.
-        let trimmed = code.trim_start();
-        if LEGACY_ITER_METHODS.iter().any(|m| trimmed.starts_with(m)) {
-            let prev_ident = lines[..n]
-                .iter()
-                .rev()
-                .find(|li| !li.code.trim().is_empty())
-                .and_then(|li| last_ident(&li.code));
-            if prev_ident.is_some_and(|name| hash_names.contains(&name)) {
-                hit = true;
-            }
-        }
-        if !hit {
-            'outer: for name in &hash_names {
-                for m in LEGACY_ITER_METHODS {
-                    if !boundary_matches(code, &format!("{name}{m}")).is_empty() {
-                        hit = true;
-                        break 'outer;
-                    }
-                }
-                if code.contains("for ") {
-                    for pat in [
-                        format!("in {name}"),
-                        format!("in &{name}"),
-                        format!("in &mut {name}"),
-                    ] {
-                        let found = boundary_matches(code, &pat).iter().any(|&p| {
-                            let end = p + pat.len();
-                            code[end..]
-                                .chars()
-                                .next()
-                                .is_none_or(|c| !(c.is_alphanumeric() || c == '_'))
-                        });
-                        if found {
-                            hit = true;
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-        }
-        if hit {
-            out.push(n as u32 + 1);
-        }
-    }
-    out
-}
-
 /// Infers the owning crate from a workspace-relative path like
 /// `crates/swift-sim/src/time.rs`.
 pub fn crate_of_path(path: &str) -> Option<&str> {
@@ -464,19 +352,15 @@ mod tests {
 
     #[test]
     fn lock_chain_iteration_is_now_caught() {
-        // The shape the legacy lexical scanner documented as a miss:
-        // `state.iter()` is not literally present (lock() intervenes). The
-        // dataflow engine sees through the wrappers.
+        // `state.iter()` is not literally present (lock() intervenes): a
+        // line-local match would miss it. The dataflow engine sees through
+        // the wrappers.
         let src = "struct S { state: Mutex<HashMap<u64, u64>> }\n\
                    fn f(s: &S) { for (k, v) in s.state.lock().unwrap().iter() { g(k, v); } }\n";
         let r = scan_source("swift-shuffle", "m.rs", src);
         // SW008 rides along: the Mutex field is shared mutable state.
         assert_eq!(codes(&r), vec![Code::SW008, Code::SW004]);
         assert_eq!(r.diagnostics[1].span.line, 2);
-        assert!(
-            legacy_sw004_lines(src).is_empty(),
-            "the legacy scanner must stay silent here — that gap is why the taint engine exists"
-        );
         // Direct iteration on the tracked name is still caught:
         let src2 = "struct S { state: Mutex<HashMap<u64, u64>> }\n\
                     fn f(st: &StInner) { let _ = st.state.keys(); }\n";
@@ -567,12 +451,10 @@ mod tests {
         // Integer addition is associative and commutative: summing in
         // nondeterministic order still yields one stable aggregate, so
         // the dataflow engine treats it as an order-insensitive fold.
-        // (The legacy lexical rule flagged this — a known false positive.)
         let src = "struct R { counts: HashMap<u32, u64> }\n\
                    fn total(r: &R) -> u64 { r.counts.values().sum::<u64>() }\n";
         let r = scan_source("swift-scheduler", "r.rs", src);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-        assert_eq!(legacy_sw004_lines(src), vec![2], "legacy rule flagged it");
     }
 
     #[test]
@@ -585,7 +467,6 @@ mod tests {
                    }\n";
         let r = scan_source("swift-shuffle", "m.rs", src);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-        assert_eq!(legacy_sw004_lines(src), vec![4], "legacy rule flagged it");
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //!   message carries the source→sink step trace.
 //! * **SW109** — order-tainted float accumulation (float addition is not
 //!   associative), subsumed into the same dataflow engine.
-//! * **SW008** — shard-safety lint: interior mutability (`Mutex`,
+//! * **SW008** — shared-state lint: interior mutability (`Mutex`,
 //!   `RefCell`, atomics, ...) or `static mut`-like globals declared on
-//!   the `Simulation` step path, which a sharded event loop (ROADMAP
-//!   item 4) cannot prove exclusive across shard boundaries.
+//!   the `Simulation` step path, where a mutation can escape event order
+//!   or outlive the run it belongs to.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -363,11 +363,11 @@ fn classify_head(ty: &str) -> Option<&'static str> {
     None
 }
 
-/// Runs SW008 (shard safety) plus the per-function taint walk over one
+/// Runs SW008 (shared state) plus the per-function taint walk over one
 /// prepared file; returns raw findings (0-based lines).
 pub(crate) fn taint_file(file: &PreparedFile, summaries: &Summaries) -> Vec<RawDiag> {
     let mut out = Vec::new();
-    shard_safety(&file.parsed, &file.mask, &mut out);
+    shared_state(&file.parsed, &file.mask, &mut out);
     for f in &file.parsed.fns {
         if file.mask.get(f.line as usize).copied().unwrap_or(false) {
             continue;
@@ -401,10 +401,10 @@ pub(crate) fn fn_returns_tainted(
     w.returns_tainted
 }
 
-/// SW008: interior mutability and `static mut`-like globals. A sharded
-/// simulator core can only be proven deterministic if no state on the
-/// step path is mutable from two shards at once.
-fn shard_safety(parsed: &ParsedFile, mask: &[bool], out: &mut Vec<RawDiag>) {
+/// SW008: interior mutability and `static mut`-like globals. A run is a
+/// pure function of its seed only if every mutation on the step path
+/// goes through `&mut` in event order and dies with the run.
+fn shared_state(parsed: &ParsedFile, mask: &[bool], out: &mut Vec<RawDiag>) {
     for s in &parsed.statics {
         if mask.get(s.line as usize).copied().unwrap_or(false) {
             continue;
@@ -414,9 +414,9 @@ fn shard_safety(parsed: &ParsedFile, mask: &[bool], out: &mut Vec<RawDiag>) {
                 line: s.line,
                 code: Code::SW008,
                 msg: format!(
-                    "static `{}: {}` is shared mutable state on the simulation step path; a \
-                     sharded event loop cannot prove exclusive access across shard boundaries — \
-                     thread it through per-shard state instead",
+                    "static `{}: {}` is shared mutable state on the simulation step path; it \
+                     outlives the run, so a seed replayed in the same process starts from the \
+                     last run's state — keep it in per-run state instead",
                     s.name, s.ty
                 ),
             });
@@ -429,8 +429,8 @@ fn shard_safety(parsed: &ParsedFile, mask: &[bool], out: &mut Vec<RawDiag>) {
         out.push(RawDiag {
             line: *line,
             code: Code::SW008,
-            msg: "thread_local! state on the simulation step path breaks shard determinism; \
-                  thread it through per-shard state instead"
+            msg: "thread_local! state on the simulation step path outlives the run and breaks \
+                  same-process replay; keep it in per-run state instead"
                 .to_string(),
         });
     }
@@ -446,8 +446,8 @@ fn shard_safety(parsed: &ParsedFile, mask: &[bool], out: &mut Vec<RawDiag>) {
                     code: Code::SW008,
                     msg: format!(
                         "field `{name}: {ty}` uses interior mutability on the simulation step \
-                         path; shard boundaries cannot prove exclusive access — prefer `&mut` \
-                         threading or per-shard ownership"
+                         path; it can change behind a shared reference, outside event order — \
+                         prefer `&mut` threading"
                     ),
                 });
             }
@@ -1256,7 +1256,7 @@ mod tests {
                    }\n\
                    }\n";
         let d = run(src);
-        // SW008 on the Mutex field is the shard-safety lint doing its job.
+        // SW008 on the Mutex field is the shared-state lint doing its job.
         assert_eq!(
             codes(&d),
             vec![(Code::SW008, 1), (Code::SW004, 4), (Code::SW007, 5)]

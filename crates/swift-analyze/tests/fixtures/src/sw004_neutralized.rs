@@ -1,7 +1,7 @@
 //! SW004 negative fixture: every unordered iteration here is
 //! immediately neutralized — collected into an ordered container,
 //! reduced to an order-insensitive aggregate, or sorted before use.
-//! The legacy lexical scanner flagged all four sites; the taint engine
+//! A line-local lexical match flags all four sites; the taint engine
 //! must stay silent on every one of them.
 
 use std::collections::{BTreeMap, HashMap};

@@ -1,7 +1,7 @@
 //! SW007 fixture: order taint flows through a lock-then-iterate chain
-//! into an event-scheduling sink. The legacy lexical scanner only
-//! matched `name.iter()` against names *declared* as HashMap, so the
-//! `lock().unwrap()` hop made it blind to this shape.
+//! into an event-scheduling sink. A line-local scanner that only
+//! matches `name.iter()` against names *declared* as HashMap is blind
+//! to this shape: the `lock().unwrap()` hop hides the name.
 
 use std::collections::HashMap;
 use std::sync::Mutex;

@@ -1,6 +1,6 @@
 //! SW008 fixture: a process-global metrics registry. Counters shared
-//! through a static (atomic or `static mut`) accumulate across shards
-//! and runs, so the sampled frames stop being a pure function of the
+//! through a static (atomic or `static mut`) accumulate across runs in
+//! one process, so the sampled frames stop being a pure function of the
 //! seed — the registry must be owned by the recorder, not the process.
 
 use std::sync::atomic::AtomicU64;

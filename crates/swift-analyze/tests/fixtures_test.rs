@@ -7,11 +7,6 @@
 //! `swift-analyze: allow(...)` escape hatch works in both passes and is
 //! counted rather than silently dropped, and that a stale allow is
 //! itself reported (SW009).
-//!
-//! The taint-engine fixtures (SW007/SW008) additionally pin the engine
-//! against `legacy_sw004_lines`, the pre-dataflow lexical scanner kept
-//! as an oracle, proving the new engine catches shapes the old one
-//! missed and stays silent where the old one cried wolf.
 
 use std::path::PathBuf;
 
@@ -132,16 +127,10 @@ fn lints_do_not_apply_outside_declared_crates() {
 
 // ---- pass 1: determinism taint engine (SW007/SW008/SW009) ----
 //
-// Each positive fixture also carries a differential assertion against
-// `legacy_sw004_lines`, the pre-taint lexical scanner kept as an
-// oracle: the shapes below are exactly the ones it either missed
-// (lock chains, re-bindings, helper returns) or flagged spuriously
-// (neutralized iteration). That gap is the reason the engine exists.
-
-fn legacy(rel: &str) -> Vec<u32> {
-    let (_, content) = fixture(rel);
-    swift_analyze::legacy_sw004_lines(&content)
-}
+// The shapes below are the ones a line-local scanner either misses
+// (lock chains, re-bindings, helper returns) or flags spuriously
+// (neutralized iteration); each fixture's exact codes, lines and
+// severities are the oracle.
 
 #[test]
 fn sw007_lock_chain_taints_through_to_the_sink() {
@@ -160,10 +149,6 @@ fn sw007_lock_chain_taints_through_to_the_sink() {
         "SW007 must carry a step trace: {}",
         sink.message
     );
-    assert!(
-        legacy("src/sw007_lock_chain.rs").is_empty(),
-        "the legacy scanner never saw through `lock().unwrap()`"
-    );
 }
 
 #[test]
@@ -177,11 +162,6 @@ fn sw007_taint_survives_rebinding() {
     for hop in ["`arrived`", "`raw`", "`snapshot`", "sink `record`"] {
         assert!(trace.contains(hop), "missing hop {hop} in: {trace}");
     }
-    assert_eq!(
-        legacy("src/sw007_rebinding.rs"),
-        vec![8],
-        "legacy saw the iteration but could not follow it to the sink"
-    );
 }
 
 #[test]
@@ -198,11 +178,6 @@ fn sw007_taint_crosses_function_boundaries_via_summaries() {
         "{}",
         r.diagnostics[1].message
     );
-    assert_eq!(
-        legacy("src/sw007_helper_return.rs"),
-        vec![9],
-        "legacy was blind to the cross-function flow"
-    );
 }
 
 #[test]
@@ -215,22 +190,12 @@ fn sw007_ordered_container_chain_is_clean() {
 fn sw007_sort_before_sink_cleanses_the_taint() {
     let r = scan("swift-trace", "src/sw007_sorted_before_sink.rs");
     assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-    assert_eq!(
-        legacy("src/sw007_sorted_before_sink.rs"),
-        vec![8],
-        "legacy flagged the iteration even though a sort neutralizes it"
-    );
 }
 
 #[test]
 fn sw007_order_insensitive_aggregate_never_reaches_sink() {
     let r = scan("swift-scheduler", "src/sw007_neutralized.rs");
     assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-    assert_eq!(
-        legacy("src/sw007_neutralized.rs"),
-        vec![8],
-        "legacy flagged the integer sum as if its order mattered"
-    );
 }
 
 #[test]
@@ -238,11 +203,6 @@ fn sw004_immediately_neutralized_iteration_is_silent() {
     let r = scan("swift-ft", "src/sw004_neutralized.rs");
     assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
     assert_eq!(r.suppressed, 0, "clean by analysis, not by allows");
-    assert_eq!(
-        legacy("src/sw004_neutralized.rs"),
-        vec![10, 14, 18, 22],
-        "all four sites were false positives under the lexical scanner"
-    );
 }
 
 #[test]

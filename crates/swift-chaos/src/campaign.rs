@@ -204,6 +204,20 @@ pub fn generate_scenario(seed: u64, kind: CampaignKind) -> Scenario {
     }
 }
 
+/// The simulation of `(seed, kind)` under `recovery`, with the template
+/// cache on or off, its faults registered and no observer installed.
+fn build(seed: u64, kind: CampaignKind, recovery: RecoveryPolicy, templates: bool) -> Simulation {
+    let sc = generate_scenario(seed, kind);
+    let cluster = Cluster::new(sc.machines, sc.executors_per_machine, CostModel::default());
+    let mut cfg = SimConfig::swift();
+    cfg.recovery = recovery;
+    cfg.templates = templates;
+    let mut sim = Simulation::new(cluster, cfg, sc.workload);
+    sim.inject_failures(sc.injections);
+    sim.fail_machines(sc.crashes);
+    sim
+}
+
 /// Replays the scenario for `(seed, kind)` under `recovery`, with the
 /// chaos observer attached, and returns the report plus observer state.
 pub fn execute(seed: u64, kind: CampaignKind, recovery: RecoveryPolicy) -> (RunReport, ChaosState) {
@@ -220,29 +234,7 @@ pub fn execute_with(
     recovery: RecoveryPolicy,
     templates: bool,
 ) -> (RunReport, ChaosState) {
-    execute_sharded(seed, kind, recovery, templates, 1)
-}
-
-/// Like [`execute_with`], but on the sharded simulator core with an
-/// explicit lane count (`SimConfig::shards`). Sharding is a pure
-/// wall-clock optimization, which is what the `--shards` campaign mode
-/// proves: the same scenario at any K must agree byte for byte with K=1.
-pub fn execute_sharded(
-    seed: u64,
-    kind: CampaignKind,
-    recovery: RecoveryPolicy,
-    templates: bool,
-    shards: u32,
-) -> (RunReport, ChaosState) {
-    let sc = generate_scenario(seed, kind);
-    let cluster = Cluster::new(sc.machines, sc.executors_per_machine, CostModel::default());
-    let mut cfg = SimConfig::swift();
-    cfg.recovery = recovery;
-    cfg.templates = templates;
-    cfg.shards = shards;
-    let mut sim = Simulation::new(cluster, cfg, sc.workload);
-    sim.inject_failures(sc.injections);
-    sim.fail_machines(sc.crashes);
+    let mut sim = build(seed, kind, recovery, templates);
     let observer = ChaosObserver::new(sim.job_count());
     sim.set_observer(Box::new(observer.clone()));
     let report = sim.run();
@@ -281,14 +273,7 @@ pub fn execute_traced_with(
     templates: bool,
     rcfg: swift_trace::RecorderConfig,
 ) -> (RunReport, swift_trace::Trace) {
-    let sc = generate_scenario(seed, kind);
-    let cluster = Cluster::new(sc.machines, sc.executors_per_machine, CostModel::default());
-    let mut cfg = SimConfig::swift();
-    cfg.recovery = recovery;
-    cfg.templates = templates;
-    let mut sim = Simulation::new(cluster, cfg, sc.workload);
-    sim.inject_failures(sc.injections);
-    sim.fail_machines(sc.crashes);
+    let mut sim = build(seed, kind, recovery, templates);
     let (recorder, handle) = swift_trace::TraceRecorder::new(&format!("chaos-{kind}"), seed, rcfg);
     sim.set_observer(Box::new(recorder));
     let report = sim.run();
@@ -309,14 +294,7 @@ pub fn execute_traced_sink_with<S: swift_trace::TraceSink + 'static>(
     rcfg: swift_trace::RecorderConfig,
     sink: S,
 ) -> (RunReport, S) {
-    let sc = generate_scenario(seed, kind);
-    let cluster = Cluster::new(sc.machines, sc.executors_per_machine, CostModel::default());
-    let mut cfg = SimConfig::swift();
-    cfg.recovery = recovery;
-    cfg.templates = templates;
-    let mut sim = Simulation::new(cluster, cfg, sc.workload);
-    sim.inject_failures(sc.injections);
-    sim.fail_machines(sc.crashes);
+    let mut sim = build(seed, kind, recovery, templates);
     let (recorder, handle) =
         swift_trace::TraceRecorder::with_sink(&format!("chaos-{kind}"), seed, rcfg, sink);
     sim.set_observer(Box::new(recorder));
@@ -421,47 +399,28 @@ fn check_completion(report: &RunReport, state: &ChaosState, tag: &str, out: &mut
 /// pure cost optimization even under faults: the same scenario with the
 /// cache off must produce a byte-identical [`RunReport`], and (with
 /// template events suppressed) a byte-identical trace.
-///
-/// With `shards != 1`, every simulation runs on the sharded core with
-/// that lane count, and one extra differential check proves sharding is a
-/// pure wall-clock optimization even under faults: the same scenario at
-/// K=1 must produce a byte-identical [`RunReport`].
-pub fn run_seed(seed: u64, kind: CampaignKind, templates: bool, shards: u32) -> SeedOutcome {
+pub fn run_seed(seed: u64, kind: CampaignKind, templates: bool) -> SeedOutcome {
     // The service campaign replays through the swift-service front door
     // and carries its own invariant battery.
     if kind == CampaignKind::Service {
-        return crate::service::run_service_seed(seed, templates, shards);
+        return crate::service::run_service_seed(seed, templates);
     }
     let mut violations = Vec::new();
 
     let scenario = generate_scenario(seed, kind);
     preflight(&scenario, &mut violations);
 
-    let (report, state) =
-        execute_sharded(seed, kind, RecoveryPolicy::FineGrained, templates, shards);
+    let (report, state) = execute_with(seed, kind, RecoveryPolicy::FineGrained, templates);
     violations.extend(state.violations.iter().cloned());
     check_completion(&report, &state, "fine-grained", &mut violations);
 
     // Invariant 2: determinism. The entire pipeline — scenario expansion,
     // event ordering, report assembly — must be a pure function of the
     // seed, down to the last byte of the Debug rendering.
-    let (replay, _) = execute_sharded(seed, kind, RecoveryPolicy::FineGrained, templates, shards);
+    let (replay, _) = execute_with(seed, kind, RecoveryPolicy::FineGrained, templates);
     if format!("{report:?}") != format!("{replay:?}") {
         violations
             .push("[determinism] same seed produced different RunReports across two runs".into());
-    }
-
-    // Shard differential (only meaningful with `--shards K`, K != 1): the
-    // lane partition and window-barrier merge must not move a single
-    // event, so the same scenario on a single lane — fault injections,
-    // crashes and recovery replanning included — must agree byte for byte.
-    if shards != 1 {
-        let (single, _) = execute_sharded(seed, kind, RecoveryPolicy::FineGrained, templates, 1);
-        if format!("{report:?}") != format!("{single:?}") {
-            violations.push(format!(
-                "[shard-differential] K={shards} and K=1 runs produced different RunReports"
-            ));
-        }
     }
 
     // Cache differential (only meaningful in `--templates` mode): the
@@ -504,8 +463,7 @@ pub fn run_seed(seed: u64, kind: CampaignKind, templates: bool, shards: u32) -> 
     // ahead, while fine-grained recovery keeps its executors and
     // re-queues reruns at the front), so "worse makespan" there reflects
     // queueing interference, not recovery doing extra work.
-    let (restart, restart_state) =
-        execute_sharded(seed, kind, RecoveryPolicy::JobRestart, templates, shards);
+    let (restart, restart_state) = execute_with(seed, kind, RecoveryPolicy::JobRestart, templates);
     violations.extend(restart_state.violations.iter().cloned());
     check_completion(&restart, &restart_state, "job-restart", &mut violations);
     if scenario.workload.len() == 1 && report.makespan > restart.makespan {
@@ -563,12 +521,11 @@ pub fn run_campaign(
     count: u64,
     kind: CampaignKind,
     templates: bool,
-    shards: u32,
     mut progress: impl FnMut(&SeedOutcome),
 ) -> CampaignReport {
     let mut report = CampaignReport::default();
     for seed in start_seed..start_seed.saturating_add(count) {
-        let outcome = run_seed(seed, kind, templates, shards);
+        let outcome = run_seed(seed, kind, templates);
         report.seeds_run += 1;
         report.jobs_run += outcome.jobs;
         report.faults_injected += outcome.faults;
@@ -644,7 +601,7 @@ mod tests {
     // binary (see EXPERIMENTS.md).
     #[test]
     fn short_mixed_campaign_is_clean() {
-        let report = run_campaign(1, 4, CampaignKind::Mixed, false, 1, |_| {});
+        let report = run_campaign(1, 4, CampaignKind::Mixed, false, |_| {});
         assert!(report.clean(), "violations: {:#?}", report.failures);
         assert!(report.reads_checked > 0, "ledger never exercised");
         assert_eq!(report.template_lookups, 0, "cache ran while disabled");
@@ -652,19 +609,19 @@ mod tests {
 
     #[test]
     fn short_task_fault_campaign_is_clean_and_checks_plans() {
-        let report = run_campaign(10, 4, CampaignKind::TaskFaults, false, 1, |_| {});
+        let report = run_campaign(10, 4, CampaignKind::TaskFaults, false, |_| {});
         assert!(report.clean(), "violations: {:#?}", report.failures);
     }
 
     #[test]
     fn short_machine_crash_campaign_is_clean() {
-        let report = run_campaign(20, 3, CampaignKind::MachineCrashes, false, 1, |_| {});
+        let report = run_campaign(20, 3, CampaignKind::MachineCrashes, false, |_| {});
         assert!(report.clean(), "violations: {:#?}", report.failures);
     }
 
     #[test]
     fn short_fault_free_campaign_is_clean() {
-        let report = run_campaign(30, 3, CampaignKind::FaultFree, false, 1, |_| {});
+        let report = run_campaign(30, 3, CampaignKind::FaultFree, false, |_| {});
         assert!(report.clean(), "violations: {:#?}", report.failures);
         assert_eq!(report.faults_injected, 0);
     }
@@ -676,29 +633,12 @@ mod tests {
     // cache lookup.
     #[test]
     fn short_templates_campaign_is_clean_and_differential() {
-        let report = run_campaign(1, 4, CampaignKind::Mixed, true, 1, |_| {});
+        let report = run_campaign(1, 4, CampaignKind::Mixed, true, |_| {});
         assert!(report.clean(), "violations: {:#?}", report.failures);
         assert_eq!(
             report.template_lookups, report.jobs_run as u64,
             "every job admission should consult the cache"
         );
-    }
-
-    // The `--shards` face of the harness: every simulation runs on the
-    // sharded core, and each seed additionally proves the K-vs-1 report
-    // differential under random topologies, workloads and fault
-    // schedules — chaos-grade evidence that the lane partition and
-    // window-barrier merge never move an event.
-    #[test]
-    fn short_sharded_campaign_is_clean_and_differential() {
-        for shards in [2u32, 8] {
-            let report = run_campaign(1, 3, CampaignKind::Mixed, false, shards, |_| {});
-            assert!(
-                report.clean(),
-                "K={shards} violations: {:#?}",
-                report.failures
-            );
-        }
     }
 
     // Tracing face of the harness: the `--trace-on-failure` replay must be

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! swift-chaos [--seeds N] [--campaign task|machine|mixed|fault-free|service] [--start-seed S]
-//!             [--quiet] [--templates] [--shards K] [--trace-on-failure]
+//!             [--quiet] [--templates] [--trace-on-failure]
 //! ```
 //!
 //! Exits non-zero if any seed violates an invariant, printing each
@@ -11,9 +11,6 @@
 //! cache on and each seed additionally proves the cache-on/cache-off
 //! report and trace differentials; a campaign that never hits the cache
 //! also fails, since it proved nothing about instantiated plans.
-//! With `--shards K`, every simulation runs on the sharded simulator core
-//! with K lanes and each seed additionally proves the K-vs-1 report
-//! differential: sharding must be a pure wall-clock optimization.
 //! With `--trace-on-failure`, every failing seed is replayed once more
 //! under a `swift-trace` recorder and the full event trace is written to
 //! `swift-chaos-<campaign>-<seed>.trace` in the current directory.
@@ -32,13 +29,12 @@ struct Args {
     campaign: CampaignKind,
     quiet: bool,
     templates: bool,
-    shards: u32,
     trace_on_failure: bool,
 }
 
 const USAGE: &str = "usage: swift-chaos [--seeds N] \
                      [--campaign task|machine|mixed|fault-free|service] \
-                     [--start-seed S] [--quiet] [--templates] [--shards K] [--trace-on-failure]";
+                     [--start-seed S] [--quiet] [--templates] [--trace-on-failure]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -47,7 +43,6 @@ fn parse_args() -> Result<Args, String> {
         campaign: CampaignKind::Mixed,
         quiet: false,
         templates: false,
-        shards: 1,
         trace_on_failure: false,
     };
     let mut it = std::env::args().skip(1);
@@ -61,7 +56,6 @@ fn parse_args() -> Result<Args, String> {
             "--campaign" => args.campaign = value("--campaign")?.parse()?,
             "--quiet" | "-q" => args.quiet = true,
             "--templates" => args.templates = true,
-            "--shards" => args.shards = value("--shards")?.parse().map_err(|e| format!("{e}"))?,
             "--trace-on-failure" => args.trace_on_failure = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -72,9 +66,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.seeds == 0 {
         return Err("--seeds must be at least 1".into());
-    }
-    if args.shards == 0 {
-        return Err("--shards must be at least 1 (K=1 is the single-lane core)".into());
     }
     Ok(args)
 }
@@ -89,7 +80,7 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "swift-chaos: campaign={} seeds={}..{}{}{}",
+        "swift-chaos: campaign={} seeds={}..{}{}",
         args.campaign,
         args.start_seed,
         args.start_seed.saturating_add(args.seeds).saturating_sub(1),
@@ -98,14 +89,6 @@ fn main() -> ExitCode {
         } else {
             ""
         },
-        if args.shards != 1 {
-            format!(
-                " (sharded core, K={} vs K=1 differential checked)",
-                args.shards
-            )
-        } else {
-            String::new()
-        }
     );
 
     let report = run_campaign(
@@ -113,7 +96,6 @@ fn main() -> ExitCode {
         args.seeds,
         args.campaign,
         args.templates,
-        args.shards,
         |outcome| {
             if !args.quiet {
                 let status = if outcome.clean() { "ok" } else { "FAIL" };
@@ -173,9 +155,6 @@ fn main() -> ExitCode {
         if args.templates {
             repro.push_str(" --templates");
         }
-        if args.shards != 1 {
-            repro.push_str(&format!(" --shards {}", args.shards));
-        }
         eprintln!("  repro: {repro}");
         if args.trace_on_failure {
             // Stream the forensics replay straight to disk: a failing
@@ -188,7 +167,7 @@ fn main() -> ExitCode {
                 // Service seeds replay under the swift-service recorder
                 // (buffered: service traces are admission-scale, not
                 // event-scale, so streaming buys nothing).
-                let (_, trace) = execute_service_traced(outcome.seed, args.templates, args.shards);
+                let (_, trace) = execute_service_traced(outcome.seed, args.templates);
                 match std::fs::write(&path, trace.render_text()) {
                     Ok(()) => eprintln!("  trace: {path} ({} events)", trace.events.len()),
                     Err(e) => eprintln!("  trace: failed to write {path}: {e}"),

@@ -19,8 +19,8 @@
 //!   `submitted == admitted + rejected` (nothing silently dropped);
 //! * **warm-pool isolation** — every warm hit goes to the tenant that
 //!   registered the session;
-//! * **determinism / differentials** — same-seed reruns, K-vs-1 shard
-//!   runs and templates-on/off runs all produce digest-identical
+//! * **determinism / differentials** — same-seed reruns and
+//!   templates-on/off runs all produce digest-identical
 //!   [`ServiceReport`]s.
 
 use std::cell::RefCell;
@@ -70,7 +70,6 @@ pub fn generate_service_scenario(seed: u64) -> ServiceScenario {
         retry_after: SimDuration::from_secs(1),
         sample_every: None,
         templates: true,
-        shards: 1,
     };
     let workload = ServiceWorkloadConfig {
         tenants: rng.range(3, 25) as u32,
@@ -114,7 +113,7 @@ pub fn generate_service_scenario(seed: u64) -> ServiceScenario {
 #[derive(Debug, Default)]
 struct ServiceChaos {
     /// One (job, state) pair per dispatch, in dispatch order.
-    job_states: Vec<(usize, Rc<RefCell<ChaosState>>)>, // swift-analyze: allow(SW008) — Rc is !Send, shard-local by construction
+    job_states: Vec<(usize, Rc<RefCell<ChaosState>>)>, // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
     /// session -> owning tenant, from cold starts.
     owner: std::collections::BTreeMap<u32, u32>,
     /// live sessions per tenant.
@@ -191,21 +190,23 @@ impl ServiceObserver for ServiceChaos {
     }
 }
 
-/// Runs one service seed and returns the run plus the chaos witness.
-fn execute_service_observed(
-    seed: u64,
-    templates: bool,
-    shards: u32,
-) -> (ServiceRun, Rc<RefCell<ServiceChaos>>) {
+/// The service simulation of `seed`, with the template cache on or off,
+/// its machine failures registered and no observer installed.
+fn build_service(seed: u64, templates: bool) -> ServiceSim {
     let sc = generate_service_scenario(seed);
     let cfg = ServiceConfig {
         templates,
-        shards,
         ..sc.cfg
     };
-    let witness = Rc::new(RefCell::new(ServiceChaos::default()));
     let mut sim = ServiceSim::new(cfg, generate_service_workload(&sc.workload));
     sim.fail_machines(sc.failures);
+    sim
+}
+
+/// Runs one service seed and returns the run plus the chaos witness.
+fn execute_service_observed(seed: u64, templates: bool) -> (ServiceRun, Rc<RefCell<ServiceChaos>>) {
+    let witness = Rc::new(RefCell::new(ServiceChaos::default()));
+    let mut sim = build_service(seed, templates);
     sim.set_observer(Box::new(SharedChaos(Rc::clone(&witness))));
     (sim.run(), witness)
 }
@@ -257,30 +258,15 @@ impl ServiceObserver for SharedChaos {
 }
 
 /// Runs one service seed without the witness — the flag-matrix helper:
-/// the returned run's report digest must be identical across shard
-/// counts and the templates flag.
-pub fn execute_service(seed: u64, templates: bool, shards: u32) -> ServiceRun {
-    let sc = generate_service_scenario(seed);
-    let cfg = ServiceConfig {
-        templates,
-        shards,
-        ..sc.cfg
-    };
-    let mut sim = ServiceSim::new(cfg, generate_service_workload(&sc.workload));
-    sim.fail_machines(sc.failures);
-    sim.run()
+/// the returned run's report digest must be identical with the templates
+/// flag on or off.
+pub fn execute_service(seed: u64, templates: bool) -> ServiceRun {
+    build_service(seed, templates).run()
 }
 
 /// Replays one service seed under the trace recorder (failure forensics).
-pub fn execute_service_traced(seed: u64, templates: bool, shards: u32) -> (ServiceRun, Trace) {
-    let sc = generate_service_scenario(seed);
-    let cfg = ServiceConfig {
-        templates,
-        shards,
-        ..sc.cfg
-    };
-    let mut sim = ServiceSim::new(cfg, generate_service_workload(&sc.workload));
-    sim.fail_machines(sc.failures);
+pub fn execute_service_traced(seed: u64, templates: bool) -> (ServiceRun, Trace) {
+    let mut sim = build_service(seed, templates);
     let scenario_name = format!("chaos-service-{seed}");
     let (rec, handle) = swift_service::service_recorder(&scenario_name, seed);
     sim.set_observer(Box::new(rec));
@@ -289,7 +275,7 @@ pub fn execute_service_traced(seed: u64, templates: bool, shards: u32) -> (Servi
 }
 
 /// Runs every invariant for one `service` seed.
-pub fn run_service_seed(seed: u64, templates: bool, shards: u32) -> SeedOutcome {
+pub fn run_service_seed(seed: u64, templates: bool) -> SeedOutcome {
     let mut violations = Vec::new();
     let sc = generate_service_scenario(seed);
 
@@ -308,7 +294,7 @@ pub fn run_service_seed(seed: u64, templates: bool, shards: u32) -> SeedOutcome 
         }
     }
 
-    let (run, witness) = execute_service_observed(seed, templates, shards);
+    let (run, witness) = execute_service_observed(seed, templates);
     let witness = Rc::try_unwrap(witness)
         .expect("driver holds the last handle")
         .into_inner();
@@ -358,27 +344,16 @@ pub fn run_service_seed(seed: u64, templates: bool, shards: u32) -> SeedOutcome 
     }
 
     // Determinism: same seed, digest-identical report.
-    let replay = execute_service(seed, templates, shards);
+    let replay = execute_service(seed, templates);
     if replay.report.digest() != r.digest() {
         violations
             .push("[determinism] same seed produced different ServiceReports across runs".into());
     }
 
-    // Shard differential: K lanes inside every inner simulation must not
-    // move a single service-visible byte.
-    if shards != 1 {
-        let single = execute_service(seed, templates, 1);
-        if single.report.digest() != r.digest() {
-            violations.push(format!(
-                "[shard-differential] K={shards} and K=1 service runs diverged"
-            ));
-        }
-    }
-
     // Template differential: the fleet's template cache must be a pure
     // control-plane cost optimization.
     if templates {
-        let off = execute_service(seed, false, shards);
+        let off = execute_service(seed, false);
         if off.report.digest() != r.digest() {
             violations
                 .push("[template-differential] templates on/off service runs diverged".into());
@@ -428,7 +403,7 @@ mod tests {
     #[test]
     fn short_service_campaign_is_clean() {
         for seed in 1..=3 {
-            let outcome = run_service_seed(seed, false, 1);
+            let outcome = run_service_seed(seed, false);
             assert!(outcome.clean(), "seed {seed}: {:#?}", outcome.violations);
             // Inner jobs run fault-free (service-level failures kill the
             // whole session instead), so the plan oracle stays idle; the

@@ -1,8 +1,7 @@
-//! Flag-matrix conformance for the `service` campaign: the `--shards`
-//! and `--templates` flags must compose with the service front door
-//! without moving a single report byte. The campaign's own per-seed
-//! differentials then re-check K-vs-1 and templates-on/off on every seed
-//! of every sweep.
+//! Flag-matrix conformance for the `service` campaign: the `--templates`
+//! flag must compose with the service front door without moving a single
+//! report byte. The campaign's own per-seed differential then re-checks
+//! templates-on/off on every seed of every sweep.
 
 use swift_chaos::{execute_service, run_service_seed, CampaignKind};
 
@@ -13,18 +12,13 @@ const SEEDS: &[u64] = &[1, 7, 19];
 #[test]
 fn service_digest_is_identical_across_the_flag_matrix() {
     for &seed in SEEDS {
-        let baseline = execute_service(seed, false, 1).report.digest();
-        for templates in [false, true] {
-            for shards in [1u32, 4] {
-                let run = execute_service(seed, templates, shards);
-                assert_eq!(
-                    run.report.digest(),
-                    baseline,
-                    "seed {seed}: templates={templates} shards={shards} \
-                     changed the service report"
-                );
-            }
-        }
+        let baseline = execute_service(seed, false).report.digest();
+        let run = execute_service(seed, true);
+        assert_eq!(
+            run.report.digest(),
+            baseline,
+            "seed {seed}: templates changed the service report"
+        );
     }
 }
 
@@ -34,22 +28,22 @@ fn service_template_mode_actually_hits_the_cache() {
     // a warm session replaying same-shape jobs must score cache hits.
     let hits: u64 = SEEDS
         .iter()
-        .map(|&s| execute_service(s, true, 1).template_hits)
+        .map(|&s| execute_service(s, true).template_hits)
         .sum();
     assert!(hits > 0, "service runs never hit the template cache");
     // And the off runs must not silently flip the cache on.
     for &seed in SEEDS {
-        assert_eq!(execute_service(seed, false, 1).template_lookups, 0);
+        assert_eq!(execute_service(seed, false).template_lookups, 0);
     }
 }
 
 #[test]
-fn service_seeds_run_clean_under_combined_flags() {
+fn service_seeds_run_clean_with_templates() {
     // The full per-seed invariant battery (inner-run oracles, quotas,
-    // fairness, back-pressure, warm isolation, all three differentials)
-    // under the most adversarial flag combination.
+    // fairness, back-pressure, warm isolation, both differentials) with
+    // the template cache on.
     for &seed in SEEDS {
-        let outcome = run_service_seed(seed, true, 4);
+        let outcome = run_service_seed(seed, true);
         assert_eq!(outcome.kind, CampaignKind::Service);
         assert!(
             outcome.clean(),

@@ -21,10 +21,8 @@ mod cluster;
 mod cost;
 mod ids;
 mod machine;
-mod shard;
 
 pub use cluster::Cluster;
 pub use cost::{CostModel, ShuffleCost};
 pub use ids::{ExecutorId, MachineId};
 pub use machine::{Executor, ExecutorState, Machine, MachineHealth};
-pub use shard::ShardMap;

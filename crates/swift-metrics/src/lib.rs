@@ -22,9 +22,10 @@
 //!
 //! The series vocabulary is the static [`SERIES`] table: adding a series
 //! means appending a [`SeriesDef`] with a fresh ID. IDs are stable —
-//! never renumber — because exported counter tracks (`s<id>=<value>` in
-//! trace text, `"ph":"C"` rows in the Chrome export) and golden files
-//! refer to them.
+//! renumbering them is a trace-format break that bumps
+//! `swift_trace::TEXT_FORMAT_VERSION` — because exported counter tracks
+//! (`s<id>=<value>` in trace text, `"ph":"C"` rows in the Chrome export)
+//! and golden files refer to them.
 
 use swift_sim::SimDuration;
 
@@ -100,50 +101,36 @@ pub const CLUSTER_LIVE_EXECUTORS: SeriesId = SeriesId(13);
 pub const CLUSTER_BUSY_EXECUTORS: SeriesId = SeriesId(14);
 /// Whole-unit gang waits currently open.
 pub const CLUSTER_GANG_WAITS_OPEN: SeriesId = SeriesId(15);
-/// Events merged out of the shard lanes per window.
-pub const SIM_SHARD_EVENTS: SeriesId = SeriesId(16);
-/// Cross-shard messages (events scheduled onto a foreign lane) per window.
-pub const SIM_SHARD_CROSS_MSGS: SeriesId = SeriesId(17);
-/// Window barriers taken by the sharded core per window.
-pub const SIM_SHARD_WINDOW_BARRIERS: SeriesId = SeriesId(18);
-/// Idle lane-windows (a lane with no events while a sibling had some).
-pub const SIM_SHARD_BARRIER_STALLS: SeriesId = SeriesId(19);
 /// Jobs waiting in the service admission queue.
-pub const SERVICE_QUEUE_DEPTH: SeriesId = SeriesId(20);
+pub const SERVICE_QUEUE_DEPTH: SeriesId = SeriesId(16);
 /// Jobs admitted by the service front door per window.
-pub const SERVICE_JOBS_ADMITTED: SeriesId = SeriesId(21);
+pub const SERVICE_JOBS_ADMITTED: SeriesId = SeriesId(17);
 /// Jobs rejected with retry-after per window.
-pub const SERVICE_JOBS_REJECTED: SeriesId = SeriesId(22);
+pub const SERVICE_JOBS_REJECTED: SeriesId = SeriesId(18);
 /// Jobs completed by the service per window.
-pub const SERVICE_JOBS_COMPLETED: SeriesId = SeriesId(23);
+pub const SERVICE_JOBS_COMPLETED: SeriesId = SeriesId(19);
 /// Dispatches that reused a warm session per window.
-pub const SERVICE_WARM_HITS: SeriesId = SeriesId(24);
+pub const SERVICE_WARM_HITS: SeriesId = SeriesId(20);
 /// Dispatches that paid a cold session registration per window.
-pub const SERVICE_COLD_STARTS: SeriesId = SeriesId(25);
+pub const SERVICE_COLD_STARTS: SeriesId = SeriesId(21);
 /// Executors held by tenant sessions (warm + running).
-pub const SERVICE_EXECUTORS_HELD: SeriesId = SeriesId(26);
+pub const SERVICE_EXECUTORS_HELD: SeriesId = SeriesId(22);
 /// Tenants with at least one queued or running job.
-pub const SERVICE_ACTIVE_TENANTS: SeriesId = SeriesId(27);
+pub const SERVICE_ACTIVE_TENANTS: SeriesId = SeriesId(23);
 
 /// Number of series in the **core vocabulary** — the prefix of [`SERIES`]
 /// every registry carries. Frames from [`Registry::new`] list exactly
-/// these, which keeps existing golden counter tracks byte-stable; the
-/// shard-telemetry series above the boundary appear only in registries
-/// built with [`Registry::with_shard_telemetry`].
+/// these; the service series above the boundary appear only in
+/// registries built with [`Registry::with_service_telemetry`].
 pub const CORE_SERIES: usize = 16;
 
-/// End of the shard-telemetry block: [`Registry::with_shard_telemetry`]
-/// covers `SERIES[..SHARD_SERIES_END]`, so shard-telemetry frames (and
-/// their goldens) keep their shape as later blocks are appended.
-pub const SHARD_SERIES_END: usize = 20;
-
 /// The static series vocabulary. Indexed by [`SeriesId`]; order and IDs
-/// are stable (exported counter tracks and goldens refer to them). The
-/// first [`CORE_SERIES`] entries are the core vocabulary; then opt-in
-/// shard telemetry up to [`SHARD_SERIES_END`]; then the service front
-/// door's series, carried only by [`Registry::with_service_telemetry`].
+/// are stable within a trace format version (exported counter tracks and
+/// goldens refer to them). The first [`CORE_SERIES`] entries are the core
+/// vocabulary; then the service front door's series, carried only by
+/// [`Registry::with_service_telemetry`].
 #[rustfmt::skip]
-pub const SERIES: [SeriesDef; 28] = [
+pub const SERIES: [SeriesDef; 24] = [
     series!(0, "sim.event_queue_depth", Gauge, "events", "event-queue depth of the simulator core"),
     series!(1, "sim.events", Counter, "events", "simulator events processed per window"),
     series!(2, "sched.pending_requests", Gauge, "requests", "gang requests waiting in the pending queue"),
@@ -160,18 +147,14 @@ pub const SERIES: [SeriesDef; 28] = [
     series!(13, "cluster.live_executors", Gauge, "executors", "executors on schedulable machines"),
     series!(14, "cluster.busy_executors", Gauge, "executors", "executors currently running a task"),
     series!(15, "cluster.gang_waits_open", Gauge, "gangs", "whole-unit gang waits currently open"),
-    series!(16, "sim.shard.events", Counter, "events", "events merged out of the shard lanes per window"),
-    series!(17, "sim.shard.cross_msgs", Counter, "messages", "cross-shard messages per window"),
-    series!(18, "sim.shard.window_barriers", Counter, "barriers", "window barriers taken by the sharded core per window"),
-    series!(19, "sim.shard.barrier_stalls", Counter, "lane-windows", "idle lane-windows at barriers per window"),
-    series!(20, "service.queue_depth", Gauge, "jobs", "jobs waiting in the service admission queue"),
-    series!(21, "service.jobs_admitted", Counter, "jobs", "jobs admitted by the front door per window"),
-    series!(22, "service.jobs_rejected", Counter, "jobs", "jobs rejected with retry-after per window"),
-    series!(23, "service.jobs_completed", Counter, "jobs", "jobs completed by the service per window"),
-    series!(24, "service.warm_hits", Counter, "dispatches", "dispatches that reused a warm session per window"),
-    series!(25, "service.cold_starts", Counter, "dispatches", "dispatches that paid a cold session registration per window"),
-    series!(26, "service.executors_held", Gauge, "executors", "executors held by tenant sessions"),
-    series!(27, "service.tenants_active", Gauge, "tenants", "tenants with at least one queued or running job"),
+    series!(16, "service.queue_depth", Gauge, "jobs", "jobs waiting in the service admission queue"),
+    series!(17, "service.jobs_admitted", Counter, "jobs", "jobs admitted by the front door per window"),
+    series!(18, "service.jobs_rejected", Counter, "jobs", "jobs rejected with retry-after per window"),
+    series!(19, "service.jobs_completed", Counter, "jobs", "jobs completed by the service per window"),
+    series!(20, "service.warm_hits", Counter, "dispatches", "dispatches that reused a warm session per window"),
+    series!(21, "service.cold_starts", Counter, "dispatches", "dispatches that paid a cold session registration per window"),
+    series!(22, "service.executors_held", Gauge, "executors", "executors held by tenant sessions"),
+    series!(23, "service.tenants_active", Gauge, "tenants", "tenants with at least one queued or running job"),
 ];
 
 /// Looks a series definition up by ID. `None` for IDs outside the table
@@ -201,8 +184,8 @@ pub struct Frame {
 
 /// The live registry: current value per series, sealed into [`Frame`]s
 /// by [`Registry::sample`]. A registry covers a **prefix** of [`SERIES`]
-/// — the core vocabulary by default, the full table (shard telemetry
-/// included) via [`Registry::with_shard_telemetry`]. Writes to series
+/// — the core vocabulary by default, the full table (service series
+/// included) via [`Registry::with_service_telemetry`]. Writes to series
 /// outside the registry's vocabulary are ignored, so feeding code can run
 /// unconditionally and the vocabulary choice alone decides frame shape.
 #[derive(Debug)]
@@ -222,24 +205,11 @@ impl Default for Registry {
 
 impl Registry {
     /// A registry over the core vocabulary (the first [`CORE_SERIES`]
-    /// entries of [`SERIES`]), all values zero. Frames from this registry
-    /// are byte-identical to pre-shard-telemetry builds.
+    /// entries of [`SERIES`]), all values zero.
     pub fn new() -> Self {
         Registry {
             values: vec![0; CORE_SERIES],
             prev_cumulative: vec![0; CORE_SERIES],
-        }
-    }
-
-    /// A registry extending the core vocabulary with the shard-telemetry
-    /// block (`SERIES[..SHARD_SERIES_END]`). Opt-in: its frames carry
-    /// more columns than the core vocabulary, so goldens recorded against
-    /// [`Registry::new`] do not compare against it. The service block is
-    /// *not* included — shard-telemetry frame shape is pinned by goldens.
-    pub fn with_shard_telemetry() -> Self {
-        Registry {
-            values: vec![0; SHARD_SERIES_END],
-            prev_cumulative: vec![0; SHARD_SERIES_END],
         }
     }
 
@@ -378,57 +348,28 @@ mod tests {
 
     #[test]
     fn core_vocabulary_boundary_is_stable() {
-        // The core prefix ends exactly where shard telemetry begins, and
-        // the shard block ends exactly where the service block begins —
-        // moving either boundary would silently reshape recorded frames.
+        // The core prefix ends exactly where the service block begins —
+        // moving the boundary would silently reshape recorded frames.
         assert_eq!(CORE_SERIES, 16);
-        assert_eq!(SHARD_SERIES_END, 20);
-        assert_eq!(SIM_SHARD_EVENTS.0 as usize, CORE_SERIES);
-        assert_eq!(SERVICE_QUEUE_DEPTH.0 as usize, SHARD_SERIES_END);
+        assert_eq!(SERVICE_QUEUE_DEPTH.0 as usize, CORE_SERIES);
         assert!(SERIES[..CORE_SERIES]
             .iter()
-            .all(|d| !d.name.starts_with("sim.shard.") && !d.name.starts_with("service.")));
-        assert!(SERIES[CORE_SERIES..SHARD_SERIES_END]
-            .iter()
-            .all(|d| d.name.starts_with("sim.shard.")));
-        assert!(SERIES[SHARD_SERIES_END..]
+            .all(|d| !d.name.starts_with("service.")));
+        assert!(SERIES[CORE_SERIES..]
             .iter()
             .all(|d| d.name.starts_with("service.")));
     }
 
     #[test]
-    fn default_registry_frames_exclude_shard_series() {
+    fn default_registry_frames_exclude_service_series() {
         let mut core = Registry::new();
-        // Shard-series writes are ignored, not a panic and not recorded.
-        core.add(SIM_SHARD_CROSS_MSGS, 7);
-        core.set_cumulative(SIM_SHARD_EVENTS, 9);
-        assert_eq!(core.get(SIM_SHARD_CROSS_MSGS), 0);
+        // Service-series writes are ignored, not a panic and not recorded.
+        core.add(SERVICE_JOBS_ADMITTED, 7);
+        core.set_cumulative(SERVICE_JOBS_COMPLETED, 9);
+        assert_eq!(core.get(SERVICE_JOBS_ADMITTED), 0);
         let f = core.sample(0);
         assert_eq!(f.values.len(), CORE_SERIES);
         assert!(f.values.iter().all(|&(id, _)| (id as usize) < CORE_SERIES));
-    }
-
-    #[test]
-    fn shard_telemetry_registry_covers_shard_block() {
-        let mut full = Registry::with_shard_telemetry();
-        assert_eq!(full.vocabulary_len(), SHARD_SERIES_END);
-        // The service block stays outside: shard-telemetry frame shape is
-        // pinned by goldens recorded before the service series existed.
-        full.set(SERVICE_QUEUE_DEPTH, 5);
-        assert_eq!(full.get(SERVICE_QUEUE_DEPTH), 0);
-        full.set_cumulative(SIM_SHARD_EVENTS, 4);
-        let f0 = full.sample(0);
-        full.set_cumulative(SIM_SHARD_EVENTS, 10);
-        full.add(SIM_SHARD_BARRIER_STALLS, 2);
-        let f1 = full.sample(1);
-        assert_eq!(f0.values.len(), SHARD_SERIES_END);
-        // Cumulative deltas telescope across the boundary series too.
-        let events: u64 = [&f0, &f1]
-            .iter()
-            .map(|f| f.values[SIM_SHARD_EVENTS.0 as usize].1)
-            .sum();
-        assert_eq!(events, 10);
-        assert_eq!(f1.values[SIM_SHARD_BARRIER_STALLS.0 as usize], (19, 2));
     }
 
     #[test]
@@ -440,9 +381,9 @@ mod tests {
         svc.add(SERVICE_WARM_HITS, 2);
         let f = svc.sample(0);
         assert_eq!(f.values.len(), SERIES.len());
-        assert_eq!(f.values[SERVICE_QUEUE_DEPTH.0 as usize], (20, 11));
-        assert_eq!(f.values[SERVICE_JOBS_ADMITTED.0 as usize], (21, 3));
-        assert_eq!(f.values[SERVICE_WARM_HITS.0 as usize], (24, 2));
+        assert_eq!(f.values[SERVICE_QUEUE_DEPTH.0 as usize], (16, 11));
+        assert_eq!(f.values[SERVICE_JOBS_ADMITTED.0 as usize], (17, 3));
+        assert_eq!(f.values[SERVICE_WARM_HITS.0 as usize], (20, 2));
         // Counters drain, the gauge persists.
         let f1 = svc.sample(1);
         assert_eq!(f1.values[SERVICE_JOBS_ADMITTED.0 as usize].1, 0);

@@ -31,11 +31,11 @@ use crate::template::{
 use crate::units::{plan_units, UnitPlan};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
-use swift_cluster::{Cluster, ExecutorId, MachineHealth, MachineId, ShardMap};
+use swift_cluster::{Cluster, ExecutorId, MachineHealth, MachineId};
 use swift_dag::{partition, JobDag, Partition, StageId, TaskId};
 use swift_ft::{plan_recovery, ExecutionSnapshot, FailureKind, RecoveryPlan, TaskRunState};
 use swift_shuffle::{SegmentKey, ShuffleMedium, ShuffleScheme};
-use swift_sim::{ShardStats, ShardedEventQueue, SimDuration, SimTime};
+use swift_sim::{ShardedEventQueue, SimDuration, SimTime};
 
 /// One job to run: its DAG plus submission time.
 ///
@@ -203,17 +203,6 @@ pub struct CounterSample {
     /// Bytes staged across all Cache Workers (the shadow model's store
     /// occupancy; 0 unless [`SimObserver::wants_cache_model`]).
     pub cache_store_bytes: u64,
-    /// Events merged through shard lanes so far (cumulative; always equals
-    /// `events_processed` — the crosscheck suite pins the equality).
-    pub shard_events: u64,
-    /// Cumulative inter-shard messages: schedules whose handling-context
-    /// shard differed from the target event's shard (0 at K = 1).
-    pub cross_shard_messages: u64,
-    /// Cumulative window barriers crossed by the sharded core.
-    pub shard_window_barriers: u64,
-    /// Cumulative stalled lane-windows (a lane idle for a whole window
-    /// while another lane was active).
-    pub shard_barrier_stalls: u64,
 }
 
 /// Observer receiving simulation lifecycle callbacks — the hook surface
@@ -405,14 +394,9 @@ pub struct SimConfig {
     /// pure cost optimization — run reports and traces are byte-identical
     /// either way (the differential suite enforces this).
     pub templates: bool,
-    /// Shard-lane count K ≥ 1 for the event core (clamped to
-    /// `1..=machines`). Events are partitioned across K per-machine-group
-    /// lanes and merged at window barriers in global `(time, seq)` order,
-    /// so reports, traces and counter frames are byte-identical at any K
-    /// (the shard-equivalence suite enforces this).
-    pub shards: u32,
-    /// Barrier window width for the sharded core (clamped to ≥ 1 µs).
-    /// A pure performance knob: the merge order is window-independent.
+    /// Barrier window width of the event queue (clamped to ≥ 1 µs). A
+    /// pure performance knob: the pop order is window-independent (the
+    /// root `digest_pins` suite runs both extremes).
     pub shard_window: SimDuration,
 }
 
@@ -425,7 +409,6 @@ impl SimConfig {
             sample_every: None,
             process_restart_delay: SimDuration::from_millis(1_000),
             templates: false,
-            shards: 1,
             shard_window: SimDuration::from_millis(256),
         }
     }
@@ -605,11 +588,8 @@ enum Event {
     Sample,
 }
 
-/// The control shard: lane 0 owns every event that is not anchored to a
-/// specific machine group (submissions, scheduler decision rounds,
-/// injections, utilization samples). Scheduler decision epochs therefore
-/// merge at the same deterministic window barriers as machine events.
-const CTL_SHARD: u32 = 0;
+/// The event queue's one lane: every event is scheduled on it.
+const LANE: u32 = 0;
 
 #[derive(Clone, Debug)]
 struct Request {
@@ -630,10 +610,8 @@ pub struct Simulation {
     cluster: Cluster,
     cfg: SimConfig,
     jobs: Vec<JobSt>,
-    /// The K-lane event core; pops in global `(time, seq)` order at any K.
+    /// The event core, one lane; pops in `(time, seq)` order.
     q: ShardedEventQueue<Event>,
-    /// Machine/executor → shard-group routing (identity at K = 1).
-    shard_map: ShardMap,
     reqs: VecDeque<Request>,
     try_pending: bool,
     /// Executor → `(job, flat)` of the task occupying it. Dense (indexed
@@ -766,18 +744,12 @@ impl Simulation {
             })
             .collect();
         let executor_count = cluster.executor_count() as usize;
-        let shard_map = ShardMap::new(
-            machine_count,
-            cluster.executor_count() / machine_count,
-            cfg.shards,
-        );
-        let q = ShardedEventQueue::new(shard_map.shards(), cfg.shard_window);
+        let q = ShardedEventQueue::new(1, cfg.shard_window);
         let mut sim = Simulation {
             cluster,
             cfg,
             jobs,
             q,
-            shard_map,
             reqs: VecDeque::new(),
             try_pending: false,
             exec_owner: vec![None; executor_count],
@@ -801,7 +773,7 @@ impl Simulation {
         let delay = sim.cfg.policy.partition_overhead;
         for (i, job) in sim.jobs.iter().enumerate() {
             sim.q
-                .schedule(CTL_SHARD, job.submit_at + delay, Event::Submit(i as u32));
+                .schedule(LANE, job.submit_at + delay, Event::Submit(i as u32));
         }
         sim
     }
@@ -871,10 +843,6 @@ impl Simulation {
         let sample = CounterSample {
             event_queue_depth: self.q.pending() as u64,
             events_processed: self.q.processed(),
-            shard_events: self.q.processed(),
-            cross_shard_messages: self.q.cross_shard_messages(),
-            shard_window_barriers: self.q.window_barriers(),
-            shard_barrier_stalls: self.q.stall_windows(),
             pending_requests: self.reqs.len() as u64,
             pending_gang_tasks: self.reqs.iter().map(|r| r.tasks.len() as u64).sum(),
             wave_jobs: self.wave_jobs.len() as u64,
@@ -895,11 +863,8 @@ impl Simulation {
                 FailureAt::Absolute(t) => t,
                 FailureAt::AfterSubmit(d) => self.jobs[inj.job_index].submit_at + d,
             };
-            self.q.schedule(
-                CTL_SHARD,
-                at,
-                Event::Inject((self.injections.len() + i) as u32),
-            );
+            self.q
+                .schedule(LANE, at, Event::Inject((self.injections.len() + i) as u32));
         }
         self.injections.extend(injections);
     }
@@ -907,8 +872,7 @@ impl Simulation {
     /// Registers machine-level crash injections.
     pub fn fail_machines(&mut self, failures: Vec<(SimTime, MachineId)>) {
         for &(t, m) in &failures {
-            self.q
-                .schedule(self.shard_map.machine(m), t, Event::MachineFail(m));
+            self.q.schedule(LANE, t, Event::MachineFail(m));
         }
         self.machine_failures.extend(failures);
     }
@@ -1081,22 +1045,8 @@ impl Simulation {
 
     /// Runs to quiescence and returns the report.
     pub fn run(mut self) -> RunReport {
-        self.run_inner()
-    }
-
-    /// Like [`Simulation::run`], but also returns the sharded core's
-    /// telemetry counters. Deliberately *not* part of the [`RunReport`]:
-    /// reports must stay byte-identical across shard counts and windows.
-    pub fn run_with_shard_stats(mut self) -> (RunReport, ShardStats) {
-        let report = self.run_inner();
-        let stats = self.q.stats();
-        (report, stats)
-    }
-
-    fn run_inner(&mut self) -> RunReport {
         if let Some(iv) = self.cfg.sample_every {
-            self.q
-                .schedule(CTL_SHARD, SimTime::ZERO + iv, Event::Sample);
+            self.q.schedule(LANE, SimTime::ZERO + iv, Event::Sample);
         }
         // Drain same-timestamp batches in one heap interaction each.
         // Events scheduled by a handler (even at the current instant) sort
@@ -1107,13 +1057,8 @@ impl Simulation {
         // sampling. Samples are emitted between batches — never as queue
         // events — so the event stream and its digest are untouched.
         let mut next_counter = self.obs_counter_window.map(|w| SimTime::ZERO + w);
-        let mut batch_shards = Vec::new();
-        while self.q.pop_batch_with_shards(&mut batch, &mut batch_shards) > 0 {
-            for (ev, shard) in batch.drain(..).zip(batch_shards.drain(..)) {
-                // Attribute the handler's follow-up schedules to the shard
-                // that owned the event, so cross-shard message counts are
-                // exact (a pure telemetry concern: order is global).
-                self.q.set_context(shard);
+        while self.q.pop_batch_at_now(&mut batch) > 0 {
+            for ev in batch.drain(..) {
                 self.handle(ev);
             }
             if let Some(boundary) = next_counter {
@@ -1240,7 +1185,7 @@ impl Simulation {
                     .push((now.as_secs_f64(), self.cluster.busy_executor_count()));
                 if self.finished_jobs < self.jobs.len() {
                     if let Some(iv) = self.cfg.sample_every {
-                        self.q.schedule_in(CTL_SHARD, iv, Event::Sample);
+                        self.q.schedule_in(LANE, iv, Event::Sample);
                     }
                 }
             }
@@ -1332,7 +1277,7 @@ impl Simulation {
     fn kick(&mut self) {
         if !self.try_pending && !self.reqs.is_empty() {
             self.try_pending = true;
-            self.q.schedule_now(CTL_SHARD, Event::TrySchedule);
+            self.q.schedule_now(LANE, Event::TrySchedule);
         }
     }
 
@@ -1589,7 +1534,7 @@ impl Simulation {
                 assigned.push((tid, epoch, exec));
             }
             self.q.schedule(
-                self.shard_map.executor(exec),
+                LANE,
                 now + overhead + launch,
                 Event::PlanReady {
                     job: job as u32,
@@ -1652,10 +1597,9 @@ impl Simulation {
         t.phase = Phase::Running;
         t.ever_executed = true;
         let epoch = t.epoch;
-        let exec = t.executor.expect("assigned task has an executor");
         j.phase_epoch += 1;
         self.q.schedule(
-            self.shard_map.executor(exec),
+            LANE,
             now + dur,
             Event::TaskDone {
                 job: job as u32,
@@ -2061,14 +2005,8 @@ impl Simulation {
                 hb + self.cfg.process_restart_delay
             }
         };
-        // Recovery detection is anchored to the failed attempt's machine
-        // group when one is known (the executor field survives the kill);
-        // otherwise it is control-plane work.
-        let shard = self.jobs[job].tasks[flat as usize]
-            .executor
-            .map_or(CTL_SHARD, |e| self.shard_map.executor(e));
         self.q.schedule_in(
-            shard,
+            LANE,
             delay,
             Event::Recover {
                 job: job as u32,

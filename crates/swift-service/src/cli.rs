@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! serve [--jobs N] [--tenants N] [--seed N] [--storms N] [--watermark N]
-//!       [--quota N] [--shards K] [--templates on|off] [--warm on|off]
+//!       [--quota N] [--templates on|off] [--warm on|off]
 //! service-replay <scenario> [--seed N] [--out FILE] [--chrome FILE]
 //! service-replay --list
 //! ```
@@ -24,7 +24,7 @@ use crate::scenarios;
 use crate::service::ServiceSim;
 
 const USAGE: &str = "usage: serve [--jobs N] [--tenants N] [--seed N] [--storms N] \
-                     [--watermark N] [--quota N] [--shards K] [--templates on|off] \
+                     [--watermark N] [--quota N] [--templates on|off] \
                      [--warm on|off]\n       \
                      service-replay <scenario> [--seed N] [--out FILE] [--chrome FILE]\n       \
                      service-replay --list";
@@ -96,7 +96,6 @@ fn run_serve(args: &[String]) -> i32 {
             "--storms" => int_flag!(wl.storms),
             "--watermark" => int_flag!(cfg.queue_watermark),
             "--quota" => int_flag!(cfg.tenant_quota),
-            "--shards" => int_flag!(cfg.shards),
             "--templates" => match parse_switch("serve", "--templates", it.next()) {
                 Ok(v) => cfg.templates = v,
                 Err(code) => return code,
@@ -110,10 +109,6 @@ fn run_serve(args: &[String]) -> i32 {
                 return 2;
             }
         }
-    }
-    if cfg.shards == 0 {
-        eprintln!("serve: --shards must be at least 1 (K=1 is the single-lane core)\n{USAGE}");
-        return 2;
     }
     let sim = ServiceSim::new(cfg, generate_service_workload(&wl));
     let run = sim.run();
@@ -222,8 +217,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zero_shards_is_a_usage_error() {
-        let args: Vec<String> = ["serve", "--shards", "0"].map(String::from).into();
+    fn shards_is_an_unknown_flag() {
+        let args: Vec<String> = ["serve", "--shards", "4"].map(String::from).into();
         assert_eq!(run_cli(&args), 2);
     }
 }

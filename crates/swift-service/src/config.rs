@@ -41,9 +41,6 @@ pub struct ServiceConfig {
     /// are invariant to this flag; only the returned template counters
     /// change.
     pub templates: bool,
-    /// Shard lane count K ≥ 1 forwarded to every per-job simulation
-    /// (default 1).
-    pub shards: u32,
 }
 
 impl Default for ServiceConfig {
@@ -62,7 +59,6 @@ impl Default for ServiceConfig {
             retry_after: SimDuration::from_secs(1),
             sample_every: None,
             templates: true,
-            shards: 1,
         }
     }
 }

@@ -27,7 +27,7 @@
 //! ([`ServiceSim`]), each dispatched job running as a full inner
 //! `swift-scheduler` [`swift_scheduler::Simulation`] on its session's
 //! executors. Same `(workload, config)` — byte-identical
-//! [`ServiceReport`], across shard counts and the templates flag; the
+//! [`ServiceReport`], with the templates flag on or off; the
 //! service-level test battery and the `service` chaos campaign pin
 //! exactly that.
 

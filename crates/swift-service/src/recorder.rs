@@ -38,13 +38,13 @@ struct RecState {
 /// The observer half: install with [`crate::ServiceSim::set_observer`].
 #[derive(Debug)]
 pub struct ServiceTraceRecorder {
-    state: Rc<RefCell<RecState>>, // swift-analyze: allow(SW008) — Rc is !Send, shard-local by construction
+    state: Rc<RefCell<RecState>>, // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
 }
 
 /// The caller's half: yields the [`Trace`] after the run.
 #[derive(Debug)]
 pub struct ServiceTraceHandle {
-    state: Rc<RefCell<RecState>>, // swift-analyze: allow(SW008) — Rc is !Send, shard-local by construction
+    state: Rc<RefCell<RecState>>, // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
     scenario: String,
     seed: u64,
 }

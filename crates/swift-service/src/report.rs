@@ -69,8 +69,8 @@ pub struct TenantReport {
 }
 
 /// The deterministic output of one service run. Byte-identical (and thus
-/// [`ServiceReport::digest`]-identical) for a given `(workload, config)`
-/// across shard counts and the templates flag.
+/// [`ServiceReport::digest`]-identical) for a given `(workload, config)`,
+/// with the templates flag on or off.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServiceReport {
     /// Jobs that arrived at the front door.

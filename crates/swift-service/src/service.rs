@@ -7,8 +7,8 @@
 //! by `(SimTime, sequence)`. Each dispatched job runs as a complete inner
 //! [`Simulation`] on its session's executors; the inner run's makespan
 //! decides when the service sees the job complete. Same `(workload,
-//! config)` — byte-identical [`ServiceReport`], across shard counts and
-//! the templates flag.
+//! config)` — byte-identical [`ServiceReport`], with the templates flag
+//! on or off.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -178,8 +178,7 @@ impl ServiceSim {
             cfg.executors_per_machine,
             CostModel::default(),
         );
-        let mut inner_cfg = SimConfig::swift();
-        inner_cfg.shards = cfg.shards;
+        let inner_cfg = SimConfig::swift();
         let sched = SchedulerSession::new(&inner_cfg.policy);
         let tenant_count = workload.iter().map(|j| j.tenant + 1).max().unwrap_or(0);
         let mut tenants = Vec::with_capacity(tenant_count as usize);

@@ -2,7 +2,7 @@
 //!
 //! 1. **Determinism** — same-seed runs produce byte-identical
 //!    `ServiceReport`s (digest compare), and the digest is invariant to
-//!    the shard count (K ∈ {1, 4}) and the templates flag.
+//!    the templates flag.
 //! 2. **Quota invariant** — no tenant ever holds more executors than its
 //!    quota (live-asserted inside the loop on every admission; witnessed
 //!    here through the session event stream).
@@ -54,9 +54,8 @@ fn battery_workload(seed: u64) -> ServiceWorkloadConfig {
     }
 }
 
-fn run_digest(seed: u64, shards: u32, templates: bool) -> u64 {
+fn run_digest(seed: u64, templates: bool) -> u64 {
     let cfg = ServiceConfig {
-        shards,
         templates,
         ..ServiceConfig::default()
     };
@@ -68,27 +67,18 @@ fn run_digest(seed: u64, shards: u32, templates: bool) -> u64 {
 fn same_seed_reports_are_byte_identical() {
     for seed in [1u64, 42, 20210419] {
         assert_eq!(
-            run_digest(seed, 1, true),
-            run_digest(seed, 1, true),
+            run_digest(seed, true),
+            run_digest(seed, true),
             "seed {seed} digest drifted between identical runs"
         );
     }
 }
 
 #[test]
-fn digest_is_invariant_to_shard_count() {
-    assert_eq!(
-        run_digest(7, 4, true),
-        run_digest(7, 1, true),
-        "shards=4 changed the service report"
-    );
-}
-
-#[test]
 fn digest_is_invariant_to_templates_flag() {
     assert_eq!(
-        run_digest(11, 1, true),
-        run_digest(11, 1, false),
+        run_digest(11, true),
+        run_digest(11, false),
         "templates flag leaked into the service report"
     );
 }
@@ -96,7 +86,7 @@ fn digest_is_invariant_to_templates_flag() {
 #[test]
 fn different_seeds_diverge() {
     // Sanity check that the digest actually sees the workload.
-    assert_ne!(run_digest(1, 1, true), run_digest(2, 1, true));
+    assert_ne!(run_digest(1, true), run_digest(2, true));
 }
 
 // ---- quota + warm-pool invariants (event-stream witnesses) ----
@@ -112,7 +102,7 @@ struct SessionLedger {
 }
 
 #[derive(Debug, Default)]
-struct LedgerObserver(Rc<RefCell<SessionLedger>>); // swift-analyze: allow(SW008) — Rc is !Send, shard-local by construction
+struct LedgerObserver(Rc<RefCell<SessionLedger>>); // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
 
 impl ServiceObserver for LedgerObserver {
     fn on_session_cold_start(
@@ -172,7 +162,7 @@ fn quota_and_warm_pool_invariants_hold() {
 
 /// Records the tenant of every dispatch, in dispatch order.
 #[derive(Debug, Default)]
-struct DispatchOrder(Rc<RefCell<Vec<u32>>>); // swift-analyze: allow(SW008) — Rc is !Send, shard-local by construction
+struct DispatchOrder(Rc<RefCell<Vec<u32>>>); // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
 
 impl ServiceObserver for DispatchOrder {
     fn on_session_warm_hit(&mut self, _now: SimTime, _job: usize, tenant: u32, _session: u32) {

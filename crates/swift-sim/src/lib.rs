@@ -30,5 +30,5 @@ mod time;
 pub use hash::Fnv64;
 pub use queue::EventQueue;
 pub use rng::{SimRng, ZipfTable};
-pub use shard::{ShardStats, ShardedEventQueue};
+pub use shard::ShardedEventQueue;
 pub use time::{SimDuration, SimTime};

@@ -1,14 +1,17 @@
-//! Sharded discrete-event queue with deterministic time-windowed merging.
+//! Window-barrier discrete-event queue.
 //!
-//! [`ShardedEventQueue`] partitions pending events across K *lanes* (one per
-//! shard group — e.g. a contiguous range of cluster machines) while popping
+//! [`ShardedEventQueue`] holds pending events in K *lanes* while popping
 //! them in exactly the same total order as the single [`EventQueue`]:
 //! `(time, seq)` on a packed `u128` key, where `seq` is a **global**
-//! insertion counter shared by every lane. The shard id names the lane an
-//! event is stored in and is recorded for telemetry; it is *not* a
-//! tie-breaker. That choice is what makes the merged stream byte-identical
-//! to a single [`EventQueue`] for the same seed at any K: per-lane
-//! sequence numbers would reorder same-timestamp cross-shard events.
+//! insertion counter shared by every lane. The lane id only says where an
+//! event is stored; it is *not* a tie-breaker. That choice is what makes
+//! the merged stream byte-identical to a single [`EventQueue`] for the
+//! same seed at any K: per-lane sequence numbers would reorder
+//! same-timestamp events stored in different lanes.
+//!
+//! The simulator runs one lane (K = 1). K > 1 survives only so the unit
+//! tests below keep the merge honest until the benchmark's own call
+//! (`new(1, ..)`, `schedule(0, ..)`) points at a one-lane type.
 //!
 //! Time advances through fixed-width *windows* separated by deterministic
 //! barriers. Each lane keeps four containers:
@@ -33,25 +36,6 @@
 use crate::queue::{MinHeap4, Scheduled};
 use crate::time::{SimDuration, SimTime};
 
-/// Telemetry counters for a sharded run. All values are deterministic
-/// functions of the schedule (and therefore of the seed).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Number of shard lanes (K).
-    pub shards: u32,
-    /// Events popped per shard lane, indexed by shard id.
-    pub events_per_shard: Vec<u64>,
-    /// Schedules whose handling context shard differed from the target
-    /// event's shard — the inter-shard message count.
-    pub cross_shard_messages: u64,
-    /// Window barriers crossed (lane refills performed K times each).
-    pub window_barriers: u64,
-    /// Lane-windows in which a lane had no events while at least one other
-    /// lane was active — idle capacity under a hypothetical parallel
-    /// executor.
-    pub stall_windows: u64,
-}
-
 struct Lane<E> {
     /// Current window, sorted descending by key; minimum at the tail.
     run: Vec<Scheduled<E>>,
@@ -63,8 +47,6 @@ struct Lane<E> {
     next_min: u128,
     /// Events at least one full window beyond the horizon at insert time.
     far: MinHeap4<E>,
-    /// Events popped from this lane.
-    events: u64,
 }
 
 impl<E> Lane<E> {
@@ -75,7 +57,6 @@ impl<E> Lane<E> {
             next: Vec::new(),
             next_min: u128::MAX,
             far: MinHeap4::new(),
-            events: 0,
         }
     }
 
@@ -157,18 +138,12 @@ pub struct ShardedEventQueue<E> {
     now: SimTime,
     seq: u64,
     processed: u64,
-    /// Shard context attributed as the *source* of subsequent schedules;
-    /// `None` outside event handling (initial seeding).
-    context: Option<u32>,
-    cross_shard_messages: u64,
-    window_barriers: u64,
-    stall_windows: u64,
 }
 
 impl<E> std::fmt::Debug for ShardedEventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEventQueue")
-            .field("shards", &self.lanes.len())
+            .field("lanes", &self.lanes.len())
             .field("now", &self.now)
             .field(
                 "pending",
@@ -181,11 +156,11 @@ impl<E> std::fmt::Debug for ShardedEventQueue<E> {
 }
 
 impl<E> ShardedEventQueue<E> {
-    /// Creates an empty queue with `shards` lanes and the given barrier
-    /// window. `shards` is clamped to at least 1 and `window` to at least
+    /// Creates an empty queue with `lanes` lanes and the given barrier
+    /// window. `lanes` is clamped to at least 1 and `window` to at least
     /// one microsecond.
-    pub fn new(shards: u32, window: SimDuration) -> Self {
-        let k = shards.max(1) as usize;
+    pub fn new(lanes: u32, window: SimDuration) -> Self {
+        let k = lanes.max(1) as usize;
         ShardedEventQueue {
             lanes: (0..k).map(|_| Lane::new()).collect(),
             window: window.as_micros().max(1),
@@ -193,16 +168,7 @@ impl<E> ShardedEventQueue<E> {
             now: SimTime::ZERO,
             seq: 0,
             processed: 0,
-            context: None,
-            cross_shard_messages: 0,
-            window_barriers: 0,
-            stall_windows: 0,
         }
-    }
-
-    /// Number of shard lanes (K).
-    pub fn shards(&self) -> u32 {
-        self.lanes.len() as u32
     }
 
     /// The current simulation time: the timestamp of the last popped event
@@ -231,71 +197,27 @@ impl<E> ShardedEventQueue<E> {
         self.pending() == 0
     }
 
-    /// Sets the shard whose handler is currently running, so cross-shard
-    /// scheduling is attributed to the right source. [`ShardedEventQueue::pop`]
-    /// sets this to the popped event's shard automatically; drivers that
-    /// drain batches and handle events later should set it per event.
-    pub fn set_context(&mut self, shard: u32) {
-        self.context = Some(shard % self.lanes.len() as u32);
-    }
-
-    /// Clears the handling context (e.g. while seeding the initial
-    /// schedule); subsequent schedules count as local to their target.
-    pub fn clear_context(&mut self) {
-        self.context = None;
-    }
-
-    /// Cumulative cross-shard message count (allocation-free; see
-    /// [`ShardStats::cross_shard_messages`]).
-    pub fn cross_shard_messages(&self) -> u64 {
-        self.cross_shard_messages
-    }
-
-    /// Cumulative window-barrier count (allocation-free).
-    pub fn window_barriers(&self) -> u64 {
-        self.window_barriers
-    }
-
-    /// Cumulative stalled lane-window count (allocation-free).
-    pub fn stall_windows(&self) -> u64 {
-        self.stall_windows
-    }
-
-    /// Snapshot of the shard telemetry counters.
-    pub fn stats(&self) -> ShardStats {
-        ShardStats {
-            shards: self.lanes.len() as u32,
-            events_per_shard: self.lanes.iter().map(|l| l.events).collect(),
-            cross_shard_messages: self.cross_shard_messages,
-            window_barriers: self.window_barriers,
-            stall_windows: self.stall_windows,
-        }
-    }
-
-    /// Schedules `event` on `shard` at absolute time `at`. Same contract as
+    /// Schedules `event` on `lane` at absolute time `at`. Same contract as
     /// `EventQueue::schedule`: scheduling into the past panics in debug
-    /// builds and fires "now" in release builds. A shard id at or beyond K
+    /// builds and fires "now" in release builds. A lane id at or beyond K
     /// wraps (debug builds assert it is in range).
-    pub fn schedule(&mut self, shard: u32, at: SimTime, event: E) {
+    pub fn schedule(&mut self, lane: u32, at: SimTime, event: E) {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at} < {}",
             self.now
         );
         debug_assert!(
-            (shard as usize) < self.lanes.len(),
-            "shard {shard} out of range (K = {})",
+            (lane as usize) < self.lanes.len(),
+            "lane {lane} out of range (K = {})",
             self.lanes.len()
         );
         let at = at.max(self.now);
         let key = (u128::from(at.0) << 64) | u128::from(self.seq);
         self.seq += 1;
-        let shard = shard % self.lanes.len() as u32;
-        if self.context.is_some_and(|src| src != shard) {
-            self.cross_shard_messages += 1;
-        }
         let t = u128::from(at.0);
-        let lane = &mut self.lanes[shard as usize];
+        let k = self.lanes.len();
+        let lane = &mut self.lanes[lane as usize % k];
         let entry = Scheduled { key, event };
         if t < self.horizon {
             lane.late.push(entry);
@@ -307,15 +229,15 @@ impl<E> ShardedEventQueue<E> {
         }
     }
 
-    /// Schedules `event` on `shard` after `delay` from the current time.
-    pub fn schedule_in(&mut self, shard: u32, delay: SimDuration, event: E) {
-        self.schedule(shard, self.now + delay, event);
+    /// Schedules `event` on `lane` after `delay` from the current time.
+    pub fn schedule_in(&mut self, lane: u32, delay: SimDuration, event: E) {
+        self.schedule(lane, self.now + delay, event);
     }
 
-    /// Schedules `event` on `shard` at the current time (after all events
+    /// Schedules `event` on `lane` at the current time (after all events
     /// already queued for this instant, preserving FIFO order).
-    pub fn schedule_now(&mut self, shard: u32, event: E) {
-        self.schedule(shard, self.now, event);
+    pub fn schedule_now(&mut self, lane: u32, event: E) {
+        self.schedule(lane, self.now, event);
     }
 
     /// Lane index holding the globally earliest ready event, if any lane
@@ -334,14 +256,12 @@ impl<E> ShardedEventQueue<E> {
         (best != u128::MAX).then_some((best, best_lane))
     }
 
-    /// Pops the ready event from `lane`, advancing the clock and counters.
+    /// Pops the ready event from `lane`, advancing the clock and count.
     #[inline]
     fn take(&mut self, li: usize) -> E {
         let s = self.lanes[li].take();
         self.now = s.at();
         self.processed += 1;
-        self.lanes[li].events += 1;
-        self.context = Some(li as u32);
         s.event
     }
 
@@ -361,17 +281,8 @@ impl<E> ShardedEventQueue<E> {
         let horizon = (u128::from(min_at) / u128::from(self.window) + 1) * u128::from(self.window);
         debug_assert!(horizon > self.horizon);
         self.horizon = horizon;
-        self.window_barriers += 1;
         for lane in &mut self.lanes {
             lane.refill(horizon);
-        }
-        let idle = self
-            .lanes
-            .iter()
-            .filter(|l| l.run.is_empty() && l.late.len() == 0)
-            .count();
-        if idle < self.lanes.len() {
-            self.stall_windows += idle as u64;
         }
         true
     }
@@ -395,29 +306,8 @@ impl<E> ShardedEventQueue<E> {
     /// as `EventQueue::pop_batch_at_now`: events scheduled while the batch
     /// is handled are not part of it.
     pub fn pop_batch_at_now(&mut self, out: &mut Vec<E>) -> usize {
-        self.batch(out, None)
-    }
-
-    /// Like [`ShardedEventQueue::pop_batch_at_now`], but also records each
-    /// drained event's shard id into `shards` (parallel to `out`), so a
-    /// driver that handles the batch later can attribute its follow-up
-    /// schedules to the right source shard via
-    /// [`ShardedEventQueue::set_context`].
-    pub fn pop_batch_with_shards(&mut self, out: &mut Vec<E>, shards: &mut Vec<u32>) -> usize {
-        self.batch(out, Some(shards))
-    }
-
-    fn batch(&mut self, out: &mut Vec<E>, mut shards: Option<&mut Vec<u32>>) -> usize {
-        let first = loop {
-            if let Some((_, li)) = self.min_ready() {
-                if let Some(shards) = shards.as_deref_mut() {
-                    shards.push(li as u32);
-                }
-                break self.take(li);
-            }
-            if !self.advance_window() {
-                return 0;
-            }
+        let Some(first) = self.pop() else {
+            return 0;
         };
         let t = self.now;
         out.push(first);
@@ -427,9 +317,6 @@ impl<E> ShardedEventQueue<E> {
         while let Some((key, li)) = self.min_ready() {
             if (key >> 64) as u64 != t.0 {
                 break;
-            }
-            if let Some(shards) = shards.as_deref_mut() {
-                shards.push(li as u32);
             }
             out.push(self.take(li));
             n += 1;
@@ -536,9 +423,12 @@ mod tests {
     #[test]
     fn window_extremes_do_not_change_order() {
         // One-µs windows (a barrier per distinct timestamp) and huge
-        // windows (everything in one run) must both merge identically.
-        assert_equivalent(5, 4, 1);
-        assert_equivalent(5, 4, 1_000_000);
+        // windows (everything in one run) must both merge identically, on
+        // one lane as on several.
+        for k in [1u32, 4] {
+            assert_equivalent(5, k, 1);
+            assert_equivalent(5, k, 1_000_000);
+        }
     }
 
     #[test]
@@ -593,38 +483,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(30)));
         q.schedule(0, SimTime::from_millis(2), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-    }
-
-    #[test]
-    fn stats_count_events_messages_and_barriers() {
-        let mut q = ShardedEventQueue::new(2, SimDuration::from_millis(1));
-        q.schedule(0, SimTime::from_millis(1), 0u32); // seeding: no context, no cross count
-        q.schedule(1, SimTime::from_millis(5), 1);
-        assert_eq!(q.pop(), Some(0));
-        // Handling context is shard 0; targeting shard 1 is cross-shard.
-        q.schedule_in(1, SimDuration::from_millis(1), 2);
-        q.schedule_in(0, SimDuration::from_millis(1), 3);
-        while q.pop().is_some() {}
-        let s = q.stats();
-        assert_eq!(s.shards, 2);
-        assert_eq!(s.events_per_shard, vec![2, 2]);
-        assert_eq!(s.events_per_shard.iter().sum::<u64>(), q.processed());
-        assert_eq!(s.cross_shard_messages, 1);
-        assert!(s.window_barriers >= 2, "distinct windows force barriers");
-    }
-
-    #[test]
-    fn k1_is_a_single_lane_superset_of_event_queue() {
-        // At K = 1 every event is same-shard; stats reflect that.
-        let mut q = ShardedEventQueue::new(1, SimDuration::from_millis(1));
-        for i in 0..10u32 {
-            q.schedule(0, SimTime::from_millis(u64::from(i % 3)), i);
-        }
-        while q.pop().is_some() {}
-        let s = q.stats();
-        assert_eq!(s.cross_shard_messages, 0);
-        assert_eq!(s.events_per_shard, vec![10]);
-        assert_eq!(s.stall_windows, 0, "a lone lane can never stall");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! trace <scenario> [--seed N] [--out FILE] [--chrome FILE] [--metrics]
-//!                  [--counters] [--lean] [--stream] [--shards K]
+//!                  [--counters] [--lean] [--stream]
 //! trace diff A B
 //! trace --list
 //! ```
@@ -21,10 +21,6 @@
 //! regardless of run length — the file is byte-identical to the buffered
 //! path.
 //!
-//! `--shards K` runs the scenario on the simulator core with K ≥ 1 lanes.
-//! Sharding is byte-invisible, so the output is identical at any K — which
-//! is exactly what the CI byte-compare smoke pins with `trace diff`.
-//!
 //! `trace diff A B` compares two rendered trace files structurally:
 //! first divergent line, per-event-kind count deltas, per-series
 //! counter-track deltas. Exit 0 when identical, 1 when they differ.
@@ -34,7 +30,7 @@ use crate::sink::StreamSink;
 use crate::{diff, scenarios};
 
 const USAGE: &str = "usage: trace <scenario> [--seed N] [--out FILE] [--chrome FILE] \
-                     [--metrics] [--counters] [--lean] [--stream] [--shards K]\n       \
+                     [--metrics] [--counters] [--lean] [--stream]\n       \
                      trace diff A B\n       trace --list";
 
 fn run_diff(args: &[String]) -> i32 {
@@ -72,7 +68,6 @@ pub fn run_cli(args: &[String]) -> i32 {
     let mut counters = false;
     let mut lean = false;
     let mut stream = false;
-    let mut shards: Option<u32> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -104,19 +99,6 @@ pub fn run_cli(args: &[String]) -> i32 {
                 Some(v) => chrome = Some(v.clone()),
                 None => {
                     eprintln!("trace: --chrome needs a path\n{USAGE}");
-                    return 2;
-                }
-            },
-            "--shards" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(0) => {
-                    eprintln!(
-                        "trace: --shards must be at least 1 (K=1 is the single-lane core)\n{USAGE}"
-                    );
-                    return 2;
-                }
-                Some(v) => shards = Some(v),
-                None => {
-                    eprintln!("trace: --shards needs an integer\n{USAGE}");
                     return 2;
                 }
             },
@@ -170,11 +152,7 @@ pub fn run_cli(args: &[String]) -> i32 {
                 return 1;
             }
         };
-        let run = match shards {
-            Some(k) => scenarios::run_traced_sink_sharded(&name, seed, cfg, sink, k),
-            None => scenarios::run_traced_sink(&name, seed, cfg, sink),
-        };
-        let Some((sink, _report)) = run else {
+        let Some((sink, _report)) = scenarios::run_traced_sink(&name, seed, cfg, sink) else {
             eprintln!(
                 "trace: unknown scenario {name:?}; known: {}",
                 scenarios::names().join(", ")
@@ -196,11 +174,7 @@ pub fn run_cli(args: &[String]) -> i32 {
         }
     }
 
-    let run = match shards {
-        Some(k) => scenarios::run_traced_sharded(&name, seed, cfg, k),
-        None => scenarios::run_traced(&name, seed, cfg),
-    };
-    let Some((trace, report)) = run else {
+    let Some((trace, report)) = scenarios::run_traced(&name, seed, cfg) else {
         eprintln!(
             "trace: unknown scenario {name:?}; known: {}",
             scenarios::names().join(", ")
@@ -253,8 +227,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zero_shards_is_a_usage_error() {
-        let args: Vec<String> = ["tiny", "--shards", "0"].map(String::from).into();
+    fn shards_is_an_unknown_flag() {
+        let args: Vec<String> = ["tiny", "--shards", "4"].map(String::from).into();
         assert_eq!(run_cli(&args), 2);
     }
 }

@@ -1,6 +1,6 @@
 //! `trace diff`: structural comparison of two rendered trace files.
 //!
-//! Works on the stable text format (v3), so it can compare traces
+//! Works on the stable text format (v4), so it can compare traces
 //! produced by any sink — in-memory render, streamed file, chaos
 //! `--trace-on-failure` dump — without re-running anything. Reports the
 //! first divergent line, per-event-kind count deltas, and per-series
@@ -11,6 +11,8 @@
 use std::collections::BTreeMap;
 
 use swift_metrics::SeriesKind;
+
+use crate::TEXT_FORMAT_VERSION;
 
 /// Result of comparing two rendered traces.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,6 +40,14 @@ struct Summary {
 
 fn summarize(text: &str) -> Summary {
     let mut s = Summary::default();
+    // Series IDs are numbered per format version: read under this build's
+    // vocabulary, another version's `sN=` values would name the wrong
+    // series, so only the current version's counter tracks are summed.
+    let current = text
+        .lines()
+        .next()
+        .and_then(|l| l.strip_prefix("# swift-trace v"))
+        .is_some_and(|v| v.parse() == Ok(TEXT_FORMAT_VERSION));
     for line in text.lines() {
         let t = line.trim_start();
         if t.is_empty() || t.starts_with('#') {
@@ -48,7 +58,7 @@ fn summarize(text: &str) -> Summary {
         let Some(kind) = tok.next() else { continue };
         s.events += 1;
         *s.kinds.entry(kind.to_string()).or_insert(0) += 1;
-        if kind != "counters" {
+        if kind != "counters" || !current {
             continue;
         }
         for kv in tok {
@@ -163,7 +173,7 @@ pub fn render(r: &DiffReport, label_a: &str, label_b: &str) -> String {
 mod tests {
     use super::*;
 
-    const A: &str = "# swift-trace v3\n# scenario=x seed=1\n\
+    const A: &str = "# swift-trace v4\n# scenario=x seed=1\n\
                      0 job_submitted job=0\n\
                      10 counters window=0 s1=5 s13=8\n\
                      20 run_finished events=9\n\
@@ -196,8 +206,16 @@ mod tests {
     }
 
     #[test]
+    fn other_versions_counter_tracks_are_not_read() {
+        let a = A.replace("v4", "v3");
+        let r = diff_texts(&a, &a.replace("s1=5", "s1=7"));
+        assert!(!r.identical);
+        assert!(r.series_deltas.is_empty());
+    }
+
+    #[test]
     fn missing_tail_reports_end_of_input() {
-        let b = "# swift-trace v3\n# scenario=x seed=1\n0 job_submitted job=0\n";
+        let b = "# swift-trace v4\n# scenario=x seed=1\n0 job_submitted job=0\n";
         let r = diff_texts(A, b);
         assert!(!r.identical);
         let (line, _, lb) = r.first_divergence.clone().unwrap();

@@ -56,8 +56,9 @@ use swift_sim::SimDuration;
 /// (goldens must be re-blessed). v2 moved the event count from the
 /// header to a trailing `# events=N` footer so a streaming writer never
 /// needs to seek, and added `counters` frame lines. v3 dropped the
-/// `canonical=` field from `template_hit` lines.
-pub const TEXT_FORMAT_VERSION: u32 = 3;
+/// `canonical=` field from `template_hit` lines. v4 dropped the shard
+/// series 16–19 and renumbered the service series from 20–27 to 16–23.
+pub const TEXT_FORMAT_VERSION: u32 = 4;
 
 /// A finished recording: the full event stream of one simulated run.
 #[derive(Clone, Debug, PartialEq)]

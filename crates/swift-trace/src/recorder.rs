@@ -65,13 +65,6 @@ pub struct RecorderConfig {
     /// simulated-time window. `None` (the default) disables sampling
     /// entirely — lean traces and the perf paths carry no frames.
     pub counter_window: Option<SimDuration>,
-    /// Extend counter frames with the shard-telemetry series
-    /// (`sim.shard.*`: merged events, cross-shard messages, window
-    /// barriers, barrier stalls). Off by default — and off in
-    /// [`RecorderConfig::full`] — because the extra columns change frame
-    /// shape, and default frames must stay byte-identical across shard
-    /// counts (messages, barriers and stalls all vary with K).
-    pub shard_series: bool,
 }
 
 impl Default for RecorderConfig {
@@ -81,7 +74,6 @@ impl Default for RecorderConfig {
             cache_model: false,
             template_events: true,
             counter_window: None,
-            shard_series: false,
         }
     }
 }
@@ -89,15 +81,12 @@ impl Default for RecorderConfig {
 impl RecorderConfig {
     /// Everything on: input reads, the cache shadow model, template
     /// events and counter sampling at [`DEFAULT_COUNTER_WINDOW_MS`].
-    /// Shard telemetry stays off — it widens frames, so it is a separate
-    /// opt-in via [`RecorderConfig::shard_series`].
     pub fn full() -> Self {
         RecorderConfig {
             input_reads: true,
             cache_model: true,
             template_events: true,
             counter_window: Some(SimDuration::from_millis(DEFAULT_COUNTER_WINDOW_MS)),
-            shard_series: false,
         }
     }
 }
@@ -143,9 +132,9 @@ impl<S: TraceSink> RecorderState<S> {
 pub struct TraceHandle<S: TraceSink = MemorySink> {
     scenario: String,
     seed: u64,
-    // Rc is !Send: the handle can never leave the thread (or shard) that
-    // owns the recorder, so the interior mutability is shard-local.
-    state: Rc<RefCell<RecorderState<S>>>, // swift-analyze: allow(SW008) — Rc is !Send, shard-local by construction
+    // Rc is !Send: the handle can never leave the thread that owns the
+    // recorder, and the run writes the state only from its callbacks.
+    state: Rc<RefCell<RecorderState<S>>>, // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
 }
 
 impl<S: TraceSink> Clone for TraceHandle<S> {
@@ -214,7 +203,7 @@ impl<S: TraceSink> TraceHandle<S> {
 #[derive(Debug)]
 pub struct TraceRecorder<S: TraceSink = MemorySink> {
     cfg: RecorderConfig,
-    state: Rc<RefCell<RecorderState<S>>>, // swift-analyze: allow(SW008) — Rc is !Send, shard-local by construction
+    state: Rc<RefCell<RecorderState<S>>>, // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
 }
 
 impl TraceRecorder<MemorySink> {
@@ -243,11 +232,7 @@ impl<S: TraceSink> TraceRecorder<S> {
             sink,
             pending_read: None,
             metrics: cfg.counter_window.map(|_| MetricsState {
-                reg: if cfg.shard_series {
-                    sm::Registry::with_shard_telemetry()
-                } else {
-                    sm::Registry::new()
-                },
+                reg: sm::Registry::new(),
                 open_gangs: 0,
             }),
         }));
@@ -601,12 +586,6 @@ impl<S: TraceSink> SimObserver for TraceRecorder<S> {
                 reg.set(sm::CLUSTER_LIVE_EXECUTORS, sample.live_executors);
                 reg.set(sm::CLUSTER_BUSY_EXECUTORS, sample.busy_executors);
                 reg.set(sm::CLUSTER_GANG_WAITS_OPEN, m.open_gangs);
-                // Shard telemetry: no-ops on the core vocabulary, so the
-                // registry choice alone decides whether frames carry them.
-                reg.set_cumulative(sm::SIM_SHARD_EVENTS, sample.shard_events);
-                reg.set_cumulative(sm::SIM_SHARD_CROSS_MSGS, sample.cross_shard_messages);
-                reg.set_cumulative(sm::SIM_SHARD_WINDOW_BARRIERS, sample.shard_window_barriers);
-                reg.set_cumulative(sm::SIM_SHARD_BARRIER_STALLS, sample.shard_barrier_stalls);
                 reg.sample(now.as_micros() / window.as_micros().max(1))
             }
             None => return,

@@ -284,62 +284,39 @@ pub fn build(name: &str, seed: u64) -> Option<Simulation> {
 /// the entry point of the cache-differential suite, which runs the same
 /// scenario both ways and compares the results byte for byte.
 pub fn build_with(name: &str, seed: u64, templates: bool) -> Option<Simulation> {
+    build_from(
+        name,
+        seed,
+        SimConfig {
+            templates,
+            ..SimConfig::swift()
+        },
+    )
+}
+
+/// Like [`build`], with an explicit event-queue barrier window
+/// ([`SimConfig::shard_window`]). The window is a pure performance knob;
+/// the root `digest_pins` suite runs both extremes to prove it.
+pub fn build_with_window(name: &str, seed: u64, window: SimDuration) -> Option<Simulation> {
+    let templates = find(name)?.templates;
+    build_from(
+        name,
+        seed,
+        SimConfig {
+            templates,
+            shard_window: window,
+            ..SimConfig::swift()
+        },
+    )
+}
+
+fn build_from(name: &str, seed: u64, cfg: SimConfig) -> Option<Simulation> {
     let sc = find(name)?;
     let (workload, injections) = (sc.build)(seed);
     let cluster = Cluster::new(sc.machines, sc.executors_per_machine, CostModel::default());
-    let cfg = SimConfig {
-        templates,
-        ..SimConfig::swift()
-    };
     let mut sim = Simulation::new(cluster, cfg, workload);
     sim.inject_failures(injections);
     Some(sim)
-}
-
-/// Like [`build`], but running on the sharded event core with `shards`
-/// lanes (clamped to ≥ 1) — the entry point of the shard-equivalence
-/// suite, which runs the same scenario at several K and compares reports,
-/// traces and counter frames byte for byte.
-pub fn build_sharded(name: &str, seed: u64, shards: u32) -> Option<Simulation> {
-    build_sharded_with_window(name, seed, shards, None)
-}
-
-/// Like [`build_sharded`], with an explicit barrier window (`None` keeps
-/// the [`SimConfig::swift`] default). The window is a pure performance
-/// knob; the equivalence suite runs both extremes to prove it.
-pub fn build_sharded_with_window(
-    name: &str,
-    seed: u64,
-    shards: u32,
-    window: Option<SimDuration>,
-) -> Option<Simulation> {
-    let sc = find(name)?;
-    let (workload, injections) = (sc.build)(seed);
-    let cluster = Cluster::new(sc.machines, sc.executors_per_machine, CostModel::default());
-    let base = SimConfig::swift();
-    let cfg = SimConfig {
-        templates: sc.templates,
-        shards,
-        shard_window: window.unwrap_or(base.shard_window),
-        ..base
-    };
-    let mut sim = Simulation::new(cluster, cfg, workload);
-    sim.inject_failures(injections);
-    Some(sim)
-}
-
-/// Like [`run_traced`], but on the sharded core via [`build_sharded`].
-pub fn run_traced_sharded(
-    name: &str,
-    seed: u64,
-    cfg: RecorderConfig,
-    shards: u32,
-) -> Option<(Trace, RunReport)> {
-    let mut sim = build_sharded(name, seed, shards)?;
-    let (recorder, handle) = TraceRecorder::new(name, seed, cfg);
-    sim.set_observer(Box::new(recorder));
-    let report = sim.run();
-    Some((handle.finish(), report))
 }
 
 /// Runs `(name, seed)` with a [`TraceRecorder`] attached and returns the
@@ -377,22 +354,6 @@ pub fn run_traced_sink<S: TraceSink + 'static>(
 ) -> Option<(S, RunReport)> {
     let sc = find(name)?;
     let mut sim = build_with(name, seed, sc.templates)?;
-    let (recorder, handle) = TraceRecorder::with_sink(name, seed, cfg, sink);
-    sim.set_observer(Box::new(recorder));
-    let report = sim.run();
-    Some((handle.into_sink(), report))
-}
-
-/// Like [`run_traced_sink`], but on the sharded core via [`build_sharded`]
-/// — the `trace <scenario> --shards K --stream` path.
-pub fn run_traced_sink_sharded<S: TraceSink + 'static>(
-    name: &str,
-    seed: u64,
-    cfg: RecorderConfig,
-    sink: S,
-    shards: u32,
-) -> Option<(S, RunReport)> {
-    let mut sim = build_sharded(name, seed, shards)?;
     let (recorder, handle) = TraceRecorder::with_sink(name, seed, cfg, sink);
     sim.set_observer(Box::new(recorder));
     let report = sim.run();

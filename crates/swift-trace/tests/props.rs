@@ -181,8 +181,8 @@ fn counter_frames_are_complete_and_deterministic() {
                         "{name} seed {seed}: window index went backwards"
                     );
                     prev_window = *window;
-                    // Without the `shard_series` opt-in the frame carries
-                    // exactly the core vocabulary — never the wide one.
+                    // A simulator frame carries exactly the core
+                    // vocabulary — never the service series.
                     assert_eq!(
                         values.len(),
                         swift_metrics::CORE_SERIES,

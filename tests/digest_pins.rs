@@ -5,10 +5,13 @@
 //! small seeded runs put one [`RunReport`] pin and one `ServiceReport` pin
 //! where the root run notices a behavior change on its own. A perf-only
 //! change must keep them; a modeling or policy change re-captures them
-//! (the failure message prints the new value) and says why.
+//! (the failure message prints the new value) and says why. A third test
+//! shows end to end that the event queue's barrier window does not change
+//! behaviour.
 //!
 //! [`RunReport`]: swift::scheduler::RunReport
 
+use swift::sim::SimDuration;
 use swift::trace::scenarios;
 
 /// The `fault` registry scenario: gang scheduling, an injected task
@@ -41,4 +44,31 @@ fn service_report_digest_is_pinned() {
         "ServiceReport digest of service-storm/3 is now {:#018x}",
         report.digest()
     );
+}
+
+/// The event queue's barrier window is a tuning knob, not a semantics
+/// knob: a one-µs window (a barrier per distinct timestamp) and a
+/// 1000-second window (everything in a couple of runs) give the digest of
+/// the default 256 ms window.
+#[test]
+fn barrier_window_is_a_tuning_knob() {
+    let digest = |name: &str, window: SimDuration| {
+        scenarios::build_with_window(name, 11, window)
+            .expect("registry scenario exists")
+            .run()
+            .digest()
+    };
+    for name in ["diamond", "fault"] {
+        let baseline = digest(name, SimDuration::from_millis(256));
+        assert_eq!(
+            baseline,
+            digest(name, SimDuration(1)),
+            "{name}: 1µs windows changed the digest"
+        );
+        assert_eq!(
+            baseline,
+            digest(name, SimDuration::from_secs(1_000)),
+            "{name}: huge windows changed the digest"
+        );
+    }
 }
