@@ -582,13 +582,15 @@ pub(crate) fn sort_indices(batch: &Batch, keys: &[SortKey]) -> Vec<u32> {
         .collect();
     if let [(col, desc)] = keys[..] {
         if let (Data::Int(v), None) = (&col.data, &col.valid) {
-            // (key, row) pairs are distinct, so an unstable sort of them
-            // is the stable sort by key.
+            // A stable sort of the (key, row) pairs by key: rows with equal
+            // keys stay in row order. It also finds the sorted runs a
+            // merging stage receives (one per producer) and merges them
+            // instead of sorting from scratch.
             let mut pairs: Vec<(i64, u32)> = v.iter().copied().zip(0..).collect();
             if desc {
-                pairs.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+                pairs.sort_by(|a, b| b.0.cmp(&a.0));
             } else {
-                pairs.sort_unstable();
+                pairs.sort_by_key(|p| p.0);
             }
             return pairs.into_iter().map(|(_, row)| row).collect();
         }
@@ -850,6 +852,30 @@ mod tests {
         assert!(same(Value::Null, Value::Null), "NULL groups with NULL");
         assert!(same(Value::Int(i64::MAX), Value::Float(i64::MAX as f64)));
         assert!(!same(Value::Int(2), Value::Str("2".into())));
+    }
+
+    /// The single-Int-key fast path over what a merging stage sees:
+    /// sorted runs laid end to end, with keys repeated within and across
+    /// runs.
+    #[test]
+    fn sorting_concatenated_runs_matches_a_reference_sort() {
+        let mut keys = Vec::new();
+        for run in 0..5i64 {
+            let mut part: Vec<i64> = (0..40).map(|i| (i * 7 + run * 3) % 23 - 11).collect();
+            part.sort_unstable();
+            keys.extend(part);
+        }
+        let rows: Vec<Row> = keys.iter().map(|&k| vec![Value::Int(k)]).collect();
+        let batch = Batch::from_rows(&rows).unwrap();
+        for desc in [false, true] {
+            let mut want: Vec<(i64, u32)> = keys.iter().copied().zip(0..).collect();
+            want.sort_by(|a, b| {
+                let ord = if desc { b.0.cmp(&a.0) } else { a.0.cmp(&b.0) };
+                ord.then(a.1.cmp(&b.1))
+            });
+            let want: Vec<u32> = want.into_iter().map(|(_, row)| row).collect();
+            assert_eq!(sort_indices(&batch, &[SortKey { col: 0, desc }]), want);
+        }
     }
 
     #[test]

@@ -6,17 +6,23 @@
 //! [`BytesMut`] (a growable write buffer that freezes into [`Bytes`]).
 //! Clones of a `Bytes` share one allocation, which is what makes the
 //! Cache Worker's peek-and-re-serve recovery path cheap.
+//!
+//! A `Bytes` made from a `Vec<u8>` keeps that vector's allocation:
+//! `Bytes::from(Vec)` and [`BytesMut::freeze`] move the vector behind an
+//! `Arc` and copy no byte. An encoded shuffle payload and a payload read
+//! back from the spill log therefore each live in the one buffer they
+//! were written into.
 
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// Backing storage of a [`Bytes`]: either a reference-counted heap
-/// allocation (clones bump the refcount) or a borrowed `'static` slice
-/// (clones copy the pointer; nothing is ever allocated or freed).
+/// Backing storage of a [`Bytes`]: either a reference-counted vector
+/// (clones bump the refcount) or a borrowed `'static` slice (clones copy
+/// the pointer; nothing is ever allocated or freed).
 #[derive(Clone)]
 enum Repr {
-    Shared(Arc<[u8]>),
+    Shared(Arc<Vec<u8>>),
     Static(&'static [u8]),
 }
 
@@ -114,10 +120,11 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes the vector's allocation; no byte is copied.
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Repr::Shared(v.into()),
+            data: Repr::Shared(Arc::new(v)),
             start: 0,
             end,
         }
@@ -245,6 +252,18 @@ mod tests {
         assert_eq!(a.len(), 4);
         assert_ne!(a, b, "equality is over the bytes in view");
         assert_eq!(b, a.clone().slice(1..4));
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![9u8; 1000];
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert!(std::ptr::eq(ptr, b.as_ptr()), "Bytes::from(Vec) copied");
+        let mut w = BytesMut::with_capacity(4);
+        w.put_u32_le(7);
+        let ptr = w.buf.as_ptr();
+        assert!(std::ptr::eq(ptr, w.freeze().as_ptr()), "freeze copied");
     }
 
     #[test]

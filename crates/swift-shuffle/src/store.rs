@@ -1,23 +1,108 @@
 //! The real (byte-moving) Cache Worker: an in-memory shuffle segment store
-//! with LRU spill to actual disk files.
+//! with LRU spill to a real file on disk.
 //!
 //! `swift-engine` uses one `CacheWorkerStore` per simulated machine (or one
 //! shared store in single-process runs) as the staging area for Local and
 //! Remote shuffle. Unlike the accounting model in [`crate::memory`], this
-//! store holds real payloads and really writes spill files.
+//! store holds real payloads and really writes them to disk.
+//!
+//! # The spill log
+//!
+//! A store spills into one append-only file, `spill.log`, in a directory
+//! of its own that the first spill creates. An evicted segment is written
+//! with one positioned write at the log's end and becomes an
+//! `(offset, len)` range. A read copies the range's `Arc<File>` under the
+//! store lock and does one positioned read after releasing it.
+//!
+//! A range is never reused while the store lives. Overwrites, consuming
+//! reads and [`CacheWorkerStore::delete_job`] only forget ranges, so a
+//! reader that released the lock still reads the payload it looked up.
+//! The space comes back when the store drops and deletes its directory;
+//! nothing compacts the log.
+//!
+//! Nothing is fsynced. Durability was never the contract: the paper's
+//! Cache Worker swaps to disk to free memory, and a lost process is a
+//! machine failure, which §IV recovery handles by re-running producers.
 
 use crate::bytes::Bytes;
 use crate::memory::SegmentKey;
 use crate::sync::{Condvar, Mutex};
 use std::collections::BTreeMap;
-use std::fs;
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::fs::{self, File};
+use std::io;
+use std::os::unix::fs::FileExt;
+use std::path::PathBuf;
+use std::sync::Arc;
 
 #[derive(Debug)]
 enum Payload {
     Memory(Bytes),
-    Spilled { path: PathBuf },
+    /// Bytes `offset..offset + len` of the store's spill log.
+    Spilled {
+        offset: u64,
+        len: usize,
+    },
+}
+
+/// The store's spill file and the directory holding it.
+#[derive(Debug)]
+struct SpillLog {
+    dir: PathBuf,
+    file: Arc<File>,
+    /// First byte past the last range handed out.
+    end: u64,
+}
+
+impl SpillLog {
+    /// Creates a fresh directory under the system temp dir and an empty
+    /// log in it.
+    fn create() -> io::Result<Self> {
+        let dir = create_spill_dir()?;
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(dir.join("spill.log"))?;
+        Ok(SpillLog {
+            dir,
+            file: Arc::new(file),
+            end: 0,
+        })
+    }
+
+    /// Appends `data` and returns its offset. No fsync: see the module
+    /// docs.
+    fn append(&mut self, data: &[u8]) -> io::Result<u64> {
+        let offset = self.end;
+        self.file.write_all_at(data, offset)?;
+        self.end += data.len() as u64;
+        Ok(offset)
+    }
+}
+
+/// A payload looked up under the store lock, loaded after releasing it.
+enum Fetch {
+    Ready(Bytes),
+    Spilled {
+        file: Arc<File>,
+        offset: u64,
+        len: usize,
+    },
+}
+
+impl Fetch {
+    /// The payload's bytes: a spilled one costs one positioned read into
+    /// a buffer that becomes the `Bytes` without a copy.
+    fn load(self) -> io::Result<Bytes> {
+        match self {
+            Fetch::Ready(b) => Ok(b),
+            Fetch::Spilled { file, offset, len } => {
+                let mut buf = vec![0; len];
+                file.read_exact_at(&mut buf, offset)?;
+                Ok(Bytes::from(buf))
+            }
+        }
+    }
 }
 
 /// Sentinel "no node" index for the intrusive LRU list.
@@ -133,12 +218,53 @@ struct StoreState {
     lru: LruList,
     in_memory: u64,
     spilled_bytes_total: u64,
-    /// Where spill files go: created by the first spill, so a store that
-    /// never spills never touches the file system.
-    spill_dir: Option<PathBuf>,
+    /// Created by the first spill, so a store that never spills never
+    /// touches the file system.
+    log: Option<SpillLog>,
 }
 
 impl StoreState {
+    /// Looks up `key`'s payload: a consuming lookup removes the segment,
+    /// a non-consuming one touches it in the recency list.
+    fn fetch(&mut self, key: &SegmentKey, consume: bool) -> Option<Fetch> {
+        let payload = if consume {
+            let e = self.segments.remove(key)?;
+            if let Payload::Memory(b) = &e.payload {
+                self.lru.unlink(e.lru);
+                self.in_memory -= b.len() as u64;
+            }
+            e.payload
+        } else {
+            let e = self.segments.get_mut(key)?;
+            match &e.payload {
+                Payload::Memory(b) => {
+                    e.lru = self.lru.touch(e.lru);
+                    return Some(Fetch::Ready(b.clone()));
+                }
+                &Payload::Spilled { offset, len } => Payload::Spilled { offset, len },
+            }
+        };
+        Some(match payload {
+            Payload::Memory(b) => Fetch::Ready(b),
+            Payload::Spilled { offset, len } => Fetch::Spilled {
+                file: Arc::clone(&self.log.as_ref().expect("a spilled segment has a log").file),
+                offset,
+                len,
+            },
+        })
+    }
+
+    /// Forgets `key`'s segment. A spilled one's range stays in the log,
+    /// unused, until the store drops.
+    fn remove(&mut self, key: &SegmentKey) {
+        if let Some(e) = self.segments.remove(key) {
+            if let Payload::Memory(b) = e.payload {
+                self.lru.unlink(e.lru);
+                self.in_memory -= b.len() as u64;
+            }
+        }
+    }
+
     /// Debug cross-check: the recency list is a pure cache of "which
     /// segments are in memory" — its key set must equal the Memory
     /// entries, and every entry's node index must point back at its key.
@@ -250,7 +376,7 @@ impl CacheWorkerStore {
     /// (idempotent producer re-runs).
     pub fn put(&self, key: SegmentKey, data: Bytes) -> io::Result<()> {
         let mut st = self.state.lock();
-        Self::remove_locked(&mut st, &key)?;
+        st.remove(&key);
         st.in_memory += data.len() as u64;
         let node = st.lru.push_mru(key);
         st.segments.insert(
@@ -267,34 +393,18 @@ impl CacheWorkerStore {
         Ok(())
     }
 
-    /// Reads one segment without consuming it, loading from the spill file
-    /// if necessary (the segment stays spilled). Returns `None` if the key
-    /// is unknown.
+    /// Reads one segment without consuming it, loading a spilled one from
+    /// the log outside the lock (the segment stays spilled). Returns `None`
+    /// if the key is unknown.
     pub fn peek(&self, key: SegmentKey) -> io::Result<Option<Bytes>> {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        match st.segments.get_mut(&key) {
-            None => Ok(None),
-            Some(e) => match &e.payload {
-                Payload::Memory(b) => {
-                    let out = b.clone();
-                    e.lru = st.lru.touch(e.lru);
-                    Ok(Some(out))
-                }
-                Payload::Spilled { path, .. } => {
-                    let path = path.clone();
-                    drop(guard);
-                    let mut buf = Vec::new();
-                    fs::File::open(path)?.read_to_end(&mut buf)?;
-                    Ok(Some(Bytes::from(buf)))
-                }
-            },
-        }
+        let fetch = self.state.lock().fetch(&key, false);
+        fetch.map(Fetch::load).transpose()
     }
 
     /// Blocks until all `expected` producers have delivered their segment
     /// for `(job, edge, partition)`, then removes and returns the payloads
-    /// ordered by producer index.
+    /// ordered by producer index. Spilled payloads are read after the lock
+    /// is released: their ranges are never reused.
     pub fn collect(
         &self,
         job: u64,
@@ -302,48 +412,7 @@ impl CacheWorkerStore {
         partition: u32,
         expected: u32,
     ) -> io::Result<Vec<Bytes>> {
-        let mut st = self.state.lock();
-        loop {
-            let ready = (0..expected).all(|p| {
-                st.segments.contains_key(&SegmentKey {
-                    job,
-                    edge,
-                    producer: p,
-                    partition,
-                })
-            });
-            if ready {
-                break;
-            }
-            self.arrived.wait(&mut st);
-        }
-        let mut out = Vec::with_capacity(expected as usize);
-        for p in 0..expected {
-            let key = SegmentKey {
-                job,
-                edge,
-                producer: p,
-                partition,
-            };
-            let entry = st.segments.remove(&key).expect("checked ready above");
-            match entry.payload {
-                Payload::Memory(b) => {
-                    st.lru.unlink(entry.lru);
-                    st.in_memory -= b.len() as u64;
-                    out.push(b);
-                }
-                Payload::Spilled { path, .. } => {
-                    // Read outside the lock would be nicer but correctness
-                    // first: spill reads are the rare path.
-                    let mut buf = Vec::new();
-                    fs::File::open(&path)?.read_to_end(&mut buf)?;
-                    let _ = fs::remove_file(&path);
-                    out.push(Bytes::from(buf));
-                }
-            }
-        }
-        st.check_lru_invariant();
-        Ok(out)
+        self.fetch_all(job, edge, partition, expected, true)
     }
 
     /// Like [`CacheWorkerStore::collect`], but *non-consuming*: segments
@@ -357,39 +426,39 @@ impl CacheWorkerStore {
         partition: u32,
         expected: u32,
     ) -> io::Result<Vec<Bytes>> {
-        let mut st = self.state.lock();
-        loop {
-            let ready = (0..expected).all(|p| {
-                st.segments.contains_key(&SegmentKey {
-                    job,
-                    edge,
-                    producer: p,
-                    partition,
-                })
-            });
-            if ready {
-                break;
-            }
-            self.arrived.wait(&mut st);
-        }
-        drop(st);
-        let mut out = Vec::with_capacity(expected as usize);
-        for p in 0..expected {
-            let key = SegmentKey {
-                job,
-                edge,
-                producer: p,
-                partition,
-            };
-            out.push(
-                self.peek(key)?
-                    .expect("segment present: checked under lock and only consumers remove"),
-            );
-        }
-        Ok(out)
+        self.fetch_all(job, edge, partition, expected, false)
     }
 
-    /// Drops all segments of `job` and deletes their spill files.
+    /// Waits for all `expected` producers of `(job, edge, partition)`, looks
+    /// their payloads up under one lock and loads them after releasing it.
+    fn fetch_all(
+        &self,
+        job: u64,
+        edge: u32,
+        partition: u32,
+        expected: u32,
+        consume: bool,
+    ) -> io::Result<Vec<Bytes>> {
+        let key = |producer| SegmentKey {
+            job,
+            edge,
+            producer,
+            partition,
+        };
+        let mut st = self.state.lock();
+        while !(0..expected).all(|p| st.segments.contains_key(&key(p))) {
+            self.arrived.wait(&mut st);
+        }
+        let fetches: Vec<Fetch> = (0..expected)
+            .map(|p| st.fetch(&key(p), consume).expect("checked ready above"))
+            .collect();
+        st.check_lru_invariant();
+        drop(st);
+        fetches.into_iter().map(Fetch::load).collect()
+    }
+
+    /// Drops all segments of `job`. Their spilled ranges stay in the log,
+    /// unused, until the store drops.
     pub fn delete_job(&self, job: u64) -> io::Result<()> {
         let mut st = self.state.lock();
         let keys: Vec<SegmentKey> = st
@@ -399,31 +468,9 @@ impl CacheWorkerStore {
             .copied()
             .collect();
         for key in keys {
-            Self::remove_locked(&mut st, &key)?;
+            st.remove(&key);
         }
         Ok(())
-    }
-
-    fn remove_locked(st: &mut StoreState, key: &SegmentKey) -> io::Result<()> {
-        if let Some(e) = st.segments.remove(key) {
-            match e.payload {
-                Payload::Memory(b) => {
-                    st.lru.unlink(e.lru);
-                    st.in_memory -= b.len() as u64;
-                }
-                Payload::Spilled { path, .. } => {
-                    let _ = fs::remove_file(path);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn spill_path(dir: &Path, key: &SegmentKey) -> PathBuf {
-        dir.join(format!(
-            "{}-{}-{}-{}.seg",
-            key.job, key.edge, key.producer, key.partition
-        ))
     }
 
     fn enforce_capacity(&self, st: &mut StoreState) -> io::Result<()> {
@@ -433,24 +480,21 @@ impl CacheWorkerStore {
             let Some(key) = st.lru.lru_key() else {
                 break; // everything left is already spilled
             };
-            let dir = match &st.spill_dir {
-                Some(dir) => dir,
-                None => st.spill_dir.insert(create_spill_dir()?),
+            let log = match &mut st.log {
+                Some(log) => log,
+                None => st.log.insert(SpillLog::create()?),
             };
-            let path = Self::spill_path(dir, &key);
             let e = st.segments.get_mut(&key).expect("listed segments exist");
-            let Payload::Memory(b) =
-                std::mem::replace(&mut e.payload, Payload::Spilled { path: path.clone() })
-            else {
+            let Payload::Memory(b) = &e.payload else {
                 unreachable!("LRU list holds only in-memory segments");
             };
+            let len = b.len();
+            let offset = log.append(b)?;
+            e.payload = Payload::Spilled { offset, len };
             st.lru.unlink(e.lru);
             e.lru = NIL;
-            let mut f = fs::File::create(&path)?;
-            f.write_all(&b)?;
-            f.sync_data()?;
-            st.in_memory -= b.len() as u64;
-            st.spilled_bytes_total += b.len() as u64;
+            st.in_memory -= len as u64;
+            st.spilled_bytes_total += len as u64;
         }
         Ok(())
     }
@@ -458,8 +502,8 @@ impl CacheWorkerStore {
 
 impl Drop for CacheWorkerStore {
     fn drop(&mut self) {
-        if let Some(dir) = &self.state.lock().spill_dir {
-            let _ = fs::remove_dir_all(dir);
+        if let Some(log) = &self.state.lock().log {
+            let _ = fs::remove_dir_all(&log.dir);
         }
     }
 }
@@ -517,10 +561,84 @@ mod tests {
         assert_eq!(got, big);
         let collected = store.collect(1, 0, 0, 1).unwrap();
         assert_eq!(collected[0], big);
-        let dir = store.state.lock().spill_dir.clone().expect("spilled");
+        let dir = spill_dir(&store).expect("spilled");
         assert!(dir.is_dir());
         drop(store);
         assert!(!dir.exists(), "drop removes the spill directory");
+    }
+
+    fn spill_dir(store: &CacheWorkerStore) -> Option<PathBuf> {
+        store.state.lock().log.as_ref().map(|log| log.dir.clone())
+    }
+
+    #[test]
+    fn one_log_file_serves_every_job() {
+        let store = CacheWorkerStore::new(0).unwrap();
+        let payload =
+            |job: u64, p: u32| Bytes::from(vec![(job as u8) * 16 + p as u8; 100 + p as usize]);
+        for job in [1, 2] {
+            for p in 0..3 {
+                store.put(key(job, p, 0), payload(job, p)).unwrap();
+            }
+        }
+        assert_eq!(store.in_memory_bytes(), 0, "capacity 0 spills everything");
+        let dir = spill_dir(&store).expect("spilled");
+        let files: Vec<_> = fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(files.len(), 1, "one spill file per store: {files:?}");
+        store.delete_job(1).unwrap();
+        for p in 0..3 {
+            assert!(store.peek(key(1, p, 0)).unwrap().is_none());
+            assert_eq!(store.peek(key(2, p, 0)).unwrap().unwrap(), payload(2, p));
+        }
+        assert_eq!(
+            store.collect(2, 0, 0, 3).unwrap(),
+            (0..3).map(|p| payload(2, p)).collect::<Vec<_>>()
+        );
+        drop(store);
+        assert!(!dir.exists(), "drop removes the spill directory");
+    }
+
+    /// A reader that released the lock must still read the payload it
+    /// looked up while a writer overwrites the same spilled key: every
+    /// read is one whole payload (fill byte `f`, length `64 + 37 * f`) and
+    /// no read errors.
+    #[test]
+    fn peeks_of_an_overwritten_spilled_key_are_never_torn() {
+        let store = Arc::new(CacheWorkerStore::new(0).unwrap());
+        let payload = |fill: u8| Bytes::from(vec![fill; 64 + 37 * fill as usize]);
+        store.put(key(1, 0, 0), payload(0)).unwrap();
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (store, done, start) =
+                    (Arc::clone(&store), Arc::clone(&done), Arc::clone(&start));
+                thread::spawn(move || {
+                    start.wait();
+                    let mut reads = 0u64;
+                    while !done.load(std::sync::atomic::Ordering::Relaxed) || reads == 0 {
+                        let got = store.peek(key(1, 0, 0)).expect("no read errors");
+                        let got = got.expect("the key always exists");
+                        let fill = got[0];
+                        assert!(
+                            got.len() == 64 + 37 * fill as usize && got.iter().all(|&b| b == fill),
+                            "torn read: {} bytes starting {fill}",
+                            got.len()
+                        );
+                        reads += 1;
+                    }
+                    reads
+                })
+            })
+            .collect();
+        start.wait();
+        for i in 1..=2_000u32 {
+            store.put(key(1, 0, 0), payload((i % 200) as u8)).unwrap();
+        }
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        for r in readers {
+            assert!(r.join().unwrap() > 0);
+        }
     }
 
     #[test]
@@ -530,7 +648,7 @@ mod tests {
         store.collect_keep(1, 0, 0, 1).unwrap();
         store.delete_job(1).unwrap();
         assert_eq!(store.spilled_bytes_total(), 0);
-        assert!(store.state.lock().spill_dir.is_none());
+        assert!(spill_dir(&store).is_none());
     }
 
     #[test]

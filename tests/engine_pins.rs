@@ -6,7 +6,8 @@
 //! plane must keep them; a change to query semantics re-captures them (the
 //! failure message prints every new value) and says why.
 
-use swift::engine::{Engine, Row, Value};
+use swift::dag::TaskId;
+use swift::engine::{Engine, Row, RunOptions, Value};
 use swift::sim::Fnv64;
 use swift::sql::{run_sql, PlanOptions};
 use swift::workload::{generate_catalog, teragen, terasort_engine_job, Q13_SQL, Q9_SQL};
@@ -185,6 +186,40 @@ fn spilling_terasort_is_pinned() {
         got.push((format!("terasort m=n={tasks}"), digest(&outcome.rows)));
     }
     check("terasort", &got, &TERASORT_PINS);
+}
+
+/// The m = n = 2 spilling terasort with one task failing once, in the
+/// reduce stage and then in the merge stage. The re-run task re-reads its
+/// inputs from spilled segments through `collect_keep`, and the result
+/// must still be the pinned one.
+#[test]
+fn spilling_terasort_recovers_to_the_pin() {
+    let engine = Engine::new(teragen(5_000, 11)).with_cache_capacity(64 << 10);
+    let job = terasort_engine_job(1, 2, 2);
+    for stage in ["reduce", "merge"] {
+        let victim = job
+            .dag
+            .stages()
+            .iter()
+            .find(|s| s.name == stage)
+            .expect("terasort has the stage");
+        let outcome = engine
+            .run_with(
+                &job,
+                RunOptions {
+                    fail_once: vec![TaskId::new(victim.id, 0)],
+                    max_attempts: 3,
+                },
+            )
+            .expect("terasort recovers");
+        assert_eq!(outcome.stats.recovered_tasks, 1, "{stage}");
+        assert!(outcome.stats.spilled_bytes > 0, "{stage} must spill");
+        assert_eq!(
+            digest(&outcome.rows),
+            TERASORT_PINS[0],
+            "{stage} failure changed the result"
+        );
+    }
 }
 
 #[rustfmt::skip]
