@@ -1,6 +1,6 @@
 //! The engine driver: runs an [`EngineJob`] on real data, moving every
 //! shuffle payload through a real Cache Worker store (bounded memory, LRU
-//! spill files) and recovering injected task failures through the same
+//! spill to a log file) and recovering injected task failures through the same
 //! `swift-ft` planner the cluster simulation uses.
 //!
 //! Execution is stage-wise in topological order (tasks of a stage run

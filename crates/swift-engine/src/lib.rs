@@ -9,7 +9,7 @@
 //! streamed aggregation, sorts, limits) running a column batch at a time,
 //! and a multi-threaded driver ([`Engine`]) that moves every shuffle
 //! partition as one columnar payload through the real Cache Worker store
-//! of `swift-shuffle` (bounded memory, actual LRU spill files) and
+//! of `swift-shuffle` (bounded memory, LRU spill to a real log file) and
 //! recovers injected task failures through the same `swift-ft` planner
 //! the simulator uses.
 //!

@@ -9,8 +9,8 @@
 //!   the paper's Direct Shuffle, which cannot re-serve data after a
 //!   consumer failure.
 //! * [`CacheWorkerStore`](crate::CacheWorkerStore) — Local/Remote Shuffle:
-//!   payloads are staged in a Cache Worker (bounded memory, real LRU spill
-//!   files) and survive until consumed, enabling the pull-based barrier
+//!   payloads are staged in a Cache Worker (bounded memory, LRU spill to
+//!   one log file) and survive until consumed, enabling the pull-based barrier
 //!   edges and the §IV-B recovery paths.
 
 use crate::bytes::Bytes;

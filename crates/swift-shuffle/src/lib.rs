@@ -10,8 +10,8 @@
 //!   ([`AdaptiveThresholds`], production thresholds 10 000 / 90 000);
 //! * Cache Worker memory management with LRU spill — both the accounting
 //!   model used by the cluster simulator ([`CacheWorkerMemory`]) and the
-//!   real byte-moving store with actual spill files used by the execution
-//!   engine ([`CacheWorkerStore`]);
+//!   real byte-moving store, spilling to one log file, used by the
+//!   execution engine ([`CacheWorkerStore`]);
 //! * the engine-facing [`Exchange`] transports ([`DirectExchange`] for
 //!   Direct Shuffle, [`CacheWorkerStore`] for the staged schemes).
 

@@ -4,7 +4,7 @@
 //! used segments are swapped to disk in large chunks.
 //!
 //! This module is the *accounting* model used by the simulator; the real
-//! byte-moving counterpart (with actual spill files) is
+//! byte-moving counterpart (with a real spill log) is
 //! [`crate::CacheWorkerStore`].
 
 use std::collections::BTreeMap;
