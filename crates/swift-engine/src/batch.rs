@@ -588,7 +588,7 @@ pub(crate) fn sort_indices(batch: &Batch, keys: &[SortKey]) -> Vec<u32> {
             // instead of sorting from scratch.
             let mut pairs: Vec<(i64, u32)> = v.iter().copied().zip(0..).collect();
             if desc {
-                pairs.sort_by(|a, b| b.0.cmp(&a.0));
+                pairs.sort_by_key(|p| std::cmp::Reverse(p.0));
             } else {
                 pairs.sort_by_key(|p| p.0);
             }

@@ -197,7 +197,10 @@ fn spilling_terasort_recovers_to_the_pin() {
     let engine = Engine::new(teragen(5_000, 11)).with_cache_capacity(64 << 10);
     let job = terasort_engine_job(1, 2, 2);
     for stage in ["reduce", "merge"] {
-        let victim = job.dag.stage_by_name(stage).expect("terasort has the stage");
+        let victim = job
+            .dag
+            .stage_by_name(stage)
+            .expect("terasort has the stage");
         let outcome = engine
             .run_with(
                 &job,
