@@ -35,7 +35,7 @@ use swift_cluster::{Cluster, ExecutorId, MachineHealth, MachineId};
 use swift_dag::{partition, JobDag, Partition, StageId, TaskId};
 use swift_ft::{plan_recovery, ExecutionSnapshot, FailureKind, RecoveryPlan, TaskRunState};
 use swift_shuffle::{SegmentKey, ShuffleMedium, ShuffleScheme};
-use swift_sim::{ShardedEventQueue, SimDuration, SimTime};
+use swift_sim::{Cadence, ShardedEventQueue, SimDuration, SimTime};
 
 /// One job to run: its DAG plus submission time.
 ///
@@ -383,7 +383,9 @@ pub struct SimConfig {
     pub policy: PolicyConfig,
     /// Recovery policy.
     pub recovery: RecoveryPolicy,
-    /// If set, sample `(time, running executors)` at this interval.
+    /// If set, sample `(time, running executors)` at every multiple of this
+    /// interval up to the last event batch. Each sample carries the state
+    /// just before its boundary; sampling queues no event.
     pub sample_every: Option<SimDuration>,
     /// Detection latency for self-reported process restarts (§IV-A: the
     /// re-launched process reports its status immediately).
@@ -585,7 +587,6 @@ enum Event {
         kind: FailureKind,
     },
     MachineFail(MachineId),
-    Sample,
 }
 
 /// The event queue's one lane: every event is scheduled on it.
@@ -624,8 +625,6 @@ pub struct Simulation {
     wave_jobs: BTreeSet<usize>,
     injections: Vec<FailureInjection>,
     machine_failures: Vec<(SimTime, MachineId)>,
-    utilization: Vec<(f64, u32)>,
-    finished_jobs: usize,
     makespan: SimTime,
     observer: Option<Box<dyn SimObserver>>,
     /// Observer capability flags, sampled once at [`Simulation::set_observer`].
@@ -656,7 +655,6 @@ impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("jobs", &self.jobs.len())
-            .field("finished_jobs", &self.finished_jobs)
             .field("makespan", &self.makespan)
             .finish_non_exhaustive()
     }
@@ -756,8 +754,6 @@ impl Simulation {
             wave_jobs: BTreeSet::new(),
             injections: Vec::new(),
             machine_failures: Vec::new(),
-            utilization: Vec::new(),
-            finished_jobs: 0,
             makespan: SimTime::ZERO,
             observer: None,
             obs_wants_reads: false,
@@ -832,9 +828,6 @@ impl Simulation {
     /// Every source is either O(1) or O(pending requests); the pending
     /// queue is short by construction (requests drain on every release).
     fn emit_counter_sample(&mut self, now: SimTime) {
-        if self.observer.is_none() {
-            return;
-        }
         let (template_entries, template_hits, template_misses) =
             self.template_cache.as_ref().map_or((0, 0, 0), |c| {
                 let s = c.stats();
@@ -1045,37 +1038,35 @@ impl Simulation {
 
     /// Runs to quiescence and returns the report.
     pub fn run(mut self) -> RunReport {
-        if let Some(iv) = self.cfg.sample_every {
-            self.q.schedule(LANE, SimTime::ZERO + iv, Event::Sample);
-        }
         // Drain same-timestamp batches in one heap interaction each.
         // Events scheduled by a handler (even at the current instant) sort
         // after the drained batch by sequence number, so the order is
         // exactly the one-`pop`-at-a-time order.
         let mut batch = Vec::new();
-        // First counter-window boundary, when the observer asked for
-        // sampling. Samples are emitted between batches — never as queue
-        // events — so the event stream and its digest are untouched.
-        let mut next_counter = self.obs_counter_window.map(|w| SimTime::ZERO + w);
+        // Both samplers run between batches — never as queue events — so
+        // the event stream and its digest are untouched by either.
+        let mut utilization = Vec::new();
+        let mut util_cadence = self.cfg.sample_every.map(Cadence::new);
+        let mut counters = self.obs_counter_window.map(Cadence::new);
         while self.q.pop_batch_at_now(&mut batch) > 0 {
+            let now = self.q.now();
+            // One utilization sample per boundary up to this batch, each
+            // with the state in force just before its boundary.
+            while let Some(boundary) = util_cadence.as_mut().and_then(|c| c.due(now)) {
+                utilization.push((boundary.as_secs_f64(), self.cluster.busy_executor_count()));
+            }
             for ev in batch.drain(..) {
                 self.handle(ev);
             }
-            if let Some(boundary) = next_counter {
-                let now = self.q.now();
-                if now >= boundary {
-                    self.emit_counter_sample(now);
-                    let w = self.obs_counter_window.expect("window set").as_micros();
-                    let idx = now.as_micros() / w;
-                    next_counter = Some(SimTime::ZERO + SimDuration::from_micros((idx + 1) * w));
-                }
+            // One counter sample per crossing, with the state after it.
+            if counters.as_mut().is_some_and(|c| c.cross(now)) {
+                self.emit_counter_sample(now);
             }
         }
         // Seal the last (partial) window so per-window counter totals
         // telescope exactly to the end-of-run cumulative values.
-        if self.obs_counter_window.is_some() {
-            let now = self.q.now();
-            self.emit_counter_sample(now);
+        if counters.is_some() {
+            self.emit_counter_sample(self.q.now());
         }
         if cfg!(debug_assertions) && !self.jobs.iter().all(|j| j.done()) {
             let mut dump = String::from("simulation quiesced with unfinished jobs:\n");
@@ -1118,7 +1109,7 @@ impl Simulation {
         RunReport {
             policy: self.cfg.policy.name.clone(),
             jobs,
-            utilization: std::mem::take(&mut self.utilization),
+            utilization,
             makespan: self.makespan,
             events_processed: events,
         }
@@ -1179,16 +1170,6 @@ impl Simulation {
             Event::Inject(i) => self.on_inject(i as usize),
             Event::Recover { job, flat, kind } => self.on_recover(job as usize, flat, kind),
             Event::MachineFail(m) => self.on_machine_fail(m),
-            Event::Sample => {
-                let now = self.q.now();
-                self.utilization
-                    .push((now.as_secs_f64(), self.cluster.busy_executor_count()));
-                if self.finished_jobs < self.jobs.len() {
-                    if let Some(iv) = self.cfg.sample_every {
-                        self.q.schedule_in(LANE, iv, Event::Sample);
-                    }
-                }
-            }
         }
     }
 
@@ -1875,7 +1856,6 @@ impl Simulation {
             return;
         }
         j.finished = Some(now);
-        self.finished_jobs += 1;
         self.makespan = self.makespan.max(now);
         self.release_all_held(job);
         self.cache_model_drop_job(job);
@@ -2206,7 +2186,6 @@ impl Simulation {
         self.release_all_held(job);
         self.cache_model_drop_job(job);
         self.close_queued_gang_waits(job);
-        self.finished_jobs += 1;
         self.notify(|obs, _| obs.on_job_completed(now, job, true));
         self.kick();
     }

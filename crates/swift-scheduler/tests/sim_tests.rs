@@ -2,11 +2,15 @@
 //! jobs to completion, and the paper's qualitative orderings must hold on
 //! small synthetic workloads.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use swift_cluster::{Cluster, CostModel, MachineId};
 use swift_dag::{DagBuilder, JobDag, Operator, StageProfile};
 use swift_ft::FailureKind;
 use swift_scheduler::{
-    FailureAt, FailureInjection, JobSpec, PolicyConfig, RecoveryPolicy, SimConfig, Simulation,
+    FailureAt, FailureInjection, JobSpec, PolicyConfig, RecoveryPolicy, SimConfig, SimObserver,
+    Simulation,
 };
 use swift_sim::{SimDuration, SimTime};
 
@@ -250,6 +254,60 @@ fn utilization_sampling_produces_series() {
     assert!(report.utilization.len() >= 2);
     let peak = report.utilization.iter().map(|&(_, b)| b).max().unwrap();
     assert!(peak > 0, "some executors must have been busy");
+}
+
+/// Remembers the time of the last event batch.
+struct LastBatch(Rc<Cell<SimTime>>);
+
+impl SimObserver for LastBatch {
+    fn on_run_finished(&mut self, now: SimTime, _events: u64) {
+        self.0.set(now);
+    }
+}
+
+/// Staggered jobs and a machine crash at an exact second, sampled at
+/// `every`; returns the report and the time of the last batch.
+fn run_sampled(every: Option<SimDuration>) -> (swift_scheduler::RunReport, SimTime) {
+    let jobs = (0..3)
+        .map(|i| JobSpec {
+            dag: three_stage_job(i, 16).into(),
+            submit_at: SimTime::from_secs(i * 2),
+        })
+        .collect();
+    let mut cfg = SimConfig::swift();
+    cfg.sample_every = every;
+    let mut sim = Simulation::new(cluster(), cfg, jobs);
+    sim.fail_machines(vec![(SimTime::from_secs(3), MachineId(0))]);
+    let end = Rc::new(Cell::new(SimTime::ZERO));
+    sim.set_observer(Box::new(LastBatch(Rc::clone(&end))));
+    let report = sim.run();
+    (report, end.get())
+}
+
+#[test]
+fn sampling_changes_only_the_utilization_series() {
+    let (base, end) = run_sampled(None);
+    assert!(base.utilization.is_empty());
+    for every in [
+        SimDuration::from_millis(250),
+        SimDuration::from_secs(1),
+        SimDuration::from_secs(7),
+    ] {
+        let (mut report, sampled_end) = run_sampled(Some(every));
+        assert_eq!(sampled_end, end, "sampling moved the last batch");
+        let series = std::mem::take(&mut report.utilization);
+        assert_eq!(report.events_processed, base.events_processed);
+        assert_eq!(format!("{report:?}"), format!("{base:?}"));
+        assert_eq!(report.digest(), base.digest());
+        // One entry per boundary up to the last batch, each stamped at an
+        // exact multiple of the cadence.
+        let stamps: Vec<f64> = series.iter().map(|&(t, _)| t).collect();
+        let expected: Vec<f64> = (1..=end.as_micros() / every.as_micros())
+            .map(|k| (SimTime::ZERO + every * k).as_secs_f64())
+            .collect();
+        assert_eq!(stamps, expected, "{every} boundaries");
+        assert!(series.iter().any(|&(_, busy)| busy > 0));
+    }
 }
 
 #[test]

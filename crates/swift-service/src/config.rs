@@ -35,7 +35,9 @@ pub struct ServiceConfig {
     pub warm_dispatch_delay: SimDuration,
     /// Back-off advertised to rejected jobs.
     pub retry_after: SimDuration,
-    /// Telemetry sampling cadence (`None` = no counter frames).
+    /// Telemetry sampling cadence (`None` = no counter frames). Frames are
+    /// sealed between event batches, so the report is the same at any
+    /// cadence.
     pub sample_every: Option<SimDuration>,
     /// Reuse scheduling templates across the fleet's jobs. Report bytes
     /// are invariant to this flag; only the returned template counters

@@ -60,7 +60,9 @@ pub trait ServiceObserver {
     /// A fleet machine failed.
     fn on_machine_failed(&mut self, now: SimTime, machine: MachineId) {}
 
-    /// A telemetry window was sealed (see [`crate::ServiceConfig::sample_every`]).
+    /// A telemetry window was sealed (see [`crate::ServiceConfig::sample_every`]):
+    /// `now` is the window's boundary, or the quiesce time for the final
+    /// frame.
     fn on_sample(&mut self, now: SimTime, frame: &Frame) {}
 
     /// The service loop quiesced after `events` events.

@@ -3,31 +3,32 @@
 //! [`ServiceSim`] is a second deterministic event loop layered *above*
 //! the per-job `swift-scheduler` simulation: arrivals, admission-control
 //! decisions, deficit-round-robin dispatch across tenants, warm-session
-//! lifecycle and fleet machine failures all advance on one heap ordered
-//! by `(SimTime, sequence)`. Each dispatched job runs as a complete inner
-//! [`Simulation`] on its session's executors; the inner run's makespan
-//! decides when the service sees the job complete. Same `(workload,
-//! config)` — byte-identical [`ServiceReport`], with the templates flag
-//! on or off.
+//! lifecycle and fleet machine failures all advance on the same
+//! `swift_sim` event queue the simulator drives, one lane, drained one
+//! timestamp batch at a time in `(SimTime, sequence)` order. Telemetry
+//! frames are sealed between batches, never queued, so the event count
+//! and the report do not depend on the sampling cadence. Each dispatched
+//! job runs as a complete inner [`Simulation`] on its session's
+//! executors; the inner run's makespan decides when the service sees the
+//! job complete. Same `(workload, config)` — byte-identical
+//! [`ServiceReport`], with the templates flag on or off and at any
+//! sampling cadence.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use swift_cluster::{Cluster, CostModel, ExecutorId, ExecutorState, MachineHealth, MachineId};
 use swift_metrics as metrics;
 use swift_metrics::Registry;
 use swift_scheduler::{JobSpec, SchedulerSession, SimConfig, Simulation};
-use swift_sim::{Fnv64, SimDuration, SimTime};
+use swift_sim::{Cadence, Fnv64, ShardedEventQueue, SimTime};
 use swift_workload::{JobPriority, ServiceJob};
 
 use crate::config::ServiceConfig;
 use crate::observer::{NullServiceObserver, ServiceObserver};
 use crate::report::{LatencySummary, ServiceReport, ServiceRun, TenantReport};
 
-/// Service-loop event. Ordering is irrelevant (the heap key is
-/// `(time, seq)` with unique sequence numbers); the derives only satisfy
-/// the tuple's `Ord` bound.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// Service-loop event.
+#[derive(Debug)]
 enum Ev {
     /// Job `jobs[i]` arrives at the front door.
     Arrival(usize),
@@ -42,17 +43,10 @@ enum Ev {
     SessionExpire { session: u32, gen: u64 },
     /// Fleet machine `machine` fails permanently.
     MachineFail(u32),
-    /// Seal a telemetry window.
-    Sample,
 }
 
-/// Why a dispatch attempt could not start a job.
-enum Block {
-    /// The tenant is at its executor quota with no warm session idle.
-    Quota,
-    /// The shared fleet has fewer free executors than a session needs.
-    Cluster,
-}
+/// The event queue's one lane: every event is scheduled on it.
+const LANE: u32 = 0;
 
 #[derive(Debug)]
 struct Session {
@@ -118,11 +112,9 @@ pub struct ServiceSim {
     /// Idle (warm) session ids per tenant, lowest id reused first.
     idle: BTreeMap<u32, BTreeSet<u32>>,
     next_session: u32,
-    heap: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
-    seq: u64,
-    /// Non-`Sample` events outstanding (keeps sampling from running
-    /// forever after the last real event).
-    pending_core: u64,
+    q: ShardedEventQueue<Ev>,
+    /// Telemetry frame boundaries (`None` = no counter frames).
+    cadence: Option<Cadence>,
     queue_depth: u32,
     held_global: u32,
     registry: Registry,
@@ -141,7 +133,6 @@ pub struct ServiceSim {
     max_deficit_stall: u32,
     latencies_us: Vec<u64>,
     makespan: SimTime,
-    events: u64,
     sim_events: u64,
     jobs_digest: Fnv64,
 }
@@ -180,6 +171,8 @@ impl ServiceSim {
         );
         let inner_cfg = SimConfig::swift();
         let sched = SchedulerSession::new(&inner_cfg.policy);
+        let q = ShardedEventQueue::new(1, inner_cfg.shard_window);
+        let cadence = cfg.sample_every.map(Cadence::new);
         let tenant_count = workload.iter().map(|j| j.tenant + 1).max().unwrap_or(0);
         let mut tenants = Vec::with_capacity(tenant_count as usize);
         tenants.resize_with(tenant_count as usize, Tenant::default);
@@ -202,9 +195,8 @@ impl ServiceSim {
             sessions: BTreeMap::new(),
             idle: BTreeMap::new(),
             next_session: 0,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            pending_core: 0,
+            q,
+            cadence,
             queue_depth: 0,
             held_global: 0,
             registry: Registry::with_service_telemetry(),
@@ -222,17 +214,11 @@ impl ServiceSim {
             max_deficit_stall: 0,
             latencies_us: Vec::new(),
             makespan: SimTime::ZERO,
-            events: 0,
             sim_events: 0,
             jobs_digest: Fnv64::new(),
         };
-        for i in 0..sim.workload.len() {
-            let at = sim.workload[i].submit_at;
-            sim.push(at, Ev::Arrival(i));
-        }
-        if let Some(d) = sim.cfg.sample_every {
-            assert!(d > SimDuration::ZERO, "sampling window must be positive");
-            sim.push_sample(SimTime::ZERO + d);
+        for (i, job) in sim.workload.iter().enumerate() {
+            sim.q.schedule(LANE, job.submit_at, Ev::Arrival(i));
         }
         sim
     }
@@ -248,49 +234,36 @@ impl ServiceSim {
     pub fn fail_machines(&mut self, failures: Vec<(SimTime, MachineId)>) {
         for (at, mid) in failures {
             assert!(mid.0 < self.cfg.machines, "machine {mid} outside the fleet");
-            self.push(at, Ev::MachineFail(mid.0));
+            self.q.schedule(LANE, at, Ev::MachineFail(mid.0));
         }
-    }
-
-    fn push(&mut self, at: SimTime, ev: Ev) {
-        if !matches!(ev, Ev::Sample) {
-            self.pending_core += 1;
-        }
-        self.heap.push(Reverse((at, self.seq, ev)));
-        self.seq += 1;
-    }
-
-    fn push_sample(&mut self, at: SimTime) {
-        self.heap.push(Reverse((at, self.seq, Ev::Sample)));
-        self.seq += 1;
     }
 
     /// Runs the loop to quiescence and returns the report plus template
     /// counters (kept out of the report so its bytes are invariant to
     /// [`ServiceConfig::templates`]).
     pub fn run(mut self) -> ServiceRun {
-        let mut now = SimTime::ZERO;
-        while let Some(Reverse((at, _, ev))) = self.heap.pop() {
-            debug_assert!(at >= now, "service event loop went backwards");
-            now = at;
-            self.events += 1;
-            if !matches!(ev, Ev::Sample) {
-                self.pending_core -= 1;
+        let mut batch = Vec::new();
+        while self.q.pop_batch_at_now(&mut batch) > 0 {
+            let now = self.q.now();
+            // Seal every window that ended at or before this batch, with
+            // the state in force just before its boundary.
+            while let Some(boundary) = self.cadence.as_mut().and_then(|c| c.due(now)) {
+                self.sample(boundary);
             }
-            match ev {
-                Ev::Arrival(job) => self.on_arrival(now, job),
-                Ev::JobDone {
-                    job,
-                    session,
-                    attempt,
-                } => {
-                    self.on_job_done(now, job, session, attempt);
+            for ev in batch.drain(..) {
+                match ev {
+                    Ev::Arrival(job) => self.on_arrival(now, job),
+                    Ev::JobDone {
+                        job,
+                        session,
+                        attempt,
+                    } => self.on_job_done(now, job, session, attempt),
+                    Ev::SessionExpire { session, gen } => self.on_session_expire(now, session, gen),
+                    Ev::MachineFail(m) => self.on_machine_fail(now, MachineId(m)),
                 }
-                Ev::SessionExpire { session, gen } => self.on_session_expire(now, session, gen),
-                Ev::MachineFail(m) => self.on_machine_fail(now, MachineId(m)),
-                Ev::Sample => self.on_sample(now),
             }
         }
+        let now = self.q.now();
         self.finish(now)
     }
 
@@ -404,7 +377,8 @@ impl ServiceSim {
             let gen = sess.expire_gen;
             self.idle.entry(tenant).or_default().insert(session);
             let ttl = self.cfg.session_ttl;
-            self.push(now + ttl, Ev::SessionExpire { session, gen });
+            self.q
+                .schedule(LANE, now + ttl, Ev::SessionExpire { session, gen });
         } else {
             // Warm pooling off: the session retires with its job — a TTL
             // of zero, effectively — so it reports as an expiry and the
@@ -481,24 +455,20 @@ impl ServiceSim {
         self.dispatch(now);
     }
 
-    fn on_sample(&mut self, now: SimTime) {
-        let window = self
-            .cfg
-            .sample_every
-            .expect("sample event without a cadence");
+    /// Seals one telemetry frame stamped `at` from the current state; a
+    /// no-op without a sampling cadence.
+    fn sample(&mut self, at: SimTime) {
+        let Some(cadence) = self.cadence else {
+            return;
+        };
         self.registry
             .set(metrics::SERVICE_QUEUE_DEPTH, u64::from(self.queue_depth));
         self.registry
             .set(metrics::SERVICE_EXECUTORS_HELD, u64::from(self.held_global));
         self.registry
             .set(metrics::SERVICE_ACTIVE_TENANTS, self.active_tenants());
-        let frame = self
-            .registry
-            .sample(now.as_micros() / window.as_micros().max(1));
-        self.observer.on_sample(now, &frame);
-        if self.pending_core > 0 {
-            self.push_sample(now + window);
-        }
+        let frame = self.registry.sample(cadence.window(at));
+        self.observer.on_sample(at, &frame);
     }
 
     fn active_tenants(&self) -> u64 {
@@ -548,7 +518,7 @@ impl ServiceSim {
                         break;
                     }
                     match self.acquire_session(tenant) {
-                        Ok(session) => {
+                        Some(session) => {
                             let popped = self.tenants[tenant as usize].pop();
                             debug_assert_eq!(popped, Some(job));
                             self.queue_depth -= 1;
@@ -557,7 +527,7 @@ impl ServiceSim {
                             dispatched = true;
                             progressed = true;
                         }
-                        Err(_block) => {
+                        None => {
                             resource_blocked = true;
                             break;
                         }
@@ -585,8 +555,9 @@ impl ServiceSim {
     }
 
     /// Reuses the tenant's lowest-id warm session, or registers a cold
-    /// one within quota and fleet capacity. `Ok((id, warm))`.
-    fn acquire_session(&mut self, tenant: u32) -> Result<(u32, bool), Block> {
+    /// one within quota and fleet capacity. `Some((id, warm))`; `None`
+    /// when the tenant is at its quota or the fleet is short.
+    fn acquire_session(&mut self, tenant: u32) -> Option<(u32, bool)> {
         if self.cfg.warm_pool {
             let warm = self
                 .idle
@@ -603,15 +574,14 @@ impl ServiceSim {
                 assert_eq!(sess.tenant, tenant, "warm session leaked across tenants");
                 assert!(sess.running.is_none(), "idle session had a running job");
                 sess.expire_gen += 1;
-                return Ok((sid, true));
+                return Some((sid, true));
             }
         }
         let t = &self.tenants[tenant as usize];
-        if t.held + self.cfg.session_executors > self.cfg.tenant_quota {
-            return Err(Block::Quota);
-        }
-        if self.cluster.free_executor_count() < self.cfg.session_executors {
-            return Err(Block::Cluster);
+        if t.held + self.cfg.session_executors > self.cfg.tenant_quota
+            || self.cluster.free_executor_count() < self.cfg.session_executors
+        {
+            return None;
         }
         let executors = self.cluster.allocate_many(self.cfg.session_executors, &[]);
         assert_eq!(
@@ -632,7 +602,7 @@ impl ServiceSim {
                 expire_gen: 0,
             },
         );
-        Ok((sid, false))
+        Some((sid, false))
     }
 
     /// Releases a session's surviving executors. Caller removes it from
@@ -708,7 +678,8 @@ impl ServiceSim {
         let runtime = report.makespan.saturating_since(SimTime::ZERO);
         self.jobs[job].running = true;
         let attempt = self.jobs[job].attempt;
-        self.push(
+        self.q.schedule(
+            LANE,
             start_at + runtime,
             Ev::JobDone {
                 job,
@@ -756,11 +727,10 @@ impl ServiceSim {
             self.jobs.iter().all(|j| j.done && !j.running),
             "job state leak at quiesce"
         );
-        if self.cfg.sample_every.is_some() {
-            // Final sealing frame at quiesce time.
-            self.on_sample(now);
-        }
-        self.observer.on_service_finished(now, self.events);
+        // Final sealing frame at quiesce time.
+        self.sample(now);
+        let events = self.q.processed();
+        self.observer.on_service_finished(now, events);
         let report = ServiceReport {
             jobs_submitted: self.submitted,
             jobs_admitted: self.admitted,
@@ -775,7 +745,7 @@ impl ServiceSim {
             max_deficit_stall: self.max_deficit_stall,
             sched_latency: LatencySummary::from_samples(self.latencies_us),
             makespan: self.makespan,
-            events: self.events,
+            events,
             sim_events: self.sim_events,
             jobs_digest: self.jobs_digest.finish(),
             tenants: self.tenants.into_iter().map(|t| t.report).collect(),

@@ -15,12 +15,16 @@
 //! 5. **Warm-pool invariant** — a reused session always belongs to the
 //!    requesting tenant (cross-checked against the cold-start registry),
 //!    and warm reuse strictly beats cold tear-down on tail latency.
+//! 6. **Passive sampling** — the report digest and event count do not
+//!    depend on the telemetry cadence, and every cadence boundary up to
+//!    the last event gets its frame.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use swift_service::{ServiceConfig, ServiceObserver, ServiceRun, ServiceSim};
+use swift_metrics::Frame;
+use swift_service::{scenarios, ServiceConfig, ServiceObserver, ServiceRun, ServiceSim};
 use swift_sim::{SimDuration, SimTime};
 use swift_workload::{
     generate_service_workload, terasort_dag, JobPriority, ServiceJob, ServiceWorkloadConfig,
@@ -382,4 +386,73 @@ fn fleet_template_cache_outlives_warm_sessions() {
         run.template_hits,
         run.template_lookups
     );
+}
+
+// ---- passive sampling ----
+
+/// Records the stamp of every sealed telemetry frame.
+#[derive(Debug)]
+struct FrameStamps(Rc<RefCell<Vec<SimTime>>>);
+
+impl ServiceObserver for FrameStamps {
+    fn on_sample(&mut self, now: SimTime, _frame: &Frame) {
+        self.0.borrow_mut().push(now);
+    }
+}
+
+/// Runs `jobs` under `cfg` at the given cadence; returns the run and the
+/// stamps of its frames.
+fn run_sampled(
+    cfg: &ServiceConfig,
+    jobs: &[ServiceJob],
+    failures: &[(SimTime, swift_cluster::MachineId)],
+    every: Option<SimDuration>,
+) -> (ServiceRun, Vec<SimTime>) {
+    let cfg = ServiceConfig {
+        sample_every: every,
+        ..cfg.clone()
+    };
+    let mut sim = ServiceSim::new(cfg, jobs.to_vec());
+    sim.fail_machines(failures.to_vec());
+    let stamps = Rc::new(RefCell::new(Vec::new()));
+    sim.set_observer(Box::new(FrameStamps(Rc::clone(&stamps))));
+    let run = sim.run();
+    (run, stamps.take())
+}
+
+#[test]
+fn sampling_cadence_changes_no_report_byte() {
+    let mut cases = Vec::new();
+    for (name, seed) in [("service-small", 1), ("service-storm", 3)] {
+        let (wl, cfg, failures) = scenarios::build(name, seed).expect("registry scenario");
+        cases.push((name, generate_service_workload(&wl), cfg, failures));
+    }
+    cases.push((
+        "battery",
+        generate_service_workload(&battery_workload(11)),
+        ServiceConfig::default(),
+        Vec::new(),
+    ));
+    for (name, jobs, cfg, failures) in &cases {
+        let (base, frames) = run_sampled(cfg, jobs, failures, None);
+        assert!(frames.is_empty(), "{name}: frames without a cadence");
+        for secs in [1, 10] {
+            let every = SimDuration::from_secs(secs);
+            let (run, frames) = run_sampled(cfg, jobs, failures, Some(every));
+            assert_eq!(
+                run.report.digest(),
+                base.report.digest(),
+                "{name}: a {secs} s cadence changed the digest"
+            );
+            assert_eq!(run.report.events, base.report.events, "{name}: events");
+            // One frame per boundary up to the last event, then the
+            // sealing frame at the last event.
+            let (&seal, boundaries) = frames.split_last().expect("the sealing frame");
+            let expected: Vec<SimTime> = (1..=seal.as_micros() / every.as_micros())
+                .map(|k| SimTime::ZERO + every * k)
+                .collect();
+            assert_eq!(boundaries, expected, "{name}: {secs} s boundaries");
+            assert!(!boundaries.is_empty(), "{name}: no boundary was crossed");
+        }
+    }
 }

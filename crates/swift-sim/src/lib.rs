@@ -5,6 +5,7 @@
 //! simulation; `swift-sim` is the kernel every simulated experiment runs on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time;
+//! * [`Cadence`] — the sampling boundaries every sampler shares;
 //! * [`EventQueue`] — a deterministic time-ordered event queue (FIFO among
 //!   same-timestamp events) that doubles as the simulation clock;
 //! * [`SimRng`] — a seedable RNG with the log-normal / exponential / Zipf
@@ -31,4 +32,4 @@ pub use hash::Fnv64;
 pub use queue::EventQueue;
 pub use rng::{SimRng, ZipfTable};
 pub use shard::ShardedEventQueue;
-pub use time::{SimDuration, SimTime};
+pub use time::{Cadence, SimDuration, SimTime};

@@ -289,12 +289,29 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduling into the past")]
     fn past_scheduling_panics_in_debug() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(10), ());
         q.pop();
         q.schedule(SimTime::from_secs(1), ());
+    }
+
+    /// The release contract: a past event fires at `now`, after the
+    /// events already queued there, and the clock never goes backwards.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn past_scheduling_fires_now_in_release() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(10), "first");
+        q.pop();
+        q.schedule_now("queued");
+        q.schedule(SimTime::from_secs(1), "past");
+        assert_eq!(q.pop(), Some("queued"));
+        assert_eq!(q.pop(), Some("past"));
+        assert_eq!(q.now(), SimTime::from_secs(10));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -187,16 +187,6 @@ impl<E> ShardedEventQueue<E> {
         self.lanes.iter().map(Lane::pending).sum()
     }
 
-    /// Alias of [`ShardedEventQueue::pending`], mirroring `EventQueue::len`.
-    pub fn len(&self) -> usize {
-        self.pending()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending() == 0
-    }
-
     /// Schedules `event` on `lane` at absolute time `at`. Same contract as
     /// `EventQueue::schedule`: scheduling into the past panics in debug
     /// builds and fires "now" in release builds. A lane id at or beyond K
@@ -322,19 +312,6 @@ impl<E> ShardedEventQueue<E> {
             n += 1;
         }
         n
-    }
-
-    /// Timestamp of the next pending event anywhere, if any, without
-    /// popping it or crossing a barrier.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let mut min_key = u128::MAX;
-        for lane in &self.lanes {
-            min_key = min_key
-                .min(lane.ready_key())
-                .min(lane.next_min)
-                .min(lane.far.peek().map_or(u128::MAX, |s| s.key));
-        }
-        (min_key != u128::MAX).then_some(SimTime((min_key >> 64) as u64))
     }
 }
 
@@ -476,21 +453,29 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_sees_past_the_horizon() {
-        let mut q: ShardedEventQueue<()> = ShardedEventQueue::new(2, SimDuration::from_millis(1));
-        assert_eq!(q.peek_time(), None);
-        q.schedule(1, SimTime::from_secs(30), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(30)));
-        q.schedule(0, SimTime::from_millis(2), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-    }
-
-    #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduling into the past")]
     fn past_scheduling_panics_in_debug() {
         let mut q = ShardedEventQueue::new(2, SimDuration::from_millis(1));
         q.schedule(0, SimTime::from_secs(10), ());
         q.pop();
         q.schedule(1, SimTime::from_secs(1), ());
+    }
+
+    /// The release contract: a past event fires at `now`, after the
+    /// events already queued there, and the clock never goes backwards.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn past_scheduling_fires_now_in_release() {
+        let mut q = ShardedEventQueue::new(2, SimDuration::from_millis(1));
+        q.schedule(0, SimTime::from_secs(10), "first");
+        q.pop();
+        q.schedule_now(0, "queued");
+        q.schedule(1, SimTime::from_secs(1), "past");
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch_at_now(&mut out), 2);
+        assert_eq!(out, ["queued", "past"]);
+        assert_eq!(q.now(), SimTime::from_secs(10));
+        assert_eq!(q.pop(), None);
     }
 }

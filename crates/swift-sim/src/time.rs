@@ -168,6 +168,65 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// Sampling boundaries at every positive multiple of a fixed period: the
+/// one copy of the boundary arithmetic that every sampler shares.
+/// Samplers consult it between event batches, so sampling never queues an
+/// event.
+///
+/// ```
+/// use swift_sim::{Cadence, SimDuration, SimTime};
+///
+/// let mut c = Cadence::new(SimDuration::from_secs(2));
+/// assert_eq!(c.due(SimTime::from_secs(5)), Some(SimTime::from_secs(2)));
+/// assert_eq!(c.due(SimTime::from_secs(5)), Some(SimTime::from_secs(4)));
+/// assert_eq!(c.due(SimTime::from_secs(5)), None);
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Cadence {
+    /// Period in µs (≥ 1).
+    period: u64,
+    /// Next boundary not yet taken, in µs; `u128` so that the clock's
+    /// last boundary needs no saturation special case.
+    next: u128,
+}
+
+impl Cadence {
+    /// Boundaries every `period`. Panics if the period is zero.
+    pub fn new(period: SimDuration) -> Self {
+        assert!(period.0 > 0, "sampling cadence must be positive");
+        Cadence {
+            period: period.0,
+            next: u128::from(period.0),
+        }
+    }
+
+    /// Takes the earliest boundary at or before `now` not taken yet.
+    /// Looping until `None` yields every boundary, empty windows included.
+    pub fn due(&mut self, now: SimTime) -> Option<SimTime> {
+        let boundary = self.next;
+        (u128::from(now.0) >= boundary).then(|| {
+            self.next += u128::from(self.period);
+            SimTime(boundary as u64)
+        })
+    }
+
+    /// Takes every boundary at or before `now` at once and says whether
+    /// there was any: one sample per crossing, however many windows it
+    /// spans.
+    pub fn cross(&mut self, now: SimTime) -> bool {
+        let crossed = u128::from(now.0) >= self.next;
+        if crossed {
+            self.next = (u128::from(self.window(now)) + 1) * u128::from(self.period);
+        }
+        crossed
+    }
+
+    /// Index of the window holding `t`, i.e. `t / period`.
+    pub fn window(&self, t: SimTime) -> u64 {
+        t.0 / self.period
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,5 +293,45 @@ mod tests {
     fn display_is_seconds() {
         assert_eq!(format!("{}", SimTime::from_millis(1500)), "t=1.500s");
         assert_eq!(format!("{}", SimDuration::from_millis(250)), "0.250s");
+    }
+
+    #[test]
+    fn cadence_due_yields_every_boundary_once() {
+        let mut c = Cadence::new(SimDuration::from_secs(1));
+        assert_eq!(c.due(SimTime::from_millis(999)), None);
+        assert_eq!(c.due(SimTime::from_secs(1)), Some(SimTime::from_secs(1)));
+        assert_eq!(c.due(SimTime::from_secs(1)), None);
+        let mut later = Vec::new();
+        while let Some(b) = c.due(SimTime::from_millis(3_500)) {
+            later.push(b);
+        }
+        assert_eq!(later, [SimTime::from_secs(2), SimTime::from_secs(3)]);
+    }
+
+    #[test]
+    fn cadence_cross_takes_all_skipped_boundaries() {
+        let mut c = Cadence::new(SimDuration::from_secs(1));
+        assert!(!c.cross(SimTime::from_millis(500)));
+        assert!(c.cross(SimTime::from_millis(3_500)));
+        assert!(!c.cross(SimTime::from_millis(3_999)));
+        assert!(c.cross(SimTime::from_secs(4)));
+        assert_eq!(c.due(SimTime::from_secs(5)), Some(SimTime::from_secs(5)));
+    }
+
+    #[test]
+    fn cadence_ends_at_the_top_of_the_clock() {
+        let mut c = Cadence::new(SimDuration(u64::MAX / 2 + 1));
+        let mut n = 0;
+        while c.due(SimTime(u64::MAX)).is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 1);
+        assert!(!c.cross(SimTime(u64::MAX)));
+    }
+
+    #[test]
+    #[should_panic(expected = "sampling cadence must be positive")]
+    fn cadence_rejects_a_zero_period() {
+        Cadence::new(SimDuration::ZERO);
     }
 }

@@ -13,6 +13,7 @@
 
 use swift::sim::SimDuration;
 use swift::trace::scenarios;
+use swift::workload::generate_service_workload;
 
 /// The `fault` registry scenario: gang scheduling, an injected task
 /// failure, detection and fine-grained recovery.
@@ -31,18 +32,32 @@ fn run_report_digest_is_pinned() {
 
 /// The `service-storm` scenario: admission past the watermark, DRR, warm
 /// and cold dispatches, one machine failure with session kills and
-/// requeues, and every inner run's digest folded in.
+/// requeues, and every inner run's digest folded in. The scenario samples
+/// counter frames every 10 s; sampling queues no event, so the same run
+/// without sampling must give the pinned value too.
 #[test]
 fn service_report_digest_is_pinned() {
+    const PIN: u64 = 0xb451_0df6_5164_86ff;
     let report = swift_service::scenarios::run("service-storm", 3)
         .expect("registry scenario exists")
         .report;
     assert!(report.jobs_rejected > 0 && report.jobs_restarted > 0);
     assert_eq!(
         report.digest(),
-        0xd3e8_9d5c_7054_440c,
+        PIN,
         "ServiceReport digest of service-storm/3 is now {:#018x}",
         report.digest()
+    );
+    let (workload, mut cfg, failures) =
+        swift_service::scenarios::build("service-storm", 3).expect("registry scenario exists");
+    assert!(cfg.sample_every.is_some(), "the pinned run samples");
+    cfg.sample_every = None;
+    let mut sim = swift_service::ServiceSim::new(cfg, generate_service_workload(&workload));
+    sim.fail_machines(failures);
+    let unsampled = sim.run().report.digest();
+    assert_eq!(
+        unsampled, PIN,
+        "unsampled service-storm/3 digest is {unsampled:#018x}"
     );
 }
 
