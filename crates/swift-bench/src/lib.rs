@@ -1,123 +1,171 @@
 //! # swift-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (§V), each
-//! printing the regenerated rows/series next to the paper's reported
-//! values, plus ablation binaries for the design choices called out in
-//! DESIGN.md. Shared setup (clusters, trace → workload conversion,
-//! tabular output) lives here.
+//! Every table and figure of the paper's evaluation (§V), plus ablations
+//! of the design choices called out in DESIGN.md, as one function each in
+//! [`experiments`]. A function returns a [`Figure`] and does no I/O: its
+//! tables hold the cells exactly as `experiments/*.tsv` stores them, and a
+//! few named summary numbers carry the figure's headline. The root test
+//! `tests/paper_shapes.rs` asserts the paper's shapes on those values; the
+//! `reproduce` binary prints them and writes the TSVs.
 //!
-//! Run an experiment with e.g.
-//! `cargo run --release -p swift-bench --bin fig09a_tpch`.
+//! Reproduce one figure, several, or (no ids) all of them with e.g.
+//! `cargo run --release -p swift-bench --bin reproduce -- fig09a`.
 
 #![warn(missing_docs)]
 
-use std::fmt::Display;
-use std::fs;
-use std::io::Write;
-use std::path::PathBuf;
-use swift_cluster::{Cluster, CostModel};
-use swift_scheduler::JobSpec;
-use swift_workload::TraceJob;
+pub mod experiments;
 
-/// The paper's 100-node cluster (§V-A), with 32 pre-launched executors per
-/// machine (the paper runs "dozens or hundreds" per machine).
-pub fn cluster_100() -> Cluster {
-    Cluster::new(100, 32, CostModel::default())
+use std::fmt::Write;
+
+/// One table of a figure: the contents of one TSV file.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Table {
+    /// File name under `experiments/`.
+    pub file: &'static str,
+    /// Column names.
+    pub headers: &'static [&'static str],
+    /// Data rows, each cell exactly as the TSV writes it.
+    pub rows: Vec<Vec<String>>,
 }
 
-/// The paper's 2 000-node cluster (§V-A).
-pub fn cluster_2000() -> Cluster {
-    Cluster::new(2_000, 32, CostModel::default())
+impl Table {
+    /// The TSV text: the header line, then one tab-separated line per row.
+    pub fn tsv(&self) -> String {
+        let mut out = self.headers.join("\t");
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&row.join("\t"));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The cells of column `header` parsed as numbers. Panics if the
+    /// column does not exist or holds a cell that is not a number.
+    pub fn column(&self, header: &str) -> Vec<f64> {
+        let i = self
+            .headers
+            .iter()
+            .position(|h| *h == header)
+            .unwrap_or_else(|| panic!("{} has no column {header}", self.file));
+        self.rows
+            .iter()
+            .map(|row| {
+                row[i].parse().unwrap_or_else(|_| {
+                    panic!("{} {header}: {:?} is not a number", self.file, row[i])
+                })
+            })
+            .collect()
+    }
+
+    /// The row whose first cell is `key`. Panics if there is none.
+    pub fn row(&self, key: &str) -> &[String] {
+        self.rows
+            .iter()
+            .find(|row| row[0] == key)
+            .unwrap_or_else(|| panic!("{} has no row {key}", self.file))
+    }
 }
 
-/// Converts trace jobs to scheduler job specs. The DAGs are shared
-/// (`Arc` refcount bumps), not deep-copied, so converting a 2 000-job
-/// trace — or converting the same trace once per policy under test —
-/// costs nothing beyond the spec vector itself.
-pub fn to_specs(trace: &[TraceJob]) -> Vec<JobSpec> {
-    trace
-        .iter()
-        .map(|t| JobSpec {
-            dag: t.dag.clone(),
-            submit_at: t.submit_at,
-        })
-        .collect()
+/// What one experiment measured.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Figure {
+    /// The id `reproduce` takes, e.g. `fig09a`.
+    pub id: &'static str,
+    /// What the paper shows and reports.
+    pub claim: &'static str,
+    /// Its series, one per TSV file.
+    pub tables: Vec<Table>,
+    /// Named headline numbers, e.g. a total speedup.
+    pub summary: Vec<(String, f64)>,
 }
 
-/// Prints a fixed-width table: a header row then data rows.
-pub fn print_table<H: Display, C: Display>(headers: &[H], rows: &[Vec<C>]) {
-    let head: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
-    let data: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| r.iter().map(|c| c.to_string()).collect())
-        .collect();
-    let mut widths: Vec<usize> = head.iter().map(String::len).collect();
-    for row in &data {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+/// Tables longer than this print their size instead of their cells.
+const PRINTED_ROWS: usize = 30;
+
+impl Figure {
+    /// The summary number `name`. Panics if the figure has none.
+    pub fn value(&self, name: &str) -> f64 {
+        self.summary
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("{} has no summary value {name}", self.id))
+            .1
+    }
+
+    /// The table written to `file`. Panics if the figure has none.
+    pub fn table(&self, file: &str) -> &Table {
+        self.tables
+            .iter()
+            .find(|t| t.file == file)
+            .unwrap_or_else(|| panic!("{} has no table {file}", self.id))
+    }
+
+    /// The text `reproduce` prints: the claim, each table's cells in
+    /// aligned columns (or its row count when it is a plotting series),
+    /// and the summary numbers.
+    pub fn render(&self) -> String {
+        let mut out = format!("== {}: {}\n", self.id, self.claim);
+        for table in &self.tables {
+            let _ = writeln!(out, "  {} ({} rows)", table.file, table.rows.len());
+            if table.rows.len() > PRINTED_ROWS {
+                continue;
+            }
+            let mut widths: Vec<usize> = table.headers.iter().map(|h| h.len()).collect();
+            for row in &table.rows {
+                for (w, cell) in widths.iter_mut().zip(row) {
+                    *w = (*w).max(cell.len());
+                }
+            }
+            let heads = table.headers.iter().map(|h| h.to_string());
+            for cells in std::iter::once(heads.collect()).chain(table.rows.iter().cloned()) {
+                let line: Vec<String> = cells
+                    .iter()
+                    .zip(&widths)
+                    .map(|(c, w)| format!("{c:>w$}"))
+                    .collect();
+                let _ = writeln!(out, "    {}", line.join("  "));
             }
         }
+        for (name, value) in &self.summary {
+            let _ = writeln!(out, "  {name} = {value:.4}");
+        }
+        out
     }
-    let line = |cells: &[String]| {
-        let cols: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>width$}", width = widths.get(i).copied().unwrap_or(8)))
-            .collect();
-        println!("  {}", cols.join("  "));
-    };
-    line(&head);
-    let total: usize = widths.iter().sum::<usize>() + 2 * widths.len();
-    println!("  {}", "-".repeat(total));
-    for row in &data {
-        line(row);
-    }
-}
-
-/// Where experiment outputs (TSV series for plotting) are written.
-pub fn experiments_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../experiments");
-    let _ = fs::create_dir_all(&dir);
-    dir
-}
-
-/// Writes rows as a TSV file under `experiments/`, returning the path.
-pub fn write_tsv<C: Display>(name: &str, headers: &[&str], rows: &[Vec<C>]) -> PathBuf {
-    let path = experiments_dir().join(name);
-    let mut f = fs::File::create(&path).expect("create experiment output");
-    writeln!(f, "{}", headers.join("\t")).unwrap();
-    for row in rows {
-        let cells: Vec<String> = row.iter().map(|c| c.to_string()).collect();
-        writeln!(f, "{}", cells.join("\t")).unwrap();
-    }
-    println!("  [series written to {}]", path.display());
-    path
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(id: &str, what: &str, paper: &str) {
-    println!("== {id}: {what}");
-    println!("   paper reports: {paper}");
-    println!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn clusters_have_expected_sizes() {
-        assert_eq!(cluster_100().executor_count(), 3_200);
-        assert_eq!(cluster_100().machine_count(), 100);
-        assert_eq!(cluster_2000().executor_count(), 64_000);
+    fn figure() -> Figure {
+        Figure {
+            id: "demo",
+            claim: "a claim",
+            tables: vec![Table {
+                file: "demo.tsv",
+                headers: &["a", "bee"],
+                rows: vec![vec!["1".into(), "2".into()], vec!["x".into(), "4.5".into()]],
+            }],
+            summary: vec![("total".into(), 2.5)],
+        }
     }
 
     #[test]
-    fn tsv_writes_and_parses_back() {
-        let p = write_tsv("test_output.tsv", &["a", "b"], &[vec![1, 2], vec![3, 4]]);
-        let content = std::fs::read_to_string(&p).unwrap();
-        assert_eq!(content, "a\tb\n1\t2\n3\t4\n");
-        let _ = std::fs::remove_file(p);
+    fn tables_render_as_tsv_and_read_back() {
+        let fig = figure();
+        let table = fig.table("demo.tsv");
+        assert_eq!(table.tsv(), "a\tbee\n1\t2\nx\t4.5\n");
+        assert_eq!(table.column("bee"), [2.0, 4.5]);
+        assert_eq!(table.row("x"), ["x", "4.5"]);
+        assert_eq!(fig.value("total"), 2.5);
+    }
+
+    #[test]
+    fn render_prints_cells_and_summary() {
+        assert_eq!(
+            figure().render(),
+            "== demo: a claim\n  demo.tsv (2 rows)\n    a  bee\n    1    2\n    x  4.5\n  total = 2.5000\n"
+        );
     }
 }
