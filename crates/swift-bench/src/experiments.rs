@@ -890,3 +890,15 @@ pub fn ablate_cache_memory() -> Figure {
         summary: Vec::new(),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cluster_100_has_expected_size() {
+        let cluster = cluster_100();
+        assert_eq!(cluster.machine_count(), 100);
+        assert_eq!(cluster.executor_count(), 3_200);
+    }
+}
