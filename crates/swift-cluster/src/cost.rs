@@ -36,17 +36,6 @@ pub struct CostModel {
     /// Expected number of tasks concurrently sharing one machine's NIC;
     /// a task's transfer bandwidth is `net_bandwidth / net_share_tasks`.
     pub net_share_tasks: f64,
-    /// Opt-in NIC fair-sharing refinement (the bandwidth-splitting model
-    /// used by network simulators such as dslab): when on, a shuffle
-    /// transfer's bandwidth is the NIC fairly divided among the *actual*
-    /// concurrent flows on the destination machine (consumer tasks
-    /// co-located there), instead of the fixed expected-sharing divisor
-    /// `net_share_tasks`. **Off by default**: the fixed divisor is part
-    /// of the calibrated Fig. 12 cost shape, so every pinned digest and
-    /// golden trace assumes it. Turning this on changes shuffle-read
-    /// costs and therefore digests — it is a modeling refinement for
-    /// experiments, not a drop-in.
-    pub net_fair_share: bool,
     /// Uncongested TCP connection establishment time.
     pub tcp_connect_base: SimDuration,
     /// Total concurrent connection count at which per-connection setup time
@@ -120,7 +109,6 @@ impl Default for CostModel {
             bubble_partition_overhead: SimDuration::from_millis(500),
             net_bandwidth: 1.25e9,
             net_share_tasks: 8.0,
-            net_fair_share: false,
             tcp_connect_base: SimDuration::from_micros(374),
             tcp_congestion_conns: 94_800.0,
             tcp_connect_max: SimDuration::from_millis(488),
@@ -168,20 +156,6 @@ impl CostModel {
     /// Time for one task to move `bytes` over the network (no penalties).
     pub fn net_transfer(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.per_task_net_bandwidth())
-    }
-
-    /// Time for one task to move `bytes` when `flows` concurrent flows
-    /// share its machine's NIC. With [`CostModel::net_fair_share`] off
-    /// (the default) this is exactly [`CostModel::net_transfer`] — the
-    /// calibrated fixed-divisor model. With it on, the NIC is divided
-    /// fairly among the actual flows (never less contended than a single
-    /// full-rate flow), dslab-style.
-    pub fn net_transfer_fair(&self, bytes: u64, flows: u64) -> SimDuration {
-        if !self.net_fair_share {
-            return self.net_transfer(bytes);
-        }
-        let bw = self.net_bandwidth / flows.max(1) as f64;
-        SimDuration::from_secs_f64(bytes as f64 / bw)
     }
 
     /// Time for one extra in-memory copy of `bytes`.
@@ -281,11 +255,7 @@ impl CostModel {
         if medium == ShuffleMedium::Disk {
             retx *= self.disk_fetch_mitigation;
         }
-        // Concurrent inbound flows at a destination machine: the consumer
-        // tasks co-located there (only used when `net_fair_share` is on).
-        let dst_flows = n64.div_ceil(y_dst.max(1) as u64);
-        let mut transfer =
-            self.net_transfer_fair(bytes_per_dst, dst_flows) * (1.0 + retx * self.retx_penalty);
+        let mut transfer = self.net_transfer(bytes_per_dst) * (1.0 + retx * self.retx_penalty);
         if scheme == ShuffleScheme::Local {
             // Data is staged at the writer-side Cache Worker before the
             // CW→CW hop: store-and-forward stretches the transfer.
@@ -370,83 +340,6 @@ mod tests {
         let r = cost(&cm, ShuffleScheme::Remote, 500, 500, 100, bytes);
         assert!(l < d, "local {l} vs direct {d}");
         assert!(l < r, "local {l} vs remote {r}");
-    }
-
-    /// With the flag off (the default), the fair-share helper and the
-    /// shuffle costs are bit-identical to the fixed-divisor model — the
-    /// refinement must be invisible unless opted into.
-    #[test]
-    fn fair_share_off_is_byte_identical() {
-        let cm = CostModel::default();
-        assert!(!cm.net_fair_share);
-        for bytes in [0u64, 1, 1 << 20, 4 << 30] {
-            for flows in [0u64, 1, 7, 64] {
-                assert_eq!(cm.net_transfer_fair(bytes, flows), cm.net_transfer(bytes));
-            }
-        }
-        let a = cm.shuffle_edge_cost(
-            ShuffleScheme::Direct,
-            ShuffleMedium::Memory,
-            200,
-            200,
-            100,
-            100,
-            4 << 30,
-        );
-        let mut on = cm.clone();
-        on.net_fair_share = false;
-        let b = on.shuffle_edge_cost(
-            ShuffleScheme::Direct,
-            ShuffleMedium::Memory,
-            200,
-            200,
-            100,
-            100,
-            4 << 30,
-        );
-        assert_eq!(a, b);
-    }
-
-    /// Opting in actually changes the model: with many consumers packed
-    /// onto few machines the NIC is split more ways than the fixed
-    /// `net_share_tasks` divisor assumes, so reads slow down; spreading
-    /// the same consumers across many machines recovers (monotone in
-    /// co-location).
-    #[test]
-    fn fair_share_on_penalizes_colocation() {
-        let cm = CostModel {
-            net_fair_share: true,
-            ..Default::default()
-        };
-        let read = |y_dst: u32| {
-            cm.shuffle_edge_cost(
-                ShuffleScheme::Direct,
-                ShuffleMedium::Memory,
-                64,
-                64,
-                64,
-                y_dst,
-                8 << 30,
-            )
-            .read_per_task
-        };
-        // 64 consumers on 2 machines → 32 flows/NIC, vs 8.0 expected.
-        let packed = read(2);
-        let spread = read(64);
-        assert!(packed > spread, "packed {packed:?} vs spread {spread:?}");
-        // And the packed case is slower than the fixed-divisor baseline.
-        let base = CostModel::default()
-            .shuffle_edge_cost(
-                ShuffleScheme::Direct,
-                ShuffleMedium::Memory,
-                64,
-                64,
-                64,
-                2,
-                8 << 30,
-            )
-            .read_per_task;
-        assert!(packed > base, "fair packed {packed:?} vs fixed {base:?}");
     }
 
     #[test]

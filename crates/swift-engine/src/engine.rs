@@ -10,7 +10,7 @@
 //! the [`CacheWorkerStore`], which is exactly the Local/Remote Shuffle
 //! data path of §III-B. Timing effects of gang scheduling are the
 //! simulator's job (`swift-scheduler`); the engine demonstrates
-//! *correctness* of the operator set, the shuffle transports and the
+//! *correctness* of the operator set, the shuffle store and the
 //! recovery logic on real rows.
 
 use crate::batch::{hash_keys, index, Batch};

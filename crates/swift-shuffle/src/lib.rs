@@ -8,17 +8,18 @@
 //!   memory-copy counts;
 //! * adaptive scheme selection by shuffle edge size
 //!   ([`AdaptiveThresholds`], production thresholds 10 000 / 90 000);
-//! * Cache Worker memory management with LRU spill — both the accounting
-//!   model used by the cluster simulator ([`CacheWorkerMemory`]) and the
-//!   real byte-moving store, spilling to one log file, used by the
-//!   execution engine ([`CacheWorkerStore`]);
-//! * the engine-facing [`Exchange`] transports ([`DirectExchange`] for
-//!   Direct Shuffle, [`CacheWorkerStore`] for the staged schemes).
+//! * Cache Worker memory management with one LRU spill policy,
+//!   [`CacheWorkerMemory`]: the simulator runs it as the accounting model
+//!   of every machine, and the execution engine's byte-moving
+//!   [`CacheWorkerStore`] holds one and spills what it decides to one log
+//!   file, so both spill the same segments.
+//!
+//! The crate has no separate engine transport: the engine moves
+//! every shuffle payload through a [`CacheWorkerStore`].
 
 #![warn(missing_docs)]
 
 pub mod bytes;
-mod channel;
 mod memory;
 mod scheme;
 mod store;
@@ -26,7 +27,6 @@ pub mod sync;
 mod versions;
 
 pub use bytes::{Bytes, BytesMut};
-pub use channel::{DirectExchange, Exchange};
 pub use memory::{CacheWorkerMemory, InsertOutcome, SegmentKey, SegmentLocation};
 pub use scheme::{select_scheme, AdaptiveThresholds, ExtraCopies, ShuffleMedium, ShuffleScheme};
 pub use store::CacheWorkerStore;

@@ -3,9 +3,11 @@
 //! consumer has read them, and under memory shortage the least recently
 //! used segments are swapped to disk in large chunks.
 //!
-//! This module is the *accounting* model used by the simulator; the real
-//! byte-moving counterpart (with a real spill log) is
-//! [`crate::CacheWorkerStore`].
+//! [`CacheWorkerMemory`] is the one implementation of that policy. The
+//! simulator runs one per machine as an accounting model; the engine's
+//! [`crate::CacheWorkerStore`] holds one and lets it decide which
+//! segments are in memory and which are spilled, so the two spill the
+//! same segments for the same puts and reads.
 
 use std::collections::BTreeMap;
 
@@ -140,16 +142,44 @@ impl CacheWorkerMemory {
     /// its memory released (§III-B). Returns the segment's location at read
     /// time (`None` if unknown — e.g. already fully consumed).
     pub fn consume(&mut self, key: SegmentKey) -> Option<SegmentLocation> {
-        self.clock += 1;
-        let clock = self.clock;
-        let seg = self.segments.get_mut(&key)?;
-        seg.stamp = clock;
+        let seg = self.touched(key)?;
         let loc = seg.location;
         seg.pending_consumers = seg.pending_consumers.saturating_sub(1);
         if seg.pending_consumers == 0 {
             let _ = self.remove(key);
         }
         Some(loc)
+    }
+
+    /// Records a read that consumes nothing: the segment becomes the most
+    /// recently used. Returns its location (`None` if unknown).
+    pub fn touch(&mut self, key: SegmentKey) -> Option<SegmentLocation> {
+        self.touched(key).map(|seg| seg.location)
+    }
+
+    /// Advances the clock and stamps `key`'s segment with it, if live.
+    fn touched(&mut self, key: SegmentKey) -> Option<&mut Segment> {
+        self.clock += 1;
+        let seg = self.segments.get_mut(&key)?;
+        seg.stamp = self.clock;
+        Some(seg)
+    }
+
+    /// Moves a segment the LRU policy spilled back into memory and takes
+    /// its spill off the counters, for a caller that could not write it to
+    /// disk. The segment keeps its recency, so the next insert over
+    /// capacity spills it again unless it was read since.
+    pub fn restore(&mut self, key: SegmentKey) {
+        let Some(seg) = self.segments.get_mut(&key) else {
+            return;
+        };
+        if seg.location == SegmentLocation::Disk {
+            seg.location = SegmentLocation::Memory;
+            self.on_disk -= seg.bytes;
+            self.in_memory += seg.bytes;
+            self.total_spilled_bytes -= seg.bytes;
+            self.total_spill_events -= 1;
+        }
     }
 
     /// Current location of a segment, if live.
@@ -277,6 +307,33 @@ mod tests {
         cw.insert(key(2), 400, 1);
         assert_eq!(cw.location(key(1)), Some(SegmentLocation::Disk));
         assert_eq!(cw.location(key(0)), Some(SegmentLocation::Memory));
+    }
+
+    #[test]
+    fn touch_reorders_eviction() {
+        let mut cw = CacheWorkerMemory::new(1_000);
+        cw.insert(key(0), 400, 1);
+        cw.insert(key(1), 400, 1);
+        // Without the touch key(0) would be the victim.
+        assert_eq!(cw.touch(key(0)), Some(SegmentLocation::Memory));
+        let out = cw.insert(key(2), 400, 1);
+        assert_eq!(out.spilled, vec![(key(1), 400)]);
+        assert_eq!(cw.segment_count(), 3, "a touch consumes nothing");
+        assert_eq!(cw.touch(key(9)), None);
+    }
+
+    #[test]
+    fn restore_undoes_a_spill_and_keeps_recency() {
+        let mut cw = CacheWorkerMemory::new(500);
+        cw.insert(key(0), 400, 1);
+        cw.insert(key(1), 400, 1); // spills key(0)
+        cw.restore(key(0));
+        assert_eq!(cw.location(key(0)), Some(SegmentLocation::Memory));
+        assert_eq!((cw.in_memory_bytes(), cw.on_disk_bytes()), (800, 0));
+        assert_eq!((cw.total_spilled_bytes(), cw.total_spill_events()), (0, 0));
+        // key(0) is still the least recently used, so it spills first.
+        let out = cw.insert(key(2), 100, 1);
+        assert_eq!(out.spilled, vec![(key(0), 400)]);
     }
 
     #[test]

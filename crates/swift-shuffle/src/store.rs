@@ -1,10 +1,19 @@
-//! The real (byte-moving) Cache Worker: an in-memory shuffle segment store
-//! with LRU spill to a real file on disk.
+//! The real (byte-moving) Cache Worker: shuffle segments in memory,
+//! spilled to a real file on disk.
 //!
-//! `swift-engine` uses one `CacheWorkerStore` per simulated machine (or one
-//! shared store in single-process runs) as the staging area for Local and
-//! Remote shuffle. Unlike the accounting model in [`crate::memory`], this
-//! store holds real payloads and really writes them to disk.
+//! `swift-engine` uses one `CacheWorkerStore` per run as the staging area
+//! of every shuffle edge. The store holds a [`CacheWorkerMemory`], the
+//! LRU model the simulator runs on every machine, and lets it make every
+//! size, recency and memory/disk decision:
+//!
+//! * a put inserts the segment into the model and writes the victims the
+//!   model returns to the spill log, in the order returned;
+//! * a read touches the segment in the model, then loads its payload;
+//! * [`CacheWorkerStore::delete_job`] drops the job from the model.
+//!
+//! The store itself keeps only what the model cannot: the payloads, the
+//! spill log and the blocking wait for producers. So the simulator and the
+//! engine spill the same segments for the same puts and reads.
 //!
 //! # The spill log
 //!
@@ -14,18 +23,18 @@
 //! `(offset, len)` range. A read copies the range's `Arc<File>` under the
 //! store lock and does one positioned read after releasing it.
 //!
-//! A range is never reused while the store lives. Overwrites, consuming
-//! reads and [`CacheWorkerStore::delete_job`] only forget ranges, so a
-//! reader that released the lock still reads the payload it looked up.
-//! The space comes back when the store drops and deletes its directory;
-//! nothing compacts the log.
+//! A range is never reused while the store lives. Overwrites and
+//! [`CacheWorkerStore::delete_job`] only forget ranges, so a reader that
+//! released the lock still reads the payload it looked up. The space
+//! comes back when the store drops and deletes its directory; nothing
+//! compacts the log.
 //!
 //! Nothing is fsynced. Durability was never the contract: the paper's
 //! Cache Worker swaps to disk to free memory, and a lost process is a
 //! machine failure, which §IV recovery handles by re-running producers.
 
 use crate::bytes::Bytes;
-use crate::memory::SegmentKey;
+use crate::memory::{CacheWorkerMemory, SegmentKey, SegmentLocation};
 use crate::sync::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::fs::{self, File};
@@ -105,210 +114,95 @@ impl Fetch {
     }
 }
 
-/// Sentinel "no node" index for the intrusive LRU list.
-const NIL: u32 = u32::MAX;
-
-#[derive(Debug)]
-struct LruNode {
-    key: SegmentKey,
-    prev: u32,
-    next: u32,
-}
-
-/// Intrusive doubly-linked recency list over slab-allocated nodes.
-///
-/// Every *in-memory* segment owns exactly one node; spilled segments own
-/// none. A touch (put or peek) unlinks the node and relinks it at the
-/// MRU end — O(1), where the previous design re-keyed a
-/// `BTreeMap<SegmentKey, clock>` on every access and sorted all stamps
-/// on every eviction. The eviction order (walk from the LRU end) is the
-/// same least-recently-touched-first order the stamps produced.
-#[derive(Debug)]
-struct LruList {
-    nodes: Vec<LruNode>,
-    free: Vec<u32>,
-    /// Least recently used (eviction starts here).
-    head: u32,
-    /// Most recently used (touches land here).
-    tail: u32,
-}
-
-impl Default for LruList {
-    fn default() -> Self {
-        LruList {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-}
-
-impl LruList {
-    /// Links `key` at the MRU end, returning its node index.
-    fn push_mru(&mut self, key: SegmentKey) -> u32 {
-        let node = LruNode {
-            key,
-            prev: self.tail,
-            next: NIL,
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-        };
-        if self.tail != NIL {
-            self.nodes[self.tail as usize].next = idx;
-        } else {
-            self.head = idx;
-        }
-        self.tail = idx;
-        idx
-    }
-
-    /// Unlinks the node at `idx` and returns its slot to the free list.
-    fn unlink(&mut self, idx: u32) {
-        let (prev, next) = {
-            let n = &self.nodes[idx as usize];
-            (n.prev, n.next)
-        };
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.free.push(idx);
-    }
-
-    /// Moves the node at `idx` to the MRU end, returning its (possibly
-    /// recycled) new index.
-    fn touch(&mut self, idx: u32) -> u32 {
-        let key = self.nodes[idx as usize].key;
-        self.unlink(idx);
-        self.push_mru(key)
-    }
-
-    /// Key of the least recently used segment, if any is in memory.
-    fn lru_key(&self) -> Option<SegmentKey> {
-        (self.head != NIL).then(|| self.nodes[self.head as usize].key)
-    }
-}
-
-/// One stored segment plus its recency-list node (`NIL` when spilled —
-/// spilled segments never compete for memory, so they are not tracked).
-#[derive(Debug)]
-struct Entry {
-    payload: Payload,
-    lru: u32,
-}
-
-#[derive(Default)]
 struct StoreState {
-    segments: BTreeMap<SegmentKey, Entry>,
-    lru: LruList,
-    in_memory: u64,
-    spilled_bytes_total: u64,
+    /// Makes every size, recency and memory/disk decision.
+    model: CacheWorkerMemory,
+    /// One payload per segment of the model, in memory or spilled as the
+    /// model says.
+    payloads: BTreeMap<SegmentKey, Payload>,
     /// Created by the first spill, so a store that never spills never
     /// touches the file system.
     log: Option<SpillLog>,
 }
 
 impl StoreState {
-    /// Looks up `key`'s payload: a consuming lookup removes the segment,
-    /// a non-consuming one touches it in the recency list.
-    fn fetch(&mut self, key: &SegmentKey, consume: bool) -> Option<Fetch> {
-        let payload = if consume {
-            let e = self.segments.remove(key)?;
-            if let Payload::Memory(b) = &e.payload {
-                self.lru.unlink(e.lru);
-                self.in_memory -= b.len() as u64;
-            }
-            e.payload
-        } else {
-            let e = self.segments.get_mut(key)?;
-            match &e.payload {
-                Payload::Memory(b) => {
-                    e.lru = self.lru.touch(e.lru);
-                    return Some(Fetch::Ready(b.clone()));
+    /// Writes the model's victims to the log in the order given. If a
+    /// write fails, the victims not yet written go back to memory in the
+    /// model, so their payloads stay readable, and the error is returned.
+    fn spill(&mut self, victims: &[(SegmentKey, u64)]) -> io::Result<()> {
+        for (i, &(key, _)) in victims.iter().enumerate() {
+            if let Err(e) = self.spill_one(key) {
+                for &(key, _) in &victims[i..] {
+                    self.model.restore(key);
                 }
-                &Payload::Spilled { offset, len } => Payload::Spilled { offset, len },
+                return Err(e);
             }
+        }
+        Ok(())
+    }
+
+    fn spill_one(&mut self, key: SegmentKey) -> io::Result<()> {
+        let log = match &mut self.log {
+            Some(log) => log,
+            None => self.log.insert(SpillLog::create()?),
         };
-        Some(match payload {
-            Payload::Memory(b) => Fetch::Ready(b),
+        let payload = self
+            .payloads
+            .get_mut(&key)
+            .expect("the model's segments are stored");
+        let Payload::Memory(b) = payload else {
+            unreachable!("the model spills only in-memory segments");
+        };
+        let len = b.len();
+        let offset = log.append(b)?;
+        *payload = Payload::Spilled { offset, len };
+        Ok(())
+    }
+
+    /// Touches a stored segment in the model and looks its payload up.
+    fn fetch(&mut self, key: SegmentKey) -> Fetch {
+        self.model.touch(key);
+        match self.payloads[&key] {
+            Payload::Memory(ref b) => Fetch::Ready(b.clone()),
             Payload::Spilled { offset, len } => Fetch::Spilled {
                 file: Arc::clone(&self.log.as_ref().expect("a spilled segment has a log").file),
                 offset,
                 len,
             },
-        })
-    }
-
-    /// Forgets `key`'s segment. A spilled one's range stays in the log,
-    /// unused, until the store drops.
-    fn remove(&mut self, key: &SegmentKey) {
-        if let Some(e) = self.segments.remove(key) {
-            if let Payload::Memory(b) = e.payload {
-                self.lru.unlink(e.lru);
-                self.in_memory -= b.len() as u64;
-            }
         }
     }
 
-    /// Debug cross-check: the recency list is a pure cache of "which
-    /// segments are in memory" — its key set must equal the Memory
-    /// entries, and every entry's node index must point back at its key.
-    #[cfg(debug_assertions)]
-    fn check_lru_invariant(&self) {
-        let mut listed = 0;
-        for (k, e) in &self.segments {
-            match e.payload {
-                Payload::Memory(_) => {
-                    assert_ne!(e.lru, NIL, "in-memory segment missing from LRU list");
-                    assert_eq!(
-                        self.lru.nodes[e.lru as usize].key, *k,
-                        "LRU node points at the wrong key"
-                    );
-                    listed += 1;
+    /// Debug cross-check: the model and the payload map hold the same
+    /// keys, with the same memory/disk split.
+    fn check_consistent(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        assert_eq!(self.model.segment_count(), self.payloads.len());
+        let mut in_memory = 0;
+        for (key, payload) in &self.payloads {
+            let location = match payload {
+                Payload::Memory(b) => {
+                    in_memory += b.len() as u64;
+                    SegmentLocation::Memory
                 }
-                Payload::Spilled { .. } => {
-                    assert_eq!(e.lru, NIL, "spilled segment still on the LRU list")
-                }
-            }
+                Payload::Spilled { .. } => SegmentLocation::Disk,
+            };
+            assert_eq!(self.model.location(*key), Some(location), "{key:?}");
         }
-        let mut walked = 0;
-        let mut i = self.lru.head;
-        while i != NIL {
-            walked += 1;
-            i = self.lru.nodes[i as usize].next;
-        }
-        assert_eq!(walked, listed, "LRU list length drifted from Memory count");
+        assert_eq!(self.model.in_memory_bytes(), in_memory);
     }
-
-    #[cfg(not(debug_assertions))]
-    fn check_lru_invariant(&self) {}
 }
 
 /// A thread-safe shuffle segment store with bounded memory and LRU spill.
 ///
 /// Producers [`put`](CacheWorkerStore::put) segments; consumers
-/// [`collect`](CacheWorkerStore::collect) all segments of their partition,
-/// blocking until the expected number of producers has delivered. Segments
-/// are removed when collected (the §III-B "delete after consumed" rule);
-/// [`peek`](CacheWorkerStore::peek) reads without consuming, which failure
-/// recovery uses to re-serve data to re-run consumers.
+/// [`collect_keep`](CacheWorkerStore::collect_keep) all segments of their
+/// partition, blocking until the expected number of producers has
+/// delivered. Reads consume nothing, so failure recovery can re-serve the
+/// same data to a re-run consumer; [`delete_job`](CacheWorkerStore::delete_job)
+/// frees a job's segments when it ends.
 pub struct CacheWorkerStore {
-    capacity: u64,
     // The store emulates the Cache Worker *service*: producers and
     // consumers on OS threads block on it in integration tests. It is
     // never on the deterministic sim step path (the simulator models
@@ -320,9 +214,7 @@ pub struct CacheWorkerStore {
 // Manual impl: must not take the lock (Debug can be called while held).
 impl std::fmt::Debug for CacheWorkerStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheWorkerStore")
-            .field("capacity", &self.capacity)
-            .finish_non_exhaustive()
+        f.debug_struct("CacheWorkerStore").finish_non_exhaustive()
     }
 }
 
@@ -350,94 +242,58 @@ impl CacheWorkerStore {
     /// the first spill.
     pub fn new(capacity: u64) -> io::Result<Self> {
         Ok(CacheWorkerStore {
-            capacity,
-            state: Mutex::new(StoreState::default()),
+            state: Mutex::new(StoreState {
+                model: CacheWorkerMemory::new(capacity),
+                payloads: BTreeMap::new(),
+                log: None,
+            }),
             arrived: Condvar::new(),
         })
     }
 
     /// Bytes currently resident in memory.
     pub fn in_memory_bytes(&self) -> u64 {
-        self.state.lock().in_memory
+        self.state.lock().model.in_memory_bytes()
     }
 
     /// Total bytes spilled to disk over the store's lifetime.
     pub fn spilled_bytes_total(&self) -> u64 {
-        self.state.lock().spilled_bytes_total
+        self.state.lock().model.total_spilled_bytes()
     }
 
     /// Number of live segments.
     pub fn segment_count(&self) -> usize {
-        self.state.lock().segments.len()
+        self.state.lock().model.segment_count()
     }
 
     /// Stores `data` under `key`, spilling LRU segments if the memory cap
     /// is exceeded. Overwrites any previous segment with the same key
-    /// (idempotent producer re-runs).
+    /// (idempotent producer re-runs). If a spill write fails, the error is
+    /// returned and every payload, `data` included, stays readable in
+    /// memory.
     pub fn put(&self, key: SegmentKey, data: Bytes) -> io::Result<()> {
         let mut st = self.state.lock();
-        st.remove(&key);
-        st.in_memory += data.len() as u64;
-        let node = st.lru.push_mru(key);
-        st.segments.insert(
-            key,
-            Entry {
-                payload: Payload::Memory(data),
-                lru: node,
-            },
-        );
-        self.enforce_capacity(&mut st)?;
-        st.check_lru_invariant();
+        let victims = st.model.insert(key, data.len() as u64, 1).spilled;
+        st.payloads.insert(key, Payload::Memory(data));
+        let spilled = st.spill(&victims);
+        st.check_consistent();
         drop(st);
         self.arrived.notify_all();
-        Ok(())
-    }
-
-    /// Reads one segment without consuming it, loading a spilled one from
-    /// the log outside the lock (the segment stays spilled). Returns `None`
-    /// if the key is unknown.
-    pub fn peek(&self, key: SegmentKey) -> io::Result<Option<Bytes>> {
-        let fetch = self.state.lock().fetch(&key, false);
-        fetch.map(Fetch::load).transpose()
+        spilled
     }
 
     /// Blocks until all `expected` producers have delivered their segment
-    /// for `(job, edge, partition)`, then removes and returns the payloads
-    /// ordered by producer index. Spilled payloads are read after the lock
-    /// is released: their ranges are never reused.
-    pub fn collect(
-        &self,
-        job: u64,
-        edge: u32,
-        partition: u32,
-        expected: u32,
-    ) -> io::Result<Vec<Bytes>> {
-        self.fetch_all(job, edge, partition, expected, true)
-    }
-
-    /// Like [`CacheWorkerStore::collect`], but *non-consuming*: segments
-    /// stay in the store (and keep their spill state), so failure recovery
-    /// can re-serve the same data to a re-launched consumer (§IV-B input
-    /// failure). Pair with [`CacheWorkerStore::delete_job`] for cleanup.
+    /// for `(job, edge, partition)`, then returns the payloads ordered by
+    /// producer index. Segments stay in the store and keep their spill
+    /// state, so failure recovery can re-serve the same data to a
+    /// re-launched consumer (§IV-B input failure). Spilled payloads are
+    /// read after the lock is released: their ranges are never reused.
     pub fn collect_keep(
         &self,
         job: u64,
         edge: u32,
         partition: u32,
         expected: u32,
-    ) -> io::Result<Vec<Bytes>> {
-        self.fetch_all(job, edge, partition, expected, false)
-    }
-
-    /// Waits for all `expected` producers of `(job, edge, partition)`, looks
-    /// their payloads up under one lock and loads them after releasing it.
-    fn fetch_all(
-        &self,
-        job: u64,
-        edge: u32,
-        partition: u32,
-        expected: u32,
-        consume: bool,
     ) -> io::Result<Vec<Bytes>> {
         let key = |producer| SegmentKey {
             job,
@@ -446,13 +302,10 @@ impl CacheWorkerStore {
             partition,
         };
         let mut st = self.state.lock();
-        while !(0..expected).all(|p| st.segments.contains_key(&key(p))) {
+        while !(0..expected).all(|p| st.payloads.contains_key(&key(p))) {
             self.arrived.wait(&mut st);
         }
-        let fetches: Vec<Fetch> = (0..expected)
-            .map(|p| st.fetch(&key(p), consume).expect("checked ready above"))
-            .collect();
-        st.check_lru_invariant();
+        let fetches: Vec<Fetch> = (0..expected).map(|p| st.fetch(key(p))).collect();
         drop(st);
         fetches.into_iter().map(Fetch::load).collect()
     }
@@ -461,41 +314,9 @@ impl CacheWorkerStore {
     /// unused, until the store drops.
     pub fn delete_job(&self, job: u64) -> io::Result<()> {
         let mut st = self.state.lock();
-        let keys: Vec<SegmentKey> = st
-            .segments
-            .keys()
-            .filter(|k| k.job == job)
-            .copied()
-            .collect();
-        for key in keys {
-            st.remove(&key);
-        }
-        Ok(())
-    }
-
-    fn enforce_capacity(&self, st: &mut StoreState) -> io::Result<()> {
-        // Walk the recency list from the LRU end — exactly the ascending
-        // stamp order the old sort produced, with no allocation or sort.
-        while st.in_memory > self.capacity {
-            let Some(key) = st.lru.lru_key() else {
-                break; // everything left is already spilled
-            };
-            let log = match &mut st.log {
-                Some(log) => log,
-                None => st.log.insert(SpillLog::create()?),
-            };
-            let e = st.segments.get_mut(&key).expect("listed segments exist");
-            let Payload::Memory(b) = &e.payload else {
-                unreachable!("LRU list holds only in-memory segments");
-            };
-            let len = b.len();
-            let offset = log.append(b)?;
-            e.payload = Payload::Spilled { offset, len };
-            st.lru.unlink(e.lru);
-            e.lru = NIL;
-            st.in_memory -= len as u64;
-            st.spilled_bytes_total += len as u64;
-        }
+        st.model.drop_job(job);
+        st.payloads.retain(|k, _| k.job != job);
+        st.check_consistent();
         Ok(())
     }
 }
@@ -523,16 +344,22 @@ mod tests {
         }
     }
 
+    /// The one payload of `(job, edge 0, partition 0)`'s producer 0.
+    fn read(store: &CacheWorkerStore, job: u64) -> Bytes {
+        store.collect_keep(job, 0, 0, 1).unwrap().remove(0)
+    }
+
     #[test]
     fn put_then_collect_orders_by_producer() {
         let store = CacheWorkerStore::new(1 << 20).unwrap();
         store.put(key(1, 1, 0), Bytes::from_static(b"bb")).unwrap();
         store.put(key(1, 0, 0), Bytes::from_static(b"aa")).unwrap();
-        let got = store.collect(1, 0, 0, 2).unwrap();
+        let got = store.collect_keep(1, 0, 0, 2).unwrap();
         assert_eq!(
             got,
             vec![Bytes::from_static(b"aa"), Bytes::from_static(b"bb")]
         );
+        store.delete_job(1).unwrap();
         assert_eq!(store.segment_count(), 0);
         assert_eq!(store.in_memory_bytes(), 0);
     }
@@ -541,7 +368,7 @@ mod tests {
     fn collect_blocks_until_all_producers_deliver() {
         let store = Arc::new(CacheWorkerStore::new(1 << 20).unwrap());
         let s2 = Arc::clone(&store);
-        let reader = thread::spawn(move || s2.collect(7, 0, 3, 2).unwrap());
+        let reader = thread::spawn(move || s2.collect_keep(7, 0, 3, 2).unwrap());
         store.put(key(7, 0, 3), Bytes::from_static(b"x")).unwrap();
         thread::sleep(std::time::Duration::from_millis(20));
         assert!(!reader.is_finished(), "must wait for producer 1");
@@ -557,10 +384,8 @@ mod tests {
         store.put(key(1, 0, 0), big.clone()).unwrap();
         assert_eq!(store.in_memory_bytes(), 0, "segment larger than cap spills");
         assert!(store.spilled_bytes_total() >= 64);
-        let got = store.peek(key(1, 0, 0)).unwrap().unwrap();
-        assert_eq!(got, big);
-        let collected = store.collect(1, 0, 0, 1).unwrap();
-        assert_eq!(collected[0], big);
+        assert_eq!(read(&store, 1), big);
+        assert_eq!(read(&store, 1), big, "a read leaves the segment spilled");
         let dir = spill_dir(&store).expect("spilled");
         assert!(dir.is_dir());
         drop(store);
@@ -586,12 +411,9 @@ mod tests {
         let files: Vec<_> = fs::read_dir(&dir).unwrap().collect();
         assert_eq!(files.len(), 1, "one spill file per store: {files:?}");
         store.delete_job(1).unwrap();
-        for p in 0..3 {
-            assert!(store.peek(key(1, p, 0)).unwrap().is_none());
-            assert_eq!(store.peek(key(2, p, 0)).unwrap().unwrap(), payload(2, p));
-        }
+        assert_eq!(store.segment_count(), 3, "only job 2's segments are left");
         assert_eq!(
-            store.collect(2, 0, 0, 3).unwrap(),
+            store.collect_keep(2, 0, 0, 3).unwrap(),
             (0..3).map(|p| payload(2, p)).collect::<Vec<_>>()
         );
         drop(store);
@@ -603,7 +425,7 @@ mod tests {
     /// read is one whole payload (fill byte `f`, length `64 + 37 * f`) and
     /// no read errors.
     #[test]
-    fn peeks_of_an_overwritten_spilled_key_are_never_torn() {
+    fn reads_of_an_overwritten_spilled_key_are_never_torn() {
         let store = Arc::new(CacheWorkerStore::new(0).unwrap());
         let payload = |fill: u8| Bytes::from(vec![fill; 64 + 37 * fill as usize]);
         store.put(key(1, 0, 0), payload(0)).unwrap();
@@ -617,13 +439,13 @@ mod tests {
                     start.wait();
                     let mut reads = 0u64;
                     while !done.load(std::sync::atomic::Ordering::Relaxed) || reads == 0 {
-                        let got = store.peek(key(1, 0, 0)).expect("no read errors");
-                        let got = got.expect("the key always exists");
-                        let fill = got[0];
+                        let got = store.collect_keep(1, 0, 0, 1).expect("no read errors");
+                        let fill = got[0][0];
                         assert!(
-                            got.len() == 64 + 37 * fill as usize && got.iter().all(|&b| b == fill),
+                            got[0].len() == 64 + 37 * fill as usize
+                                && got[0].iter().all(|&b| b == fill),
                             "torn read: {} bytes starting {fill}",
-                            got.len()
+                            got[0].len()
                         );
                         reads += 1;
                     }
@@ -660,38 +482,38 @@ mod tests {
         assert_eq!(store.in_memory_bytes(), 60);
         assert_eq!(store.spilled_bytes_total(), 60);
         // Both still collectable.
-        let got = store.collect(1, 0, 0, 2).unwrap();
+        let got = store.collect_keep(1, 0, 0, 2).unwrap();
         assert_eq!(got[0], Bytes::from(vec![0u8; 60]));
         assert_eq!(got[1], Bytes::from(vec![1u8; 60]));
     }
 
     #[test]
-    fn peek_touch_protects_from_eviction() {
+    fn a_read_protects_a_segment_from_eviction() {
         let store = CacheWorkerStore::new(100).unwrap();
         store.put(key(1, 0, 0), Bytes::from(vec![0u8; 60])).unwrap();
         store.put(key(1, 1, 0), Bytes::from(vec![1u8; 30])).unwrap();
-        // Touch the older, larger segment; the overflow from the next put
+        // Read the older, larger segment; the overflow from the next put
         // must then evict producer 1 (now least recently used), not 0.
-        store.peek(key(1, 0, 0)).unwrap();
+        read(&store, 1);
         store.put(key(1, 2, 0), Bytes::from(vec![2u8; 30])).unwrap();
         assert_eq!(store.in_memory_bytes(), 90, "producer 1 (30 B) spilled");
         assert_eq!(store.spilled_bytes_total(), 30);
         // Everything is still readable regardless of residency.
-        for p in 0..3 {
-            assert_eq!(store.peek(key(1, p, 0)).unwrap().unwrap()[0], p as u8);
+        let got = store.collect_keep(1, 0, 0, 3).unwrap();
+        for (p, b) in got.iter().enumerate() {
+            assert_eq!(b[0], p as u8);
         }
     }
 
     #[test]
-    fn peek_does_not_consume() {
+    fn collect_keep_does_not_consume() {
         let store = CacheWorkerStore::new(1 << 20).unwrap();
         store
             .put(key(1, 0, 0), Bytes::from_static(b"data"))
             .unwrap();
-        assert!(store.peek(key(1, 0, 0)).unwrap().is_some());
-        assert!(store.peek(key(1, 0, 0)).unwrap().is_some());
+        assert_eq!(read(&store, 1), Bytes::from_static(b"data"));
+        assert_eq!(read(&store, 1), Bytes::from_static(b"data"));
         assert_eq!(store.segment_count(), 1);
-        assert!(store.peek(key(9, 0, 0)).unwrap().is_none());
     }
 
     #[test]
@@ -700,8 +522,9 @@ mod tests {
         store.put(key(1, 0, 0), Bytes::from_static(b"a")).unwrap();
         store.put(key(2, 0, 0), Bytes::from_static(b"b")).unwrap();
         store.delete_job(1).unwrap();
-        assert!(store.peek(key(1, 0, 0)).unwrap().is_none());
-        assert!(store.peek(key(2, 0, 0)).unwrap().is_some());
+        assert_eq!(store.segment_count(), 1);
+        assert_eq!(store.in_memory_bytes(), 1);
+        assert_eq!(read(&store, 2), Bytes::from_static(b"b"));
     }
 
     #[test]
@@ -710,10 +533,34 @@ mod tests {
         store.put(key(1, 0, 0), Bytes::from_static(b"old")).unwrap();
         store.put(key(1, 0, 0), Bytes::from_static(b"new")).unwrap();
         assert_eq!(store.in_memory_bytes(), 3);
-        assert_eq!(
-            store.peek(key(1, 0, 0)).unwrap().unwrap(),
-            Bytes::from_static(b"new")
-        );
+        assert_eq!(read(&store, 1), Bytes::from_static(b"new"));
+    }
+
+    /// A spill write that fails returns its error, and the victim it could
+    /// not write stays in memory and readable; once the log takes writes
+    /// again, the next put spills it.
+    #[test]
+    fn a_failed_spill_write_keeps_every_payload_readable() {
+        let store = CacheWorkerStore::new(100).unwrap();
+        let payload = |p: u32| Bytes::from(vec![p as u8; 60]);
+        store.put(key(1, 0, 0), payload(0)).unwrap();
+        store.put(key(1, 1, 0), payload(1)).unwrap(); // spills producer 0
+                                                      // Swap the log's handle for a read-only one: the next append fails.
+        let path = spill_dir(&store).expect("spilled").join("spill.log");
+        let writable = {
+            let mut st = store.state.lock();
+            let log = st.log.as_mut().expect("spilled");
+            std::mem::replace(&mut log.file, Arc::new(File::open(&path).unwrap()))
+        };
+        assert!(store.put(key(1, 2, 0), payload(2)).is_err());
+        assert_eq!(store.in_memory_bytes(), 120, "the victim stays in memory");
+        assert_eq!(store.spilled_bytes_total(), 60);
+        let all = |n: u32| (0..n).map(payload).collect::<Vec<_>>();
+        assert_eq!(store.collect_keep(1, 0, 0, 3).unwrap(), all(3));
+        store.state.lock().log.as_mut().expect("spilled").file = writable;
+        store.put(key(1, 3, 0), payload(3)).unwrap();
+        assert!(store.in_memory_bytes() <= 100);
+        assert_eq!(store.collect_keep(1, 0, 0, 4).unwrap(), all(4));
     }
 
     #[test]
@@ -742,7 +589,9 @@ mod tests {
         let mut readers = Vec::new();
         for part in 0..n {
             let s = Arc::clone(&store);
-            readers.push(thread::spawn(move || s.collect(5, 0, part, m).unwrap()));
+            readers.push(thread::spawn(move || {
+                s.collect_keep(5, 0, part, m).unwrap()
+            }));
         }
         for h in handles {
             h.join().unwrap();
@@ -755,6 +604,7 @@ mod tests {
                 assert_eq!(b.len(), 256);
             }
         }
+        store.delete_job(5).unwrap();
         assert_eq!(store.segment_count(), 0);
     }
 }

@@ -42,7 +42,7 @@ fn store_roundtrips_under_any_capacity() {
         }
         assert!(store.in_memory_bytes() <= capacity, "case {case}");
         for part in 0..parts {
-            let got = store.collect(1, 0, part, m).unwrap();
+            let got = store.collect_keep(1, 0, part, m).unwrap();
             assert_eq!(got.len(), m as usize, "case {case}");
             for (producer, b) in got.iter().enumerate() {
                 assert_eq!(b.len(), payload_len, "case {case}");
@@ -51,6 +51,7 @@ fn store_roundtrips_under_any_capacity() {
                 }
             }
         }
+        store.delete_job(1).unwrap();
         assert_eq!(store.segment_count(), 0, "case {case}");
         assert_eq!(store.in_memory_bytes(), 0, "case {case}");
     }
