@@ -204,14 +204,13 @@ pub fn generate_scenario(seed: u64, kind: CampaignKind) -> Scenario {
     }
 }
 
-/// The simulation of `(seed, kind)` under `recovery`, with the template
-/// cache on or off, its faults registered and no observer installed.
-fn build(seed: u64, kind: CampaignKind, recovery: RecoveryPolicy, templates: bool) -> Simulation {
+/// The simulation of `(seed, kind)` under `recovery`, with its faults
+/// registered and no observer installed.
+fn build(seed: u64, kind: CampaignKind, recovery: RecoveryPolicy) -> Simulation {
     let sc = generate_scenario(seed, kind);
     let cluster = Cluster::new(sc.machines, sc.executors_per_machine, CostModel::default());
     let mut cfg = SimConfig::swift();
     cfg.recovery = recovery;
-    cfg.templates = templates;
     let mut sim = Simulation::new(cluster, cfg, sc.workload);
     sim.inject_failures(sc.injections);
     sim.fail_machines(sc.crashes);
@@ -221,20 +220,7 @@ fn build(seed: u64, kind: CampaignKind, recovery: RecoveryPolicy, templates: boo
 /// Replays the scenario for `(seed, kind)` under `recovery`, with the
 /// chaos observer attached, and returns the report plus observer state.
 pub fn execute(seed: u64, kind: CampaignKind, recovery: RecoveryPolicy) -> (RunReport, ChaosState) {
-    execute_with(seed, kind, recovery, false)
-}
-
-/// Like [`execute`], but with the scheduling-template cache explicitly on
-/// or off (`SimConfig::templates`). The cache is a pure cost
-/// optimization, which is exactly what the `--templates` campaign mode
-/// proves: the same scenario run both ways must agree byte for byte.
-pub fn execute_with(
-    seed: u64,
-    kind: CampaignKind,
-    recovery: RecoveryPolicy,
-    templates: bool,
-) -> (RunReport, ChaosState) {
-    let mut sim = build(seed, kind, recovery, templates);
+    let mut sim = build(seed, kind, recovery);
     let observer = ChaosObserver::new(sim.job_count());
     sim.set_observer(Box::new(observer.clone()));
     let report = sim.run();
@@ -253,34 +239,19 @@ pub fn execute_traced(
     kind: CampaignKind,
     recovery: RecoveryPolicy,
 ) -> (RunReport, swift_trace::Trace) {
-    execute_traced_with(
+    let mut sim = build(seed, kind, recovery);
+    let (recorder, handle) = swift_trace::TraceRecorder::new(
+        &format!("chaos-{kind}"),
         seed,
-        kind,
-        recovery,
-        false,
         swift_trace::RecorderConfig::full(),
-    )
-}
-
-/// Like [`execute_traced`], but with the template cache explicitly on or
-/// off and a caller-chosen [`swift_trace::RecorderConfig`]. The traced
-/// cache differential uses this with `template_events: false` so the
-/// cache-on and cache-off traces can be compared byte for byte.
-pub fn execute_traced_with(
-    seed: u64,
-    kind: CampaignKind,
-    recovery: RecoveryPolicy,
-    templates: bool,
-    rcfg: swift_trace::RecorderConfig,
-) -> (RunReport, swift_trace::Trace) {
-    let mut sim = build(seed, kind, recovery, templates);
-    let (recorder, handle) = swift_trace::TraceRecorder::new(&format!("chaos-{kind}"), seed, rcfg);
+    );
     sim.set_observer(Box::new(recorder));
     let report = sim.run();
     (report, handle.finish())
 }
 
-/// Like [`execute_traced_with`], but delivering the event stream into a
+/// Like [`execute_traced`], but with a caller-chosen
+/// [`swift_trace::RecorderConfig`], delivering the event stream into a
 /// caller-supplied [`swift_trace::TraceSink`] — typically a
 /// [`swift_trace::StreamSink`] writing the forensics trace straight to
 /// disk with bounded memory. The streamed bytes are identical to what
@@ -290,11 +261,10 @@ pub fn execute_traced_sink_with<S: swift_trace::TraceSink + 'static>(
     seed: u64,
     kind: CampaignKind,
     recovery: RecoveryPolicy,
-    templates: bool,
     rcfg: swift_trace::RecorderConfig,
     sink: S,
 ) -> (RunReport, S) {
-    let mut sim = build(seed, kind, recovery, templates);
+    let mut sim = build(seed, kind, recovery);
     let (recorder, handle) =
         swift_trace::TraceRecorder::with_sink(&format!("chaos-{kind}"), seed, rcfg, sink);
     sim.set_observer(Box::new(recorder));
@@ -319,8 +289,7 @@ pub struct SeedOutcome {
     pub plans_checked: usize,
     /// Shuffle reads checked against the version ledger.
     pub reads_checked: u64,
-    /// Template-cache lookups in the fine-grained run (0 unless the seed
-    /// ran in `--templates` mode).
+    /// Template-cache lookups in the fine-grained run (one per job).
     pub template_lookups: u64,
     /// Template-cache hits in the fine-grained run.
     pub template_hits: u64,
@@ -393,65 +362,28 @@ fn check_completion(report: &RunReport, state: &ChaosState, tag: &str, out: &mut
 /// three simulations are executed: fine-grained recovery (checked live by
 /// the observer), fine-grained again (byte-identical-report determinism),
 /// and whole-job restart (the makespan baseline of invariant 4).
-///
-/// With `templates` on, every simulation runs with the scheduling-template
-/// cache enabled, and two extra differential checks prove the cache is a
-/// pure cost optimization even under faults: the same scenario with the
-/// cache off must produce a byte-identical [`RunReport`], and (with
-/// template events suppressed) a byte-identical trace.
-pub fn run_seed(seed: u64, kind: CampaignKind, templates: bool) -> SeedOutcome {
+pub fn run_seed(seed: u64, kind: CampaignKind) -> SeedOutcome {
     // The service campaign replays through the swift-service front door
     // and carries its own invariant battery.
     if kind == CampaignKind::Service {
-        return crate::service::run_service_seed(seed, templates);
+        return crate::service::run_service_seed(seed);
     }
     let mut violations = Vec::new();
 
     let scenario = generate_scenario(seed, kind);
     preflight(&scenario, &mut violations);
 
-    let (report, state) = execute_with(seed, kind, RecoveryPolicy::FineGrained, templates);
+    let (report, state) = execute(seed, kind, RecoveryPolicy::FineGrained);
     violations.extend(state.violations.iter().cloned());
     check_completion(&report, &state, "fine-grained", &mut violations);
 
     // Invariant 2: determinism. The entire pipeline — scenario expansion,
     // event ordering, report assembly — must be a pure function of the
     // seed, down to the last byte of the Debug rendering.
-    let (replay, _) = execute_with(seed, kind, RecoveryPolicy::FineGrained, templates);
+    let (replay, _) = execute(seed, kind, RecoveryPolicy::FineGrained);
     if format!("{report:?}") != format!("{replay:?}") {
         violations
             .push("[determinism] same seed produced different RunReports across two runs".into());
-    }
-
-    // Cache differential (only meaningful in `--templates` mode): the
-    // template cache must not change a single scheduling decision, so the
-    // cache-off run of the same scenario — fault injections, crashes and
-    // recovery replanning included — must agree byte for byte, both in the
-    // report and in the recorded trace.
-    if templates {
-        let (off, _) = execute(seed, kind, RecoveryPolicy::FineGrained);
-        if format!("{report:?}") != format!("{off:?}") {
-            violations.push(
-                "[template-differential] cache-on and cache-off runs produced \
-                 different RunReports"
-                    .into(),
-            );
-        }
-        let rcfg = swift_trace::RecorderConfig {
-            template_events: false,
-            ..swift_trace::RecorderConfig::full()
-        };
-        let (_, trace_on) =
-            execute_traced_with(seed, kind, RecoveryPolicy::FineGrained, true, rcfg);
-        let (_, trace_off) =
-            execute_traced_with(seed, kind, RecoveryPolicy::FineGrained, false, rcfg);
-        if trace_on.render_text() != trace_off.render_text() {
-            violations.push(
-                "[template-differential] cache-on and cache-off runs produced \
-                 different traces"
-                    .into(),
-            );
-        }
     }
 
     // Invariant 4: fine-grained recovery re-runs a subset of what a job
@@ -463,7 +395,7 @@ pub fn run_seed(seed: u64, kind: CampaignKind, templates: bool) -> SeedOutcome {
     // ahead, while fine-grained recovery keeps its executors and
     // re-queues reruns at the front), so "worse makespan" there reflects
     // queueing interference, not recovery doing extra work.
-    let (restart, restart_state) = execute_with(seed, kind, RecoveryPolicy::JobRestart, templates);
+    let (restart, restart_state) = execute(seed, kind, RecoveryPolicy::JobRestart);
     violations.extend(restart_state.violations.iter().cloned());
     check_completion(&restart, &restart_state, "job-restart", &mut violations);
     if scenario.workload.len() == 1 && report.makespan > restart.makespan {
@@ -499,7 +431,7 @@ pub struct CampaignReport {
     pub plans_checked: usize,
     /// Total shuffle reads checked against the version ledger.
     pub reads_checked: u64,
-    /// Total template-cache lookups (0 unless run in `--templates` mode).
+    /// Total template-cache lookups (one per job of the fine-grained runs).
     pub template_lookups: u64,
     /// Total template-cache hits across the campaign.
     pub template_hits: u64,
@@ -520,12 +452,11 @@ pub fn run_campaign(
     start_seed: u64,
     count: u64,
     kind: CampaignKind,
-    templates: bool,
     mut progress: impl FnMut(&SeedOutcome),
 ) -> CampaignReport {
     let mut report = CampaignReport::default();
     for seed in start_seed..start_seed.saturating_add(count) {
-        let outcome = run_seed(seed, kind, templates);
+        let outcome = run_seed(seed, kind);
         report.seeds_run += 1;
         report.jobs_run += outcome.jobs;
         report.faults_injected += outcome.faults;
@@ -601,44 +532,32 @@ mod tests {
     // binary (see EXPERIMENTS.md).
     #[test]
     fn short_mixed_campaign_is_clean() {
-        let report = run_campaign(1, 4, CampaignKind::Mixed, false, |_| {});
+        let report = run_campaign(1, 4, CampaignKind::Mixed, |_| {});
         assert!(report.clean(), "violations: {:#?}", report.failures);
         assert!(report.reads_checked > 0, "ledger never exercised");
-        assert_eq!(report.template_lookups, 0, "cache ran while disabled");
+        assert_eq!(
+            report.template_lookups, report.jobs_run as u64,
+            "every job admission should consult the cache"
+        );
     }
 
     #[test]
     fn short_task_fault_campaign_is_clean_and_checks_plans() {
-        let report = run_campaign(10, 4, CampaignKind::TaskFaults, false, |_| {});
+        let report = run_campaign(10, 4, CampaignKind::TaskFaults, |_| {});
         assert!(report.clean(), "violations: {:#?}", report.failures);
     }
 
     #[test]
     fn short_machine_crash_campaign_is_clean() {
-        let report = run_campaign(20, 3, CampaignKind::MachineCrashes, false, |_| {});
+        let report = run_campaign(20, 3, CampaignKind::MachineCrashes, |_| {});
         assert!(report.clean(), "violations: {:#?}", report.failures);
     }
 
     #[test]
     fn short_fault_free_campaign_is_clean() {
-        let report = run_campaign(30, 3, CampaignKind::FaultFree, false, |_| {});
+        let report = run_campaign(30, 3, CampaignKind::FaultFree, |_| {});
         assert!(report.clean(), "violations: {:#?}", report.failures);
         assert_eq!(report.faults_injected, 0);
-    }
-
-    // The `--templates` face of the harness: every simulation runs with
-    // the scheduling-template cache on, and each seed additionally proves
-    // the cache-on/cache-off report and trace differentials. The campaign
-    // must stay clean AND every submitted job must have gone through a
-    // cache lookup.
-    #[test]
-    fn short_templates_campaign_is_clean_and_differential() {
-        let report = run_campaign(1, 4, CampaignKind::Mixed, true, |_| {});
-        assert!(report.clean(), "violations: {:#?}", report.failures);
-        assert_eq!(
-            report.template_lookups, report.jobs_run as u64,
-            "every job admission should consult the cache"
-        );
     }
 
     // Tracing face of the harness: the `--trace-on-failure` replay must be
@@ -690,7 +609,6 @@ mod tests {
                 seed,
                 CampaignKind::Mixed,
                 RecoveryPolicy::FineGrained,
-                false,
                 swift_trace::RecorderConfig::full(),
                 sink,
             );

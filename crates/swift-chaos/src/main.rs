@@ -2,15 +2,12 @@
 //!
 //! ```text
 //! swift-chaos [--seeds N] [--campaign task|machine|mixed|fault-free|service] [--start-seed S]
-//!             [--quiet] [--templates] [--trace-on-failure]
+//!             [--quiet] [--trace-on-failure]
 //! ```
 //!
 //! Exits non-zero if any seed violates an invariant, printing each
 //! offending seed with its violations and a self-contained repro command.
-//! With `--templates`, every simulation runs with the scheduling-template
-//! cache on and each seed additionally proves the cache-on/cache-off
-//! report and trace differentials; a campaign that never hits the cache
-//! also fails, since it proved nothing about instantiated plans.
+//! The summary reports the scheduling-template cache's lookups and hits.
 //! With `--trace-on-failure`, every failing seed is replayed once more
 //! under a `swift-trace` recorder and the full event trace is written to
 //! `swift-chaos-<campaign>-<seed>.trace` in the current directory.
@@ -28,13 +25,12 @@ struct Args {
     start_seed: u64,
     campaign: CampaignKind,
     quiet: bool,
-    templates: bool,
     trace_on_failure: bool,
 }
 
 const USAGE: &str = "usage: swift-chaos [--seeds N] \
                      [--campaign task|machine|mixed|fault-free|service] \
-                     [--start-seed S] [--quiet] [--templates] [--trace-on-failure]";
+                     [--start-seed S] [--quiet] [--trace-on-failure]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -42,7 +38,6 @@ fn parse_args() -> Result<Args, String> {
         start_seed: 1,
         campaign: CampaignKind::Mixed,
         quiet: false,
-        templates: false,
         trace_on_failure: false,
     };
     let mut it = std::env::args().skip(1);
@@ -55,7 +50,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--campaign" => args.campaign = value("--campaign")?.parse()?,
             "--quiet" | "-q" => args.quiet = true,
-            "--templates" => args.templates = true,
             "--trace-on-failure" => args.trace_on_failure = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -80,36 +74,25 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "swift-chaos: campaign={} seeds={}..{}{}",
+        "swift-chaos: campaign={} seeds={}..{}",
         args.campaign,
         args.start_seed,
         args.start_seed.saturating_add(args.seeds).saturating_sub(1),
-        if args.templates {
-            " (template cache on, differential checked)"
-        } else {
-            ""
-        },
     );
 
-    let report = run_campaign(
-        args.start_seed,
-        args.seeds,
-        args.campaign,
-        args.templates,
-        |outcome| {
-            if !args.quiet {
-                let status = if outcome.clean() { "ok" } else { "FAIL" };
-                println!(
-                    "  seed {:>6}  jobs {:>2}  faults {:>2}  plans {:>3}  reads {:>6}  {status}",
-                    outcome.seed,
-                    outcome.jobs,
-                    outcome.faults,
-                    outcome.plans_checked,
-                    outcome.reads_checked
-                );
-            }
-        },
-    );
+    let report = run_campaign(args.start_seed, args.seeds, args.campaign, |outcome| {
+        if !args.quiet {
+            let status = if outcome.clean() { "ok" } else { "FAIL" };
+            println!(
+                "  seed {:>6}  jobs {:>2}  faults {:>2}  plans {:>3}  reads {:>6}  {status}",
+                outcome.seed,
+                outcome.jobs,
+                outcome.faults,
+                outcome.plans_checked,
+                outcome.reads_checked
+            );
+        }
+    });
 
     println!(
         "swift-chaos: {} seeds, {} jobs, {} faults injected, {} recovery plans checked, \
@@ -120,24 +103,14 @@ fn main() -> ExitCode {
         report.plans_checked,
         report.reads_checked
     );
-    if args.templates {
-        println!(
-            "swift-chaos: template cache: {} lookups, {} hits ({:.1}% hit rate)",
-            report.template_lookups,
-            report.template_hits,
-            100.0 * report.template_hits as f64 / report.template_lookups.max(1) as f64
-        );
-    }
+    println!(
+        "swift-chaos: template cache: {} lookups, {} hits ({:.1}% hit rate)",
+        report.template_lookups,
+        report.template_hits,
+        100.0 * report.template_hits as f64 / report.template_lookups.max(1) as f64
+    );
 
     if report.clean() {
-        if args.templates && report.template_hits == 0 {
-            eprintln!(
-                "swift-chaos: FAILURE: --templates campaign never hit the cache; the \
-                 differential proved nothing about instantiated plans (widen --seeds \
-                 or pick a repeated-shape workload)"
-            );
-            return ExitCode::FAILURE;
-        }
         println!("swift-chaos: all invariants held");
         return ExitCode::SUCCESS;
     }
@@ -151,11 +124,7 @@ fn main() -> ExitCode {
         for v in &outcome.violations {
             eprintln!("  - {v}");
         }
-        let mut repro = repro_command(outcome.seed, outcome.kind);
-        if args.templates {
-            repro.push_str(" --templates");
-        }
-        eprintln!("  repro: {repro}");
+        eprintln!("  repro: {}", repro_command(outcome.seed, outcome.kind));
         if args.trace_on_failure {
             // Stream the forensics replay straight to disk: a failing
             // seed may be a long run, and the chunked sink bounds peak
@@ -167,7 +136,7 @@ fn main() -> ExitCode {
                 // Service seeds replay under the swift-service recorder
                 // (buffered: service traces are admission-scale, not
                 // event-scale, so streaming buys nothing).
-                let (_, trace) = execute_service_traced(outcome.seed, args.templates);
+                let (_, trace) = execute_service_traced(outcome.seed);
                 match std::fs::write(&path, trace.render_text()) {
                     Ok(()) => eprintln!("  trace: {path} ({} events)", trace.events.len()),
                     Err(e) => eprintln!("  trace: failed to write {path}: {e}"),
@@ -180,7 +149,6 @@ fn main() -> ExitCode {
                         outcome.seed,
                         outcome.kind,
                         RecoveryPolicy::FineGrained,
-                        args.templates,
                         RecorderConfig::full(),
                         sink,
                     );

@@ -39,7 +39,7 @@ pub struct ChaosState {
     pub plans_checked: usize,
     /// Number of input reads checked against the version ledger.
     pub reads_checked: u64,
-    /// Template-cache lookups observed (0 unless `SimConfig::templates`).
+    /// Template-cache lookups observed (one per admitted job).
     pub template_lookups: u64,
     /// Template-cache hits observed.
     pub template_hits: u64,

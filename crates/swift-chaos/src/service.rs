@@ -19,8 +19,7 @@
 //!   `submitted == admitted + rejected` (nothing silently dropped);
 //! * **warm-pool isolation** — every warm hit goes to the tenant that
 //!   registered the session;
-//! * **determinism / differentials** — same-seed reruns and
-//!   templates-on/off runs all produce digest-identical
+//! * **determinism** — same-seed reruns produce digest-identical
 //!   [`ServiceReport`]s.
 
 use std::cell::RefCell;
@@ -69,7 +68,6 @@ pub fn generate_service_scenario(seed: u64) -> ServiceScenario {
         warm_dispatch_delay: SimDuration::from_millis(rng.range(1, 11)),
         retry_after: SimDuration::from_secs(1),
         sample_every: None,
-        templates: true,
     };
     let workload = ServiceWorkloadConfig {
         tenants: rng.range(3, 25) as u32,
@@ -190,23 +188,19 @@ impl ServiceObserver for ServiceChaos {
     }
 }
 
-/// The service simulation of `seed`, with the template cache on or off,
-/// its machine failures registered and no observer installed.
-fn build_service(seed: u64, templates: bool) -> ServiceSim {
+/// The service simulation of `seed`, with its machine failures
+/// registered and no observer installed.
+fn build_service(seed: u64) -> ServiceSim {
     let sc = generate_service_scenario(seed);
-    let cfg = ServiceConfig {
-        templates,
-        ..sc.cfg
-    };
-    let mut sim = ServiceSim::new(cfg, generate_service_workload(&sc.workload));
+    let mut sim = ServiceSim::new(sc.cfg, generate_service_workload(&sc.workload));
     sim.fail_machines(sc.failures);
     sim
 }
 
 /// Runs one service seed and returns the run plus the chaos witness.
-fn execute_service_observed(seed: u64, templates: bool) -> (ServiceRun, Rc<RefCell<ServiceChaos>>) {
+fn execute_service_observed(seed: u64) -> (ServiceRun, Rc<RefCell<ServiceChaos>>) {
     let witness = Rc::new(RefCell::new(ServiceChaos::default()));
-    let mut sim = build_service(seed, templates);
+    let mut sim = build_service(seed);
     sim.set_observer(Box::new(SharedChaos(Rc::clone(&witness))));
     (sim.run(), witness)
 }
@@ -257,16 +251,14 @@ impl ServiceObserver for SharedChaos {
     }
 }
 
-/// Runs one service seed without the witness — the flag-matrix helper:
-/// the returned run's report digest must be identical with the templates
-/// flag on or off.
-pub fn execute_service(seed: u64, templates: bool) -> ServiceRun {
-    build_service(seed, templates).run()
+/// Runs one service seed without the witness (the determinism replay).
+pub fn execute_service(seed: u64) -> ServiceRun {
+    build_service(seed).run()
 }
 
 /// Replays one service seed under the trace recorder (failure forensics).
-pub fn execute_service_traced(seed: u64, templates: bool) -> (ServiceRun, Trace) {
-    let mut sim = build_service(seed, templates);
+pub fn execute_service_traced(seed: u64) -> (ServiceRun, Trace) {
+    let mut sim = build_service(seed);
     let scenario_name = format!("chaos-service-{seed}");
     let (rec, handle) = swift_service::service_recorder(&scenario_name, seed);
     sim.set_observer(Box::new(rec));
@@ -275,7 +267,7 @@ pub fn execute_service_traced(seed: u64, templates: bool) -> (ServiceRun, Trace)
 }
 
 /// Runs every invariant for one `service` seed.
-pub fn run_service_seed(seed: u64, templates: bool) -> SeedOutcome {
+pub fn run_service_seed(seed: u64) -> SeedOutcome {
     let mut violations = Vec::new();
     let sc = generate_service_scenario(seed);
 
@@ -294,7 +286,7 @@ pub fn run_service_seed(seed: u64, templates: bool) -> SeedOutcome {
         }
     }
 
-    let (run, witness) = execute_service_observed(seed, templates);
+    let (run, witness) = execute_service_observed(seed);
     let witness = Rc::try_unwrap(witness)
         .expect("driver holds the last handle")
         .into_inner();
@@ -344,20 +336,10 @@ pub fn run_service_seed(seed: u64, templates: bool) -> SeedOutcome {
     }
 
     // Determinism: same seed, digest-identical report.
-    let replay = execute_service(seed, templates);
+    let replay = execute_service(seed);
     if replay.report.digest() != r.digest() {
         violations
             .push("[determinism] same seed produced different ServiceReports across runs".into());
-    }
-
-    // Template differential: the fleet's template cache must be a pure
-    // control-plane cost optimization.
-    if templates {
-        let off = execute_service(seed, false);
-        if off.report.digest() != r.digest() {
-            violations
-                .push("[template-differential] templates on/off service runs diverged".into());
-        }
     }
 
     let (plans_checked, reads_checked) =
@@ -402,13 +384,17 @@ mod tests {
 
     #[test]
     fn short_service_campaign_is_clean() {
+        let mut hits = 0;
         for seed in 1..=3 {
-            let outcome = run_service_seed(seed, false);
+            let outcome = run_service_seed(seed);
             assert!(outcome.clean(), "seed {seed}: {:#?}", outcome.violations);
             // Inner jobs run fault-free (service-level failures kill the
             // whole session instead), so the plan oracle stays idle; the
             // version ledger is the witness that the observers ran.
             assert!(outcome.reads_checked > 0, "inner observers never ran");
+            hits += outcome.template_hits;
         }
+        // A fleet replaying same-shape jobs must score cache hits.
+        assert!(hits > 0, "service runs never hit the template cache");
     }
 }

@@ -194,11 +194,14 @@ pub struct CounterSample {
     pub live_executors: u64,
     /// Executors currently running a task.
     pub busy_executors: u64,
-    /// Entries in the scheduling-template cache (0 with the cache off).
+    /// Entries in the scheduling-template cache once this simulation's
+    /// jobs were admitted (the session's entries, for
+    /// [`Simulation::new_in_session`]).
     pub template_entries: u64,
-    /// Cumulative template-cache hits.
+    /// Template-cache hits among this simulation's admissions
+    /// (cumulative; every lookup happens at construction).
     pub template_hits: u64,
-    /// Cumulative template-cache misses.
+    /// Template-cache misses among this simulation's admissions.
     pub template_misses: u64,
     /// Bytes staged across all Cache Workers (the shadow model's store
     /// occupancy; 0 unless [`SimObserver::wants_cache_model`]).
@@ -252,8 +255,8 @@ pub trait SimObserver {
     fn on_shuffle_scheme_selected(&mut self, now: SimTime, job: usize, decision: &SchemeDecision) {}
 
     /// How the job's admission interacted with the scheduling-template
-    /// cache. Reported at submit time (before the scheme decisions), and
-    /// only when [`SimConfig::templates`] is on.
+    /// cache: one call per job, at submit time, before the scheme
+    /// decisions.
     fn on_template_decision(&mut self, now: SimTime, job: usize, decision: &TemplateDecision) {}
 
     /// A graphlet changed lifecycle state. `stages` lists the unit's
@@ -390,12 +393,6 @@ pub struct SimConfig {
     /// Detection latency for self-reported process restarts (§IV-A: the
     /// re-launched process reports its status immediately).
     pub process_restart_delay: SimDuration,
-    /// Enable the scheduling-template cache on the admission path: jobs
-    /// whose as-numbered DAG shape was already planned reuse the cached
-    /// partition, unit plan and scheme priors by parameter patching. A
-    /// pure cost optimization — run reports and traces are byte-identical
-    /// either way (the differential suite enforces this).
-    pub templates: bool,
     /// Barrier window width of the event queue (clamped to ≥ 1 µs). A
     /// pure performance knob: the pop order is window-independent (the
     /// root `digest_pins` suite runs both extremes).
@@ -410,7 +407,6 @@ impl SimConfig {
             recovery: RecoveryPolicy::FineGrained,
             sample_every: None,
             process_restart_delay: SimDuration::from_millis(1_000),
-            templates: false,
             shard_window: SimDuration::from_millis(256),
         }
     }
@@ -476,9 +472,9 @@ struct JobSt {
     /// template instead of cloning it.
     part: Arc<Partition>,
     plan: Arc<UnitPlan>,
-    /// How admission interacted with the template cache (`None` when the
-    /// cache is disabled). Reported to the observer at submit time.
-    template: Option<TemplateDecision>,
+    /// How admission interacted with the template cache. Reported to the
+    /// observer at submit time.
+    template: TemplateDecision,
     submit_at: SimTime,
     finished: Option<SimTime>,
     aborted: bool,
@@ -632,10 +628,12 @@ pub struct Simulation {
     obs_cache_model: bool,
     /// Counter-sample window requested by the observer (`None` = off).
     obs_counter_window: Option<SimDuration>,
-    /// The scheduling-template cache, when [`SimConfig::templates`] is on.
-    /// All lookups happen at construction (job admission); kept for
-    /// [`Simulation::template_stats`].
-    template_cache: Option<TemplateCache>,
+    /// The template cache's entries after admission, and the hits and
+    /// misses of this simulation's own jobs. All lookups happen at
+    /// construction, so these are fixed for the run's counter samples.
+    template_entries: u64,
+    template_hits: u64,
+    template_misses: u64,
     /// Cache shadow-model site map: `(job, edge, producer index within its
     /// stage)` → machine whose Cache Worker holds the staged segment.
     cache_sites: BTreeMap<(u32, u32, u32), MachineId>,
@@ -669,7 +667,6 @@ impl std::fmt::Debug for Simulation {
 #[derive(Debug)]
 pub struct SchedulerSession {
     cache: TemplateCache,
-    jobs_prepared: u64,
 }
 
 impl SchedulerSession {
@@ -677,7 +674,6 @@ impl SchedulerSession {
     pub fn new(policy: &PolicyConfig) -> Self {
         SchedulerSession {
             cache: TemplateCache::new(policy),
-            jobs_prepared: 0,
         }
     }
 
@@ -686,61 +682,37 @@ impl SchedulerSession {
     pub fn template_stats(&self) -> TemplateStats {
         self.cache.stats()
     }
-
-    /// Distinct template entries currently cached.
-    pub fn template_entries(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Jobs prepared through this session so far.
-    pub fn jobs_prepared(&self) -> u64 {
-        self.jobs_prepared
-    }
 }
 
 impl Simulation {
-    /// Creates a simulation of `workload` on `cluster` under `cfg`.
+    /// Creates a simulation of `workload` on `cluster` under `cfg`, in a
+    /// fresh [`SchedulerSession`] of its own.
     pub fn new(cluster: Cluster, cfg: SimConfig, workload: Vec<JobSpec>) -> Self {
-        let mut template_cache = cfg.templates.then(|| TemplateCache::new(&cfg.policy));
-        let mut sim = Self::build(cluster, cfg, workload, template_cache.as_mut());
-        // The cache is only consulted at admission (above); it is kept on
-        // the simulation purely for `template_stats` and counter samples.
-        sim.template_cache = template_cache;
-        sim
+        let mut session = SchedulerSession::new(&cfg.policy);
+        Self::new_in_session(cluster, cfg, workload, &mut session)
     }
 
     /// Like [`Simulation::new`], but control-plane artifacts draw on (and
-    /// feed) a caller-owned [`SchedulerSession`] instead of a per-run
-    /// template cache, so template hits amortize across every simulation
-    /// built in the session. The session is only borrowed during
-    /// construction — all lookups happen at job admission. On this path
-    /// [`Simulation::template_stats`] returns `None` (and the template
-    /// counter series read zero): the session carries the cumulative
-    /// stats instead. `cfg.templates` is ignored — passing a session *is*
-    /// the opt-in.
+    /// feed) a caller-owned [`SchedulerSession`], so template hits
+    /// amortize across every simulation built in the session. The
+    /// session is only borrowed during construction — all lookups happen
+    /// at job admission.
     pub fn new_in_session(
         cluster: Cluster,
         cfg: SimConfig,
         workload: Vec<JobSpec>,
         session: &mut SchedulerSession,
     ) -> Self {
-        session.jobs_prepared += workload.len() as u64;
-        Self::build(cluster, cfg, workload, Some(&mut session.cache))
-    }
-
-    fn build(
-        cluster: Cluster,
-        cfg: SimConfig,
-        workload: Vec<JobSpec>,
-        mut cache: Option<&mut TemplateCache>,
-    ) -> Self {
         let machine_count = cluster.machine_count();
-        let jobs = workload
+        let jobs: Vec<JobSt> = workload
             .into_iter()
-            .map(|spec| {
-                Self::prepare_job(&cluster, &cfg, spec, machine_count, cache.as_deref_mut())
-            })
+            .map(|spec| Self::prepare_job(&cluster, &cfg, spec, machine_count, &mut session.cache))
             .collect();
+        let template_hits = jobs
+            .iter()
+            .filter(|j| j.template.outcome == TemplateOutcome::Hit)
+            .count() as u64;
+        let template_misses = jobs.len() as u64 - template_hits;
         let executor_count = cluster.executor_count() as usize;
         let q = ShardedEventQueue::new(1, cfg.shard_window);
         let mut sim = Simulation {
@@ -759,7 +731,9 @@ impl Simulation {
             obs_wants_reads: false,
             obs_cache_model: false,
             obs_counter_window: None,
-            template_cache: None,
+            template_entries: session.cache.len() as u64,
+            template_hits,
+            template_misses,
             cache_sites: BTreeMap::new(),
             vec_pool: Vec::new(),
             scratch_units: Vec::new(),
@@ -802,13 +776,6 @@ impl Simulation {
         self.jobs.len()
     }
 
-    /// The template cache's counters, when [`SimConfig::templates`] is on.
-    /// Deliberately *not* part of the [`RunReport`]: reports must stay
-    /// byte-identical between cache-on and cache-off runs.
-    pub fn template_stats(&self) -> Option<TemplateStats> {
-        self.template_cache.as_ref().map(|c| c.stats())
-    }
-
     /// The simulated cluster (read-only; useful for harnesses that report
     /// scenario dimensions).
     pub fn cluster(&self) -> &Cluster {
@@ -828,11 +795,6 @@ impl Simulation {
     /// Every source is either O(1) or O(pending requests); the pending
     /// queue is short by construction (requests drain on every release).
     fn emit_counter_sample(&mut self, now: SimTime) {
-        let (template_entries, template_hits, template_misses) =
-            self.template_cache.as_ref().map_or((0, 0, 0), |c| {
-                let s = c.stats();
-                (c.len() as u64, s.hits(), s.misses)
-            });
         let sample = CounterSample {
             event_queue_depth: self.q.pending() as u64,
             events_processed: self.q.processed(),
@@ -841,9 +803,9 @@ impl Simulation {
             wave_jobs: self.wave_jobs.len() as u64,
             live_executors: u64::from(self.cluster.live_executor_count()),
             busy_executors: u64::from(self.cluster.busy_executor_count()),
-            template_entries,
-            template_hits,
-            template_misses,
+            template_entries: self.template_entries,
+            template_hits: self.template_hits,
+            template_misses: self.template_misses,
             cache_store_bytes: self.cluster.cache_live_bytes(),
         };
         self.notify(|obs, _| obs.on_counter_sample(now, &sample));
@@ -875,61 +837,51 @@ impl Simulation {
         cfg: &SimConfig,
         spec: JobSpec,
         machines: u32,
-        cache: Option<&mut TemplateCache>,
+        cache: &mut TemplateCache,
     ) -> JobSt {
         let JobSpec { dag, submit_at } = spec;
 
-        // Control-plane artifacts: from the template cache when enabled
-        // (instantiated by parameter patching on a hit, planned from
-        // scratch and registered on a miss), from scratch otherwise. The
-        // priors are the shape-determined half of each scheme decision;
-        // `compute_priors` is the same selection logic either way, so the
-        // cache-off path is behaviorally untouched.
-        let (part, plan, priors, template) = match cache {
-            Some(cache) => match cache.lookup(&dag) {
-                TemplateLookup::Hit(hit) => {
-                    #[cfg(debug_assertions)]
-                    {
-                        // Free oracle on every hit: instantiation must be
-                        // indistinguishable from re-planning.
-                        debug_assert_eq!(*hit.part, partition(&dag));
-                        debug_assert_eq!(*hit.plan, plan_units(&dag, &cfg.policy.partitioning));
-                        debug_assert_eq!(*hit.priors, compute_priors(&dag, &hit.plan, &cfg.policy));
-                    }
-                    let decision = TemplateDecision {
-                        outcome: TemplateOutcome::Hit,
-                        signature: hit.signature,
-                        units: hit.plan.len() as u32,
-                        edges: dag.edges().len() as u32,
-                    };
-                    (hit.part, hit.plan, hit.priors, Some(decision))
+        // Control-plane artifacts come from the template cache:
+        // instantiated by parameter patching on a hit, planned from
+        // scratch and registered on a miss. The priors are the
+        // shape-determined half of each scheme decision.
+        let (part, plan, priors, template) = match cache.lookup(&dag) {
+            TemplateLookup::Hit(hit) => {
+                #[cfg(debug_assertions)]
+                {
+                    // Free oracle on every hit: instantiation must be
+                    // indistinguishable from re-planning.
+                    debug_assert_eq!(*hit.part, partition(&dag));
+                    debug_assert_eq!(*hit.plan, plan_units(&dag, &cfg.policy.partitioning));
+                    debug_assert_eq!(*hit.priors, compute_priors(&dag, &hit.plan, &cfg.policy));
                 }
-                TemplateLookup::Miss(ticket) => {
-                    let signature = ticket.signature();
-                    let part = Arc::new(partition(&dag));
-                    let plan = Arc::new(plan_units(&dag, &cfg.policy.partitioning));
-                    let priors = Arc::new(compute_priors(&dag, &plan, &cfg.policy));
-                    cache.insert(
-                        ticket,
-                        &dag,
-                        Arc::clone(&part),
-                        Arc::clone(&plan),
-                        Arc::clone(&priors),
-                    );
-                    let decision = TemplateDecision {
-                        outcome: TemplateOutcome::Miss,
-                        signature,
-                        units: plan.len() as u32,
-                        edges: dag.edges().len() as u32,
-                    };
-                    (part, plan, priors, Some(decision))
-                }
-            },
-            None => {
+                let decision = TemplateDecision {
+                    outcome: TemplateOutcome::Hit,
+                    signature: hit.signature,
+                    units: hit.plan.len() as u32,
+                    edges: dag.edges().len() as u32,
+                };
+                (hit.part, hit.plan, hit.priors, decision)
+            }
+            TemplateLookup::Miss(ticket) => {
+                let signature = ticket.signature();
                 let part = Arc::new(partition(&dag));
                 let plan = Arc::new(plan_units(&dag, &cfg.policy.partitioning));
                 let priors = Arc::new(compute_priors(&dag, &plan, &cfg.policy));
-                (part, plan, priors, None)
+                cache.insert(
+                    ticket,
+                    &dag,
+                    Arc::clone(&part),
+                    Arc::clone(&plan),
+                    Arc::clone(&priors),
+                );
+                let decision = TemplateDecision {
+                    outcome: TemplateOutcome::Miss,
+                    signature,
+                    units: plan.len() as u32,
+                    edges: dag.edges().len() as u32,
+                };
+                (part, plan, priors, decision)
             }
         };
 
@@ -1151,9 +1103,7 @@ impl Simulation {
                     let now = self.q.now();
                     self.notify(|obs, sim| {
                         obs.on_job_submitted(now, i as usize);
-                        if let Some(d) = &sim.jobs[i as usize].template {
-                            obs.on_template_decision(now, i as usize, d);
-                        }
+                        obs.on_template_decision(now, i as usize, &sim.jobs[i as usize].template);
                         for d in &sim.jobs[i as usize].schemes {
                             obs.on_shuffle_scheme_selected(now, i as usize, d);
                         }

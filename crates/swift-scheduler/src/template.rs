@@ -15,11 +15,11 @@
 //! Job-specific numbers (exact edge sizes, phase durations, gang counts)
 //! are recomputed by the admission path from the job's own profiles.
 //!
-//! The cache is a pure cost optimization: served artifacts are
+//! Every job is admitted through the cache, and served artifacts are
 //! *definitionally equal* to what from-scratch planning would produce
 //! (verified by `debug_assert` on every hit, by the SW110 validator in
-//! `swift-analyze`, and by the differential test suite comparing
-//! cache-on/cache-off run digests byte for byte).
+//! `swift-analyze`, and by the root `template_equivalence` suite, which
+//! pins run digests and traces recorded under from-scratch planning).
 //!
 //! ## What is cached vs. patched
 //!

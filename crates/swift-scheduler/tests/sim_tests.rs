@@ -2,15 +2,15 @@
 //! jobs to completion, and the paper's qualitative orderings must hold on
 //! small synthetic workloads.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use swift_cluster::{Cluster, CostModel, MachineId};
 use swift_dag::{DagBuilder, JobDag, Operator, StageProfile};
 use swift_ft::FailureKind;
 use swift_scheduler::{
-    FailureAt, FailureInjection, JobSpec, PolicyConfig, RecoveryPolicy, SimConfig, SimObserver,
-    Simulation,
+    CounterSample, FailureAt, FailureInjection, JobSpec, PolicyConfig, RecoveryPolicy,
+    SchedulerSession, SimConfig, SimObserver, Simulation,
 };
 use swift_sim::{SimDuration, SimTime};
 
@@ -307,6 +307,55 @@ fn sampling_changes_only_the_utilization_series() {
             .collect();
         assert_eq!(stamps, expected, "{every} boundaries");
         assert!(series.iter().any(|&(_, busy)| busy > 0));
+    }
+}
+
+/// Records every counter sample of a run.
+struct Samples(Rc<RefCell<Vec<(SimTime, CounterSample)>>>);
+
+impl SimObserver for Samples {
+    fn counter_window(&self) -> Option<SimDuration> {
+        Some(SimDuration::from_millis(500))
+    }
+
+    fn on_counter_sample(&mut self, now: SimTime, sample: &CounterSample) {
+        self.0.borrow_mut().push((now, *sample));
+    }
+}
+
+/// Three staggered jobs of one DAG shape, built by `Simulation::new` or
+/// in a fresh `SchedulerSession`; returns every counter sample.
+fn template_samples(in_session: bool) -> Vec<(SimTime, CounterSample)> {
+    let jobs = (0..3)
+        .map(|i| JobSpec {
+            dag: three_stage_job(i, 8).into(),
+            submit_at: SimTime::from_secs(i),
+        })
+        .collect();
+    let cfg = SimConfig::swift();
+    let mut sim = if in_session {
+        let mut session = SchedulerSession::new(&cfg.policy);
+        Simulation::new_in_session(cluster(), cfg, jobs, &mut session)
+    } else {
+        Simulation::new(cluster(), cfg, jobs)
+    };
+    let samples = Rc::new(RefCell::new(Vec::new()));
+    sim.set_observer(Box::new(Samples(Rc::clone(&samples))));
+    sim.run();
+    samples.take()
+}
+
+#[test]
+fn both_constructors_report_the_same_template_counters() {
+    let plain = template_samples(false);
+    assert!(!plain.is_empty(), "no counter sample delivered");
+    assert_eq!(plain, template_samples(true));
+    // One shape: the first job misses and registers it, the other two hit.
+    for (_, s) in &plain {
+        assert_eq!(
+            (s.template_entries, s.template_hits, s.template_misses),
+            (1, 2, 1)
+        );
     }
 }
 

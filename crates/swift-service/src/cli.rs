@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! serve [--jobs N] [--tenants N] [--seed N] [--storms N] [--watermark N]
-//!       [--quota N] [--templates on|off] [--warm on|off]
+//!       [--quota N] [--warm on|off]
 //! service-replay <scenario> [--seed N] [--out FILE] [--chrome FILE]
 //! service-replay --list
 //! ```
@@ -24,8 +24,7 @@ use crate::scenarios;
 use crate::service::ServiceSim;
 
 const USAGE: &str = "usage: serve [--jobs N] [--tenants N] [--seed N] [--storms N] \
-                     [--watermark N] [--quota N] [--templates on|off] \
-                     [--warm on|off]\n       \
+                     [--watermark N] [--quota N] [--warm on|off]\n       \
                      service-replay <scenario> [--seed N] [--out FILE] [--chrome FILE]\n       \
                      service-replay --list";
 
@@ -96,10 +95,6 @@ fn run_serve(args: &[String]) -> i32 {
             "--storms" => int_flag!(wl.storms),
             "--watermark" => int_flag!(cfg.queue_watermark),
             "--quota" => int_flag!(cfg.tenant_quota),
-            "--templates" => match parse_switch("serve", "--templates", it.next()) {
-                Ok(v) => cfg.templates = v,
-                Err(code) => return code,
-            },
             "--warm" => match parse_switch("serve", "--warm", it.next()) {
                 Ok(v) => cfg.warm_pool = v,
                 Err(code) => return code,

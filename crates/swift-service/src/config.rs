@@ -39,10 +39,6 @@ pub struct ServiceConfig {
     /// sealed between event batches, so the report is the same at any
     /// cadence.
     pub sample_every: Option<SimDuration>,
-    /// Reuse scheduling templates across the fleet's jobs. Report bytes
-    /// are invariant to this flag; only the returned template counters
-    /// change.
-    pub templates: bool,
 }
 
 impl Default for ServiceConfig {
@@ -60,7 +56,6 @@ impl Default for ServiceConfig {
             warm_dispatch_delay: SimDuration::from_millis(5),
             retry_after: SimDuration::from_secs(1),
             sample_every: None,
-            templates: true,
         }
     }
 }

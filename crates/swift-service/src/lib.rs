@@ -27,9 +27,8 @@
 //! ([`ServiceSim`]), each dispatched job running as a full inner
 //! `swift-scheduler` [`swift_scheduler::Simulation`] on its session's
 //! executors. Same `(workload, config)` — byte-identical
-//! [`ServiceReport`], with the templates flag on or off; the
-//! service-level test battery and the `service` chaos campaign pin
-//! exactly that.
+//! [`ServiceReport`]; the service-level test battery and the `service`
+//! chaos campaign pin exactly that.
 
 #![warn(missing_docs)]
 

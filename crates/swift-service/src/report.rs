@@ -69,8 +69,7 @@ pub struct TenantReport {
 }
 
 /// The deterministic output of one service run. Byte-identical (and thus
-/// [`ServiceReport::digest`]-identical) for a given `(workload, config)`,
-/// with the templates flag on or off.
+/// [`ServiceReport::digest`]-identical) for a given `(workload, config)`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServiceReport {
     /// Jobs that arrived at the front door.
@@ -211,8 +210,9 @@ impl ServiceReport {
 }
 
 /// What [`crate::ServiceSim::run`] returns: the deterministic report plus
-/// template counters kept *outside* it, so the report stays byte-identical
-/// whether template reuse is on or off.
+/// the fleet template cache's counters, kept *outside* it: the report
+/// describes what the fleet did, the counters how cheaply the
+/// controller planned it.
 #[derive(Clone, Debug)]
 pub struct ServiceRun {
     /// The deterministic report.

@@ -11,8 +11,7 @@
 //! job runs as a complete inner [`Simulation`] on its session's
 //! executors; the inner run's makespan decides when the service sees the
 //! job complete. Same `(workload, config)` — byte-identical
-//! [`ServiceReport`], with the templates flag on or off and at any
-//! sampling cadence.
+//! [`ServiceReport`] at any sampling cadence.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -238,9 +237,8 @@ impl ServiceSim {
         }
     }
 
-    /// Runs the loop to quiescence and returns the report plus template
-    /// counters (kept out of the report so its bytes are invariant to
-    /// [`ServiceConfig::templates`]).
+    /// Runs the loop to quiescence and returns the report plus the fleet
+    /// template cache's counters.
     pub fn run(mut self) -> ServiceRun {
         let mut batch = Vec::new();
         while self.q.pop_batch_at_now(&mut batch) > 0 {
@@ -660,13 +658,12 @@ impl ServiceSim {
             .get_mut(&sid)
             .expect("acquired session is live")
             .running = Some(job);
-        // `inner_cfg.templates` stays off: passing the session is the opt-in.
-        let inner_cfg = self.inner_cfg.clone();
-        let mut sim = if self.cfg.templates {
-            Simulation::new_in_session(inner_cluster, inner_cfg, vec![spec], &mut self.sched)
-        } else {
-            Simulation::new(inner_cluster, inner_cfg, vec![spec])
-        };
+        let mut sim = Simulation::new_in_session(
+            inner_cluster,
+            self.inner_cfg.clone(),
+            vec![spec],
+            &mut self.sched,
+        );
         if let Some(obs) = inner_obs {
             sim.set_observer(obs);
         }

@@ -1,8 +1,7 @@
 //! The seeded service-level test battery (the PR's proof obligations):
 //!
 //! 1. **Determinism** — same-seed runs produce byte-identical
-//!    `ServiceReport`s (digest compare), and the digest is invariant to
-//!    the templates flag.
+//!    `ServiceReport`s (digest compare).
 //! 2. **Quota invariant** — no tenant ever holds more executors than its
 //!    quota (live-asserted inside the loop on every admission; witnessed
 //!    here through the session event stream).
@@ -58,12 +57,11 @@ fn battery_workload(seed: u64) -> ServiceWorkloadConfig {
     }
 }
 
-fn run_digest(seed: u64, templates: bool) -> u64 {
-    let cfg = ServiceConfig {
-        templates,
-        ..ServiceConfig::default()
-    };
-    let sim = ServiceSim::new(cfg, generate_service_workload(&battery_workload(seed)));
+fn run_digest(seed: u64) -> u64 {
+    let sim = ServiceSim::new(
+        ServiceConfig::default(),
+        generate_service_workload(&battery_workload(seed)),
+    );
     sim.run().report.digest()
 }
 
@@ -71,26 +69,17 @@ fn run_digest(seed: u64, templates: bool) -> u64 {
 fn same_seed_reports_are_byte_identical() {
     for seed in [1u64, 42, 20210419] {
         assert_eq!(
-            run_digest(seed, true),
-            run_digest(seed, true),
+            run_digest(seed),
+            run_digest(seed),
             "seed {seed} digest drifted between identical runs"
         );
     }
 }
 
 #[test]
-fn digest_is_invariant_to_templates_flag() {
-    assert_eq!(
-        run_digest(11, true),
-        run_digest(11, false),
-        "templates flag leaked into the service report"
-    );
-}
-
-#[test]
 fn different_seeds_diverge() {
     // Sanity check that the digest actually sees the workload.
-    assert_ne!(run_digest(1, true), run_digest(2, true));
+    assert_ne!(run_digest(1), run_digest(2));
 }
 
 // ---- quota + warm-pool invariants (event-stream witnesses) ----
@@ -315,14 +304,10 @@ fn warm_pool_beats_cold_teardown_on_tail_latency() {
 // ---- machine failures ----
 
 /// 200 battery jobs with two fleet machines failing under them.
-fn run_with_machine_failures(templates: bool) -> ServiceRun {
+fn run_with_machine_failures() -> ServiceRun {
     let mut wl = battery_workload(13);
     wl.jobs = 200;
-    let cfg = ServiceConfig {
-        templates,
-        ..ServiceConfig::default()
-    };
-    let mut sim = ServiceSim::new(cfg, generate_service_workload(&wl));
+    let mut sim = ServiceSim::new(ServiceConfig::default(), generate_service_workload(&wl));
     sim.fail_machines(vec![
         (
             SimTime::ZERO + SimDuration::from_secs(10),
@@ -338,7 +323,7 @@ fn run_with_machine_failures(templates: bool) -> ServiceRun {
 
 #[test]
 fn machine_failure_requeues_without_losing_jobs() {
-    let r = run_with_machine_failures(true).report;
+    let r = run_with_machine_failures().report;
     assert!(r.sessions_killed > 0, "failures killed no session");
     assert!(r.jobs_restarted > 0, "failures requeued no job");
     assert_eq!(r.jobs_completed, r.jobs_admitted, "a requeued job was lost");
@@ -348,7 +333,7 @@ fn machine_failure_requeues_without_losing_jobs() {
 
 #[test]
 fn every_inner_simulation_looks_up_the_fleet_template_cache_once() {
-    let run = run_with_machine_failures(true);
+    let run = run_with_machine_failures();
     let r = &run.report;
     assert!(r.jobs_restarted > 0, "no restart to count");
     // One inner simulation per dispatch: every admitted job once, plus
@@ -363,10 +348,6 @@ fn every_inner_simulation_looks_up_the_fleet_template_cache_once() {
         run.template_hits,
         run.template_lookups
     );
-
-    let off = run_with_machine_failures(false);
-    assert_eq!((off.template_lookups, off.template_hits), (0, 0));
-    assert_eq!(off.report.digest(), r.digest());
 }
 
 #[test]

@@ -180,15 +180,11 @@ impl TraceMetrics {
             let size = self.scheme_edge_size.get(scheme).copied().unwrap_or(0);
             let _ = writeln!(s, "scheme {scheme} edges={n} total_edge_size={size}");
         }
-        // Only cache-enabled runs emit template events; keep cache-off
-        // summaries (and their goldens) unchanged.
-        if self.template_misses + self.template_hits > 0 {
-            let _ = writeln!(
-                s,
-                "template_cache hits={} misses={} instantiations={}",
-                self.template_hits, self.template_misses, self.template_instantiations
-            );
-        }
+        let _ = writeln!(
+            s,
+            "template_cache hits={} misses={} instantiations={}",
+            self.template_hits, self.template_misses, self.template_instantiations
+        );
         let _ = writeln!(
             s,
             "cache spill_events={} spill_segments={} spill_bytes={} evict_bytes={}",

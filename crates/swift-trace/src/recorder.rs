@@ -45,7 +45,7 @@ pub const DEFAULT_COUNTER_WINDOW_MS: u64 = 250;
 /// Worker shadow model (spill/evict events) and counter-track sampling.
 /// All extras are purely observational — they never change scheduling or
 /// the `RunReport`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecorderConfig {
     /// Record the per-producer `on_input_read` fan-out (coalesced per
     /// producer stage). Costs O(predecessor tasks) per task start.
@@ -54,38 +54,19 @@ pub struct RecorderConfig {
     /// are inserted into / consumed from each machine's cache accounting,
     /// generating `cache_spill` / `cache_evict` events.
     pub cache_model: bool,
-    /// Record template-cache decisions (`template_hit` / `template_miss` /
-    /// `template_instantiate`). On by default — the simulator only emits
-    /// them when `SimConfig::templates` is on, so cache-off traces are
-    /// unaffected. The cache-differential suite turns this off to compare
-    /// cache-on and cache-off traces byte for byte. Also zeroes the
-    /// template counter series, for the same reason.
-    pub template_events: bool,
     /// Sample the `swift-metrics` registry into `counters` frames at this
     /// simulated-time window. `None` (the default) disables sampling
     /// entirely — lean traces and the perf paths carry no frames.
     pub counter_window: Option<SimDuration>,
 }
 
-impl Default for RecorderConfig {
-    fn default() -> Self {
-        RecorderConfig {
-            input_reads: false,
-            cache_model: false,
-            template_events: true,
-            counter_window: None,
-        }
-    }
-}
-
 impl RecorderConfig {
-    /// Everything on: input reads, the cache shadow model, template
-    /// events and counter sampling at [`DEFAULT_COUNTER_WINDOW_MS`].
+    /// Everything on: input reads, the cache shadow model and counter
+    /// sampling at [`DEFAULT_COUNTER_WINDOW_MS`].
     pub fn full() -> Self {
         RecorderConfig {
             input_reads: true,
             cache_model: true,
-            template_events: true,
             counter_window: Some(SimDuration::from_millis(DEFAULT_COUNTER_WINDOW_MS)),
         }
     }
@@ -388,9 +369,6 @@ impl<S: TraceSink> SimObserver for TraceRecorder<S> {
     }
 
     fn on_template_decision(&mut self, now: SimTime, job: usize, d: &TemplateDecision) {
-        if !self.cfg.template_events {
-            return;
-        }
         match d.outcome {
             TemplateOutcome::Miss => self.push(
                 now,
@@ -567,7 +545,6 @@ impl<S: TraceSink> SimObserver for TraceRecorder<S> {
         let Some(window) = self.cfg.counter_window else {
             return;
         };
-        let template_events = self.cfg.template_events;
         let mut st = self.state.borrow_mut();
         let frame = match st.metrics.as_mut() {
             Some(m) => {
@@ -577,11 +554,9 @@ impl<S: TraceSink> SimObserver for TraceRecorder<S> {
                 reg.set(sm::SCHED_PENDING_REQUESTS, sample.pending_requests);
                 reg.set(sm::SCHED_PENDING_GANG_TASKS, sample.pending_gang_tasks);
                 reg.set(sm::SCHED_WAVE_JOBS, sample.wave_jobs);
-                if template_events {
-                    reg.set(sm::SCHED_TEMPLATE_ENTRIES, sample.template_entries);
-                    reg.set_cumulative(sm::SCHED_TEMPLATE_HITS, sample.template_hits);
-                    reg.set_cumulative(sm::SCHED_TEMPLATE_MISSES, sample.template_misses);
-                }
+                reg.set(sm::SCHED_TEMPLATE_ENTRIES, sample.template_entries);
+                reg.set_cumulative(sm::SCHED_TEMPLATE_HITS, sample.template_hits);
+                reg.set_cumulative(sm::SCHED_TEMPLATE_MISSES, sample.template_misses);
                 reg.set(sm::SHUFFLE_STORE_BYTES, sample.cache_store_bytes);
                 reg.set(sm::CLUSTER_LIVE_EXECUTORS, sample.live_executors);
                 reg.set(sm::CLUSTER_BUSY_EXECUTORS, sample.busy_executors);

@@ -33,10 +33,6 @@ pub struct Scenario {
     pub machines: u32,
     /// Executors per machine.
     pub executors_per_machine: u32,
-    /// Whether the scenario runs with the scheduling-template cache on
-    /// (`SimConfig::templates`). The cache is a pure cost optimization, so
-    /// this only changes which template events appear in the trace.
-    pub templates: bool,
     build: fn(u64) -> (Vec<JobSpec>, Vec<FailureInjection>),
 }
 
@@ -164,7 +160,6 @@ pub const SCENARIOS: [Scenario; 7] = [
         description: "2x2 terasort on 4 machines; smallest useful trace",
         machines: 4,
         executors_per_machine: 2,
-        templates: false,
         build: |seed| {
             (
                 single(terasort_dag(0, 2, 2, (1 << 20) | (seed % 1024))),
@@ -177,7 +172,6 @@ pub const SCENARIOS: [Scenario; 7] = [
         description: "fan-out/fan-in diamond with a sort-merge join barrier",
         machines: 4,
         executors_per_machine: 2,
-        templates: false,
         build: |seed| (single(diamond_dag(seed)), vec![]),
     },
     Scenario {
@@ -185,7 +179,6 @@ pub const SCENARIOS: [Scenario; 7] = [
         description: "all-barrier chain straddling both adaptive scheme thresholds",
         machines: 3,
         executors_per_machine: 2,
-        templates: false,
         build: |seed| (single(barrier_dag(seed)), vec![]),
     },
     Scenario {
@@ -193,7 +186,6 @@ pub const SCENARIOS: [Scenario; 7] = [
         description: "gang larger than the cluster; exercises wave execution",
         machines: 2,
         executors_per_machine: 2,
-        templates: false,
         build: |seed| {
             (
                 single(terasort_dag(0, 6, 6, (2 << 20) | (seed % 4096))),
@@ -206,7 +198,6 @@ pub const SCENARIOS: [Scenario; 7] = [
         description: "diamond DAG with a mid-run process restart and fine-grained recovery",
         machines: 4,
         executors_per_machine: 2,
-        templates: false,
         build: |seed| {
             // Lands while the `left` stage is running (it executes from
             // roughly 610 ms to 920 ms across the seed range); the 1 s
@@ -228,7 +219,6 @@ pub const SCENARIOS: [Scenario; 7] = [
         description: "three trace-derived jobs with staggered submissions",
         machines: 6,
         executors_per_machine: 3,
-        templates: false,
         build: |seed| {
             let cfg = TraceConfig {
                 jobs: 3,
@@ -247,10 +237,9 @@ pub const SCENARIOS: [Scenario; 7] = [
     },
     Scenario {
         name: "repeat_shapes",
-        description: "repeated DAG shapes with the template cache on: miss, miss, hit, reordered-rebuild miss",
+        description: "repeated DAG shapes through the template cache: miss, miss, hit, reordered-rebuild miss",
         machines: 6,
         executors_per_machine: 3,
-        templates: true,
         build: |seed| (repeat_shapes_workload(seed), vec![]),
     },
 ];
@@ -273,37 +262,19 @@ pub fn schedule_overhead() -> SimDuration {
 }
 
 /// Builds the simulation for `(name, seed)` without an observer
-/// installed, using the scenario's own template-cache setting. Returns
-/// `None` for an unknown name.
+/// installed. Returns `None` for an unknown name.
 pub fn build(name: &str, seed: u64) -> Option<Simulation> {
-    let sc = find(name)?;
-    build_with(name, seed, sc.templates)
-}
-
-/// Like [`build`], but with the template cache explicitly on or off —
-/// the entry point of the cache-differential suite, which runs the same
-/// scenario both ways and compares the results byte for byte.
-pub fn build_with(name: &str, seed: u64, templates: bool) -> Option<Simulation> {
-    build_from(
-        name,
-        seed,
-        SimConfig {
-            templates,
-            ..SimConfig::swift()
-        },
-    )
+    build_from(name, seed, SimConfig::swift())
 }
 
 /// Like [`build`], with an explicit event-queue barrier window
 /// ([`SimConfig::shard_window`]). The window is a pure performance knob;
 /// the root `digest_pins` suite runs both extremes to prove it.
 pub fn build_with_window(name: &str, seed: u64, window: SimDuration) -> Option<Simulation> {
-    let templates = find(name)?.templates;
     build_from(
         name,
         seed,
         SimConfig {
-            templates,
             shard_window: window,
             ..SimConfig::swift()
         },
@@ -320,21 +291,10 @@ fn build_from(name: &str, seed: u64, cfg: SimConfig) -> Option<Simulation> {
 }
 
 /// Runs `(name, seed)` with a [`TraceRecorder`] attached and returns the
-/// finished trace plus the simulator's own report, using the scenario's
-/// own template-cache setting. Returns `None` for an unknown name.
+/// finished trace plus the simulator's own report. Returns `None` for an
+/// unknown name.
 pub fn run_traced(name: &str, seed: u64, cfg: RecorderConfig) -> Option<(Trace, RunReport)> {
-    let sc = find(name)?;
-    run_traced_with(name, seed, cfg, sc.templates)
-}
-
-/// Like [`run_traced`], but with the template cache explicitly on or off.
-pub fn run_traced_with(
-    name: &str,
-    seed: u64,
-    cfg: RecorderConfig,
-    templates: bool,
-) -> Option<(Trace, RunReport)> {
-    let mut sim = build_with(name, seed, templates)?;
+    let mut sim = build(name, seed)?;
     let (recorder, handle) = TraceRecorder::new(name, seed, cfg);
     sim.set_observer(Box::new(recorder));
     let report = sim.run();
@@ -343,8 +303,7 @@ pub fn run_traced_with(
 
 /// Runs `(name, seed)` with the recorder delivering into an explicit
 /// [`TraceSink`] (e.g. a [`crate::StreamSink`] for bounded-memory on-disk
-/// recording), using the scenario's own template-cache setting. Returns
-/// the sink (flushed of the coalescing buffer; call
+/// recording). Returns the sink (flushed of the coalescing buffer; call
 /// [`crate::StreamSink::finish`] to write the footer) plus the report.
 pub fn run_traced_sink<S: TraceSink + 'static>(
     name: &str,
@@ -352,8 +311,7 @@ pub fn run_traced_sink<S: TraceSink + 'static>(
     cfg: RecorderConfig,
     sink: S,
 ) -> Option<(S, RunReport)> {
-    let sc = find(name)?;
-    let mut sim = build_with(name, seed, sc.templates)?;
+    let mut sim = build(name, seed)?;
     let (recorder, handle) = TraceRecorder::with_sink(name, seed, cfg, sink);
     sim.set_observer(Box::new(recorder));
     let report = sim.run();

@@ -96,8 +96,8 @@ fn golden_chrome_export_matches() {
 }
 
 /// Counter-track goldens: the name-resolved rendering of the frames in
-/// two representative traces — `tiny` (single job, no templates) and
-/// `repeat_shapes` (template cache on, so the template series are live).
+/// two representative traces — `tiny` (a single job, one template miss)
+/// and `repeat_shapes` (misses and a hit in the template series).
 #[test]
 fn golden_counter_tracks_match() {
     for &(name, seed) in &[("tiny", 1u64), ("repeat_shapes", 7u64)] {
