@@ -1,4 +1,4 @@
-//! A small text format describing a job DAG plus the claims the pass-2
+//! A small text format describing a job DAG plus the claims the plan
 //! validator checks — so malformed partitions, scheme choices and recovery
 //! plans can live as fixture files with real `file:line` spans.
 //!
@@ -108,7 +108,7 @@ fn parse_task_ref(s: &str) -> Option<(&str, u32)> {
 }
 
 /// Parses and validates one `.dag` fixture file, returning the combined
-/// pass-2 report. Parse failures and DAG-construction failures surface as
+/// validator report. Parse failures and DAG-construction failures surface as
 /// **SW100** diagnostics with the offending line's span.
 pub fn validate_dag_file(file_label: &str, content: &str) -> Report {
     let mut report = Report::default();

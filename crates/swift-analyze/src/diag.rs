@@ -1,50 +1,22 @@
 //! The shared diagnostics engine: error codes, severities, spans,
 //! suppression accounting and human/machine rendering.
 //!
-//! Both passes — the source lints ([`crate::source`]: `SW001`–`SW006`
-//! plus `SW109`) and the plan/DAG validator ([`crate::plan`]:
-//! `SW100`–`SW108` plus `SW110`) — emit [`Diagnostic`]s
-//! through this module so CLI output, suppression handling and exit-code
-//! policy are identical everywhere the analyzer is embedded (the
-//! `swift-analyze` binary, `swift-cli analyze`, and the chaos pre-flight).
+//! The plan/DAG validator ([`crate::plan`]: `SW100`–`SW108` plus `SW110`)
+//! and the `.dag` suppression check ([`crate::dagfile`]: `SW009`) emit
+//! [`Diagnostic`]s through this module so CLI output, suppression handling
+//! and exit-code policy are identical everywhere the analyzer is embedded
+//! (the `swift-analyze` binary, `swift-cli analyze`, and the chaos
+//! pre-flight).
 
 use std::fmt;
 
-/// Every diagnostic the analyzer can produce. `SW001`–`SW006` and
-/// `SW109` come from the source-lint pass, `SW100`–`SW108` and `SW110`
-/// from the plan/DAG validator.
+/// Every diagnostic the analyzer can produce. A code is never reused:
+/// `SW001`–`SW008` and `SW109` are retired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
-    /// Wall-clock time source (`Instant::now`, `SystemTime`) in a
-    /// sim-facing crate.
-    SW001,
-    /// `std::thread` use in a sim-facing crate.
-    SW002,
-    /// Environment read (`env::var*`) in a sim-facing crate.
-    SW003,
-    /// Iteration over a `HashMap`/`HashSet` in a determinism-sensitive
-    /// crate (must sort or use an ordered collection).
-    SW004,
-    /// Randomness that does not flow through `SimRng`.
-    SW005,
-    /// Address/pointer-based ordering or keying.
-    SW006,
-    /// An order-tainted value (produced by unordered iteration, a wall
-    /// clock, an env read or pointer ordering — possibly laundered through
-    /// bindings, method chains or helper returns) reaches a determinism
-    /// sink: event scheduling, a digest/hash update or trace emission.
-    /// The diagnostic carries the source→sink step trace.
-    SW007,
-    /// Shared mutable state (interior mutability: `Mutex`, `RwLock`,
-    /// `RefCell`, `Cell`, `UnsafeCell`, atomics — or a `static mut`-like
-    /// global) declared in a crate on the `Simulation` step path. Such
-    /// state can change behind a shared reference, outside event order,
-    /// and a global outlives the run: a seed replayed in the same process
-    /// (as the chaos harness does) would start from the last run's state.
-    SW008,
-    /// A `swift-analyze: allow(SWxxx)` suppression that matched no
-    /// diagnostic — stale after the underlying finding was fixed, or
-    /// mistargeted. Not itself suppressible.
+    /// A `.dag` file's `swift-analyze: allow(SWxxx)` suppression that
+    /// matched no diagnostic — stale after the underlying finding was
+    /// fixed, or mistargeted. Not itself suppressible.
     SW009,
     /// DAG fails basic structural validation (cycle, self-loop,
     /// duplicate edge, zero tasks, unknown stage, parse error).
@@ -69,12 +41,6 @@ pub enum Code {
     /// Recovery plan structurally malformed (abort with work attached,
     /// unsorted/duplicate rerun set, out-of-bounds task references).
     SW108,
-    /// Float summation over unordered iteration in report aggregation
-    /// (a pass-1 source lint, numbered after the validators it was added
-    /// behind): float addition is not associative, so summing over a
-    /// `HashMap`/`HashSet` changes the aggregate bitwise run-to-run even
-    /// when the visited *set* is identical.
-    SW109,
     /// A plan instantiated from the scheduling-template cache diverges
     /// from from-scratch planning (partition, unit plan or scheme
     /// priors), or the cache misses on an identical rebuild of a job (its
@@ -84,15 +50,7 @@ pub enum Code {
 
 impl Code {
     /// All codes, in numeric order.
-    pub const ALL: [Code; 20] = [
-        Code::SW001,
-        Code::SW002,
-        Code::SW003,
-        Code::SW004,
-        Code::SW005,
-        Code::SW006,
-        Code::SW007,
-        Code::SW008,
+    pub const ALL: [Code; 11] = [
         Code::SW009,
         Code::SW100,
         Code::SW101,
@@ -103,21 +61,12 @@ impl Code {
         Code::SW106,
         Code::SW107,
         Code::SW108,
-        Code::SW109,
         Code::SW110,
     ];
 
-    /// Stable textual name (`"SW001"`).
+    /// Stable textual name (`"SW100"`).
     pub fn as_str(self) -> &'static str {
         match self {
-            Code::SW001 => "SW001",
-            Code::SW002 => "SW002",
-            Code::SW003 => "SW003",
-            Code::SW004 => "SW004",
-            Code::SW005 => "SW005",
-            Code::SW006 => "SW006",
-            Code::SW007 => "SW007",
-            Code::SW008 => "SW008",
             Code::SW009 => "SW009",
             Code::SW100 => "SW100",
             Code::SW101 => "SW101",
@@ -128,12 +77,11 @@ impl Code {
             Code::SW106 => "SW106",
             Code::SW107 => "SW107",
             Code::SW108 => "SW108",
-            Code::SW109 => "SW109",
             Code::SW110 => "SW110",
         }
     }
 
-    /// Parses `"SW004"` (case-insensitive) back into a code.
+    /// Parses `"SW104"` (case-insensitive) back into a code.
     pub fn parse(s: &str) -> Option<Code> {
         Code::ALL
             .iter()
@@ -143,7 +91,7 @@ impl Code {
 
     /// Default severity. Everything is an error except gang-size overflow
     /// (which the scheduler tolerates by degrading to wave mode) and
-    /// unused suppressions (hygiene, escalated by `--deny-unused-allows`).
+    /// unused suppressions (hygiene; both fail a `--deny-warnings` run).
     pub fn severity(self) -> Severity {
         match self {
             Code::SW104 | Code::SW009 => Severity::Warning,
@@ -154,16 +102,6 @@ impl Code {
     /// One-line description for `--list-codes` and the README table.
     pub fn description(self) -> &'static str {
         match self {
-            Code::SW001 => "wall-clock time source (Instant/SystemTime) in a sim-facing crate",
-            Code::SW002 => "std::thread use in a sim-facing crate",
-            Code::SW003 => "environment read (env::var*) in a sim-facing crate",
-            Code::SW004 => "HashMap/HashSet iteration in a determinism-sensitive crate",
-            Code::SW005 => "randomness not drawn from SimRng",
-            Code::SW006 => "address/pointer-based ordering or keying",
-            Code::SW007 => {
-                "order-tainted value reaches a determinism sink (scheduling, digest, trace)"
-            }
-            Code::SW008 => "shared mutable state (interior mutability/static) on the sim step path",
             Code::SW009 => "swift-analyze: allow(...) suppression that matched no diagnostic",
             Code::SW100 => {
                 "malformed DAG (cycle, self-loop, duplicate edge, zero tasks, parse error)"
@@ -176,9 +114,6 @@ impl Code {
             Code::SW106 => "recovery plan references an unknown or superseded task version",
             Code::SW107 => "Direct Shuffle on a barrier edge (data must be staged)",
             Code::SW108 => "recovery plan structurally malformed",
-            Code::SW109 => {
-                "float summation over unordered HashMap/HashSet iteration (order-dependent result)"
-            }
             Code::SW110 => "template-instantiated plan diverges from from-scratch planning",
         }
     }
@@ -316,9 +251,7 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Diagnostics silenced by `swift-analyze: allow(...)` comments.
     pub suppressed: usize,
-    /// Source files scanned by pass 1.
-    pub files_scanned: usize,
-    /// Domain objects (DAGs, partitions, plans) checked by pass 2.
+    /// Domain objects (DAGs, partitions, plans) checked.
     pub objects_checked: usize,
 }
 
@@ -327,7 +260,6 @@ impl Report {
     pub fn merge(&mut self, other: Report) {
         self.diagnostics.extend(other.diagnostics);
         self.suppressed += other.suppressed;
-        self.files_scanned += other.files_scanned;
         self.objects_checked += other.objects_checked;
     }
 
@@ -370,8 +302,13 @@ mod tests {
             assert_eq!(Code::parse(c.as_str()), Some(c));
             assert!(!c.description().is_empty());
         }
-        assert_eq!(Code::parse("sw004"), Some(Code::SW004));
+        assert_eq!(Code::parse("sw104"), Some(Code::SW104));
         assert_eq!(Code::parse("SW999"), None);
+        assert_eq!(
+            Code::parse("SW004"),
+            None,
+            "retired source-lint codes stay gone"
+        );
     }
 
     #[test]
@@ -389,18 +326,18 @@ mod tests {
     #[test]
     fn human_and_json_rendering() {
         let d = Diagnostic::new(
-            Code::SW001,
-            Span::at("crates/swift-sim/src/lib.rs", 7),
-            "Instant::now() in sim code",
+            Code::SW107,
+            Span::at("fixtures/dags/direct.dag", 7),
+            "Direct Shuffle on a barrier edge",
         );
         assert_eq!(
             d.render_human(),
-            "error[SW001]: Instant::now() in sim code\n  --> crates/swift-sim/src/lib.rs:7"
+            "error[SW107]: Direct Shuffle on a barrier edge\n  --> fixtures/dags/direct.dag:7"
         );
         assert_eq!(
             d.render_json(),
-            "{\"code\":\"SW001\",\"severity\":\"error\",\"file\":\"crates/swift-sim/src/lib.rs\",\
-             \"line\":7,\"message\":\"Instant::now() in sim code\"}"
+            "{\"code\":\"SW107\",\"severity\":\"error\",\"file\":\"fixtures/dags/direct.dag\",\
+             \"line\":7,\"message\":\"Direct Shuffle on a barrier edge\"}"
         );
     }
 

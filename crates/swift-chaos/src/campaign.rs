@@ -357,7 +357,7 @@ fn check_completion(report: &RunReport, state: &ChaosState, tag: &str, out: &mut
 
 /// Runs every invariant for one seed.
 ///
-/// The scenario is first statically validated by the swift-analyze pass-2
+/// The scenario is first statically validated by the swift-analyze
 /// pre-flight (graphlet partition, shuffle schemes, gang width); then
 /// three simulations are executed: fine-grained recovery (checked live by
 /// the observer), fine-grained again (byte-identical-report determinism),

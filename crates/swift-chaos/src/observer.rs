@@ -15,6 +15,11 @@
 //! The observer never mutates simulation state, so attaching it cannot
 //! perturb the deterministic event flow it is checking.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "per-run observer state shared by the observer and the caller's handle; Rc is !Send and only observer callbacks write it"
+)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 

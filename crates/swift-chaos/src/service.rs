@@ -22,6 +22,11 @@
 //! * **determinism** — same-seed reruns produce digest-identical
 //!   [`ServiceReport`]s.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "per-run observer state shared by the observer and the caller's handle; Rc is !Send and only observer callbacks write it"
+)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -111,7 +116,7 @@ pub fn generate_service_scenario(seed: u64) -> ServiceScenario {
 #[derive(Debug, Default)]
 struct ServiceChaos {
     /// One (job, state) pair per dispatch, in dispatch order.
-    job_states: Vec<(usize, Rc<RefCell<ChaosState>>)>, // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
+    job_states: Vec<(usize, Rc<RefCell<ChaosState>>)>,
     /// session -> owning tenant, from cold starts.
     owner: std::collections::BTreeMap<u32, u32>,
     /// live sessions per tenant.

@@ -319,6 +319,10 @@ pub fn plan_job_restart(dag: &JobDag, failed: TaskId) -> RecoveryPlan {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "tests sit outside the determinism contract"
+)]
 mod tests {
     use super::*;
     use std::collections::HashMap;

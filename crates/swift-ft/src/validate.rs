@@ -247,6 +247,10 @@ pub fn validate_recovery_plan(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "tests sit outside the determinism contract"
+)]
 mod tests {
     use super::*;
     use crate::recovery::{plan_recovery, ChannelUpdate};

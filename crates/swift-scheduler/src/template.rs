@@ -35,6 +35,11 @@
 //! select the same scheme, including the §III-B barrier-edge upgrade of
 //! Direct to Remote on memory-staged crossing edges.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the shape index is only probed point-wise, never iterated, so its order cannot reach a decision"
+)]
+
 use crate::config::{Partitioning, PolicyConfig, ShuffleSelection};
 use crate::units::{plan_units, UnitPlan};
 use std::collections::HashMap;

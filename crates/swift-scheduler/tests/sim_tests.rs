@@ -2,6 +2,11 @@
 //! jobs to completion, and the paper's qualitative orderings must hold on
 //! small synthetic workloads.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "tests sit outside the determinism contract"
+)]
+
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 

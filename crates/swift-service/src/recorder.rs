@@ -19,6 +19,11 @@
 //!   `machine_health` / `counters` lines, and the stream ends with
 //!   `run_finished`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "per-run observer state shared by the observer and the caller's handle; Rc is !Send and only observer callbacks write it"
+)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -38,13 +43,13 @@ struct RecState {
 /// The observer half: install with [`crate::ServiceSim::set_observer`].
 #[derive(Debug)]
 pub struct ServiceTraceRecorder {
-    state: Rc<RefCell<RecState>>, // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
+    state: Rc<RefCell<RecState>>,
 }
 
 /// The caller's half: yields the [`Trace`] after the run.
 #[derive(Debug)]
 pub struct ServiceTraceHandle {
-    state: Rc<RefCell<RecState>>, // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
+    state: Rc<RefCell<RecState>>,
     scenario: String,
     seed: u64,
 }

@@ -16,6 +16,11 @@
 //! A golden diff on an unchanged format means the service loop stopped
 //! being deterministic — a bug, never a stale fixture.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "SWIFT_TRACE_BLESS selects between checking and rewriting the goldens"
+)]
+
 use std::fs;
 use std::path::PathBuf;
 

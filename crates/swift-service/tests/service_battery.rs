@@ -18,6 +18,11 @@
 //!    depend on the telemetry cadence, and every cadence boundary up to
 //!    the last event gets its frame.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "tests sit outside the determinism contract"
+)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -95,7 +100,7 @@ struct SessionLedger {
 }
 
 #[derive(Debug, Default)]
-struct LedgerObserver(Rc<RefCell<SessionLedger>>); // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
+struct LedgerObserver(Rc<RefCell<SessionLedger>>);
 
 impl ServiceObserver for LedgerObserver {
     fn on_session_cold_start(
@@ -155,7 +160,7 @@ fn quota_and_warm_pool_invariants_hold() {
 
 /// Records the tenant of every dispatch, in dispatch order.
 #[derive(Debug, Default)]
-struct DispatchOrder(Rc<RefCell<Vec<u32>>>); // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
+struct DispatchOrder(Rc<RefCell<Vec<u32>>>);
 
 impl ServiceObserver for DispatchOrder {
     fn on_session_warm_hit(&mut self, _now: SimTime, _job: usize, tenant: u32, _session: u32) {

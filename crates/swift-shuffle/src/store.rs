@@ -207,8 +207,8 @@ pub struct CacheWorkerStore {
     // consumers on OS threads block on it in integration tests. It is
     // never on the deterministic sim step path (the simulator models
     // shuffles as queue events), so the locking is deliberate.
-    state: Mutex<StoreState>, // swift-analyze: allow(SW008) — threaded service emulation, not sim state
-    arrived: Condvar, // swift-analyze: allow(SW008) — threaded service emulation, not sim state
+    state: Mutex<StoreState>,
+    arrived: Condvar,
 }
 
 // Manual impl: must not take the lock (Debug can be called while held).
@@ -330,6 +330,11 @@ impl Drop for CacheWorkerStore {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the store is exercised from real threads"
+)]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -7,14 +7,18 @@
 //! rather than propagated: a panicking producer thread must not wedge
 //! every consumer blocked on the same Cache Worker store.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module is the poison-free lock shim over std::sync; interior mutability is its purpose"
+)]
+
 use std::sync;
 
 /// A mutex whose `lock` returns the guard directly, recovering from
 /// poisoning.
 #[derive(Default, Debug)]
 pub struct Mutex<T> {
-    // This module *is* the sync shim: interior mutability is its purpose.
-    inner: sync::Mutex<T>, // swift-analyze: allow(SW008) — the sync shim itself
+    inner: sync::Mutex<T>,
 }
 
 /// Guard returned by [`Mutex::lock`].
@@ -75,7 +79,7 @@ impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
 /// A condition variable whose `wait` takes the guard by `&mut`.
 #[derive(Default, Debug)]
 pub struct Condvar {
-    inner: sync::Condvar, // swift-analyze: allow(SW008) — the sync shim itself
+    inner: sync::Condvar,
 }
 
 impl Condvar {
@@ -107,6 +111,10 @@ impl Condvar {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the shim is exercised from real threads"
+)]
 mod tests {
     use super::*;
     use std::sync::Arc;

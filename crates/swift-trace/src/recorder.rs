@@ -17,6 +17,11 @@
 //! the simulator's [`CounterSample`] callback feeds the gauges, and each
 //! sample seals one [`TraceEventKind::CounterFrame`] into the stream.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "per-run observer state shared by the observer and the caller's handle; Rc is !Send and only observer callbacks write it"
+)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -115,7 +120,7 @@ pub struct TraceHandle<S: TraceSink = MemorySink> {
     seed: u64,
     // Rc is !Send: the handle can never leave the thread that owns the
     // recorder, and the run writes the state only from its callbacks.
-    state: Rc<RefCell<RecorderState<S>>>, // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
+    state: Rc<RefCell<RecorderState<S>>>,
 }
 
 impl<S: TraceSink> Clone for TraceHandle<S> {
@@ -184,7 +189,7 @@ impl<S: TraceSink> TraceHandle<S> {
 #[derive(Debug)]
 pub struct TraceRecorder<S: TraceSink = MemorySink> {
     cfg: RecorderConfig,
-    state: Rc<RefCell<RecorderState<S>>>, // swift-analyze: allow(SW008) — per-run observer state, written only from callbacks
+    state: Rc<RefCell<RecorderState<S>>>,
 }
 
 impl TraceRecorder<MemorySink> {

@@ -18,6 +18,11 @@
 //! on an unchanged format means the simulator or recorder stopped being
 //! deterministic, which is a bug, not a stale fixture.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "SWIFT_TRACE_BLESS selects between checking and rewriting the goldens"
+)]
+
 use std::fs;
 use std::path::PathBuf;
 

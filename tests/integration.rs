@@ -1,13 +1,16 @@
 //! Cross-crate integration tests: SQL → planner → engine on TPC-H data,
 //! workload → simulator, and the consistency between the engine's and the
-//! simulator's views of the same job.
+//! simulator's views of the same job, plus the crate scoping of the
+//! determinism contract's `clippy.toml`.
 
+use std::path::Path;
 use swift::cluster::{Cluster, CostModel};
 use swift::dag::partition;
 use swift::engine::{Engine, Value};
 use swift::scheduler::{JobSpec, PolicyConfig, SimConfig, Simulation};
 use swift::sql::{compile, run_sql, PlanOptions};
 use swift::workload::{generate_catalog, q9_sim_dag, tpch_sim_dag, Q13_SQL, Q9_SQL};
+use swift_analyze::DETERMINISM_SENSITIVE_CRATES;
 
 #[test]
 fn q9_sql_runs_and_modes_agree() {
@@ -252,4 +255,32 @@ fn value_displays_roundtrip_through_sql_literals() {
     .unwrap();
     assert_eq!(rows[0][0], Value::Str("CANADA".into()));
     assert_eq!(rows[1][0], Value::Str("CHINA".into()));
+}
+
+/// Clippy reads the `clippy.toml` nearest a crate's manifest, so the
+/// determinism contract is scoped by where the file sits: every
+/// determinism-sensitive crate has one, all copies say the same thing, and
+/// nothing else is covered (the benchmark times with `Instant`).
+#[test]
+fn clippy_configs_mirror_the_crate_list() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let has_config =
+        |dir: &Path| dir.join("clippy.toml").exists() || dir.join(".clippy.toml").exists();
+    assert!(!has_config(root), "no workspace-wide config");
+    assert!(!has_config(&root.join("crates")));
+    let mut with_config: Vec<String> = std::fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| has_config(p))
+        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    with_config.sort();
+    let mut listed = DETERMINISM_SENSITIVE_CRATES.map(String::from).to_vec();
+    listed.sort();
+    assert_eq!(with_config, listed);
+    let read = |krate: &str| std::fs::read(root.join("crates").join(krate).join("clippy.toml"));
+    let first = read(&listed[0]).unwrap();
+    for krate in &listed {
+        assert_eq!(read(krate).unwrap(), first, "{krate}/clippy.toml differs");
+    }
 }
