@@ -393,9 +393,8 @@ pub struct SimConfig {
     /// Detection latency for self-reported process restarts (§IV-A: the
     /// re-launched process reports its status immediately).
     pub process_restart_delay: SimDuration,
-    /// Barrier window width of the event queue (clamped to ≥ 1 µs). A
-    /// pure performance knob: the pop order is window-independent (the
-    /// root `digest_pins` suite runs both extremes).
+    /// Ignored: the event queue has no window. It stays only because the
+    /// benchmark passes it to `ShardedEventQueue::new`.
     pub shard_window: SimDuration,
 }
 

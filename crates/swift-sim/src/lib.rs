@@ -6,10 +6,12 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time;
 //! * [`Cadence`] — the sampling boundaries every sampler shares;
-//! * [`EventQueue`] — a deterministic time-ordered event queue (FIFO among
-//!   same-timestamp events) that doubles as the simulation clock;
-//! * [`SimRng`] — a seedable RNG with the log-normal / exponential / Zipf
-//!   distributions the trace generator and cost models sample from;
+//! * [`ShardedEventQueue`] — the simulation clock plus its pending events:
+//!   a monotone radix heap keyed on time that pops in `(time, schedule
+//!   order)`, so same-timestamp events are FIFO;
+//! * [`SimRng`] — a seedable RNG with the log-normal and exponential
+//!   distributions the trace generator and cost models sample from, and
+//!   [`ZipfTable`] for the service workload's tenant skew;
 //! * [`Fnv64`] — the word-at-a-time hasher every shape signature and
 //!   report digest folds through;
 //! * [`stats`] — quartile ("four quartile method" [26] in the paper) and
@@ -24,12 +26,10 @@
 mod hash;
 mod queue;
 mod rng;
-mod shard;
 pub mod stats;
 mod time;
 
 pub use hash::Fnv64;
-pub use queue::EventQueue;
+pub use queue::ShardedEventQueue;
 pub use rng::{SimRng, ZipfTable};
-pub use shard::ShardedEventQueue;
 pub use time::{Cadence, SimDuration, SimTime};

@@ -165,13 +165,6 @@ impl SimRng {
         let u = 1.0 - self.f64();
         -mean * u.ln()
     }
-
-    /// Zipf-distributed rank in `[1, n]` with exponent `s`, by inverse-CDF
-    /// over the precomputable harmonic weights. O(n) per call for small `n`;
-    /// use [`ZipfTable`] for repeated sampling.
-    pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
-        ZipfTable::new(n, s).sample(self)
-    }
 }
 
 /// Precomputed inverse-CDF table for Zipf sampling.

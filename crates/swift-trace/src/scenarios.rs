@@ -264,28 +264,10 @@ pub fn schedule_overhead() -> SimDuration {
 /// Builds the simulation for `(name, seed)` without an observer
 /// installed. Returns `None` for an unknown name.
 pub fn build(name: &str, seed: u64) -> Option<Simulation> {
-    build_from(name, seed, SimConfig::swift())
-}
-
-/// Like [`build`], with an explicit event-queue barrier window
-/// ([`SimConfig::shard_window`]). The window is a pure performance knob;
-/// the root `digest_pins` suite runs both extremes to prove it.
-pub fn build_with_window(name: &str, seed: u64, window: SimDuration) -> Option<Simulation> {
-    build_from(
-        name,
-        seed,
-        SimConfig {
-            shard_window: window,
-            ..SimConfig::swift()
-        },
-    )
-}
-
-fn build_from(name: &str, seed: u64, cfg: SimConfig) -> Option<Simulation> {
     let sc = find(name)?;
     let (workload, injections) = (sc.build)(seed);
     let cluster = Cluster::new(sc.machines, sc.executors_per_machine, CostModel::default());
-    let mut sim = Simulation::new(cluster, cfg, workload);
+    let mut sim = Simulation::new(cluster, SimConfig::swift(), workload);
     sim.inject_failures(injections);
     Some(sim)
 }

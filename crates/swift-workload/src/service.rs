@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use swift_dag::JobDag;
-use swift_sim::{SimDuration, SimRng, SimTime};
+use swift_sim::{SimDuration, SimRng, SimTime, ZipfTable};
 
 use crate::trace::{trace_job_dag, TraceConfig};
 
@@ -131,6 +131,8 @@ pub fn generate_service_workload(cfg: &ServiceWorkloadConfig) -> Vec<ServiceJob>
         .collect();
     storms.sort_by(|a, b| a.partial_cmp(b).expect("storm times are finite"));
 
+    let zipf =
+        (cfg.tenant_skew != 0.0).then(|| ZipfTable::new(u64::from(cfg.tenants), cfg.tenant_skew));
     let mut out = Vec::with_capacity(cfg.jobs);
     let mut clock = 0.0f64;
     for j in 0..cfg.jobs {
@@ -147,10 +149,9 @@ pub fn generate_service_workload(cfg: &ServiceWorkloadConfig) -> Vec<ServiceJob>
         }
         clock += rng.exponential(cfg.mean_interarrival.as_secs_f64()) / factor;
 
-        let tenant = if cfg.tenant_skew == 0.0 {
-            (j as u32) % cfg.tenants
-        } else {
-            (rng.zipf(u64::from(cfg.tenants), cfg.tenant_skew) - 1) as u32
+        let tenant = match &zipf {
+            Some(table) => (table.sample(&mut rng) - 1) as u32,
+            None => (j as u32) % cfg.tenants,
         };
         let priority = if rng.chance(cfg.high_priority_share) {
             JobPriority::High

@@ -6,12 +6,14 @@
 //! where the root run notices a behavior change on its own. A perf-only
 //! change must keep them; a modeling or policy change re-captures them
 //! (the failure message prints the new value) and says why. A third test
-//! shows end to end that the event queue's barrier window does not change
-//! behaviour.
+//! checks the event queue both pins run on against a `BTreeMap` keyed on
+//! `(time, seq)`, the pop order every digest depends on.
 //!
 //! [`RunReport`]: swift::scheduler::RunReport
 
-use swift::sim::SimDuration;
+use std::collections::BTreeMap;
+
+use swift::sim::{ShardedEventQueue, SimDuration, SimRng, SimTime};
 use swift::trace::scenarios;
 use swift::workload::generate_service_workload;
 
@@ -61,29 +63,100 @@ fn service_report_digest_is_pinned() {
     );
 }
 
-/// The event queue's barrier window is a tuning knob, not a semantics
-/// knob: a one-µs window (a barrier per distinct timestamp) and a
-/// 1000-second window (everything in a couple of runs) give the digest of
-/// the default 256 ms window.
+/// The queue and a reference that pops the smallest `(time, seq)`, `seq`
+/// counting `schedule` calls, driven in lockstep.
+struct Lockstep {
+    queue: ShardedEventQueue<u64>,
+    reference: BTreeMap<(u64, u64), u64>,
+    seq: u64,
+    now: SimTime,
+    processed: u64,
+}
+
+impl Lockstep {
+    /// Schedules the next `seq` (it is also the payload) at `at`.
+    fn schedule(&mut self, at: SimTime) {
+        self.queue.schedule(0, at, self.seq);
+        self.reference.insert((at.0, self.seq), self.seq);
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) {
+        let expected = self.reference.pop_first().map(|((t, _), e)| {
+            self.now = SimTime(t);
+            self.processed += 1;
+            e
+        });
+        assert_eq!(self.queue.pop(), expected, "pop at {}", self.now);
+        self.check();
+    }
+
+    fn pop_batch(&mut self) {
+        let mut expected = Vec::new();
+        if let Some((&(t, _), _)) = self.reference.first_key_value() {
+            self.now = SimTime(t);
+            while let Some(entry) = self.reference.first_entry() {
+                if entry.key().0 != t {
+                    break;
+                }
+                expected.push(entry.remove());
+            }
+        }
+        self.processed += expected.len() as u64;
+        let mut got = Vec::new();
+        assert_eq!(self.queue.pop_batch_at_now(&mut got), expected.len());
+        assert_eq!(got, expected, "batch at {}", self.now);
+        self.check();
+    }
+
+    fn check(&self) {
+        assert_eq!(self.queue.now(), self.now);
+        assert_eq!(self.queue.processed(), self.processed);
+        assert_eq!(self.queue.pending(), self.reference.len());
+    }
+}
+
+/// Seeded mixes of single pops and batches, each followed by what a
+/// handler schedules: events at `now` (which must pop before anything
+/// later), a few µs ahead, a few ms ahead, hours ahead and near
+/// `u64::MAX`, where `now + delay` saturates. Every pop, batch, `now()`,
+/// `processed()` and `pending()` must match the reference.
 #[test]
-fn barrier_window_is_a_tuning_knob() {
-    let digest = |name: &str, window: SimDuration| {
-        scenarios::build_with_window(name, 11, window)
-            .expect("registry scenario exists")
-            .run()
-            .digest()
-    };
-    for name in ["diamond", "fault"] {
-        let baseline = digest(name, SimDuration::from_millis(256));
-        assert_eq!(
-            baseline,
-            digest(name, SimDuration(1)),
-            "{name}: 1µs windows changed the digest"
-        );
-        assert_eq!(
-            baseline,
-            digest(name, SimDuration::from_secs(1_000)),
-            "{name}: huge windows changed the digest"
-        );
+fn event_queue_pops_in_time_then_schedule_order() {
+    for seed in 1..=16 {
+        let mut rng = SimRng::new(seed);
+        let mut run = Lockstep {
+            queue: ShardedEventQueue::new(1, SimDuration::from_millis(256)),
+            reference: BTreeMap::new(),
+            seq: 0,
+            now: SimTime::ZERO,
+            processed: 0,
+        };
+        for _ in 0..200 {
+            run.schedule(SimTime(rng.range(0, 2_000_000)));
+        }
+        while !run.reference.is_empty() {
+            if rng.chance(0.5) {
+                run.pop();
+            } else {
+                run.pop_batch();
+            }
+            if run.seq > 3_000 {
+                continue;
+            }
+            for _ in 0..rng.range(0, 4) {
+                let delay = match rng.range(0, 6) {
+                    0 | 1 => 0,
+                    2 => rng.range(1, 5),
+                    3 => rng.range(1_000, 300_000),
+                    4 => rng.range(3_600_000_000, 4 * 3_600_000_000),
+                    _ => u64::MAX - rng.range(0, 3),
+                };
+                run.schedule(run.now + SimDuration(delay));
+            }
+        }
+        run.pop();
+        run.pop_batch();
+        assert_eq!(run.processed, run.seq, "seed {seed}");
     }
 }
