@@ -13,7 +13,8 @@
 //! job complete. Same `(workload, config)` — byte-identical
 //! [`ServiceReport`] at any sampling cadence.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 use swift_cluster::{Cluster, CostModel, ExecutorId, ExecutorState, MachineHealth, MachineId};
 use swift_metrics as metrics;
@@ -62,12 +63,19 @@ struct Session {
 struct Tenant {
     queue_high: VecDeque<usize>,
     queue_norm: VecDeque<usize>,
+    /// DRR deficit as of the end of pass `synced`; later passes, none of
+    /// which started a job of this tenant, are applied by `sync`.
     deficit: u64,
+    /// Consecutive ring visits that ended deficit-blocked, as of `synced`.
+    stall: u32,
+    synced: u64,
+    /// The first pass whose visit finds the deficit covering the head
+    /// job's cost (0 while out of the ring).
+    ready: u64,
     /// Executors currently held by this tenant's sessions.
     held: u32,
-    in_ring: bool,
-    /// Consecutive ring visits that ended deficit-blocked.
-    stall: u32,
+    /// Idle (warm) session ids, lowest id reused first.
+    idle: BTreeSet<u32>,
     report: TenantReport,
 }
 
@@ -94,6 +102,49 @@ struct JobSt {
     done: bool,
 }
 
+/// End of a [`Ring`] list.
+const NIL: u32 = u32::MAX;
+
+/// The DRR ring: the tenants with queued jobs, in join order (a visit
+/// never moves a tenant). An intrusive doubly-linked list over tenant
+/// ids; joins are stamped from a counter, so ring order is stamp order.
+#[derive(Debug)]
+struct Ring {
+    /// `(stamp, prev, next)` per tenant; stamp 0 = not in the ring.
+    nodes: Vec<(u64, u32, u32)>,
+    head: u32,
+    tail: u32,
+    joins: u64,
+}
+
+impl Ring {
+    fn stamp(&self, tenant: u32) -> u64 {
+        self.nodes[tenant as usize].0
+    }
+
+    fn push_back(&mut self, tenant: u32) {
+        self.joins += 1;
+        self.nodes[tenant as usize] = (self.joins, self.tail, NIL);
+        match self.tail {
+            NIL => self.head = tenant,
+            tail => self.nodes[tail as usize].2 = tenant,
+        }
+        self.tail = tenant;
+    }
+
+    fn remove(&mut self, tenant: u32) {
+        let (_, prev, next) = std::mem::replace(&mut self.nodes[tenant as usize], (0, NIL, NIL));
+        match prev {
+            NIL => self.head = next,
+            prev => self.nodes[prev as usize].2 = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.nodes[next as usize].1 = prev,
+        }
+    }
+}
+
 /// The long-running front door over a shared executor fleet.
 pub struct ServiceSim {
     cfg: ServiceConfig,
@@ -106,10 +157,16 @@ pub struct ServiceSim {
     workload: Vec<ServiceJob>,
     jobs: Vec<JobSt>,
     tenants: Vec<Tenant>,
-    ring: VecDeque<u32>,
+    ring: Ring,
+    /// DRR passes run so far.
+    pass: u64,
+    /// `(stamp, tenant)` of the ring tenants holding an idle session, in
+    /// ring order.
+    warm: Vec<(u64, u32)>,
+    /// Every ring tenant's `ready` pass, plus stale entries (those that
+    /// differ from their tenant's `ready`, which is 0 out of the ring).
+    ready_at: BinaryHeap<Reverse<(u64, u32)>>,
     sessions: BTreeMap<u32, Session>,
-    /// Idle (warm) session ids per tenant, lowest id reused first.
-    idle: BTreeMap<u32, BTreeSet<u32>>,
     next_session: u32,
     q: ShardedEventQueue<Ev>,
     /// Telemetry frame boundaries (`None` = no counter frames).
@@ -190,9 +247,16 @@ impl ServiceSim {
                 .collect(),
             workload,
             tenants,
-            ring: VecDeque::new(),
+            ring: Ring {
+                nodes: vec![(0, NIL, NIL); tenant_count as usize],
+                head: NIL,
+                tail: NIL,
+                joins: 0,
+            },
+            pass: 0,
+            warm: Vec::new(),
+            ready_at: BinaryHeap::new(),
             sessions: BTreeMap::new(),
-            idle: BTreeMap::new(),
             next_session: 0,
             q,
             cadence,
@@ -321,6 +385,11 @@ impl ServiceSim {
     /// Queues an admitted (or requeued) job; requeues go to the front of
     /// their band so a failure victim is not re-penalized.
     fn enqueue(&mut self, job: usize, tenant: u32, front: bool) {
+        let joining = self.ring.stamp(tenant) == 0;
+        if !joining {
+            // The head may change: settle the passes run on the old one.
+            self.sync(tenant, self.pass);
+        }
         let t = &mut self.tenants[tenant as usize];
         let q = match self.workload[job].priority {
             JobPriority::High => &mut t.queue_high,
@@ -342,10 +411,12 @@ impl ServiceSim {
             self.cfg.queue_watermark,
             self.restarted
         );
-        if !t.in_ring {
-            t.in_ring = true;
+        if joining {
+            t.synced = self.pass;
             self.ring.push_back(tenant);
+            self.index_warm(tenant);
         }
+        self.file_ready(tenant);
     }
 
     fn on_job_done(&mut self, now: SimTime, job: usize, session: u32, attempt: u32) {
@@ -373,7 +444,8 @@ impl ServiceSim {
             // Park the session warm and arm its idle TTL.
             sess.expire_gen += 1;
             let gen = sess.expire_gen;
-            self.idle.entry(tenant).or_default().insert(session);
+            self.tenants[tenant as usize].idle.insert(session);
+            self.index_warm(tenant);
             let ttl = self.cfg.session_ttl;
             self.q
                 .schedule(LANE, now + ttl, Ev::SessionExpire { session, gen });
@@ -399,7 +471,8 @@ impl ServiceSim {
         }
         let tenant = sess.tenant;
         let executors = sess.executors.len() as u32;
-        self.idle.entry(tenant).or_default().remove(&session);
+        self.tenants[tenant as usize].idle.remove(&session);
+        self.index_warm(tenant);
         self.destroy_session(session);
         self.sessions_expired += 1;
         self.observer
@@ -439,7 +512,8 @@ impl ServiceSim {
                     .expect("dead session is live")
                     .running = None;
             }
-            self.idle.entry(tenant).or_default().remove(&sid);
+            self.tenants[tenant as usize].idle.remove(&sid);
+            self.index_warm(tenant);
             let executors = self
                 .sessions
                 .get(&sid)
@@ -485,70 +559,165 @@ impl ServiceSim {
 
     // ---- dispatch ----
 
-    /// Deficit round robin over the active-tenant ring. Each visit banks
-    /// one quantum, then dispatches head jobs while the deficit covers
-    /// their cost and a session is acquirable. Passes repeat while
-    /// progress is made or every blocker was deficit-shaped (deficits
-    /// grow each pass, so that converges); a pass blocked on resources
-    /// stops — a `JobDone` or `SessionExpire` event is pending and will
-    /// re-enter here.
+    /// Deficit round robin over the ring (DESIGN.md, "Service dispatch").
+    /// Passes repeat while one starts a job; a visit that would start
+    /// nothing is skipped and applied later by `sync`. After a pass that
+    /// starts nothing, a tenant whose deficit covers its head job is
+    /// resource-blocked and the loop stops (an event that frees a session
+    /// re-enters here); if there is none, the passes before the earliest
+    /// `ready` one would start nothing either and are jumped over.
     fn dispatch(&mut self, now: SimTime) {
-        loop {
-            if self.ring.is_empty() {
+        while self.ring.head != NIL {
+            self.pass += 1;
+            if self.run_pass(now, self.pass) {
+                continue;
+            }
+            let earliest = self.earliest_ready();
+            if earliest <= self.pass {
                 return;
             }
-            let mut dispatched = false;
-            let mut resource_blocked = false;
-            let mut deficit_blocked = false;
-            for _ in 0..self.ring.len() {
-                let tenant = self
-                    .ring
-                    .pop_front()
-                    .expect("ring non-empty within rotation");
-                self.tenants[tenant as usize].deficit += self.cfg.drr_quantum;
-                let mut progressed = false;
-                let mut deficit_here = false;
-                while let Some(job) = self.tenants[tenant as usize].peek() {
-                    let cost = self.workload[job].cost.max(1);
-                    if self.tenants[tenant as usize].deficit < cost {
-                        deficit_blocked = true;
-                        deficit_here = true;
-                        break;
-                    }
-                    match self.acquire_session(tenant) {
-                        Some(session) => {
-                            let popped = self.tenants[tenant as usize].pop();
-                            debug_assert_eq!(popped, Some(job));
-                            self.queue_depth -= 1;
-                            self.tenants[tenant as usize].deficit -= cost;
-                            self.start_job(now, job, tenant, session);
-                            dispatched = true;
-                            progressed = true;
-                        }
-                        None => {
-                            resource_blocked = true;
-                            break;
-                        }
-                    }
-                }
-                let t = &mut self.tenants[tenant as usize];
-                if progressed {
-                    t.stall = 0;
-                } else if deficit_here {
-                    t.stall += 1;
-                    self.max_deficit_stall = self.max_deficit_stall.max(t.stall);
-                }
-                if t.queued() == 0 {
-                    t.in_ring = false;
-                    t.deficit = 0;
-                    t.stall = 0;
-                } else {
-                    self.ring.push_back(tenant);
-                }
+            self.pass = earliest - 1;
+        }
+    }
+
+    /// Visits, in ring order, every tenant that can start its head job in
+    /// `pass`: it is `ready` and holds an idle session, or has quota room
+    /// while the fleet has a session free. Starts only take room, so a
+    /// tenant passed over stays unable all pass. Returns whether one did.
+    fn run_pass(&mut self, now: SimTime, pass: u64) -> bool {
+        let se = self.cfg.session_executors;
+        let mut started = false;
+        // The stamp of the last tenant passed.
+        let mut last = 0;
+        let mut next = self.ring.head;
+        while next != NIL && self.cluster.free_executor_count() >= se {
+            let tenant = next;
+            next = self.ring.nodes[tenant as usize].2;
+            last = self.ring.stamp(tenant);
+            let t = &self.tenants[tenant as usize];
+            if t.ready <= pass && (!t.idle.is_empty() || t.held + se <= self.cfg.tenant_quota) {
+                self.visit(now, tenant, pass);
+                started = true;
             }
-            if !dispatched && (resource_blocked || !deficit_blocked) {
-                return;
+        }
+        if next == NIL {
+            return started;
+        }
+        // The fleet is full: only the rest of the ring's warm tenants can.
+        while let Some(&(stamp, tenant)) = self
+            .warm
+            .get(self.warm.partition_point(|&(s, _)| s <= last))
+        {
+            last = stamp;
+            if self.tenants[tenant as usize].ready <= pass {
+                self.visit(now, tenant, pass);
+                started = true;
             }
+        }
+        started
+    }
+
+    /// Visits `tenant` in `pass`, which the caller checked can start its
+    /// head job: banks a quantum, then starts head jobs while the deficit
+    /// covers their cost and a session is acquirable.
+    fn visit(&mut self, now: SimTime, tenant: u32, pass: u64) {
+        self.sync(tenant, pass - 1);
+        let ti = tenant as usize;
+        self.tenants[ti].deficit += self.cfg.drr_quantum;
+        let mut started = false;
+        while let Some(job) = self.tenants[ti].peek() {
+            let cost = self.workload[job].cost.max(1);
+            if self.tenants[ti].deficit < cost {
+                break;
+            }
+            let Some(session) = self.acquire_session(tenant) else {
+                break;
+            };
+            let popped = self.tenants[ti].pop();
+            debug_assert_eq!(popped, Some(job));
+            self.queue_depth -= 1;
+            self.tenants[ti].deficit -= cost;
+            self.start_job(now, job, tenant, session);
+            started = true;
+        }
+        debug_assert!(started, "a visited tenant starts a job");
+        let t = &mut self.tenants[ti];
+        t.synced = pass;
+        t.stall = 0;
+        if t.queued() == 0 {
+            t.deficit = 0;
+            t.ready = 0;
+            if let Ok(i) = self.warm.binary_search(&(self.ring.stamp(tenant), tenant)) {
+                self.warm.remove(i);
+            }
+            self.ring.remove(tenant);
+        } else {
+            self.file_ready(tenant);
+        }
+    }
+
+    /// Applies passes `synced + 1 ..= pass` to ring tenant `tenant` as
+    /// visits that started nothing: each banks a quantum and, while the
+    /// deficit is short of the head job's cost, counts a stall.
+    fn sync(&mut self, tenant: u32, pass: u64) {
+        let need = self.need(tenant);
+        let t = &mut self.tenants[tenant as usize];
+        let n = pass - t.synced;
+        t.stall += (need - 1).min(n) as u32;
+        t.deficit += self.cfg.drr_quantum * n;
+        t.synced = pass;
+        self.max_deficit_stall = self.max_deficit_stall.max(t.stall);
+    }
+
+    /// Passes, at least one, until ring tenant `tenant`'s synced deficit
+    /// covers its head job's cost.
+    fn need(&self, tenant: u32) -> u64 {
+        let t = &self.tenants[tenant as usize];
+        let job = t.peek().expect("a ring tenant has a job");
+        let short = self.workload[job].cost.max(1).saturating_sub(t.deficit);
+        short.div_ceil(self.cfg.drr_quantum).max(1)
+    }
+
+    /// Recomputes ring tenant `tenant`'s `ready` pass and files a change
+    /// in `ready_at`, compacting the heap when stale entries pile up.
+    fn file_ready(&mut self, tenant: u32) {
+        let ready = self.tenants[tenant as usize].synced + self.need(tenant);
+        let t = &mut self.tenants[tenant as usize];
+        if ready == t.ready {
+            return;
+        }
+        t.ready = ready;
+        self.ready_at.push(Reverse((ready, tenant)));
+        if self.ready_at.len() > 2 * self.tenants.len() + 64 {
+            let tenants = &self.tenants;
+            self.ready_at
+                .retain(|&Reverse((r, t))| tenants[t as usize].ready == r);
+        }
+    }
+
+    /// The earliest `ready` pass of any ring tenant (the ring is not
+    /// empty); drops the stale entries on top of `ready_at`.
+    fn earliest_ready(&mut self) -> u64 {
+        while let Some(&Reverse((ready, tenant))) = self.ready_at.peek() {
+            if self.tenants[tenant as usize].ready == ready {
+                return ready;
+            }
+            self.ready_at.pop();
+        }
+        unreachable!("every ring tenant has a ready pass filed");
+    }
+
+    /// Files or unfiles `tenant` in `warm` after its ring membership or
+    /// idle set changed.
+    fn index_warm(&mut self, tenant: u32) {
+        let key = (self.ring.stamp(tenant), tenant);
+        let want = key.0 != 0 && !self.tenants[tenant as usize].idle.is_empty();
+        match (self.warm.binary_search(&key), want) {
+            (Err(i), true) => self.warm.insert(i, key),
+            (Ok(i), false) => {
+                self.warm.remove(i);
+            }
+            _ => {}
         }
     }
 
@@ -557,15 +726,8 @@ impl ServiceSim {
     /// when the tenant is at its quota or the fleet is short.
     fn acquire_session(&mut self, tenant: u32) -> Option<(u32, bool)> {
         if self.cfg.warm_pool {
-            let warm = self
-                .idle
-                .get(&tenant)
-                .and_then(|s| s.iter().next().copied());
-            if let Some(sid) = warm {
-                self.idle
-                    .get_mut(&tenant)
-                    .expect("idle set exists")
-                    .remove(&sid);
+            if let Some(sid) = self.tenants[tenant as usize].idle.pop_first() {
+                self.index_warm(tenant);
                 let sess = self.sessions.get_mut(&sid).expect("idle session is live");
                 // Warm-pool isolation: a session is only ever handed back
                 // to the tenant that registered it.
@@ -696,7 +858,7 @@ impl ServiceSim {
         for sid in leftover {
             let sess = &self.sessions[&sid];
             let (tenant, executors) = (sess.tenant, sess.executors.len() as u32);
-            self.idle.entry(tenant).or_default().remove(&sid);
+            self.tenants[tenant as usize].idle.remove(&sid);
             self.destroy_session(sid);
             self.sessions_expired += 1;
             self.observer
