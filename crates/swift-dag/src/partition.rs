@@ -77,6 +77,11 @@ impl Partition {
         &self.graphlets[id.index()]
     }
 
+    /// Number of stages the partition covers: all of the DAG's.
+    pub fn stage_count(&self) -> usize {
+        self.stage_to_graphlet.len()
+    }
+
     /// The graphlet owning `stage`.
     pub fn graphlet_of(&self, stage: StageId) -> GraphletId {
         self.stage_to_graphlet[stage.index()]

@@ -22,7 +22,7 @@
 //! scheduling assigns every stage's executors up front, so downstream
 //! tasks idle through their predecessors' entire runtime.
 
-use crate::config::{LaunchModel, PolicyConfig, ReleaseMode, Submission};
+use crate::config::{LaunchModel, Partitioning, PolicyConfig, ReleaseMode, Submission};
 use crate::report::{JobReport, PhaseBreakdown, RunReport, StageReport};
 use crate::template::{
     compute_priors, SchemePrior, TemplateCache, TemplateDecision, TemplateLookup, TemplateOutcome,
@@ -865,7 +865,10 @@ impl Simulation {
             TemplateLookup::Miss(ticket) => {
                 let signature = ticket.signature();
                 let part = Arc::new(partition(&dag));
-                let plan = Arc::new(plan_units(&dag, &cfg.policy.partitioning));
+                let plan = Arc::new(match &cfg.policy.partitioning {
+                    Partitioning::Graphlets => UnitPlan::from_partition(&part),
+                    other => plan_units(&dag, other),
+                });
                 let priors = Arc::new(compute_priors(&dag, &plan, &cfg.policy));
                 cache.insert(
                     ticket,

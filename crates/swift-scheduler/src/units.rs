@@ -1,7 +1,7 @@
 //! Schedule units: the gang-scheduled sub-graphs each policy produces.
 
 use crate::config::Partitioning;
-use swift_dag::{partition, JobDag, StageId};
+use swift_dag::{partition, JobDag, Partition, StageId};
 
 /// One gang-scheduled unit of a job under some policy: a graphlet for
 /// Swift, the whole job for JetScope, a single stage for Spark, a bubble
@@ -48,6 +48,26 @@ impl UnitPlan {
             .sum()
     }
 
+    /// The graphlet plan of an already computed partition: one unit per
+    /// graphlet, with its id and stages.
+    pub fn from_partition(p: &Partition) -> UnitPlan {
+        let units = p
+            .graphlets()
+            .iter()
+            .map(|g| ScheduleUnit {
+                id: g.id.raw(),
+                stages: g.stages.clone(),
+            })
+            .collect();
+        let stage_to_unit = (0..p.stage_count())
+            .map(|s| p.graphlet_of(StageId(s as u32)).raw())
+            .collect();
+        UnitPlan {
+            units,
+            stage_to_unit,
+        }
+    }
+
     /// Stages in other units that feed `unit` (deduplicated, sorted) — the
     /// stages whose completion gates conservative submission.
     pub fn upstream_stages(&self, dag: &JobDag, unit: u32) -> Vec<StageId> {
@@ -67,24 +87,7 @@ impl UnitPlan {
 /// Builds the unit plan for `dag` under the given partitioning rule.
 pub fn plan_units(dag: &JobDag, partitioning: &Partitioning) -> UnitPlan {
     match partitioning {
-        Partitioning::Graphlets => {
-            let p = partition(dag);
-            let units = p
-                .graphlets()
-                .iter()
-                .map(|g| ScheduleUnit {
-                    id: g.id.raw(),
-                    stages: g.stages.clone(),
-                })
-                .collect();
-            let stage_to_unit = (0..dag.stage_count())
-                .map(|s| p.graphlet_of(StageId(s as u32)).raw())
-                .collect();
-            UnitPlan {
-                units,
-                stage_to_unit,
-            }
-        }
+        Partitioning::Graphlets => UnitPlan::from_partition(&partition(dag)),
         Partitioning::WholeJob => {
             let stages: Vec<StageId> = dag.stages().iter().map(|s| s.id).collect();
             UnitPlan {

@@ -186,7 +186,7 @@ fn symmetric_burst(tenants: u32, per: usize) -> Vec<ServiceJob> {
     let dag = Arc::new(terasort_dag(0, 4, 4, 64 << 20));
     let cost = dag.total_tasks();
     let mut jobs = Vec::new();
-    for round in 0..per {
+    for _ in 0..per {
         for tenant in 0..tenants {
             jobs.push(ServiceJob {
                 tenant,
@@ -196,7 +196,6 @@ fn symmetric_burst(tenants: u32, per: usize) -> Vec<ServiceJob> {
                 cost,
             });
         }
-        let _ = round;
     }
     jobs
 }
@@ -220,25 +219,23 @@ fn drr_keeps_saturated_tenants_within_one_dispatch_of_ideal() {
     assert_eq!(run.report.jobs_completed, (tenants as u64) * per as u64);
 
     // At every prefix of the dispatch order, per-tenant counts stay
-    // within a pinned bound of each other: identical costs and equal
-    // quanta mean DRR owes no tenant more than one dispatch.
+    // within one of each other: identical costs and equal quanta mean
+    // DRR owes no tenant more than one dispatch.
     let order = order.borrow();
     let mut counts = vec![0u32; tenants as usize];
     for (i, &t) in order.iter().enumerate() {
         counts[t as usize] += 1;
-        let served: Vec<u32> = counts.iter().copied().filter(|&c| c > 0).collect();
         // Ignore the ramp-up prefix where some tenants have not had a
         // first visit yet.
         if i + 1 >= tenants as usize {
             let max = *counts.iter().max().expect("non-empty");
             let min = *counts.iter().min().expect("non-empty");
             assert!(
-                max - min <= 2,
-                "fairness spread {max}-{min} > 2 after {} dispatches",
+                max - min <= 1,
+                "fairness spread {max}-{min} > 1 after {} dispatches",
                 i + 1
             );
         }
-        let _ = served;
     }
     assert_eq!(
         run.report.max_deficit_stall, 0,
