@@ -22,17 +22,17 @@
 //! scheduling assigns every stage's executors up front, so downstream
 //! tasks idle through their predecessors' entire runtime.
 
-use crate::config::{LaunchModel, Partitioning, PolicyConfig, ReleaseMode, Submission};
+use crate::config::{LaunchModel, PolicyConfig, ReleaseMode, Submission};
 use crate::report::{JobReport, PhaseBreakdown, RunReport, StageReport};
 use crate::template::{
-    compute_priors, SchemePrior, TemplateCache, TemplateDecision, TemplateLookup, TemplateOutcome,
+    plan_artifacts, SchemePrior, TemplateCache, TemplateDecision, TemplateLookup, TemplateOutcome,
     TemplateStats,
 };
-use crate::units::{plan_units, UnitPlan};
+use crate::units::UnitPlan;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use swift_cluster::{Cluster, ExecutorId, MachineHealth, MachineId};
-use swift_dag::{partition, JobDag, Partition, StageId, TaskId};
+use swift_dag::{JobDag, Partition, StageId, TaskId};
 use swift_ft::{plan_recovery, ExecutionSnapshot, FailureKind, RecoveryPlan, TaskRunState};
 use swift_shuffle::{SegmentKey, ShuffleMedium, ShuffleScheme};
 use swift_sim::{Cadence, ShardedEventQueue, SimDuration, SimTime};
@@ -644,6 +644,9 @@ pub struct Simulation {
     scratch_stages: Vec<StageId>,
     /// Scratch: locality preferences in `assign`.
     scratch_locality: Vec<MachineId>,
+    /// Scratch: one gang's `(task, epoch, executor)` assignments in
+    /// `assign`, filled only while an observer is attached.
+    scratch_assigned: Vec<(TaskId, u32, ExecutorId)>,
 }
 
 // Manual impl: the observer is a trait object without a Debug bound; job
@@ -738,6 +741,7 @@ impl Simulation {
             scratch_units: Vec::new(),
             scratch_stages: Vec::new(),
             scratch_locality: Vec::new(),
+            scratch_assigned: Vec::new(),
         };
         let delay = sim.cfg.policy.partition_overhead;
         for (i, job) in sim.jobs.iter().enumerate() {
@@ -850,9 +854,10 @@ impl Simulation {
                 {
                     // Free oracle on every hit: instantiation must be
                     // indistinguishable from re-planning.
-                    debug_assert_eq!(*hit.part, partition(&dag));
-                    debug_assert_eq!(*hit.plan, plan_units(&dag, &cfg.policy.partitioning));
-                    debug_assert_eq!(*hit.priors, compute_priors(&dag, &hit.plan, &cfg.policy));
+                    let (part, plan, priors) = plan_artifacts(&dag, &cfg.policy);
+                    debug_assert_eq!(hit.part, part);
+                    debug_assert_eq!(hit.plan, plan);
+                    debug_assert_eq!(hit.priors, priors);
                 }
                 let decision = TemplateDecision {
                     outcome: TemplateOutcome::Hit,
@@ -864,12 +869,7 @@ impl Simulation {
             }
             TemplateLookup::Miss(ticket) => {
                 let signature = ticket.signature();
-                let part = Arc::new(partition(&dag));
-                let plan = Arc::new(match &cfg.policy.partitioning {
-                    Partitioning::Graphlets => UnitPlan::from_partition(&part),
-                    other => plan_units(&dag, other),
-                });
-                let priors = Arc::new(compute_priors(&dag, &plan, &cfg.policy));
+                let (part, plan, priors) = plan_artifacts(&dag, &cfg.policy);
                 cache.insert(
                     ticket,
                     &dag,
@@ -1410,7 +1410,8 @@ impl Simulation {
         let mut locality = std::mem::take(&mut self.scratch_locality);
         // Assignment callbacks are batched into one `notify` per gang;
         // collected only when an observer is attached.
-        let mut assigned: Vec<(TaskId, u32, ExecutorId)> = Vec::new();
+        let mut assigned = std::mem::take(&mut self.scratch_assigned);
+        assigned.clear();
         for &flat in flats {
             let tid = self.jobs[job].task_id(flat);
             locality.clear();
@@ -1445,13 +1446,7 @@ impl Simulation {
                     });
                 }
                 self.scratch_locality = locality;
-                if !assigned.is_empty() {
-                    self.notify(|obs, _| {
-                        for &(tid, e, ex) in &assigned {
-                            obs.on_task_assigned(now, job, tid, e, ex);
-                        }
-                    });
-                }
+                self.notify_assigned(now, job, assigned);
                 return;
             };
             let j = &mut self.jobs[job];
@@ -1477,6 +1472,17 @@ impl Simulation {
             );
         }
         self.scratch_locality = locality;
+        self.notify_assigned(now, job, assigned);
+    }
+
+    /// Delivers one gang's `on_task_assigned` batch and puts the buffer
+    /// back as [`Simulation::scratch_assigned`].
+    fn notify_assigned(
+        &mut self,
+        now: SimTime,
+        job: usize,
+        assigned: Vec<(TaskId, u32, ExecutorId)>,
+    ) {
         if !assigned.is_empty() {
             self.notify(|obs, _| {
                 for &(tid, e, ex) in &assigned {
@@ -1484,6 +1490,7 @@ impl Simulation {
                 }
             });
         }
+        self.scratch_assigned = assigned;
     }
 
     fn stage_inputs_ready(&self, job: usize, stage: StageId) -> bool {

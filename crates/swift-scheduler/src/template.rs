@@ -106,6 +106,23 @@ pub fn compute_priors(dag: &JobDag, plan: &UnitPlan, policy: &PolicyConfig) -> V
         .collect()
 }
 
+/// The artifacts a miss plans from scratch: the graphlet partition, the
+/// unit plan (read off that partition under [`Partitioning::Graphlets`],
+/// so the DAG is partitioned once) and the scheme priors. The admission
+/// path, the SW110 roundtrip and the tests all plan a miss through it.
+pub(crate) fn plan_artifacts(
+    dag: &JobDag,
+    policy: &PolicyConfig,
+) -> (Arc<Partition>, Arc<UnitPlan>, Arc<Vec<SchemePrior>>) {
+    let part = Arc::new(partition(dag));
+    let plan = Arc::new(match &policy.partitioning {
+        Partitioning::Graphlets => UnitPlan::from_partition(&part),
+        other => plan_units(dag, other),
+    });
+    let priors = Arc::new(compute_priors(dag, &plan, policy));
+    (part, plan, priors)
+}
+
 /// Counters describing a [`TemplateCache`]'s behavior over a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TemplateStats {
@@ -441,9 +458,8 @@ pub fn roundtrip_artifacts(dag: &JobDag, policy: &PolicyConfig) -> Option<Templa
     let donor = Arc::new(permuted_clone(dag, &order, dag.job_id.raw() ^ 0x7E11));
     match cache.lookup(&donor) {
         TemplateLookup::Miss(ticket) => {
-            let plan = Arc::new(plan_units(&donor, &policy.partitioning));
-            let priors = Arc::new(compute_priors(&donor, &plan, policy));
-            cache.insert(ticket, &donor, Arc::new(partition(&donor)), plan, priors);
+            let (part, plan, priors) = plan_artifacts(&donor, policy);
+            cache.insert(ticket, &donor, part, plan, priors);
         }
         TemplateLookup::Hit(_) => unreachable!("empty cache cannot hit"),
     }
@@ -479,9 +495,8 @@ mod tests {
     fn register(cache: &mut TemplateCache, dag: &Arc<JobDag>, policy: &PolicyConfig) {
         match cache.lookup(dag) {
             TemplateLookup::Miss(ticket) => {
-                let plan = Arc::new(plan_units(dag, &policy.partitioning));
-                let priors = Arc::new(compute_priors(dag, &plan, policy));
-                cache.insert(ticket, dag, Arc::new(partition(dag)), plan, priors);
+                let (part, plan, priors) = plan_artifacts(dag, policy);
+                cache.insert(ticket, dag, part, plan, priors);
             }
             TemplateLookup::Hit(_) => panic!("expected a miss"),
         }

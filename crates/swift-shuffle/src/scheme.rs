@@ -83,15 +83,20 @@ impl ShuffleScheme {
     pub fn uses_cache_worker(self) -> bool {
         !matches!(self, ShuffleScheme::Direct)
     }
+
+    /// Stable lowercase label, used by trace exporters and CLIs.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ShuffleScheme::Direct => "direct",
+            ShuffleScheme::Local => "local",
+            ShuffleScheme::Remote => "remote",
+        }
+    }
 }
 
 impl fmt::Display for ShuffleScheme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ShuffleScheme::Direct => "direct",
-            ShuffleScheme::Local => "local",
-            ShuffleScheme::Remote => "remote",
-        })
+        f.write_str(self.as_str())
     }
 }
 

@@ -5,7 +5,7 @@
 //! function of the scenario seed: same seed, byte-identical trace. The
 //! text rendering is the goldens format — one line per event,
 //! `{micros:>12} {name} {key=value ...}` — chosen so diffs localize to
-//! the first diverging event.
+//! the first diverging event; [`TraceEvent::write_line`] writes it.
 
 use swift_cluster::{MachineHealth, MachineId};
 use swift_ft::{FailureKind, RecoveryCase};
@@ -326,62 +326,6 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// Padding for the right-aligned 12-column timestamp field.
-const TS_PAD: &str = "            ";
-
-/// Appends `v` in decimal without going through `fmt` machinery; the
-/// streaming sink renders every event, so this is on the recording hot
-/// path.
-#[inline]
-fn push_u64(out: &mut String, v: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    let mut v = v;
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
-}
-
-/// Appends the timestamp right-aligned in a 12-character column (wider
-/// values overflow the column rather than truncate).
-#[inline]
-fn push_ts(out: &mut String, micros: u64) {
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
-    let mut v = micros;
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    let digits = buf.len() - i;
-    if digits < 12 {
-        out.push_str(&TS_PAD[..12 - digits]);
-    }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
-}
-
-#[inline]
-fn push_bool(out: &mut String, v: bool) {
-    out.push_str(if v { "true" } else { "false" });
-}
-
-#[inline]
-fn push_task(out: &mut String, t: &TaskRef) {
-    push_u64(out, u64::from(t.stage));
-    out.push('.');
-    push_u64(out, u64::from(t.index));
-}
-
 impl TraceEvent {
     /// Stable event name (first word of the text line).
     pub fn name(&self) -> &'static str {
@@ -414,301 +358,6 @@ impl TraceEvent {
             TraceEventKind::SessionWarmHit { .. } => "session_warm_hit",
             TraceEventKind::SessionColdStart { .. } => "session_cold_start",
             TraceEventKind::SessionExpired { .. } => "session_expired",
-        }
-    }
-
-    /// Renders the event as one stable text line (no trailing newline).
-    pub fn render_line(&self) -> String {
-        let mut s = String::with_capacity(64);
-        self.render_line_into(&mut s);
-        s
-    }
-
-    /// Appends the stable text line (no trailing newline) to `s`. The
-    /// streaming sink calls this once per event into a reused buffer, so
-    /// the numeric fields are formatted without `fmt` machinery.
-    pub fn render_line_into(&self, s: &mut String) {
-        use std::fmt::Write as _;
-        push_ts(s, self.at.as_micros());
-        s.push(' ');
-        s.push_str(self.name());
-        match &self.kind {
-            TraceEventKind::JobSubmitted { job } | TraceEventKind::JobRestarted { job } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-            }
-            TraceEventKind::SchemeSelected {
-                job,
-                edge,
-                src,
-                dst,
-                size,
-                scheme,
-                medium,
-                crossing,
-            } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" edge=");
-                push_u64(s, u64::from(*edge));
-                s.push_str(" src=");
-                push_u64(s, u64::from(*src));
-                s.push_str(" dst=");
-                push_u64(s, u64::from(*dst));
-                s.push_str(" size=");
-                push_u64(s, *size);
-                let _ = write!(s, " scheme={scheme}");
-                s.push_str(" medium=");
-                s.push_str(medium_str(*medium));
-                s.push_str(" crossing=");
-                push_bool(s, *crossing);
-            }
-            TraceEventKind::TemplateMiss { job, signature }
-            | TraceEventKind::TemplateHit { job, signature } => {
-                let _ = write!(s, " job={job} signature={signature:016x}");
-            }
-            TraceEventKind::TemplateInstantiate { job, units, edges } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" units=");
-                push_u64(s, u64::from(*units));
-                s.push_str(" edges=");
-                push_u64(s, u64::from(*edges));
-            }
-            TraceEventKind::GraphletState {
-                job,
-                unit,
-                state,
-                stages,
-            } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" unit=");
-                push_u64(s, u64::from(*unit));
-                s.push_str(" state=");
-                s.push_str(state.as_str());
-                if !stages.is_empty() {
-                    s.push_str(" stages=");
-                    for (i, stage) in stages.iter().enumerate() {
-                        if i > 0 {
-                            s.push(',');
-                        }
-                        push_u64(s, u64::from(*stage));
-                    }
-                }
-            }
-            TraceEventKind::GangWaitStarted { job, unit, tasks } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" unit=");
-                push_u64(s, u64::from(*unit));
-                s.push_str(" tasks=");
-                push_u64(s, u64::from(*tasks));
-            }
-            TraceEventKind::GangWaitEnded {
-                job,
-                unit,
-                tasks,
-                wave,
-            } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" unit=");
-                push_u64(s, u64::from(*unit));
-                s.push_str(" tasks=");
-                push_u64(s, u64::from(*tasks));
-                s.push_str(" wave=");
-                push_bool(s, *wave);
-            }
-            TraceEventKind::TaskAssigned {
-                job,
-                task,
-                epoch,
-                executor,
-            } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" task=");
-                push_task(s, task);
-                s.push_str(" epoch=");
-                push_u64(s, u64::from(*epoch));
-                s.push_str(" exec=");
-                push_u64(s, u64::from(*executor));
-            }
-            TraceEventKind::PlanDelivered { job, task, epoch }
-            | TraceEventKind::TaskStarted { job, task, epoch }
-            | TraceEventKind::TaskFinished { job, task, epoch } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" task=");
-                push_task(s, task);
-                s.push_str(" epoch=");
-                push_u64(s, u64::from(*epoch));
-            }
-            TraceEventKind::TaskInvalidated {
-                job,
-                task,
-                new_epoch,
-            } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" task=");
-                push_task(s, task);
-                s.push_str(" new_epoch=");
-                push_u64(s, u64::from(*new_epoch));
-            }
-            TraceEventKind::InputRead {
-                job,
-                consumer,
-                producer_stage,
-                producers,
-            } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" consumer=");
-                push_task(s, consumer);
-                s.push_str(" producer_stage=");
-                push_u64(s, u64::from(*producer_stage));
-                s.push_str(" producers=");
-                push_u64(s, u64::from(*producers));
-            }
-            TraceEventKind::FailureDetected { job, task, kind } => {
-                let _ = write!(s, " job={job} task={task} kind={kind}");
-            }
-            TraceEventKind::RecoveryPlanned {
-                job,
-                failed,
-                case,
-                abort,
-                rerun,
-                updates,
-            } => {
-                let _ = write!(
-                    s,
-                    " job={job} failed={failed} case={case} abort={abort} updates={updates}"
-                );
-                if !rerun.is_empty() {
-                    s.push_str(" rerun=");
-                    for (i, t) in rerun.iter().enumerate() {
-                        if i > 0 {
-                            s.push(',');
-                        }
-                        push_task(s, t);
-                    }
-                }
-            }
-            TraceEventKind::JobCompleted { job, aborted } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" aborted=");
-                push_bool(s, *aborted);
-            }
-            TraceEventKind::MachineHealthChanged { machine, from, to } => {
-                s.push_str(" machine=");
-                push_u64(s, u64::from(*machine));
-                s.push_str(" from=");
-                s.push_str(health_str(*from));
-                s.push_str(" to=");
-                s.push_str(health_str(*to));
-            }
-            TraceEventKind::CacheSpill {
-                machine,
-                bytes,
-                segments,
-            } => {
-                s.push_str(" machine=");
-                push_u64(s, u64::from(*machine));
-                s.push_str(" bytes=");
-                push_u64(s, *bytes);
-                s.push_str(" segments=");
-                push_u64(s, u64::from(*segments));
-            }
-            TraceEventKind::CacheEvict { machine, bytes } => {
-                s.push_str(" machine=");
-                push_u64(s, u64::from(*machine));
-                s.push_str(" bytes=");
-                push_u64(s, *bytes);
-            }
-            TraceEventKind::CounterFrame { window, values } => {
-                s.push_str(" window=");
-                push_u64(s, *window);
-                for (id, v) in values {
-                    s.push_str(" s");
-                    push_u64(s, u64::from(*id));
-                    s.push('=');
-                    push_u64(s, *v);
-                }
-            }
-            TraceEventKind::RunFinished { events } => {
-                s.push_str(" events=");
-                push_u64(s, *events);
-            }
-            TraceEventKind::JobAdmitted {
-                job,
-                tenant,
-                queue_depth,
-            } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" tenant=");
-                push_u64(s, u64::from(*tenant));
-                s.push_str(" queue_depth=");
-                push_u64(s, u64::from(*queue_depth));
-            }
-            TraceEventKind::JobRejected {
-                job,
-                tenant,
-                queue_depth,
-                retry_after_ms,
-            } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" tenant=");
-                push_u64(s, u64::from(*tenant));
-                s.push_str(" queue_depth=");
-                push_u64(s, u64::from(*queue_depth));
-                s.push_str(" retry_after_ms=");
-                push_u64(s, *retry_after_ms);
-            }
-            TraceEventKind::SessionWarmHit {
-                job,
-                tenant,
-                session,
-            } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" tenant=");
-                push_u64(s, u64::from(*tenant));
-                s.push_str(" session=");
-                push_u64(s, u64::from(*session));
-            }
-            TraceEventKind::SessionColdStart {
-                job,
-                tenant,
-                session,
-                executors,
-            } => {
-                s.push_str(" job=");
-                push_u64(s, u64::from(*job));
-                s.push_str(" tenant=");
-                push_u64(s, u64::from(*tenant));
-                s.push_str(" session=");
-                push_u64(s, u64::from(*session));
-                s.push_str(" executors=");
-                push_u64(s, u64::from(*executors));
-            }
-            TraceEventKind::SessionExpired {
-                tenant,
-                session,
-                executors,
-            } => {
-                s.push_str(" tenant=");
-                push_u64(s, u64::from(*tenant));
-                s.push_str(" session=");
-                push_u64(s, u64::from(*session));
-                s.push_str(" executors=");
-                push_u64(s, u64::from(*executors));
-            }
         }
     }
 }

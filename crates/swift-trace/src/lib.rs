@@ -40,6 +40,7 @@ pub mod metrics;
 pub mod recorder;
 pub mod scenarios;
 pub mod sink;
+mod text;
 
 use std::collections::BTreeMap;
 
@@ -59,6 +60,11 @@ use swift_sim::SimDuration;
 /// `canonical=` field from `template_hit` lines. v4 dropped the shard
 /// series 16–19 and renumbered the service series from 20–27 to 16–23.
 pub const TEXT_FORMAT_VERSION: u32 = 4;
+
+/// Bytes per event line to reserve for a rendered trace: the
+/// `sim_streamed` replay averages 56.5 (20 945 594 bytes over 370 736
+/// events), so a whole render fits without growing its buffer.
+const LINE_BYTES_ESTIMATE: usize = 57;
 
 /// A finished recording: the full event stream of one simulated run.
 #[derive(Clone, Debug, PartialEq)]
@@ -89,19 +95,13 @@ impl Trace {
     /// tests, so any change must bump [`TEXT_FORMAT_VERSION`] and
     /// re-bless the goldens.
     pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(96 + self.events.len() * 48);
-        let _ = write!(
-            out,
-            "# swift-trace v{TEXT_FORMAT_VERSION}\n# scenario={} seed={}\n",
-            self.scenario, self.seed
-        );
+        let mut out = Vec::with_capacity(96 + self.events.len() * LINE_BYTES_ESTIMATE);
+        text::write_header(&mut out, &self.scenario, self.seed);
         for e in &self.events {
-            e.render_line_into(&mut out);
-            out.push('\n');
+            e.write_line(&mut out);
         }
-        let _ = writeln!(out, "# events={}", self.events.len());
-        out
+        text::write_footer(&mut out, self.events.len() as u64);
+        String::from_utf8(out).expect("trace text is UTF-8")
     }
 
     /// Renders the counter tracks only: one `{micros} window=W {series} {value}`
@@ -110,24 +110,11 @@ impl Trace {
     /// recorded without [`RecorderConfig::counter_window`]. Used for the
     /// counter-track goldens and `trace --counters`.
     pub fn render_counters_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
+        let mut out = Vec::new();
         for e in &self.events {
-            if let TraceEventKind::CounterFrame { window, values } = &e.kind {
-                for (id, v) in values {
-                    let name = swift_metrics::series_def(*id).map_or("unknown", |d| d.name);
-                    let _ = writeln!(
-                        out,
-                        "{:>12} window={} {} {}",
-                        e.at.as_micros(),
-                        window,
-                        name,
-                        v
-                    );
-                }
-            }
+            text::write_counter_lines(&mut out, e);
         }
-        out
+        String::from_utf8(out).expect("trace text is UTF-8")
     }
 
     /// Renders Chrome Trace Event Format JSON (see [`export`]).

@@ -9,7 +9,12 @@
 //! The recorder is generic over its [`TraceSink`]: [`MemorySink`] (the
 //! default) buffers the stream for [`TraceHandle::finish`]; a
 //! [`crate::StreamSink`] renders and writes each event as it arrives with
-//! bounded memory. The sink sees the identical event stream either way.
+//! bounded memory. The sink sees the identical event stream either way,
+//! and both texts come from one byte writer: the stream sink appends each
+//! event with [`crate::TraceEvent::write_line`] straight into its chunk
+//! buffer, and [`Trace::render_text`] appends the buffered events with
+//! the same call, so the recording path never goes through `fmt` or a
+//! per-event `String`.
 //!
 //! When [`RecorderConfig::counter_window`] is set, the recorder also owns
 //! a [`swift_metrics::Registry`]: observer callbacks feed the counter

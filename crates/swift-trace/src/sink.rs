@@ -7,16 +7,18 @@
 //! [`io::Write`] in chunks, so a long run's trace never has to fit in
 //! memory: recorder-side buffering is bounded by the chunk size. Both
 //! sinks observe the identical event stream, and the streamed bytes equal
-//! [`crate::Trace::render_text`] byte for byte — the footer carries the
-//! event count precisely so a streaming writer never needs to seek back.
+//! [`crate::Trace::render_text`] byte for byte: the sink writes its
+//! header, each line and its footer through the same byte writer
+//! ([`TraceEvent::write_line`] and the crate's header and footer
+//! writers), straight into its chunk buffer. The footer carries the event
+//! count precisely so a streaming writer never needs to seek back.
 
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 
 use crate::event::TraceEvent;
-use crate::TEXT_FORMAT_VERSION;
+use crate::text;
 
 /// Where recorded events go, in stream order.
 ///
@@ -107,19 +109,25 @@ pub struct StreamStats {
     pub peak_buffer_bytes: usize,
 }
 
+/// Room past the chunk size the chunk buffer is allocated with: a line
+/// is rendered in place before the sink knows whether it overflows the
+/// chunk, so the buffer briefly holds the chunk plus that line.
+const LINE_SLACK_BYTES: usize = 1024;
+
 /// The chunked streaming text sink.
 ///
-/// Events are rendered into a reused line buffer and appended to a chunk
-/// buffer that is flushed to the writer *before* an append would overflow
-/// the chunk size — so peak memory is `max(chunk, longest line)`
-/// regardless of run length. I/O errors are latched on first occurrence
-/// (subsequent writes are skipped) and surfaced by [`StreamSink::finish`].
+/// Events are rendered straight into a chunk buffer that is flushed to
+/// the writer *before* an append would overflow the chunk size: a line
+/// that lands past the chunk sends the lines before it out first and
+/// becomes the start of the next chunk. So peak memory is
+/// `max(chunk, longest line)` regardless of run length. I/O errors are
+/// latched on first occurrence (subsequent writes are skipped) and
+/// surfaced by [`StreamSink::finish`].
 #[derive(Debug)]
 pub struct StreamSink<W: Write + std::fmt::Debug> {
     out: W,
     chunk: usize,
     buf: Vec<u8>,
-    line: String,
     events: u64,
     bytes_written: u64,
     peak_buffer: usize,
@@ -148,18 +156,14 @@ impl<W: Write + std::fmt::Debug> StreamSink<W> {
         let mut sink = StreamSink {
             out,
             chunk,
-            buf: Vec::with_capacity(chunk),
-            line: String::with_capacity(192),
+            buf: Vec::with_capacity(chunk + LINE_SLACK_BYTES),
             events: 0,
             bytes_written: 0,
             peak_buffer: 0,
             error: None,
         };
-        let _ = write!(
-            sink.line,
-            "# swift-trace v{TEXT_FORMAT_VERSION}\n# scenario={scenario} seed={seed}\n"
-        );
-        sink.append_line();
+        text::write_header(&mut sink.buf, scenario, seed);
+        sink.appended(0);
         sink
     }
 
@@ -177,10 +181,10 @@ impl<W: Write + std::fmt::Debug> StreamSink<W> {
     /// [`StreamSink::finish`], but hands the inner writer back too (used
     /// by tests that stream into a `Vec<u8>` and compare the bytes).
     pub fn finish_into_inner(mut self) -> io::Result<(W, StreamStats)> {
-        self.line.clear();
-        let _ = writeln!(self.line, "# events={}", self.events);
-        self.append_line();
-        self.flush_chunk();
+        let start = self.buf.len();
+        text::write_footer(&mut self.buf, self.events);
+        self.appended(start);
+        self.flush_front(self.buf.len());
         if let Some(e) = self.error.take() {
             return Err(e);
         }
@@ -193,35 +197,40 @@ impl<W: Write + std::fmt::Debug> StreamSink<W> {
         Ok((self.out, stats))
     }
 
-    fn append_line(&mut self) {
-        if !self.buf.is_empty() && self.buf.len() + self.line.len() > self.chunk {
-            self.flush_chunk();
+    /// Applies the chunk rule to the text just rendered at `buf[start..]`:
+    /// if it overflowed a non-empty chunk, everything before it is
+    /// flushed, just as if the flush had come before the append.
+    #[inline]
+    fn appended(&mut self, start: usize) {
+        if start > 0 && self.buf.len() > self.chunk {
+            self.flush_front(start);
         }
-        self.buf.extend_from_slice(self.line.as_bytes());
         self.peak_buffer = self.peak_buffer.max(self.buf.len());
     }
 
-    fn flush_chunk(&mut self) {
-        if self.buf.is_empty() {
+    /// Writes `buf[..len]` out (unless an error is latched) and drops it
+    /// from the buffer.
+    fn flush_front(&mut self, len: usize) {
+        if len == 0 {
             return;
         }
         if self.error.is_none() {
-            match self.out.write_all(&self.buf) {
-                Ok(()) => self.bytes_written += self.buf.len() as u64,
+            match self.out.write_all(&self.buf[..len]) {
+                Ok(()) => self.bytes_written += len as u64,
                 Err(e) => self.error = Some(e),
             }
         }
-        self.buf.clear();
+        self.buf.drain(..len);
     }
 }
 
 impl<W: Write + std::fmt::Debug> TraceSink for StreamSink<W> {
+    #[inline]
     fn record(&mut self, event: TraceEvent) {
         self.events += 1;
-        self.line.clear();
-        event.render_line_into(&mut self.line);
-        self.line.push('\n');
-        self.append_line();
+        let start = self.buf.len();
+        event.write_line(&mut self.buf);
+        self.appended(start);
     }
 
     fn events_recorded(&self) -> u64 {
