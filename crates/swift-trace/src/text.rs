@@ -8,10 +8,10 @@
 //! the buffered render: there is no second renderer to drift.
 //!
 //! The streaming sink renders every event of a run, so the writer stays
-//! off `fmt`: decimal numbers go out through a two-digit lookup table
-//! (the 12-column timestamp is padded in the same digit buffer), labels
-//! are `&'static str`, and template signatures use a fixed-width hex
-//! writer. Everything written is ASCII apart from the scenario label, so
+//! off `fmt`: decimal numbers go out through a two-digit lookup table,
+//! written in place at the end of the output (the 12-column timestamp
+//! is padded in the same block), labels are `&'static str`, and template
+//! signatures use a fixed-width hex writer. Everything written is ASCII apart from the scenario label, so
 //! the bytes are UTF-8 by construction.
 
 use swift_metrics::series_def;
@@ -37,11 +37,17 @@ const DIGIT_PAIRS: [u8; 200] = {
     t
 };
 
-/// Writes `v`'s decimal digits right-aligned at the end of `buf` and
-/// returns the index of the first one.
+/// Decimal digits in `v`.
 #[inline]
-fn digits(buf: &mut [u8; MAX_DIGITS], mut v: u64) -> usize {
-    let mut i = MAX_DIGITS;
+fn digit_count(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |l| l as usize + 1)
+}
+
+/// Writes `v`'s decimal digits into `buf` so that the last one lands at
+/// `buf[end - 1]`; `end` must leave room for all of them.
+#[inline]
+fn digits(buf: &mut [u8], end: usize, mut v: u64) {
+    let mut i = end;
     while v >= 100 {
         let d = (v % 100) as usize * 2;
         v /= 100;
@@ -50,30 +56,34 @@ fn digits(buf: &mut [u8; MAX_DIGITS], mut v: u64) -> usize {
     }
     if v >= 10 {
         let d = v as usize * 2;
-        i -= 2;
-        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+        buf[i - 2..i].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
     } else {
-        i -= 1;
-        buf[i] = b'0' + v as u8;
+        buf[i - 1] = b'0' + v as u8;
     }
-    i
 }
 
-/// Appends `v` in decimal.
+/// Appends `v` in decimal. The digits are written in place: a block as
+/// wide as the widest `u64` is appended, the digits go in at its head and
+/// the rest is cut off. A fixed-size append is a couple of stores, where
+/// appending the digits from a stack buffer would cost a `memcpy` call
+/// per number.
 #[inline]
 fn push_u64(out: &mut Vec<u8>, v: u64) {
-    let mut buf = [0u8; MAX_DIGITS];
-    let i = digits(&mut buf, v);
-    out.extend_from_slice(&buf[i..]);
+    let end = out.len() + digit_count(v);
+    out.extend_from_slice(&[0; MAX_DIGITS]);
+    digits(out, end, v);
+    out.truncate(end);
 }
 
-/// Appends `micros` right-aligned in the 12-column timestamp field; a
-/// wider value overflows the column rather than being cut.
+/// Appends `micros` right-aligned in the 12-column timestamp field, the
+/// way [`push_u64`] appends a number but into a block of spaces; a wider
+/// value overflows the column rather than being cut.
 #[inline]
 fn push_ts(out: &mut Vec<u8>, micros: u64) {
-    let mut buf = [b' '; MAX_DIGITS];
-    let i = digits(&mut buf, micros);
-    out.extend_from_slice(&buf[i.min(MAX_DIGITS - TS_WIDTH)..]);
+    let end = out.len() + digit_count(micros).max(TS_WIDTH);
+    out.extend_from_slice(&[b' '; MAX_DIGITS]);
+    digits(out, end, micros);
+    out.truncate(end);
 }
 
 /// Appends `v` as 16 lowercase hex digits, zero-padded.
