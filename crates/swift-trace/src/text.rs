@@ -11,8 +11,8 @@
 //! off `fmt`: decimal numbers go out through a two-digit lookup table,
 //! written in place at the end of the output (the 12-column timestamp
 //! is padded in the same block), labels are `&'static str`, and template
-//! signatures use a fixed-width hex writer. Everything written is ASCII apart from the scenario label, so
-//! the bytes are UTF-8 by construction.
+//! signatures use a fixed-width hex writer. Everything written is ASCII
+//! apart from the scenario label, so the bytes are UTF-8 by construction.
 
 use swift_metrics::series_def;
 
