@@ -16,10 +16,10 @@
 //! model, no counter frames).
 //!
 //! `--stream` replaces the in-memory recording with a [`crate::StreamSink`]
-//! writing directly to `--out`: events are rendered and flushed in chunks
-//! as the run progresses, so peak memory is bounded by the chunk size
-//! regardless of run length — the file is byte-identical to the buffered
-//! path.
+//! writing directly to `--out`: a render thread renders the events and
+//! flushes them in chunks as the run progresses, so peak memory is bounded
+//! by the chunk and the batches in flight regardless of run length — the
+//! file is byte-identical to the buffered path.
 //!
 //! `trace diff A B` compares two rendered trace files structurally:
 //! first divergent line, per-event-kind count deltas, per-series

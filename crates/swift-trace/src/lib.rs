@@ -49,7 +49,9 @@ pub use diff::{diff_texts, DiffReport};
 pub use event::{TaskRef, TraceEvent, TraceEventKind};
 pub use metrics::{Histogram, IdleAccount, TraceMetrics, LATENCY_BUCKETS_US};
 pub use recorder::{RecorderConfig, TraceHandle, TraceRecorder, DEFAULT_COUNTER_WINDOW_MS};
-pub use sink::{MemorySink, StreamSink, StreamStats, TraceSink, DEFAULT_CHUNK_BYTES};
+pub use sink::{
+    MemorySink, StreamSink, StreamStats, TraceSink, DEFAULT_CHUNK_BYTES, STREAM_BATCH_EVENTS,
+};
 
 use swift_sim::SimDuration;
 

@@ -8,13 +8,15 @@
 //!
 //! The recorder is generic over its [`TraceSink`]: [`MemorySink`] (the
 //! default) buffers the stream for [`TraceHandle::finish`]; a
-//! [`crate::StreamSink`] renders and writes each event as it arrives with
-//! bounded memory. The sink sees the identical event stream either way,
-//! and both texts come from one byte writer: the stream sink appends each
-//! event with [`crate::TraceEvent::write_line`] straight into its chunk
-//! buffer, and [`Trace::render_text`] appends the buffered events with
-//! the same call, so the recording path never goes through `fmt` or a
-//! per-event `String`.
+//! [`crate::StreamSink`] batches the events and hands them to its own
+//! render thread, which writes the text as the run goes. Its memory is
+//! the chunk plus the batches in flight, whatever the run length. The
+//! sink sees the identical event stream either way, and both texts come
+//! from one byte writer: the render thread appends each event with
+//! [`crate::TraceEvent::write_line`] straight into its chunk buffer, and
+//! [`Trace::render_text`] appends the buffered events with the same call,
+//! so neither path goes through `fmt` or a per-event `String`, and no
+//! event is rendered on the simulation thread.
 //!
 //! When [`RecorderConfig::counter_window`] is set, the recorder also owns
 //! a [`swift_metrics::Registry`]: observer callbacks feed the counter

@@ -9,7 +9,9 @@
 //! 11, 12, 13 and 20 digits. The writer must match the reference byte for
 //! byte through [`TraceEvent::write_line`], [`Trace::render_text`] (with
 //! its header and footer), [`Trace::render_counters_text`] and a
-//! [`StreamSink`] cut at its smallest chunk.
+//! [`StreamSink`] cut at its smallest chunk. A [`StreamSink`] must also
+//! match [`Trace::render_text`] at every boundary of the batches it hands
+//! its render thread.
 
 use swift_cluster::MachineHealth;
 use swift_ft::{FailureKind, RecoveryCase};
@@ -17,7 +19,8 @@ use swift_scheduler::GraphletState;
 use swift_shuffle::{ShuffleMedium, ShuffleScheme};
 use swift_sim::{SimRng, SimTime};
 use swift_trace::{
-    StreamSink, TaskRef, Trace, TraceEvent, TraceEventKind, TraceSink, TEXT_FORMAT_VERSION,
+    StreamSink, TaskRef, Trace, TraceEvent, TraceEventKind, TraceSink, DEFAULT_CHUNK_BYTES,
+    STREAM_BATCH_EVENTS, TEXT_FORMAT_VERSION,
 };
 
 const SCHEMES: [ShuffleScheme; 3] = [
@@ -532,4 +535,67 @@ fn whole_renders_match_the_reference() {
     assert!(longest > 64);
     assert!(stats.peak_buffer_bytes <= longest);
     assert_eq!(String::from_utf8(bytes).unwrap(), reference_text(&trace));
+}
+
+/// `n` task events with seeded fields, each line at most 64 bytes, so a
+/// 64-byte chunk never has to hold more than one line.
+fn short_events(n: usize) -> Vec<TraceEvent> {
+    let mut rng = SimRng::new(0x5eed);
+    let mut at = 0;
+    (0..n)
+        .map(|i| {
+            at += rng.range(0, 5_000_000);
+            let (job, epoch) = (rng.range(0, 10_000) as u32, rng.range(0, 4) as u32);
+            let task = TaskRef {
+                stage: rng.range(0, 100) as u32,
+                index: rng.range(0, 10_000) as u32,
+            };
+            let kind = if i % 2 == 0 {
+                TraceEventKind::TaskStarted { job, task, epoch }
+            } else {
+                TraceEventKind::TaskFinished { job, task, epoch }
+            };
+            TraceEvent {
+                at: SimTime(at),
+                kind,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn streams_match_the_render_at_every_batch_boundary() {
+    let b = STREAM_BATCH_EVENTS;
+    for n in [b - 1, b, b + 1, 3 * b] {
+        let trace = Trace {
+            scenario: "batches".to_string(),
+            seed: 3,
+            events: short_events(n),
+        };
+        let rendered = trace.render_text();
+        assert!(rendered.lines().all(|l| l.len() < 64), "n={n}");
+        for chunk in [64, DEFAULT_CHUNK_BYTES] {
+            let mut sink = StreamSink::with_chunk(Vec::new(), &trace.scenario, trace.seed, chunk);
+            for e in &trace.events {
+                sink.record(e.clone());
+            }
+            let (bytes, stats) = sink.finish_into_inner().expect("a Vec never fails a write");
+            assert_eq!(stats.events, n as u64, "n={n} chunk={chunk}");
+            assert_eq!(
+                stats.bytes_written as usize,
+                bytes.len(),
+                "n={n} chunk={chunk}"
+            );
+            assert!(
+                stats.peak_buffer_bytes <= chunk,
+                "n={n} chunk={chunk}: peak buffer {}",
+                stats.peak_buffer_bytes
+            );
+            assert_eq!(
+                String::from_utf8(bytes).unwrap(),
+                rendered,
+                "n={n} chunk={chunk}"
+            );
+        }
+    }
 }
