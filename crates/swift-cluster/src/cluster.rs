@@ -36,6 +36,15 @@ impl FreeIndex {
         }
     }
 
+    /// Empties every bucket, keeping the buffers.
+    fn clear(&mut self) {
+        for bucket in &mut self.buckets {
+            bucket.fill(0);
+        }
+        self.counts.fill(0);
+        self.max_bucket = 0;
+    }
+
     fn insert(&mut self, free: u32, mid: MachineId) {
         let c = free as usize;
         let word = &mut self.buckets[c][mid.index() / 64];
@@ -104,39 +113,63 @@ impl Cluster {
             machines > 0 && executors_per_machine > 0,
             "cluster must be non-empty"
         );
-        let mut ms = Vec::with_capacity(machines as usize);
-        let mut es = Vec::with_capacity((machines * executors_per_machine) as usize);
-        let mut free_index = FreeIndex::new(machines, executors_per_machine);
-        for m in 0..machines {
-            let first = m * executors_per_machine;
-            for e in 0..executors_per_machine {
-                es.push(Executor {
-                    id: ExecutorId(first + e),
-                    machine: MachineId(m),
-                    state: ExecutorState::Idle,
-                });
-            }
-            ms.push(Machine {
+        let capacity = cost.cache_worker_capacity;
+        let ms = (0..machines)
+            .map(|m| Machine {
                 id: MachineId(m),
-                first_executor: first,
+                first_executor: m * executors_per_machine,
                 executor_count: executors_per_machine,
                 health: MachineHealth::Healthy,
-                // LIFO stack: lowest relative index allocated first.
-                free: (0..executors_per_machine).rev().collect(),
-                cache: CacheWorkerMemory::new(cost.cache_worker_capacity),
+                free: Vec::with_capacity(executors_per_machine as usize),
+                cache: CacheWorkerMemory::new(capacity),
                 recent_task_failures: 0,
-            });
-            free_index.insert(executors_per_machine, MachineId(m));
-        }
-        Cluster {
+            })
+            .collect();
+        let es = (0..machines * executors_per_machine)
+            .map(|e| Executor {
+                id: ExecutorId(e),
+                machine: MachineId(e / executors_per_machine),
+                state: ExecutorState::Idle,
+            })
+            .collect();
+        let mut cluster = Cluster {
             machines: ms,
             executors: es,
             cost,
-            free_index,
-            total_free: machines * executors_per_machine,
-            live: machines * executors_per_machine,
+            free_index: FreeIndex::new(machines, executors_per_machine),
+            total_free: 0,
+            live: 0,
             busy: 0,
+        };
+        cluster.reset();
+        cluster
+    }
+
+    /// Puts the cluster back in its as-built state without reallocating:
+    /// every machine healthy with an empty Cache Worker, every executor
+    /// idle, each machine's free stack in build order, and the free index
+    /// and counters to match. [`Cluster::new`] sets its initial state
+    /// here too, so a reset cluster hands out executors exactly as a new
+    /// one does.
+    pub fn reset(&mut self) {
+        self.free_index.clear();
+        let mut total = 0;
+        for m in &mut self.machines {
+            m.health = MachineHealth::Healthy;
+            // LIFO stack: lowest relative index allocated first.
+            m.free.clear();
+            m.free.extend((0..m.executor_count).rev());
+            m.cache = CacheWorkerMemory::new(self.cost.cache_worker_capacity);
+            m.recent_task_failures = 0;
+            self.free_index.insert(m.executor_count, m.id);
+            total += m.executor_count;
         }
+        for e in &mut self.executors {
+            e.state = ExecutorState::Idle;
+        }
+        self.total_free = total;
+        self.live = total;
+        self.busy = 0;
     }
 
     /// The cluster's cost model.
@@ -524,6 +557,58 @@ mod tests {
         assert_eq!(c.busy_executor_count(), 0);
         assert_eq!(c.executor(e).state, ExecutorState::Idle);
         assert_eq!(c.free_executor_count(), 12);
+    }
+
+    /// After allocations, releases, a crash, a drain and Cache Worker
+    /// inserts, `reset` leaves the cluster indistinguishable from a new
+    /// one: same counts, empty caches, and the same executors handed out
+    /// in the same order.
+    #[test]
+    fn reset_matches_a_fresh_cluster() {
+        let build = || Cluster::new(5, 3, CostModel::default());
+        let mut c = build();
+        let held = c.allocate_many(7, &[MachineId(1)]);
+        c.release(held[2]);
+        c.release(held[5]);
+        c.fail_machine(MachineId(3));
+        c.mark_read_only(MachineId(1));
+        let key = swift_shuffle::SegmentKey {
+            job: 9,
+            edge: 0,
+            producer: 1,
+            partition: 0,
+        };
+        c.cache_mut(MachineId(0)).insert(key, 4 << 20, 2);
+        c.cache_mut(MachineId(4)).insert(key, 1 << 10, 1);
+        assert!(c.cache_live_bytes() > 0);
+        c.reset();
+        let mut fresh = build();
+        let counts = |c: &Cluster| {
+            (
+                c.free_executor_count(),
+                c.live_executor_count(),
+                c.busy_executor_count(),
+                c.cache_live_bytes(),
+            )
+        };
+        assert_eq!(counts(&c), counts(&fresh));
+        assert_eq!(counts(&c), (15, 15, 0, 0));
+        for m in c.machines() {
+            assert_eq!(m.health, MachineHealth::Healthy);
+            assert_eq!(m.cache.segment_count(), 0);
+        }
+        for (n, locality) in [
+            (2, vec![]),
+            (4, vec![MachineId(3)]),
+            (5, vec![MachineId(1), MachineId(0)]),
+            (9, vec![]),
+        ] {
+            assert_eq!(
+                c.allocate_many(n, &locality),
+                fresh.allocate_many(n, &locality)
+            );
+            assert_eq!(counts(&c), counts(&fresh));
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::template::{
     TemplateStats,
 };
 use crate::units::UnitPlan;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use swift_cluster::{Cluster, ExecutorId, MachineHealth, MachineId};
 use swift_dag::{JobDag, Partition, StageId, TaskId};
@@ -194,14 +194,14 @@ pub struct CounterSample {
     pub live_executors: u64,
     /// Executors currently running a task.
     pub busy_executors: u64,
-    /// Entries in the scheduling-template cache once this simulation's
-    /// jobs were admitted (the session's entries, for
-    /// [`Simulation::new_in_session`]).
+    /// Entries in the scheduling-template cache once this run's jobs
+    /// were admitted (the session's entries, for
+    /// [`Simulation::new_in_session`] and [`Simulation::load`]).
     pub template_entries: u64,
-    /// Template-cache hits among this simulation's admissions
-    /// (cumulative; every lookup happens at construction).
+    /// Template-cache hits among this run's admissions (cumulative;
+    /// every lookup happens when the workload is loaded).
     pub template_hits: u64,
-    /// Template-cache misses among this simulation's admissions.
+    /// Template-cache misses among this run's admissions.
     pub template_misses: u64,
     /// Bytes staged across all Cache Workers (the shadow model's store
     /// occupancy; 0 unless [`SimObserver::wants_cache_model`]).
@@ -601,11 +601,16 @@ struct Request {
 }
 
 /// The simulation driver. Build with [`Simulation::new`], then call
-/// [`Simulation::run`].
+/// [`Simulation::run`]; or keep one and alternate
+/// [`Simulation::load`] and [`Simulation::run_loaded`], each run starting
+/// from the state a new simulation would have.
 pub struct Simulation {
     cluster: Cluster,
     cfg: SimConfig,
     jobs: Vec<JobSt>,
+    /// The previous run's job states, whose buffers [`Simulation::load`]
+    /// refills; empty outside `load`.
+    spare_jobs: Vec<JobSt>,
     /// The event core, one lane; pops in `(time, seq)` order.
     q: ShardedEventQueue<Event>,
     reqs: VecDeque<Request>,
@@ -616,8 +621,9 @@ pub struct Simulation {
     exec_owner: Vec<Option<(u32, u32)>>,
     /// Jobs that ever entered wave mode — the only jobs
     /// `evict_blocked_wave_tasks` must examine. Ordered ascending so the
-    /// eviction order matches the old all-jobs scan.
-    wave_jobs: BTreeSet<usize>,
+    /// eviction order matches the old all-jobs scan; a sorted `Vec`, so
+    /// a reused simulation keeps its buffer.
+    wave_jobs: Vec<usize>,
     injections: Vec<FailureInjection>,
     machine_failures: Vec<(SimTime, MachineId)>,
     makespan: SimTime,
@@ -628,8 +634,8 @@ pub struct Simulation {
     /// Counter-sample window requested by the observer (`None` = off).
     obs_counter_window: Option<SimDuration>,
     /// The template cache's entries after admission, and the hits and
-    /// misses of this simulation's own jobs. All lookups happen at
-    /// construction, so these are fixed for the run's counter samples.
+    /// misses of the loaded jobs. All lookups happen in `load`, so these
+    /// are fixed for the run's counter samples.
     template_entries: u64,
     template_hits: u64,
     template_misses: u64,
@@ -647,6 +653,8 @@ pub struct Simulation {
     /// Scratch: one gang's `(task, epoch, executor)` assignments in
     /// `assign`, filled only while an observer is attached.
     scratch_assigned: Vec<(TaskId, u32, ExecutorId)>,
+    /// Scratch: the event batch being handled in `run_loaded`.
+    scratch_batch: Vec<Event>,
 }
 
 // Manual impl: the observer is a trait object without a Debug bound; job
@@ -696,36 +704,28 @@ impl Simulation {
 
     /// Like [`Simulation::new`], but control-plane artifacts draw on (and
     /// feed) a caller-owned [`SchedulerSession`], so template hits
-    /// amortize across every simulation built in the session. The
-    /// session is only borrowed during construction — all lookups happen
-    /// at job admission.
+    /// amortize across every simulation built, or workload loaded, in
+    /// the session. The session is only borrowed during construction —
+    /// all lookups happen at job admission. This is an empty simulation
+    /// plus [`Simulation::load`]: a simulation kept and loaded again runs
+    /// each workload exactly as a new one would.
     pub fn new_in_session(
         cluster: Cluster,
         cfg: SimConfig,
         workload: Vec<JobSpec>,
         session: &mut SchedulerSession,
     ) -> Self {
-        let machine_count = cluster.machine_count();
-        let jobs: Vec<JobSt> = workload
-            .into_iter()
-            .map(|spec| Self::prepare_job(&cluster, &cfg, spec, machine_count, &mut session.cache))
-            .collect();
-        let template_hits = jobs
-            .iter()
-            .filter(|j| j.template.outcome == TemplateOutcome::Hit)
-            .count() as u64;
-        let template_misses = jobs.len() as u64 - template_hits;
-        let executor_count = cluster.executor_count() as usize;
         let q = ShardedEventQueue::new(1, cfg.shard_window);
         let mut sim = Simulation {
             cluster,
             cfg,
-            jobs,
+            jobs: Vec::new(),
+            spare_jobs: Vec::new(),
             q,
             reqs: VecDeque::new(),
             try_pending: false,
-            exec_owner: vec![None; executor_count],
-            wave_jobs: BTreeSet::new(),
+            exec_owner: Vec::new(),
+            wave_jobs: Vec::new(),
             injections: Vec::new(),
             machine_failures: Vec::new(),
             makespan: SimTime::ZERO,
@@ -733,22 +733,89 @@ impl Simulation {
             obs_wants_reads: false,
             obs_cache_model: false,
             obs_counter_window: None,
-            template_entries: session.cache.len() as u64,
-            template_hits,
-            template_misses,
+            template_entries: 0,
+            template_hits: 0,
+            template_misses: 0,
             cache_sites: BTreeMap::new(),
             vec_pool: Vec::new(),
             scratch_units: Vec::new(),
             scratch_stages: Vec::new(),
             scratch_locality: Vec::new(),
             scratch_assigned: Vec::new(),
+            scratch_batch: Vec::new(),
         };
-        let delay = sim.cfg.policy.partition_overhead;
-        for (i, job) in sim.jobs.iter().enumerate() {
-            sim.q
+        sim.load(workload, session);
+        sim
+    }
+
+    /// Loads `workload` for the next [`Simulation::run_loaded`], admitting
+    /// its jobs through `session`'s template cache. Everything the last
+    /// run left behind is rewound to its as-built state: the event queue
+    /// (back to time zero), the cluster ([`Cluster::reset`]), executor
+    /// ownership, queued requests, wave-mode jobs, failure injections,
+    /// the Cache Worker site map, the template counters, the makespan and
+    /// the observer, which is installed per run. Buffers keep their
+    /// capacity: the jobs' states are refilled into the last run's, so a
+    /// template-hit job allocates only what its [`RunReport`] owns.
+    ///
+    /// # Panics
+    ///
+    /// If the last loaded workload was not run to quiescence (events are
+    /// still pending).
+    pub fn load(
+        &mut self,
+        workload: impl IntoIterator<Item = JobSpec>,
+        session: &mut SchedulerSession,
+    ) {
+        self.q.rewind();
+        self.cluster.reset();
+        self.exec_owner.clear();
+        self.exec_owner
+            .resize(self.cluster.executor_count() as usize, None);
+        while let Some(req) = self.reqs.pop_front() {
+            self.recycle_vec(req.tasks);
+        }
+        self.try_pending = false;
+        self.wave_jobs.clear();
+        self.injections.clear();
+        self.machine_failures.clear();
+        self.makespan = SimTime::ZERO;
+        self.observer = None;
+        self.obs_wants_reads = false;
+        self.obs_cache_model = false;
+        self.obs_counter_window = None;
+        self.cache_sites.clear();
+
+        // `spare_jobs` is a stack: the last run's first job pops first.
+        self.spare_jobs.extend(self.jobs.drain(..).rev());
+        let workload = workload.into_iter();
+        self.jobs.reserve(workload.size_hint().0);
+        let machines = self.cluster.machine_count();
+        for spec in workload {
+            let spare = self.spare_jobs.pop();
+            let job = Self::prepare_job(
+                &self.cluster,
+                &self.cfg,
+                spec,
+                machines,
+                &mut session.cache,
+                spare,
+            );
+            self.jobs.push(job);
+        }
+        self.spare_jobs.clear();
+        self.template_entries = session.cache.len() as u64;
+        self.template_hits = self
+            .jobs
+            .iter()
+            .filter(|j| j.template.outcome == TemplateOutcome::Hit)
+            .count() as u64;
+        self.template_misses = self.jobs.len() as u64 - self.template_hits;
+        let delay = self.cfg.policy.partition_overhead;
+        for (i, job) in self.jobs.iter().enumerate() {
+            self.q
                 .schedule(LANE, job.submit_at + delay, Event::Submit(i as u32));
         }
-        sim
     }
 
     /// A recycled (or fresh) empty task-list buffer.
@@ -835,12 +902,14 @@ impl Simulation {
         self.machine_failures.extend(failures);
     }
 
+    /// Builds one job's state, refilling `spare`'s buffers when given.
     fn prepare_job(
         cluster: &Cluster,
         cfg: &SimConfig,
         spec: JobSpec,
         machines: u32,
         cache: &mut TemplateCache,
+        spare: Option<JobSt>,
     ) -> JobSt {
         let JobSpec { dag, submit_at } = spec;
 
@@ -888,13 +957,60 @@ impl Simulation {
         };
 
         let cost = cluster.cost();
+        let (
+            mut stages,
+            mut tasks,
+            mut task_ids,
+            mut schemes,
+            mut unit_submitted,
+            mut unit_remaining,
+            mut held,
+            mut unit_wave_mode,
+        ) = match spare {
+            Some(j) => (
+                j.stages,
+                j.tasks,
+                j.task_ids,
+                j.schemes,
+                j.unit_submitted,
+                j.unit_remaining,
+                j.held,
+                j.unit_wave_mode,
+            ),
+            None => Default::default(),
+        };
+
+        let launch = match cfg.policy.launch {
+            LaunchModel::PlanDelivery => cost.plan_delivery,
+            LaunchModel::ColdStart => cost.spark_stage_launch,
+        };
+        stages.clear();
+        stages.reserve_exact(dag.stage_count());
+        task_ids.clear();
+        task_ids.reserve_exact(dag.total_tasks() as usize);
+        let mut offset = 0u32;
+        for s in dag.stages() {
+            stages.push(StageSt {
+                offset,
+                remaining: s.task_count,
+                complete: false,
+                completed_at: SimTime::ZERO,
+                phases: PhaseBreakdown {
+                    launch,
+                    shuffle_read: SimDuration::ZERO,
+                    process: SimDuration::from_micros(s.profile.process_us_per_task),
+                    shuffle_write: SimDuration::ZERO,
+                },
+            });
+            task_ids.extend((0..s.task_count).map(|i| TaskId::new(s.id, i)));
+            offset += s.task_count;
+        }
 
         // Per-job parameter patching: combine each shape-determined prior
         // with the job's actual edge sizes and profiles to produce the
         // full scheme decisions and per-stage phase durations.
-        let mut read = vec![SimDuration::ZERO; dag.stage_count()];
-        let mut write = vec![SimDuration::ZERO; dag.stage_count()];
-        let mut schemes = Vec::with_capacity(dag.edges().len());
+        schemes.clear();
+        schemes.reserve_exact(dag.edges().len());
         for (e, p) in dag.edges().iter().zip(priors.iter()) {
             let src = dag.stage(e.src);
             let dst = dag.stage(e.dst);
@@ -911,8 +1027,8 @@ impl Simulation {
             let y_dst = n.min(machines);
             let bytes_total = src.profile.output_bytes_per_task * m as u64;
             let c = cost.shuffle_edge_cost(scheme, medium, m, n, y_src, y_dst, bytes_total);
-            write[e.src.index()] += c.write_per_task;
-            read[e.dst.index()] += c.read_per_task;
+            stages[e.src.index()].phases.shuffle_write += c.write_per_task;
+            stages[e.dst.index()].phases.shuffle_read += c.read_per_task;
             schemes.push(SchemeDecision {
                 edge,
                 src: e.src,
@@ -923,57 +1039,35 @@ impl Simulation {
                 crossing,
             });
         }
-
-        let launch = match cfg.policy.launch {
-            LaunchModel::PlanDelivery => cost.plan_delivery,
-            LaunchModel::ColdStart => cost.spark_stage_launch,
-        };
-
-        let mut stages = Vec::with_capacity(dag.stage_count());
-        let mut offset = 0u32;
-        for s in dag.stages() {
-            let mut sr = read[s.id.index()];
+        for (s, st) in dag.stages().iter().zip(&mut stages) {
             if s.is_source_stage() {
-                sr += cost.disk_io(s.profile.input_bytes_per_task);
+                st.phases.shuffle_read += cost.disk_io(s.profile.input_bytes_per_task);
             }
-            let mut sw = write[s.id.index()];
             if s.is_sink_stage() {
-                sw += cost.mem_copy(s.profile.output_bytes_per_task.max(1));
+                st.phases.shuffle_write += cost.mem_copy(s.profile.output_bytes_per_task.max(1));
             }
-            stages.push(StageSt {
-                offset,
-                remaining: s.task_count,
-                complete: false,
-                completed_at: SimTime::ZERO,
-                phases: PhaseBreakdown {
-                    launch,
-                    shuffle_read: sr,
-                    process: SimDuration::from_micros(s.profile.process_us_per_task),
-                    shuffle_write: sw,
-                },
-            });
-            offset += s.task_count;
         }
 
-        let unit_submitted = vec![false; plan.len()];
-        let unit_remaining: Vec<u32> = (0..plan.len() as u32)
-            .map(|u| plan.gang_size(&dag, u) as u32)
-            .collect();
-        let held = vec![Vec::new(); plan.len()];
-        let unit_wave_mode = vec![false; plan.len()];
-        let mut task_ids = Vec::with_capacity(offset as usize);
-        for s in dag.stages() {
-            for i in 0..s.task_count {
-                task_ids.push(TaskId::new(s.id, i));
-            }
+        tasks.clear();
+        tasks.resize(offset as usize, TaskSt::default());
+        unit_submitted.clear();
+        unit_submitted.resize(plan.len(), false);
+        unit_remaining.clear();
+        unit_remaining.extend((0..plan.len() as u32).map(|u| plan.gang_size(&dag, u) as u32));
+        held.truncate(plan.len());
+        for h in &mut held {
+            h.clear();
         }
+        held.resize_with(plan.len(), Vec::new);
+        unit_wave_mode.clear();
+        unit_wave_mode.resize(plan.len(), false);
         JobSt {
             part,
             template,
             submit_at,
             finished: None,
             aborted: false,
-            tasks: vec![TaskSt::default(); offset as usize],
+            tasks,
             task_ids,
             stages,
             unit_submitted,
@@ -992,11 +1086,18 @@ impl Simulation {
 
     /// Runs to quiescence and returns the report.
     pub fn run(mut self) -> RunReport {
+        self.run_loaded()
+    }
+
+    /// Runs the loaded workload to quiescence and returns the report. The
+    /// observer is dropped when the run ends; the simulation keeps its
+    /// buffers for the next [`Simulation::load`].
+    pub fn run_loaded(&mut self) -> RunReport {
         // Drain same-timestamp batches in one heap interaction each.
         // Events scheduled by a handler (even at the current instant) sort
         // after the drained batch by sequence number, so the order is
         // exactly the one-`pop`-at-a-time order.
-        let mut batch = Vec::new();
+        let mut batch = std::mem::take(&mut self.scratch_batch);
         // Both samplers run between batches — never as queue events — so
         // the event stream and its digest are untouched by either.
         let mut utilization = Vec::new();
@@ -1017,6 +1118,7 @@ impl Simulation {
                 self.emit_counter_sample(now);
             }
         }
+        self.scratch_batch = batch;
         // Seal the last (partial) window so per-window counter totals
         // telescope exactly to the end-of-run cumulative values.
         if counters.is_some() {
@@ -1059,6 +1161,7 @@ impl Simulation {
             let now = self.q.now();
             self.notify(|obs, _| obs.on_run_finished(now, events));
         }
+        self.observer = None;
         let jobs = (0..self.jobs.len()).map(|i| self.job_report(i)).collect();
         RunReport {
             policy: self.cfg.policy.name.clone(),
@@ -1145,8 +1248,7 @@ impl Simulation {
                     Submission::AllInputsReady => j
                         .plan
                         .upstream_stages(&j.dag, u)
-                        .iter()
-                        .all(|&s| j.stages[s.index()].complete),
+                        .all(|s| j.stages[s.index()].complete),
                     Submission::FirstStageReady => j.plan.units[u as usize]
                         .stages
                         .iter()
@@ -1310,7 +1412,9 @@ impl Simulation {
                     let j = &mut self.jobs[job];
                     let unit = j.plan.unit_of(j.task_id(wave[0]).stage) as usize;
                     j.unit_wave_mode[unit] = true;
-                    self.wave_jobs.insert(job);
+                    if let Err(at) = self.wave_jobs.binary_search(&job) {
+                        self.wave_jobs.insert(at, job);
+                    }
                 }
                 // The gang wait ends when the first wave starts; the
                 // remainder request keeps draining without gang semantics.
@@ -1357,12 +1461,14 @@ impl Simulation {
         #[cfg(debug_assertions)]
         for (job, j) in self.jobs.iter().enumerate() {
             debug_assert!(
-                self.wave_jobs.contains(&job) || j.unit_wave_mode.iter().all(|&w| !w),
+                self.wave_jobs.binary_search(&job).is_ok() || j.unit_wave_mode.iter().all(|&w| !w),
                 "job {job} has a wave-mode unit but is missing from the wave_jobs index"
             );
         }
         let mut reclaimed = false;
-        for job in self.wave_jobs.clone() {
+        // Eviction never adds a wave job, so the index is stable here.
+        for k in 0..self.wave_jobs.len() {
+            let job = self.wave_jobs[k];
             if self.jobs[job].done() {
                 continue;
             }

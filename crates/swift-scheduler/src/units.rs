@@ -68,19 +68,21 @@ impl UnitPlan {
         }
     }
 
-    /// Stages in other units that feed `unit` (deduplicated, sorted) — the
-    /// stages whose completion gates conservative submission.
-    pub fn upstream_stages(&self, dag: &JobDag, unit: u32) -> Vec<StageId> {
-        let mut out: Vec<StageId> = self.units[unit as usize]
+    /// Stages in other units that feed `unit`, one per feeding edge (a
+    /// stage feeding the unit over two edges comes twice) — the stages
+    /// whose completion gates conservative submission. An iterator, so
+    /// the check allocates nothing.
+    pub fn upstream_stages<'a>(
+        &'a self,
+        dag: &'a JobDag,
+        unit: u32,
+    ) -> impl Iterator<Item = StageId> + 'a {
+        self.units[unit as usize]
             .stages
             .iter()
-            .flat_map(|&s| dag.incoming(s))
-            .filter(|e| self.unit_of(e.src) != unit)
+            .flat_map(move |&s| dag.incoming(s))
+            .filter(move |e| self.unit_of(e.src) != unit)
             .map(|e| e.src)
-            .collect();
-        out.sort();
-        out.dedup();
-        out
     }
 }
 
@@ -188,7 +190,7 @@ mod tests {
         let plan = plan_units(&dag, &Partitioning::WholeJob);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan.gang_size(&dag, 0), 20);
-        assert!(plan.upstream_stages(&dag, 0).is_empty());
+        assert_eq!(plan.upstream_stages(&dag, 0).count(), 0);
     }
 
     #[test]
@@ -199,7 +201,7 @@ mod tests {
         for (i, u) in plan.units.iter().enumerate() {
             assert_eq!(u.stages, vec![StageId(i as u32)]);
         }
-        assert_eq!(plan.upstream_stages(&dag, 2), vec![StageId(1)]);
+        assert!(plan.upstream_stages(&dag, 2).eq([StageId(1)]));
     }
 
     #[test]

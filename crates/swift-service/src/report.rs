@@ -217,7 +217,7 @@ impl ServiceReport {
 pub struct ServiceRun {
     /// The deterministic report.
     pub report: ServiceReport,
-    /// Template-cache lookups: one per inner simulation.
+    /// Template-cache lookups: one per started job (one per inner run).
     pub template_lookups: u64,
     /// Template-cache hits.
     pub template_hits: u64,

@@ -8,9 +8,10 @@
 //! timestamp batch at a time in `(SimTime, sequence)` order. Telemetry
 //! frames are sealed between batches, never queued, so the event count
 //! and the report do not depend on the sampling cadence. Each dispatched
-//! job runs as a complete inner [`Simulation`] on its session's
-//! executors; the inner run's makespan decides when the service sees the
-//! job complete. Same `(workload, config)` — byte-identical
+//! job runs as a complete inner [`Simulation`] run on its session's
+//! executors: one simulation, kept for the whole service run and
+//! rewound for every job. The inner run's makespan decides when the
+//! service sees the job complete. Same `(workload, config)` — byte-identical
 //! [`ServiceReport`] at any sampling cadence.
 
 use std::cmp::Reverse;
@@ -32,7 +33,7 @@ use crate::report::{LatencySummary, ServiceReport, ServiceRun, TenantReport};
 enum Ev {
     /// Job `jobs[i]` arrives at the front door.
     Arrival(usize),
-    /// The inner simulation of `job` (started as `attempt`) finished on
+    /// The inner run of `job` (started as `attempt`) finished on
     /// `session`.
     JobDone {
         job: usize,
@@ -149,8 +150,12 @@ impl Ring {
 pub struct ServiceSim {
     cfg: ServiceConfig,
     cluster: Cluster,
-    /// Config of every inner per-job simulation.
-    inner_cfg: SimConfig,
+    /// The one inner simulation every started job runs on: a
+    /// one-machine cluster of `session_executors` executors under
+    /// [`SimConfig::swift`], loaded with the job and run to quiescence.
+    /// Loading rewinds it to its as-built state, so each job runs exactly
+    /// as on a new simulation, without building one.
+    inner: Simulation,
     /// The controller's one control-plane session: its template cache
     /// serves every job of the fleet.
     sched: SchedulerSession,
@@ -226,8 +231,14 @@ impl ServiceSim {
             CostModel::default(),
         );
         let inner_cfg = SimConfig::swift();
-        let sched = SchedulerSession::new(&inner_cfg.policy);
+        let mut sched = SchedulerSession::new(&inner_cfg.policy);
         let q = ShardedEventQueue::new(1, inner_cfg.shard_window);
+        let inner = Simulation::new_in_session(
+            Cluster::new(1, cfg.session_executors, cluster.cost().clone()),
+            inner_cfg,
+            Vec::new(),
+            &mut sched,
+        );
         let cadence = cfg.sample_every.map(Cadence::new);
         let tenant_count = workload.iter().map(|j| j.tenant + 1).max().unwrap_or(0);
         let mut tenants = Vec::with_capacity(tenant_count as usize);
@@ -235,7 +246,7 @@ impl ServiceSim {
         let mut sim = ServiceSim {
             cfg,
             cluster,
-            inner_cfg,
+            inner,
             sched,
             jobs: workload
                 .iter()
@@ -786,7 +797,9 @@ impl ServiceSim {
     }
 
     /// Starts `job` on the acquired session: pays the warm/cold dispatch
-    /// delay, runs the inner simulation, and schedules the completion.
+    /// delay, loads the job into the one inner simulation and runs it
+    /// (with the `job_sim_observer` observer, if any, for this run only),
+    /// and schedules the completion at the run's makespan.
     fn start_job(&mut self, now: SimTime, job: usize, tenant: u32, (sid, warm): (u32, bool)) {
         if warm {
             self.warm_hits += 1;
@@ -812,24 +825,17 @@ impl ServiceSim {
                 .as_micros(),
         );
 
-        let inner_cluster =
-            Cluster::new(1, self.cfg.session_executors, self.cluster.cost().clone());
         let spec = JobSpec::at_zero(self.workload[job].dag.clone());
         let inner_obs = self.observer.job_sim_observer(job, tenant);
         self.sessions
             .get_mut(&sid)
             .expect("acquired session is live")
             .running = Some(job);
-        let mut sim = Simulation::new_in_session(
-            inner_cluster,
-            self.inner_cfg.clone(),
-            vec![spec],
-            &mut self.sched,
-        );
+        self.inner.load([spec], &mut self.sched);
         if let Some(obs) = inner_obs {
-            sim.set_observer(obs);
+            self.inner.set_observer(obs);
         }
-        let report = sim.run();
+        let report = self.inner.run_loaded();
         self.sim_events += report.events_processed;
         // Any inner behavioral change surfaces in the service digest.
         self.jobs_digest.eat(report.digest());

@@ -103,6 +103,24 @@ impl<E> ShardedEventQueue<E> {
         self.current.len() + self.buckets.iter().map(Vec::len).sum::<usize>()
     }
 
+    /// Rewinds a drained queue to [`SimTime::ZERO`] for a new run:
+    /// [`ShardedEventQueue::processed`] starts again at 0, and the deque
+    /// and the 64 bucket buffers keep their capacity. A run reusing the
+    /// queue pops exactly what a fresh queue would.
+    ///
+    /// # Panics
+    ///
+    /// If any event is still pending: rewinding would put it in the past.
+    pub fn rewind(&mut self) {
+        assert!(
+            self.current.is_empty() && self.occupied == 0,
+            "rewinding a queue with {} pending events",
+            self.pending()
+        );
+        self.now = SimTime::ZERO;
+        self.processed = 0;
+    }
+
     /// Schedules `event` at absolute time `at`; `lane` is ignored.
     /// Scheduling into the past (before [`ShardedEventQueue::now`]) is a
     /// logic error and panics in debug builds; in release builds the event
@@ -289,6 +307,44 @@ mod tests {
         assert_eq!(q.pop_batch_at_now(&mut out), 2);
         assert_eq!(out, ["c", "d"]);
         assert_eq!(q.now(), SimTime::from_secs(1));
+    }
+
+    /// A drained queue rewound to zero pops a new stream in `(time, seq)`
+    /// order, its count restarting at 0, as a fresh queue would.
+    #[test]
+    fn rewind_starts_a_new_stream_in_order() {
+        let mut q = queue();
+        for t in [40, 7, 1 << 40, 7] {
+            q.schedule(0, SimTime(t), "old");
+        }
+        while q.pop().is_some() {}
+        assert_eq!((q.now(), q.processed()), (SimTime(1 << 40), 4));
+        q.rewind();
+        assert_eq!((q.now(), q.processed(), q.pending()), (SimTime::ZERO, 0, 0));
+        // Times below the old clock are in the future again.
+        let stream = [(9, "c"), (3, "a"), (9, "d"), (0, "now"), (3, "b")];
+        let mut fresh = queue();
+        for (t, e) in stream {
+            q.schedule(0, SimTime(t), e);
+            fresh.schedule(0, SimTime(t), e);
+        }
+        for want in ["now", "a", "b", "c", "d"] {
+            assert_eq!(q.pop(), Some(want));
+            assert_eq!(fresh.pop(), Some(want));
+            assert_eq!(q.now(), fresh.now());
+        }
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.processed(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "rewinding a queue with 1 pending events")]
+    fn rewinding_a_non_empty_queue_panics() {
+        let mut q = queue();
+        q.schedule(0, SimTime(3), ());
+        q.schedule(0, SimTime(5), ());
+        q.pop();
+        q.rewind();
     }
 
     #[test]
