@@ -25,11 +25,13 @@ use std::sync::Arc;
 
 use swift_analyze::{validate_gang, Severity, SpanMap};
 use swift_cluster::{Cluster, CostModel, MachineId};
-use swift_dag::{partition, StageId};
+use swift_dag::{partition, validate_partition, JobDag, StageId};
 use swift_ft::FailureKind;
 use swift_scheduler::{
-    FailureAt, FailureInjection, JobSpec, RecoveryPolicy, RunReport, SimConfig, Simulation,
+    compute_priors, plan_units, validate_scheme_priors, validate_template_roundtrip, FailureAt,
+    FailureInjection, JobSpec, PolicyConfig, RecoveryPolicy, RunReport, SimConfig, Simulation,
 };
+use swift_shuffle::AdaptiveThresholds;
 use swift_sim::{SimDuration, SimRng, SimTime};
 use swift_workload::{generate_trace, terasort_dag, tpch_sim_dag, TraceConfig};
 
@@ -305,6 +307,28 @@ impl SeedOutcome {
 /// Self-contained command reproducing the run of `seed` under `kind`.
 pub fn repro_command(seed: u64, kind: CampaignKind) -> String {
     format!("cargo run --release -p swift-chaos -- --campaign {kind} --seeds 1 --start-seed {seed}")
+}
+
+/// The structural oracles, run on one DAG before any simulation: the
+/// graphlet partition is sound (§III-A), the template cache serves exactly
+/// what from-scratch planning produces, and every scheme prior follows
+/// the adaptive rule (§III-B). Returns one message per violation.
+pub fn preflight_dag(dag: &JobDag) -> Vec<String> {
+    let claimed: Vec<Vec<StageId>> = partition(dag)
+        .graphlets()
+        .iter()
+        .map(|g| g.stages.clone())
+        .collect();
+    let policy = PolicyConfig::swift();
+    let mut violations = validate_partition(dag, &claimed);
+    violations.extend(validate_template_roundtrip(dag, &policy));
+    let priors = compute_priors(dag, &plan_units(dag, &policy.partitioning), &policy);
+    violations.extend(validate_scheme_priors(
+        dag,
+        &priors,
+        AdaptiveThresholds::default(),
+    ));
+    violations
 }
 
 /// Pass-2 static pre-flight over a scenario, run before any simulation:

@@ -26,8 +26,8 @@ pub mod observer;
 pub mod service;
 
 pub use campaign::{
-    execute, execute_traced, execute_traced_sink_with, generate_scenario, repro_command,
-    run_campaign, run_seed, CampaignKind, CampaignReport, Scenario, SeedOutcome,
+    execute, execute_traced, execute_traced_sink_with, generate_scenario, preflight_dag,
+    repro_command, run_campaign, run_seed, CampaignKind, CampaignReport, Scenario, SeedOutcome,
 };
 pub use observer::{ChaosObserver, ChaosState};
 pub use service::{

@@ -46,5 +46,5 @@ pub use dag::{descendants, permuted_clone, DagBuilder, DagError, JobDag, StageBu
 pub use edge::{classify_edge, Edge, EdgeKind};
 pub use ids::{GraphletId, JobId, StageId, TaskId};
 pub use operator::Operator;
-pub use partition::{partition, Graphlet, Partition};
+pub use partition::{partition, validate_partition, Graphlet, Partition};
 pub use stage::{Stage, StageProfile};

@@ -356,6 +356,97 @@ fn condense_sccs(adj: &[BTreeSet<u32>]) -> Vec<u32> {
     scc_of
 }
 
+/// Checks a claimed graphlet partition of `dag` (§III-A) and returns one
+/// message per violation; empty means the claim is sound:
+///
+/// * every stage is in exactly one graphlet, and every listed stage exists;
+/// * only barrier edges cross graphlets (pipeline producers and consumers
+///   must be gang scheduled together);
+/// * the graphlet dependency graph is acyclic, or a scheduler that submits
+///   a graphlet once its inputs are ready deadlocks.
+///
+/// It takes the raw claim, not a [`Partition`], which is sound by
+/// construction: the chaos pre-flight hands it [`partition`]'s graphlets.
+pub fn validate_partition(dag: &JobDag, claimed: &[Vec<StageId>]) -> Vec<String> {
+    let mut violations = Vec::new();
+    let n = dag.stage_count();
+    let mut owners: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (g, stages) in claimed.iter().enumerate() {
+        for &s in stages {
+            if s.index() < n {
+                owners[s.index()].push(g);
+            } else {
+                violations.push(format!(
+                    "graphlet {g} lists unknown stage {s} (job has {n} stages)"
+                ));
+            }
+        }
+    }
+    for (i, gs) in owners.iter().enumerate() {
+        let stage = &dag.stage(StageId(i as u32)).name;
+        match gs[..] {
+            [_] => {}
+            [] => violations.push(format!("stage {stage} is in no graphlet")),
+            [a, b, ..] => violations.push(format!(
+                "stage {stage} is in {} graphlets (first two: {a} and {b})",
+                gs.len()
+            )),
+        }
+    }
+
+    // The cross-graphlet checks take each stage's first graphlet, so they
+    // still run on a claim that is broken above; unassigned stages are
+    // skipped.
+    let g = claimed.len();
+    let mut quotient: Vec<Vec<usize>> = vec![Vec::new(); g];
+    for e in dag.edges() {
+        let (Some(&from), Some(&to)) =
+            (owners[e.src.index()].first(), owners[e.dst.index()].first())
+        else {
+            continue;
+        };
+        if from == to {
+            continue;
+        }
+        if e.kind == EdgeKind::Pipeline {
+            violations.push(format!(
+                "pipeline edge {} -> {} crosses graphlets {from} and {to}; only barrier edges \
+                 may cross",
+                dag.stage(e.src).name,
+                dag.stage(e.dst).name
+            ));
+        } else if !quotient[from].contains(&to) {
+            quotient[from].push(to);
+        }
+    }
+
+    // Kahn over the barrier quotient graph.
+    let mut indeg = vec![0usize; g];
+    for &to in quotient.iter().flatten() {
+        indeg[to] += 1;
+    }
+    let mut ready: Vec<usize> = (0..g).filter(|&i| indeg[i] == 0).collect();
+    while let Some(i) = ready.pop() {
+        for &to in &quotient[i] {
+            indeg[to] -= 1;
+            if indeg[to] == 0 {
+                ready.push(to);
+            }
+        }
+    }
+    let stuck: Vec<String> = (0..g)
+        .filter(|&i| indeg[i] > 0)
+        .map(|i| i.to_string())
+        .collect();
+    if !stuck.is_empty() {
+        violations.push(format!(
+            "graphlet dependency graph is cyclic (graphlets {} wait on each other)",
+            stuck.join(", ")
+        ));
+    }
+    violations
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,12 +661,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn cyclic_quotient_is_condensed() {
-        // 0 -> {1, 4} pipeline, 1 -> 2 barrier, 2 -> 3 pipeline,
-        // 3 -> 4 barrier. Pipeline flood-fill yields {0,1,4} and {2,3}
-        // with mutual barrier dependencies; the condensation must merge
-        // them into a single graphlet so schedulers never deadlock.
+    /// 0 -> {1, 4} pipeline, 1 -> 2 barrier, 2 -> 3 pipeline, 3 -> 4
+    /// barrier. Pipeline flood-fill yields {0,1,4} and {2,3} with mutual
+    /// barrier dependencies.
+    fn cyclic_quotient_dag() -> JobDag {
         let mut b = DagBuilder::new(1, "cyclic-quotient");
         let streaming = |b: &mut DagBuilder, n: &str| {
             b.stage(n, 1)
@@ -600,7 +689,14 @@ mod tests {
             .edge(s1, s2)
             .edge(s2, s3)
             .edge(s3, s4);
-        let dag = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn cyclic_quotient_is_condensed() {
+        // The condensation must merge the two flood-filled components into
+        // a single graphlet so schedulers never deadlock.
+        let dag = cyclic_quotient_dag();
         assert_eq!(
             dag.edges().iter().map(|e| e.kind).collect::<Vec<_>>(),
             vec![
@@ -626,5 +722,82 @@ mod tests {
             let g = p.graphlet_of(s.id);
             assert!(p.graphlet(g).contains(s.id));
         }
+    }
+
+    /// A -> B pipeline, B -> C barrier (B sorts): graphlets {A, B} and {C}.
+    fn two_graphlet_dag() -> JobDag {
+        let mut b = DagBuilder::new(1, "two");
+        let a = b
+            .stage("A", 4)
+            .op(Operator::TableScan { table: "t".into() })
+            .op(Operator::ShuffleWrite)
+            .build();
+        let bb = b
+            .stage("B", 4)
+            .op(Operator::ShuffleRead)
+            .op(Operator::MergeSort)
+            .op(Operator::ShuffleWrite)
+            .build();
+        let c = b
+            .stage("C", 2)
+            .op(Operator::ShuffleRead)
+            .op(Operator::AdhocSink)
+            .build();
+        b.edge(a, bb).edge(bb, c);
+        b.build().unwrap()
+    }
+
+    fn claim(stages: &[&[u32]]) -> Vec<Vec<StageId>> {
+        stages
+            .iter()
+            .map(|g| g.iter().map(|&s| StageId(s)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn validate_partition_accepts_what_partition_claims() {
+        for dag in [q9_dag(), two_graphlet_dag(), cyclic_quotient_dag()] {
+            let claimed: Vec<Vec<StageId>> = partition(&dag)
+                .graphlets()
+                .iter()
+                .map(|g| g.stages.clone())
+                .collect();
+            assert_eq!(validate_partition(&dag, &claimed), Vec::<String>::new());
+        }
+    }
+
+    #[test]
+    fn validate_partition_flags_unassigned_double_and_unknown_stages() {
+        let dag = two_graphlet_dag();
+        // C is in no graphlet, A is in two, and the job has no stage 9.
+        let v = validate_partition(&dag, &claim(&[&[0, 1], &[0, 9]]));
+        assert_eq!(
+            v,
+            vec![
+                "graphlet 1 lists unknown stage s9 (job has 3 stages)",
+                "stage A is in 2 graphlets (first two: 0 and 1)",
+                "stage C is in no graphlet",
+            ]
+        );
+    }
+
+    #[test]
+    fn validate_partition_flags_a_pipeline_edge_across_graphlets() {
+        let dag = two_graphlet_dag();
+        let v = validate_partition(&dag, &claim(&[&[0], &[1], &[2]]));
+        assert_eq!(
+            v,
+            vec!["pipeline edge A -> B crosses graphlets 0 and 1; only barrier edges may cross"]
+        );
+    }
+
+    #[test]
+    fn validate_partition_flags_a_cyclic_graphlet_graph() {
+        let dag = cyclic_quotient_dag();
+        let v = validate_partition(&dag, &claim(&[&[0, 1, 4], &[2, 3]]));
+        assert_eq!(
+            v,
+            vec!["graphlet dependency graph is cyclic (graphlets 0, 1 wait on each other)"]
+        );
     }
 }

@@ -25,4 +25,4 @@ pub use recovery::{
     plan_job_restart, plan_recovery, ChannelAction, ChannelUpdate, ExecutionSnapshot, RecoveryCase,
     RecoveryPlan, TaskRunState,
 };
-pub use validate::validate_recovery_plan;
+pub use validate::{validate_plan_versions, validate_recovery_plan};

@@ -14,10 +14,14 @@
 //!   toward job restart;
 //! * **channel discipline** — Resend only on intra-graphlet pipeline
 //!   input edges, CacheFetch only on cross-graphlet/barrier input edges,
-//!   Reconnect only toward executed, non-re-running pipeline consumers.
+//!   Reconnect only toward executed, non-re-running pipeline consumers;
+//! * **shape** — every named task exists, and the rerun list is sorted and
+//!   duplicate-free.
 //!
-//! The chaos harness calls this on every plan the simulator produces; the
-//! planner's own unit tests also use it as a second opinion.
+//! [`validate_plan_versions`] checks the same plan against the shuffle
+//! version ledger. The chaos harness calls both on every plan the
+//! simulator produces; the planner's own unit tests also use the first as
+//! a second opinion.
 
 use crate::detection::FailureKind;
 use crate::recovery::{ChannelAction, ExecutionSnapshot, RecoveryPlan, TaskRunState};
@@ -93,6 +97,22 @@ pub fn validate_recovery_plan(
         ));
     }
 
+    // Every task the plan names must exist; the derivation below indexes
+    // by them.
+    let exists =
+        |t: &TaskId| t.stage.index() < dag.stage_count() && t.index < dag.stage(t.stage).task_count;
+    let updated = plan.updates.iter().flat_map(|u| [&u.producer, &u.consumer]);
+    let unknown: Vec<String> = std::iter::once(&plan.failed)
+        .chain(&plan.rerun)
+        .chain(updated)
+        .filter(|t| !exists(t))
+        .map(|t| format!("plan names task {t}, which job {} does not have", dag.name))
+        .collect();
+    if !unknown.is_empty() {
+        violations.extend(unknown);
+        return violations;
+    }
+
     // §IV-C: deterministic application errors abort, everything else
     // recovers.
     if !kind.recoverable() {
@@ -116,6 +136,10 @@ pub fn validate_recovery_plan(
     let rerun: BTreeSet<TaskId> = plan.rerun.iter().copied().collect();
     if rerun.len() != plan.rerun.len() {
         violations.push("rerun list contains duplicates".into());
+    }
+    // Sorted, so that replays and reports list reruns deterministically.
+    if plan.rerun.windows(2).any(|w| w[0] > w[1]) {
+        violations.push("rerun list is not sorted".into());
     }
 
     let no_action = no_action_justified(dag, failed, snap);
@@ -244,6 +268,30 @@ pub fn validate_recovery_plan(
     }
 
     violations
+}
+
+/// Checks `plan` against the shuffle version ledger: a CacheFetch or Resend
+/// update serves the consumer from a producer that is not re-running, so
+/// the ledger must have seen an instance of that producer, or there is no
+/// output to serve. `seen` answers from the ledger. A producer whose output
+/// is superseded is not flagged: one that failed earlier and is re-running
+/// shows a superseded epoch while its new instance runs.
+pub fn validate_plan_versions(plan: &RecoveryPlan, seen: &dyn Fn(TaskId) -> bool) -> Vec<String> {
+    if plan.abort_job {
+        return Vec::new();
+    }
+    plan.updates
+        .iter()
+        // A Reconnect's producer re-runs, so its data is regenerated.
+        .filter(|u| u.action != ChannelAction::Reconnect && !seen(u.producer))
+        .map(|u| {
+            format!(
+                "update {} -> {} ({:?}) relies on producer {} whose instances the version \
+                 ledger has never seen; there is no output to serve",
+                u.producer, u.consumer, u.action, u.producer
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -427,5 +475,92 @@ mod tests {
             &plan,
         );
         assert!(v.iter().any(|m| m.contains("recoverable")), "got {v:?}");
+    }
+
+    #[test]
+    fn unsorted_rerun_is_flagged() {
+        let (dag, part) = diamond(false);
+        let snap = running_all(&dag);
+        let failed = t(&dag, "M");
+        let mut plan = plan_recovery(&dag, &part, failed, FailureKind::ProcessRestart, &snap);
+        assert_eq!(plan.rerun, vec![failed, t(&dag, "C")]);
+        plan.rerun.reverse();
+        let v = validate_recovery_plan(
+            &dag,
+            &part,
+            failed,
+            FailureKind::ProcessRestart,
+            &snap,
+            &plan,
+        );
+        assert_eq!(v, vec!["rerun list is not sorted"]);
+    }
+
+    #[test]
+    fn unknown_tasks_are_flagged() {
+        let (dag, part) = diamond(true);
+        let snap = running_all(&dag);
+        let failed = t(&dag, "M");
+        let mut plan = plan_recovery(&dag, &part, failed, FailureKind::ProcessRestart, &snap);
+        // Stage M has one task, and the job has no stage 9.
+        plan.rerun.push(TaskId::new(failed.stage, 1));
+        plan.updates.push(ChannelUpdate {
+            producer: TaskId::new(StageId(9), 0),
+            consumer: failed,
+            action: ChannelAction::CacheFetch,
+        });
+        let v = validate_recovery_plan(
+            &dag,
+            &part,
+            failed,
+            FailureKind::ProcessRestart,
+            &snap,
+            &plan,
+        );
+        assert_eq!(
+            v,
+            vec![
+                "plan names task s1t1, which job diamond does not have",
+                "plan names task s9t0, which job diamond does not have",
+            ]
+        );
+    }
+
+    fn resend_plan(action: ChannelAction) -> RecoveryPlan {
+        let (producer, consumer) = (TaskId::new(StageId(0), 0), TaskId::new(StageId(1), 0));
+        RecoveryPlan {
+            failed: consumer,
+            case: crate::RecoveryCase::IntraIdempotent,
+            abort_job: false,
+            rerun: vec![consumer],
+            updates: vec![ChannelUpdate {
+                producer,
+                consumer,
+                action,
+            }],
+        }
+    }
+
+    #[test]
+    fn versions_accept_a_producer_the_ledger_has_seen() {
+        let plan = resend_plan(ChannelAction::Resend);
+        assert!(validate_plan_versions(&plan, &|_| true).is_empty());
+    }
+
+    #[test]
+    fn versions_flag_a_producer_the_ledger_never_saw() {
+        for action in [ChannelAction::Resend, ChannelAction::CacheFetch] {
+            let plan = resend_plan(action);
+            let v = validate_plan_versions(&plan, &|_| false);
+            assert_eq!(v.len(), 1, "{action:?}: {v:?}");
+            assert!(v[0].contains("never seen"), "{v:?}");
+        }
+        // A reconnected producer re-runs, and an aborting plan serves nothing.
+        assert!(
+            validate_plan_versions(&resend_plan(ChannelAction::Reconnect), &|_| false).is_empty()
+        );
+        let mut aborting = resend_plan(ChannelAction::Resend);
+        aborting.abort_job = true;
+        assert!(validate_plan_versions(&aborting, &|_| false).is_empty());
     }
 }

@@ -17,8 +17,9 @@
 //!
 //! Every job is admitted through the cache, and served artifacts are
 //! *definitionally equal* to what from-scratch planning would produce
-//! (verified by `debug_assert` on every hit, by the SW110 validator in
-//! `swift-analyze`, and by the root `template_equivalence` suite, which
+//! (verified by `debug_assert` on every hit, by
+//! [`validate_template_roundtrip`] in every chaos pre-flight, and by the
+//! root `template_equivalence` suite, which
 //! pins run digests and traces recorded under from-scratch planning).
 //!
 //! ## What is cached vs. patched
@@ -45,7 +46,7 @@ use crate::units::{plan_units, UnitPlan};
 use std::collections::HashMap;
 use std::sync::Arc;
 use swift_dag::{partition, permuted_clone, EdgeKind, JobDag, Partition, Stage, StageId};
-use swift_shuffle::{ShuffleMedium, ShuffleScheme};
+use swift_shuffle::{AdaptiveThresholds, ShuffleMedium, ShuffleScheme};
 use swift_sim::Fnv64;
 
 /// One cached shuffle-scheme decision, in DAG edge order: everything about
@@ -70,8 +71,8 @@ pub struct SchemePrior {
 
 /// Computes the shape-determined part of every edge's scheme decision —
 /// the single source of truth for scheme selection, used by the scratch
-/// admission path, cached into templates, and replayed by the SW110
-/// instantiation validator.
+/// admission path, cached into templates, and replayed by
+/// [`validate_template_roundtrip`].
 pub fn compute_priors(dag: &JobDag, plan: &UnitPlan, policy: &PolicyConfig) -> Vec<SchemePrior> {
     dag.edges()
         .iter()
@@ -109,7 +110,7 @@ pub fn compute_priors(dag: &JobDag, plan: &UnitPlan, policy: &PolicyConfig) -> V
 /// The artifacts a miss plans from scratch: the graphlet partition, the
 /// unit plan (read off that partition under [`Partitioning::Graphlets`],
 /// so the DAG is partitioned once) and the scheme priors. The admission
-/// path, the SW110 roundtrip and the tests all plan a miss through it.
+/// path, the template roundtrip and the tests all plan a miss through it.
 pub(crate) fn plan_artifacts(
     dag: &JobDag,
     policy: &PolicyConfig,
@@ -446,12 +447,12 @@ fn selection_bucket(sel: &ShuffleSelection, size: u64) -> u64 {
     }
 }
 
-/// Validator entry point (SW110): registers a template from an identical
-/// rebuild of `dag` (same stage insertion order, different job id), then
-/// looks `dag` itself up. On the expected hit, returns the served
-/// artifacts for comparison against from-scratch planning; `None` means
-/// the cache missed on an identical rebuild — the shape key depends on
-/// something other than the shape (itself an SW110 finding).
+/// The roundtrip [`validate_template_roundtrip`] checks: registers a
+/// template from an identical rebuild of `dag` (same stage insertion
+/// order, different job id), then looks `dag` itself up. On the expected
+/// hit, returns the served artifacts for comparison against from-scratch
+/// planning; `None` means the cache missed on an identical rebuild — the
+/// shape key depends on something other than the shape.
 pub fn roundtrip_artifacts(dag: &JobDag, policy: &PolicyConfig) -> Option<TemplateHit> {
     let mut cache = TemplateCache::new(policy);
     let order: Vec<StageId> = (0..dag.stage_count() as u32).map(StageId).collect();
@@ -467,6 +468,80 @@ pub fn roundtrip_artifacts(dag: &JobDag, policy: &PolicyConfig) -> Option<Templa
         TemplateLookup::Hit(h) => Some(h),
         TemplateLookup::Miss(_) => None,
     }
+}
+
+/// Checks that the template cache serves `dag` exactly what from-scratch
+/// planning under `policy` produces: the cache must be a pure cost
+/// optimization, never a behavioral one. Runs [`roundtrip_artifacts`] and
+/// returns one message per artifact that differs, or one for a miss on the
+/// identical rebuild; empty means the roundtrip is exact.
+pub fn validate_template_roundtrip(dag: &JobDag, policy: &PolicyConfig) -> Vec<String> {
+    let Some(served) = roundtrip_artifacts(dag, policy) else {
+        return vec![
+            "template cache missed on an identical rebuild under another job id: the shape \
+             key depends on something other than the shape"
+                .into(),
+        ];
+    };
+    let part = partition(dag);
+    let plan = plan_units(dag, &policy.partitioning);
+    let priors = compute_priors(dag, &plan, policy);
+    let mut violations = Vec::new();
+    if *served.part != part {
+        violations.push("served graphlet partition differs from from-scratch partitioning".into());
+    }
+    if *served.plan != plan {
+        violations.push("served unit plan differs from from-scratch unit planning".into());
+    }
+    if *served.priors != priors {
+        violations.push("served scheme priors differ from from-scratch selection".into());
+    }
+    violations
+}
+
+/// Checks a job's scheme priors against §III-B's adaptive selection: an
+/// edge's scheme is `thresholds.select(size)`, with Direct promoted to
+/// Remote on a barrier edge, whose data must be staged in a Cache Worker.
+/// Returns one message per violating prior; empty means every prior
+/// follows the rule.
+pub fn validate_scheme_priors(
+    dag: &JobDag,
+    priors: &[SchemePrior],
+    thresholds: AdaptiveThresholds,
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    for p in priors {
+        let Some(edge) = dag.edges().get(p.edge as usize) else {
+            violations.push(format!(
+                "prior names edge {}, but the job has {} edges",
+                p.edge,
+                dag.edges().len()
+            ));
+            continue;
+        };
+        let (src, dst) = (&dag.stage(edge.src).name, &dag.stage(edge.dst).name);
+        let barrier = edge.kind == EdgeKind::Barrier;
+        if barrier && !p.scheme.uses_cache_worker() {
+            violations.push(format!(
+                "Direct Shuffle on barrier edge {src} -> {dst}: its data must be staged in a \
+                 Cache Worker"
+            ));
+            continue;
+        }
+        let size = dag.edge_shuffle_size(edge);
+        let mut expected = thresholds.select(size);
+        if barrier && !expected.uses_cache_worker() {
+            expected = ShuffleScheme::Remote;
+        }
+        if p.scheme != expected {
+            violations.push(format!(
+                "edge {src} -> {dst} of size {size} selects {expected} under thresholds {}/{}, \
+                 but its prior is {}",
+                thresholds.small, thresholds.large, p.scheme
+            ));
+        }
+    }
+    violations
 }
 
 #[cfg(test)]
@@ -552,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_artifacts_match_scratch_planning() {
+    fn template_roundtrip_is_exact() {
         let policy = PolicyConfig::swift();
         for dag in [
             two_graphlet_dag(9, 200),
@@ -560,21 +635,55 @@ mod tests {
             swift_workload::tpch_sim_dag(13, 13),
             swift_workload::terasort_dag(100, 40, 40, 64 << 20),
         ] {
-            let a = roundtrip_artifacts(&dag, &policy)
-                .unwrap_or_else(|| panic!("{}: identical rebuild missed", dag.name));
-            assert_eq!(*a.part, partition(&dag), "{}", dag.name);
             assert_eq!(
-                *a.plan,
-                plan_units(&dag, &policy.partitioning),
-                "{}",
-                dag.name
-            );
-            assert_eq!(
-                *a.priors,
-                compute_priors(&dag, &a.plan, &policy),
+                validate_template_roundtrip(&dag, &policy),
+                Vec::<String>::new(),
                 "{}",
                 dag.name
             );
         }
+    }
+
+    #[test]
+    fn scheme_priors_follow_the_adaptive_rule() {
+        let policy = PolicyConfig::swift();
+        // 200×100 selects Remote; 40×100 selects Direct, promoted to
+        // Remote on this barrier edge.
+        for dag in [
+            two_graphlet_dag(1, 200),
+            two_graphlet_dag(2, 40),
+            swift_workload::tpch_sim_dag(9, 9),
+        ] {
+            let priors = compute_priors(&dag, &plan_units(&dag, &policy.partitioning), &policy);
+            let v = validate_scheme_priors(&dag, &priors, AdaptiveThresholds::default());
+            assert_eq!(v, Vec::<String>::new(), "{}", dag.name);
+        }
+    }
+
+    #[test]
+    fn scheme_priors_off_the_rule_are_flagged() {
+        let dag = two_graphlet_dag(1, 200);
+        let prior = |edge, scheme| SchemePrior {
+            edge,
+            src: StageId(0),
+            dst: StageId(1),
+            scheme,
+            medium: ShuffleMedium::Memory,
+            crossing: true,
+        };
+        let priors = [
+            prior(0, ShuffleScheme::Local),
+            prior(0, ShuffleScheme::Direct),
+            prior(1, ShuffleScheme::Remote),
+        ];
+        assert_eq!(
+            validate_scheme_priors(&dag, &priors, AdaptiveThresholds::default()),
+            vec![
+                "edge M -> R of size 20000 selects remote under thresholds 10000/90000, but its \
+                 prior is local",
+                "Direct Shuffle on barrier edge M -> R: its data must be staged in a Cache Worker",
+                "prior names edge 1, but the job has 1 edges",
+            ]
+        );
     }
 }

@@ -11,6 +11,7 @@ use swift::scheduler::{JobSpec, PolicyConfig, SimConfig, Simulation};
 use swift::sql::{compile, run_sql, PlanOptions};
 use swift::workload::{generate_catalog, q9_sim_dag, tpch_sim_dag, Q13_SQL, Q9_SQL};
 use swift_analyze::DETERMINISM_SENSITIVE_CRATES;
+use swift_chaos::preflight_dag;
 
 #[test]
 fn q9_sql_runs_and_modes_agree() {
@@ -255,6 +256,20 @@ fn value_displays_roundtrip_through_sql_literals() {
     .unwrap();
     assert_eq!(rows[0][0], Value::Str("CANADA".into()));
     assert_eq!(rows[1][0], Value::Str("CHINA".into()));
+}
+
+/// The built-in workload DAGs, a TPC-H slice plus TeraSort, pass the
+/// structural oracles the chaos pre-flight runs on every seed.
+#[test]
+fn builtin_dags_pass_the_structural_oracles() {
+    let mut dags: Vec<_> = [1usize, 3, 5, 9, 13, 18]
+        .iter()
+        .map(|&q| tpch_sim_dag(q, q as u64))
+        .collect();
+    dags.push(swift::workload::terasort_dag(100, 40, 40, 64 << 20));
+    for dag in &dags {
+        assert_eq!(preflight_dag(dag), Vec::<String>::new(), "{}", dag.name);
+    }
 }
 
 /// Clippy reads the `clippy.toml` nearest a crate's manifest, so the
