@@ -4,8 +4,9 @@
 //! into a **scenario** — a random cluster topology, a random workload
 //! (TPC-H query DAGs, terasort, trace-derived chains) and a random fault
 //! schedule (task failure injections plus whole-machine crashes) — which
-//! is replayed through [`Simulation`] under the chaos observer. After the
-//! run five invariants are checked:
+//! is replayed through [`Simulation`] under the chaos observer. Before the
+//! run every generated DAG must pass the structural oracles of
+//! [`preflight_dag`]; after it five invariants are checked:
 //!
 //! 1. every non-aborted job reaches a terminal state;
 //! 2. the same seed produces a byte-identical [`RunReport`];
@@ -23,7 +24,6 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use swift_analyze::{validate_gang, Severity, SpanMap};
 use swift_cluster::{Cluster, CostModel, MachineId};
 use swift_dag::{partition, validate_partition, JobDag, StageId};
 use swift_ft::FailureKind;
@@ -331,32 +331,14 @@ pub fn preflight_dag(dag: &JobDag) -> Vec<String> {
     violations
 }
 
-/// Pass-2 static pre-flight over a scenario, run before any simulation:
-/// every generated DAG must partition cleanly, pick thresholds-consistent
-/// shuffle schemes, and (as a warning only) fit its widest gang on the
-/// cluster. Error-severity diagnostics become `[preflight]` violations so
-/// a malformed workload is caught without burning a simulation run.
+/// Static pre-flight over a scenario, run before any simulation: every
+/// generated DAG must pass [`preflight_dag`]. Each violation becomes a
+/// `[preflight]` line, so a malformed workload is caught without burning
+/// a simulation run.
 fn preflight(sc: &Scenario, out: &mut Vec<String>) {
-    let executors = u64::from(sc.machines) * u64::from(sc.executors_per_machine);
     for (i, spec) in sc.workload.iter().enumerate() {
-        let mut report = swift_analyze::analyze_dag(&spec.dag);
-        let spans = SpanMap::object(format!("dag:{}", spec.dag.name));
-        let claimed: Vec<Vec<StageId>> = partition(&spec.dag)
-            .graphlets()
-            .iter()
-            .map(|g| g.stages.clone())
-            .collect();
-        // SW104 is warning-severity by design: chaos clusters are allowed
-        // to be smaller than a gang (wave-mode degradation covers it), so
-        // this check is exercised but never turned into a violation.
-        report.merge(validate_gang(&spec.dag, &claimed, executors, &spans));
-        for d in &report.diagnostics {
-            if d.severity == Severity::Error {
-                out.push(format!(
-                    "[preflight] job {i}: {}[{}]: {} ({})",
-                    d.severity, d.code, d.message, d.span
-                ));
-            }
+        for v in preflight_dag(&spec.dag) {
+            out.push(format!("[preflight] job {i} ({}): {v}", spec.dag.name));
         }
     }
 }
@@ -381,8 +363,8 @@ fn check_completion(report: &RunReport, state: &ChaosState, tag: &str, out: &mut
 
 /// Runs every invariant for one seed.
 ///
-/// The scenario is first statically validated by the swift-analyze
-/// pre-flight (graphlet partition, shuffle schemes, gang width); then
+/// The scenario is first statically validated by the pre-flight
+/// (graphlet partition, template roundtrip, shuffle schemes); then
 /// three simulations are executed: fine-grained recovery (checked live by
 /// the observer), fine-grained again (byte-identical-report determinism),
 /// and whole-job restart (the makespan baseline of invariant 4).

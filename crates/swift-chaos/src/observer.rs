@@ -6,9 +6,11 @@
 //! * **shuffle version discipline** — every input read must deliver data
 //!   from the producer's latest launched instance, never from a superseded
 //!   one ([`swift_shuffle::VersionLedger`]);
-//! * **recovery-plan soundness and minimality** — every fine-grained plan
-//!   is re-derived by the independent oracle in
-//!   [`swift_ft::validate_recovery_plan`] and any disagreement is recorded;
+//! * **recovery-plan soundness, minimality and shape** — every
+//!   fine-grained plan is re-derived by the independent oracle in
+//!   [`swift_ft::validate_recovery_plan`] and any disagreement is recorded,
+//!   and [`swift_ft::validate_plan_versions`] checks that every producer it
+//!   serves data from has an instance in the live ledger;
 //! * **terminal-state accounting** — which jobs actually reached a
 //!   terminal state, so the campaign driver can prove completion.
 //!
@@ -23,9 +25,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use swift_analyze::{validate_plan_versions, validate_recovery_plan_shape, SpanMap};
 use swift_dag::TaskId;
-use swift_ft::validate_recovery_plan;
+use swift_ft::{validate_plan_versions, validate_recovery_plan};
 use swift_scheduler::{RecoveryContext, SimObserver, TemplateDecision, TemplateOutcome};
 use swift_shuffle::VersionLedger;
 use swift_sim::SimTime;
@@ -139,27 +140,13 @@ impl SimObserver for ChaosObserver {
             ));
         }
 
-        // Independent of the oracle above, every plan must also pass the
-        // swift-analyze structural validators: well-formedness (SW108) and
-        // version discipline against the live ledger (SW106, relaxed mode —
-        // a producer mid-re-run legitimately shows superseded output).
-        let spans = SpanMap::object(format!("plan:job{job}"));
-        let mut analyze = validate_recovery_plan_shape(ctx.dag, plan, &spans);
-        {
-            let ledger = &st.ledger;
-            let lookup = |t: TaskId| {
-                let key = (job, t);
-                ledger
-                    .seen(key)
-                    .then(|| (ledger.latest_epoch(key), ledger.output_epoch(key)))
-            };
-            analyze.merge(validate_plan_versions(plan, &lookup, false, &spans));
-        }
-        for d in &analyze.diagnostics {
-            st.violations.push(format!(
-                "[plan-static] t={now:?} job {job}: {}[{}]: {}",
-                d.severity, d.code, d.message
-            ));
+        // Independent of the oracle above, every update that serves a
+        // consumer from a surviving producer must name a producer the live
+        // ledger has seen.
+        let unseen = validate_plan_versions(plan, &|t: TaskId| st.ledger.seen((job, t)));
+        for v in unseen {
+            st.violations
+                .push(format!("[plan-static] t={now:?} job {job}: {v}"));
         }
     }
 

@@ -280,14 +280,8 @@ pub fn run_service_seed(seed: u64) -> SeedOutcome {
     // campaigns: a malformed workload is caught before any simulation.
     let workload = generate_service_workload(&sc.workload);
     for (i, job) in workload.iter().enumerate() {
-        let report = swift_analyze::analyze_dag(&job.dag);
-        for d in &report.diagnostics {
-            if d.severity == swift_analyze::Severity::Error {
-                violations.push(format!(
-                    "[preflight] job {i}: {}[{}]: {} ({})",
-                    d.severity, d.code, d.message, d.span
-                ));
-            }
+        for v in crate::campaign::preflight_dag(&job.dag) {
+            violations.push(format!("[preflight] job {i} ({}): {v}", job.dag.name));
         }
     }
 

@@ -13,8 +13,7 @@
 //! * `\sort on|off` — toggle the sort-merge planner mode (Fig. 4 plans)
 //! * `\q` — quit
 //!
-//! The binary also fronts the static analyzer and the run tracer:
-//! * `swift-sql-shell analyze --workspace --deny-warnings`
+//! The binary also fronts the run tracer:
 //! * `swift-sql-shell trace <scenario> --seed N [--out FILE] [--chrome FILE]`
 //!   (see `trace --list` for the scenario registry)
 
@@ -26,11 +25,6 @@ use swift_workload::generate_catalog;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    // `swift-sql-shell analyze ...` delegates to the swift-analyze CLI so
-    // the static-analysis passes are reachable from the main binary.
-    if raw.first().map(String::as_str) == Some("analyze") {
-        std::process::exit(swift_analyze::run_cli(&raw[1..]));
-    }
     // `swift-sql-shell trace <scenario> ...` delegates to the swift-trace
     // CLI: deterministic scenario runs dumped as text or Chrome JSON.
     if raw.first().map(String::as_str) == Some("trace") {
@@ -58,7 +52,6 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!("usage: swift-sql-shell [--sf N] [SQL]");
-                println!("       swift-sql-shell analyze [swift-analyze flags]");
                 println!("       swift-sql-shell trace <scenario> [swift-trace flags]");
                 println!("       swift-sql-shell serve [swift-service flags]");
                 println!("       swift-sql-shell service-replay <scenario> [swift-service flags]");

@@ -37,8 +37,8 @@ pub use sim::{
     Simulation,
 };
 pub use template::{
-    compute_priors, roundtrip_artifacts, validate_scheme_priors, validate_template_roundtrip,
-    SchemePrior, TemplateCache, TemplateDecision, TemplateHit, TemplateLookup, TemplateOutcome,
-    TemplateStats, TemplateTicket,
+    compute_priors, validate_scheme_priors, validate_template_roundtrip, SchemePrior,
+    TemplateCache, TemplateDecision, TemplateHit, TemplateLookup, TemplateOutcome, TemplateStats,
+    TemplateTicket,
 };
 pub use units::{plan_units, ScheduleUnit, UnitPlan};

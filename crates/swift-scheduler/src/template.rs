@@ -447,13 +447,14 @@ fn selection_bucket(sel: &ShuffleSelection, size: u64) -> u64 {
     }
 }
 
-/// The roundtrip [`validate_template_roundtrip`] checks: registers a
-/// template from an identical rebuild of `dag` (same stage insertion
-/// order, different job id), then looks `dag` itself up. On the expected
-/// hit, returns the served artifacts for comparison against from-scratch
-/// planning; `None` means the cache missed on an identical rebuild — the
-/// shape key depends on something other than the shape.
-pub fn roundtrip_artifacts(dag: &JobDag, policy: &PolicyConfig) -> Option<TemplateHit> {
+/// Checks that the template cache serves `dag` exactly what from-scratch
+/// planning under `policy` produces: the cache must be a pure cost
+/// optimization, never a behavioral one. Registers a template from an
+/// identical rebuild of `dag` (same stage insertion order, another job
+/// id), looks `dag` itself up, and returns one message per served artifact
+/// that differs from from-scratch planning, or one for a miss; empty means
+/// the roundtrip is exact.
+pub fn validate_template_roundtrip(dag: &JobDag, policy: &PolicyConfig) -> Vec<String> {
     let mut cache = TemplateCache::new(policy);
     let order: Vec<StageId> = (0..dag.stage_count() as u32).map(StageId).collect();
     let donor = Arc::new(permuted_clone(dag, &order, dag.job_id.raw() ^ 0x7E11));
@@ -464,19 +465,7 @@ pub fn roundtrip_artifacts(dag: &JobDag, policy: &PolicyConfig) -> Option<Templa
         }
         TemplateLookup::Hit(_) => unreachable!("empty cache cannot hit"),
     }
-    match cache.lookup(dag) {
-        TemplateLookup::Hit(h) => Some(h),
-        TemplateLookup::Miss(_) => None,
-    }
-}
-
-/// Checks that the template cache serves `dag` exactly what from-scratch
-/// planning under `policy` produces: the cache must be a pure cost
-/// optimization, never a behavioral one. Runs [`roundtrip_artifacts`] and
-/// returns one message per artifact that differs, or one for a miss on the
-/// identical rebuild; empty means the roundtrip is exact.
-pub fn validate_template_roundtrip(dag: &JobDag, policy: &PolicyConfig) -> Vec<String> {
-    let Some(served) = roundtrip_artifacts(dag, policy) else {
+    let TemplateLookup::Hit(served) = cache.lookup(dag) else {
         return vec![
             "template cache missed on an identical rebuild under another job id: the shape \
              key depends on something other than the shape"

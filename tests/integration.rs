@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: SQL → planner → engine on TPC-H data,
 //! workload → simulator, and the consistency between the engine's and the
-//! simulator's views of the same job, plus the crate scoping of the
-//! determinism contract's `clippy.toml`.
+//! simulator's views of the same job, plus the structural oracles on the
+//! built-in workload DAGs and the crate scoping of the determinism
+//! contract's `clippy.toml`.
 
 use std::path::Path;
 use swift::cluster::{Cluster, CostModel};
@@ -10,7 +11,6 @@ use swift::engine::{Engine, Value};
 use swift::scheduler::{JobSpec, PolicyConfig, SimConfig, Simulation};
 use swift::sql::{compile, run_sql, PlanOptions};
 use swift::workload::{generate_catalog, q9_sim_dag, tpch_sim_dag, Q13_SQL, Q9_SQL};
-use swift_analyze::DETERMINISM_SENSITIVE_CRATES;
 use swift_chaos::preflight_dag;
 
 #[test]
@@ -271,6 +271,25 @@ fn builtin_dags_pass_the_structural_oracles() {
         assert_eq!(preflight_dag(dag), Vec::<String>::new(), "{}", dag.name);
     }
 }
+
+/// Crates whose runs must be a pure function of the seed. Each carries a
+/// byte-identical `clippy.toml` that bans unordered hashing, wall clocks,
+/// interior mutability, environment reads and threads; no other crate and
+/// not the workspace root has one (the benchmark times with `Instant`).
+/// `swift-cluster` is on the list because the scheduler calls into it on
+/// every event: executor allocation picks which machine a task runs on,
+/// and the cost model computes the timestamp of every event it schedules.
+const DETERMINISM_SENSITIVE_CRATES: [&str; 9] = [
+    "swift-sim",
+    "swift-scheduler",
+    "swift-cluster",
+    "swift-chaos",
+    "swift-shuffle",
+    "swift-ft",
+    "swift-trace",
+    "swift-metrics",
+    "swift-service",
+];
 
 /// Clippy reads the `clippy.toml` nearest a crate's manifest, so the
 /// determinism contract is scoped by where the file sits: every
