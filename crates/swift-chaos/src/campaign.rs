@@ -31,7 +31,6 @@ use swift_scheduler::{
     compute_priors, plan_units, validate_scheme_priors, validate_template_roundtrip, FailureAt,
     FailureInjection, JobSpec, PolicyConfig, RecoveryPolicy, RunReport, SimConfig, Simulation,
 };
-use swift_shuffle::AdaptiveThresholds;
 use swift_sim::{SimDuration, SimRng, SimTime};
 use swift_workload::{generate_trace, terasort_dag, tpch_sim_dag, TraceConfig};
 
@@ -323,11 +322,7 @@ pub fn preflight_dag(dag: &JobDag) -> Vec<String> {
     let mut violations = validate_partition(dag, &claimed);
     violations.extend(validate_template_roundtrip(dag, &policy));
     let priors = compute_priors(dag, &plan_units(dag, &policy.partitioning), &policy);
-    violations.extend(validate_scheme_priors(
-        dag,
-        &priors,
-        AdaptiveThresholds::default(),
-    ));
+    violations.extend(validate_scheme_priors(dag, &priors));
     violations
 }
 

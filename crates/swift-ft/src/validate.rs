@@ -277,9 +277,6 @@ pub fn validate_recovery_plan(
 /// is superseded is not flagged: one that failed earlier and is re-running
 /// shows a superseded epoch while its new instance runs.
 pub fn validate_plan_versions(plan: &RecoveryPlan, seen: &dyn Fn(TaskId) -> bool) -> Vec<String> {
-    if plan.abort_job {
-        return Vec::new();
-    }
     plan.updates
         .iter()
         // A Reconnect's producer re-runs, so its data is regenerated.
@@ -555,12 +552,9 @@ mod tests {
             assert_eq!(v.len(), 1, "{action:?}: {v:?}");
             assert!(v[0].contains("never seen"), "{v:?}");
         }
-        // A reconnected producer re-runs, and an aborting plan serves nothing.
+        // A reconnected producer re-runs, so its data is regenerated.
         assert!(
             validate_plan_versions(&resend_plan(ChannelAction::Reconnect), &|_| false).is_empty()
         );
-        let mut aborting = resend_plan(ChannelAction::Resend);
-        aborting.abort_job = true;
-        assert!(validate_plan_versions(&aborting, &|_| false).is_empty());
     }
 }

@@ -19,8 +19,8 @@
 //! *definitionally equal* to what from-scratch planning would produce
 //! (verified by `debug_assert` on every hit, by
 //! [`validate_template_roundtrip`] in every chaos pre-flight, and by the
-//! root `template_equivalence` suite, which
-//! pins run digests and traces recorded under from-scratch planning).
+//! root `template_equivalence` suite, which pins run digests and traces
+//! recorded under from-scratch planning).
 //!
 //! ## What is cached vs. patched
 //!
@@ -488,16 +488,13 @@ pub fn validate_template_roundtrip(dag: &JobDag, policy: &PolicyConfig) -> Vec<S
     violations
 }
 
-/// Checks a job's scheme priors against §III-B's adaptive selection: an
-/// edge's scheme is `thresholds.select(size)`, with Direct promoted to
-/// Remote on a barrier edge, whose data must be staged in a Cache Worker.
-/// Returns one message per violating prior; empty means every prior
-/// follows the rule.
-pub fn validate_scheme_priors(
-    dag: &JobDag,
-    priors: &[SchemePrior],
-    thresholds: AdaptiveThresholds,
-) -> Vec<String> {
+/// Checks a job's scheme priors against §III-B's adaptive selection under
+/// the paper's 10 000/90 000 thresholds: an edge's scheme is the one its
+/// size selects, with Direct promoted to Remote on a barrier edge, whose
+/// data must be staged in a Cache Worker. Returns one message per
+/// violating prior; empty means every prior follows the rule.
+pub fn validate_scheme_priors(dag: &JobDag, priors: &[SchemePrior]) -> Vec<String> {
+    let thresholds = AdaptiveThresholds::default();
     let mut violations = Vec::new();
     for p in priors {
         let Some(edge) = dag.edges().get(p.edge as usize) else {
@@ -644,7 +641,7 @@ mod tests {
             swift_workload::tpch_sim_dag(9, 9),
         ] {
             let priors = compute_priors(&dag, &plan_units(&dag, &policy.partitioning), &policy);
-            let v = validate_scheme_priors(&dag, &priors, AdaptiveThresholds::default());
+            let v = validate_scheme_priors(&dag, &priors);
             assert_eq!(v, Vec::<String>::new(), "{}", dag.name);
         }
     }
@@ -666,7 +663,7 @@ mod tests {
             prior(1, ShuffleScheme::Remote),
         ];
         assert_eq!(
-            validate_scheme_priors(&dag, &priors, AdaptiveThresholds::default()),
+            validate_scheme_priors(&dag, &priors),
             vec![
                 "edge M -> R of size 20000 selects remote under thresholds 10000/90000, but its \
                  prior is local",
