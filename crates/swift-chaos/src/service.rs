@@ -20,7 +20,7 @@
 //! * **warm-pool isolation** — every warm hit goes to the tenant that
 //!   registered the session;
 //! * **determinism** — same-seed reruns produce digest-identical
-//!   [`ServiceReport`]s.
+//!   [`ServiceReport`](swift_service::ServiceReport)s.
 
 #![expect(
     clippy::disallowed_types,
@@ -71,7 +71,6 @@ pub fn generate_service_scenario(seed: u64) -> ServiceScenario {
         session_ttl: SimDuration::from_secs(rng.range(5, 41)),
         cold_start_delay: SimDuration::from_millis(rng.range(50, 501)),
         warm_dispatch_delay: SimDuration::from_millis(rng.range(1, 11)),
-        retry_after: SimDuration::from_secs(1),
         sample_every: None,
     };
     let workload = ServiceWorkloadConfig {

@@ -25,10 +25,6 @@ pub struct CostModel {
     /// download plus executor launch. Calibrated so that launching the
     /// critical tasks of TPC-H Q9 costs ~71 s in total (Fig. 9b).
     pub spark_stage_launch: SimDuration,
-    /// Extra job-DAG partitioning overhead of the Bubble Execution baseline
-    /// (the paper attributes part of Bubble's gap to "high partitioning
-    /// overhead").
-    pub bubble_partition_overhead: SimDuration,
 
     // ---- network ----
     /// NIC bandwidth per machine, bytes/second (10 GbE ≈ 1.25e9).
@@ -49,7 +45,7 @@ pub struct CostModel {
     pub retx_base_rate: f64,
     /// Fan-in at which `retx_base_rate` applies; the rate grows
     /// cubically with fan-in beyond it (TCP incast collapses fast once the
-    /// switch buffers saturate, [54]).
+    /// switch buffers saturate, \[54\]).
     pub incast_fanin: f64,
     /// Retransmission rate cap (paper: Direct Shuffle reaches 3 %).
     pub retx_rate_cap: f64,
@@ -106,7 +102,6 @@ impl Default for CostModel {
             plan_delivery: SimDuration::from_millis(50),
             swift_schedule_overhead: SimDuration::from_millis(20),
             spark_stage_launch: SimDuration::from_secs(6),
-            bubble_partition_overhead: SimDuration::from_millis(500),
             net_bandwidth: 1.25e9,
             net_share_tasks: 8.0,
             tcp_connect_base: SimDuration::from_micros(374),

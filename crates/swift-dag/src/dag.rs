@@ -137,14 +137,6 @@ impl JobDag {
         &self.topo
     }
 
-    /// Stages with no incoming edges (the job's sources).
-    pub fn roots(&self) -> impl Iterator<Item = StageId> + '_ {
-        self.stages
-            .iter()
-            .filter(|s| self.incoming[s.id.index()].is_empty())
-            .map(|s| s.id)
-    }
-
     /// Stages with no outgoing edges (the job's sinks).
     pub fn leaves(&self) -> impl Iterator<Item = StageId> + '_ {
         self.stages
@@ -473,7 +465,6 @@ mod tests {
         let dag = diamond();
         assert_eq!(dag.stage_count(), 4);
         assert_eq!(dag.total_tasks(), 7);
-        assert_eq!(dag.roots().collect::<Vec<_>>(), vec![StageId(0)]);
         assert_eq!(dag.leaves().collect::<Vec<_>>(), vec![StageId(3)]);
         assert_eq!(
             dag.successors(StageId(0)).collect::<Vec<_>>(),

@@ -20,11 +20,6 @@ pub enum EdgeKind {
 }
 
 impl EdgeKind {
-    /// Returns `true` for [`EdgeKind::Pipeline`].
-    pub fn is_pipeline(self) -> bool {
-        self == EdgeKind::Pipeline
-    }
-
     /// Returns `true` for [`EdgeKind::Barrier`].
     pub fn is_barrier(self) -> bool {
         self == EdgeKind::Barrier

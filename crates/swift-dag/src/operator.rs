@@ -64,23 +64,6 @@ pub enum Operator {
 }
 
 impl Operator {
-    /// Returns `true` for the global-sort operators listed in §III-A1
-    /// (`StreamedAggregate`, `MergeJoin`, `Window`, `SortBy`, `MergeSort`).
-    ///
-    /// Data flowing *into* such an operator across a stage boundary cannot
-    /// be streamed: the producing side must run to completion first, so the
-    /// incoming shuffle edge is a barrier edge.
-    pub fn is_global_sort(&self) -> bool {
-        matches!(
-            self,
-            Operator::StreamedAggregate
-                | Operator::MergeJoin
-                | Operator::Window
-                | Operator::SortBy
-                | Operator::MergeSort
-        )
-    }
-
     /// Returns `true` for operators that emit a *globally sorted output*
     /// which is only complete once all input has been consumed
     /// (`MergeSort`, `SortBy`). A stage containing such an operator cannot
@@ -154,36 +137,6 @@ impl fmt::Display for Operator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn global_sort_set_matches_paper() {
-        // §III-A1 lists exactly these five operators as global-sort.
-        let sorting = [
-            Operator::StreamedAggregate,
-            Operator::MergeJoin,
-            Operator::Window,
-            Operator::SortBy,
-            Operator::MergeSort,
-        ];
-        for op in &sorting {
-            assert!(op.is_global_sort(), "{op} must be global-sort");
-        }
-        let streaming = [
-            Operator::TableScan { table: "t".into() },
-            Operator::Filter,
-            Operator::Project,
-            Operator::HashJoin,
-            Operator::HashAggregate,
-            Operator::Limit { limit: 10 },
-            Operator::ShuffleWrite,
-            Operator::ShuffleRead,
-            Operator::AdhocSink,
-            Operator::Custom { name: "udf".into() },
-        ];
-        for op in &streaming {
-            assert!(!op.is_global_sort(), "{op} must not be global-sort");
-        }
-    }
 
     #[test]
     fn sink_and_source_classification() {

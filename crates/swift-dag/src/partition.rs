@@ -98,15 +98,6 @@ impl Partition {
         &self.dependents[g.index()]
     }
 
-    /// Graphlets with no dependencies — submittable immediately.
-    pub fn initial_graphlets(&self) -> Vec<GraphletId> {
-        self.graphlets
-            .iter()
-            .filter(|g| self.deps[g.id.index()].is_empty())
-            .map(|g| g.id)
-            .collect()
-    }
-
     /// A submission order satisfying all dependencies (topological over the
     /// graphlet dependency graph, smallest id first among ready graphlets).
     pub fn submission_order(&self) -> Vec<GraphletId> {
@@ -554,7 +545,7 @@ mod tests {
         let dag = q9_dag();
         let p = partition(&dag);
         // Graphlet 1 (id 0) first; 2 depends on 1; 3 depends on 2; 4 on 3.
-        assert_eq!(p.initial_graphlets(), vec![GraphletId(0)]);
+        assert!(p.dependencies(GraphletId(0)).is_empty());
         assert_eq!(p.dependencies(GraphletId(1)), &[GraphletId(0)]);
         assert_eq!(p.dependencies(GraphletId(2)), &[GraphletId(1)]);
         assert_eq!(p.dependencies(GraphletId(3)), &[GraphletId(2)]);

@@ -26,19 +26,6 @@ pub struct StageProfile {
     pub locality: Vec<u32>,
 }
 
-impl StageProfile {
-    /// Total bytes this stage writes to its outgoing shuffle across all
-    /// `task_count` tasks.
-    pub fn total_output_bytes(&self, task_count: u32) -> u64 {
-        self.output_bytes_per_task * task_count as u64
-    }
-
-    /// Total bytes this stage reads across all `task_count` tasks.
-    pub fn total_input_bytes(&self, task_count: u32) -> u64 {
-        self.input_bytes_per_task * task_count as u64
-    }
-}
-
 /// One stage of a job: a chain of operators executed by `task_count`
 /// parallel tasks.
 ///
@@ -63,15 +50,6 @@ pub struct Stage {
 }
 
 impl Stage {
-    /// Returns `true` if any operator in this stage is a global-sort
-    /// operator (`MergeSort`, `MergeJoin`, `SortBy`, `Window`,
-    /// `StreamedAggregate`).
-    ///
-    /// See [`Operator::is_global_sort`] for the §III-A1 operator list.
-    pub fn has_global_sort(&self) -> bool {
-        self.operators.iter().any(Operator::is_global_sort)
-    }
-
     /// Returns `true` if any operator in this stage *sorts its output*
     /// (`MergeSort` / `SortBy`), which makes every outgoing edge of the
     /// stage a barrier edge (Fig. 4 rule; see [`crate::classify_edge`]).
@@ -112,23 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn detects_global_sort_anywhere_in_chain() {
-        let s = stage(vec![
-            Operator::ShuffleRead,
-            Operator::MergeSort,
-            Operator::MergeJoin,
-            Operator::ShuffleWrite,
-        ]);
-        assert!(s.has_global_sort());
-        let p = stage(vec![
-            Operator::ShuffleRead,
-            Operator::HashJoin,
-            Operator::ShuffleWrite,
-        ]);
-        assert!(!p.has_global_sort());
-    }
-
-    #[test]
     fn sink_and_source_stage_detection() {
         let sink = stage(vec![Operator::ShuffleRead, Operator::AdhocSink]);
         assert!(sink.is_sink_stage());
@@ -139,18 +100,5 @@ mod tests {
         ]);
         assert!(src.is_source_stage());
         assert!(!src.is_sink_stage());
-    }
-
-    #[test]
-    fn profile_totals_scale_with_task_count() {
-        let p = StageProfile {
-            input_rows_per_task: 10,
-            input_bytes_per_task: 100,
-            output_bytes_per_task: 50,
-            process_us_per_task: 1_000,
-            locality: vec![],
-        };
-        assert_eq!(p.total_input_bytes(8), 800);
-        assert_eq!(p.total_output_bytes(8), 400);
     }
 }

@@ -27,13 +27,23 @@ use swift_shuffle::bytes::Bytes;
 use swift_shuffle::{CacheWorkerStore, SegmentKey};
 
 /// Options controlling one engine run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Tasks that fail (once) on their first attempt — failure-injection
     /// hooks for exercising §IV-B recovery on real data.
     pub fail_once: Vec<TaskId>,
-    /// Maximum attempts per task before giving up (0 means default of 3).
+    /// Maximum attempts per task before giving up.
     pub max_attempts: u32,
+}
+
+impl Default for RunOptions {
+    /// No injected failures, three attempts per task.
+    fn default() -> Self {
+        RunOptions {
+            fail_once: Vec::new(),
+            max_attempts: 3,
+        }
+    }
 }
 
 /// Counters from one engine run.
@@ -101,11 +111,6 @@ impl Engine {
         let part = partition(dag);
         let store = CacheWorkerStore::new(self.cache_capacity)?;
         let job_key = dag.job_id.raw();
-        let max_attempts = if opts.max_attempts == 0 {
-            3
-        } else {
-            opts.max_attempts
-        };
 
         let mut stats = RunStats {
             graphlets: part.len(),
@@ -155,7 +160,7 @@ impl Engine {
                 if failed.is_empty() {
                     break;
                 }
-                if attempt >= max_attempts {
+                if attempt >= opts.max_attempts {
                     return Err(EngineError::TaskFailed {
                         task: format!("{} after {attempt} attempts", failed[0]),
                     });

@@ -126,7 +126,7 @@ fn injected_failure_recovers_with_identical_result() {
             &job,
             RunOptions {
                 fail_once: vec![TaskId::new(agg_stage, 1)],
-                max_attempts: 3,
+                ..RunOptions::default()
             },
         )
         .unwrap();

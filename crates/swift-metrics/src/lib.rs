@@ -163,11 +163,6 @@ pub fn series_def(id: u16) -> Option<&'static SeriesDef> {
     SERIES.get(id as usize)
 }
 
-/// Looks a series definition up by its dotted name.
-pub fn series_by_name(name: &str) -> Option<&'static SeriesDef> {
-    SERIES.iter().find(|d| d.name == name)
-}
-
 /// One sealed window: every series' value at (gauges) or over (counters)
 /// the window ending at the sample instant. `values` lists **all** series
 /// in ascending-ID order, so frames of one run are positionally
@@ -221,11 +216,6 @@ impl Registry {
             values: vec![0; SERIES.len()],
             prev_cumulative: vec![0; SERIES.len()],
         }
-    }
-
-    /// Number of series this registry covers (a prefix of [`SERIES`]).
-    pub fn vocabulary_len(&self) -> usize {
-        self.values.len()
     }
 
     /// Sets a gauge's level. No-op outside the registry's vocabulary.
@@ -317,12 +307,6 @@ impl Histogram {
         self.max_micros = self.max_micros.max(us);
     }
 
-    /// Records one duration sample (alias of [`Histogram::observe`],
-    /// kept for call sites that predate the registry crate).
-    pub fn record(&mut self, d: SimDuration) {
-        self.observe(d);
-    }
-
     /// Mean sample in microseconds (0 when empty).
     pub fn mean_micros(&self) -> u64 {
         self.sum_micros.checked_div(self.samples).unwrap_or(0)
@@ -375,7 +359,6 @@ mod tests {
     #[test]
     fn service_telemetry_registry_covers_full_table() {
         let mut svc = Registry::with_service_telemetry();
-        assert_eq!(svc.vocabulary_len(), SERIES.len());
         svc.set(SERVICE_QUEUE_DEPTH, 11);
         svc.add(SERVICE_JOBS_ADMITTED, 3);
         svc.add(SERVICE_WARM_HITS, 2);

@@ -4,7 +4,9 @@
 //! Each policy is expressed as a combination of four orthogonal choices —
 //! how the job DAG is partitioned into schedule units, when a unit is
 //! submitted, how tasks launch, and how shuffle data moves — so the
-//! experiments can also ablate each choice independently.
+//! experiments can also ablate each choice independently. A policy has one
+//! scheme selection for every edge; only the staging medium differs
+//! between edges within a unit and edges between units.
 
 use swift_shuffle::{AdaptiveThresholds, ShuffleMedium, ShuffleScheme};
 use swift_sim::SimDuration;
@@ -46,10 +48,6 @@ pub enum ReleaseMode {
     /// As soon as the task finishes (Spark: map output is on disk, the
     /// slot is free).
     PerTask,
-    /// When the task's whole schedule unit completes: pipeline producers
-    /// stream from memory, so their executors live until every gang-mate
-    /// is done (Swift graphlets, Bubble bubbles).
-    UnitEnd,
     /// When the whole job completes (JetScope: the query occupies its
     /// slots MPP-style for its entire duration).
     JobEnd,
@@ -69,8 +67,9 @@ pub enum LaunchModel {
 /// How shuffle schemes are chosen per edge.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ShuffleSelection {
-    /// Swift's adaptive selection by shuffle edge size (§III-B).
-    Adaptive(AdaptiveThresholds),
+    /// Swift's adaptive selection by shuffle edge size, under the paper's
+    /// thresholds (§III-B: [`AdaptiveThresholds::default`]).
+    Adaptive,
     /// Always use one scheme (used for the Fig. 12 comparison runs).
     Fixed(ShuffleScheme),
 }
@@ -79,7 +78,7 @@ impl ShuffleSelection {
     /// Picks the scheme for an edge of `edge_size` task pairs.
     pub fn select(&self, edge_size: u64) -> ShuffleScheme {
         match self {
-            ShuffleSelection::Adaptive(t) => t.select(edge_size),
+            ShuffleSelection::Adaptive => AdaptiveThresholds::default().select(edge_size),
             ShuffleSelection::Fixed(s) => *s,
         }
     }
@@ -96,10 +95,8 @@ pub struct PolicyConfig {
     pub submission: Submission,
     /// Task launch cost model.
     pub launch: LaunchModel,
-    /// Scheme selection for edges *within* a unit.
-    pub intra_unit_shuffle: ShuffleSelection,
-    /// Scheme selection for edges *between* units.
-    pub cross_unit_shuffle: ShuffleSelection,
+    /// Scheme selection for every edge, within a unit or between units.
+    pub shuffle: ShuffleSelection,
     /// Staging medium for edges within a unit.
     pub intra_unit_medium: ShuffleMedium,
     /// Staging medium for edges between units (Bubble/Spark stage
@@ -121,8 +118,7 @@ impl PolicyConfig {
             partitioning: Partitioning::Graphlets,
             submission: Submission::AllInputsReady,
             launch: LaunchModel::PlanDelivery,
-            intra_unit_shuffle: ShuffleSelection::Adaptive(AdaptiveThresholds::default()),
-            cross_unit_shuffle: ShuffleSelection::Adaptive(AdaptiveThresholds::default()),
+            shuffle: ShuffleSelection::Adaptive,
             intra_unit_medium: ShuffleMedium::Memory,
             cross_unit_medium: ShuffleMedium::Memory,
             partition_overhead: SimDuration::ZERO,
@@ -138,8 +134,7 @@ impl PolicyConfig {
     pub fn swift_fixed_shuffle(scheme: ShuffleScheme) -> Self {
         let mut p = Self::swift();
         p.name = format!("swift-{scheme}");
-        p.intra_unit_shuffle = ShuffleSelection::Fixed(scheme);
-        p.cross_unit_shuffle = ShuffleSelection::Fixed(scheme);
+        p.shuffle = ShuffleSelection::Fixed(scheme);
         p
     }
 
@@ -151,8 +146,7 @@ impl PolicyConfig {
             partitioning: Partitioning::WholeJob,
             submission: Submission::FirstStageReady,
             launch: LaunchModel::PlanDelivery,
-            intra_unit_shuffle: ShuffleSelection::Fixed(ShuffleScheme::Direct),
-            cross_unit_shuffle: ShuffleSelection::Fixed(ShuffleScheme::Direct),
+            shuffle: ShuffleSelection::Fixed(ShuffleScheme::Direct),
             intra_unit_medium: ShuffleMedium::Memory,
             cross_unit_medium: ShuffleMedium::Memory,
             partition_overhead: SimDuration::ZERO,
@@ -170,8 +164,7 @@ impl PolicyConfig {
             partitioning: Partitioning::Bubbles { max_tasks },
             submission: Submission::FirstStageReady,
             launch: LaunchModel::PlanDelivery,
-            intra_unit_shuffle: ShuffleSelection::Fixed(ShuffleScheme::Direct),
-            cross_unit_shuffle: ShuffleSelection::Fixed(ShuffleScheme::Direct),
+            shuffle: ShuffleSelection::Fixed(ShuffleScheme::Direct),
             intra_unit_medium: ShuffleMedium::Memory,
             cross_unit_medium: ShuffleMedium::Disk,
             partition_overhead,
@@ -190,8 +183,7 @@ impl PolicyConfig {
             partitioning: Partitioning::PerStage,
             submission: Submission::AllInputsReady,
             launch: LaunchModel::ColdStart,
-            intra_unit_shuffle: ShuffleSelection::Fixed(ShuffleScheme::Direct),
-            cross_unit_shuffle: ShuffleSelection::Fixed(ShuffleScheme::Direct),
+            shuffle: ShuffleSelection::Fixed(ShuffleScheme::Direct),
             intra_unit_medium: ShuffleMedium::Disk,
             cross_unit_medium: ShuffleMedium::Disk,
             partition_overhead: SimDuration::ZERO,
@@ -230,18 +222,24 @@ mod tests {
         let sel = ShuffleSelection::Fixed(ShuffleScheme::Local);
         assert_eq!(sel.select(1), ShuffleScheme::Local);
         assert_eq!(sel.select(1_000_000), ShuffleScheme::Local);
-        let ad = ShuffleSelection::Adaptive(AdaptiveThresholds::default());
-        assert_eq!(ad.select(1), ShuffleScheme::Direct);
-        assert_eq!(ad.select(1_000_000), ShuffleScheme::Local);
+        assert_eq!(PolicyConfig::swift().shuffle, ShuffleSelection::Adaptive);
+    }
+
+    #[test]
+    fn adaptive_selection_uses_production_thresholds() {
+        let ad = ShuffleSelection::Adaptive;
+        assert_eq!(ad.select(0), ShuffleScheme::Direct);
+        assert_eq!(ad.select(9_999), ShuffleScheme::Direct);
+        assert_eq!(ad.select(10_000), ShuffleScheme::Remote);
+        assert_eq!(ad.select(90_000), ShuffleScheme::Remote);
+        assert_eq!(ad.select(90_001), ShuffleScheme::Local);
+        assert_eq!(ad.select(u64::MAX), ShuffleScheme::Local);
     }
 
     #[test]
     fn fixed_shuffle_variant_renames() {
         let p = PolicyConfig::swift_fixed_shuffle(ShuffleScheme::Remote);
         assert_eq!(p.name, "swift-remote");
-        assert_eq!(
-            p.intra_unit_shuffle,
-            ShuffleSelection::Fixed(ShuffleScheme::Remote)
-        );
+        assert_eq!(p.shuffle, ShuffleSelection::Fixed(ShuffleScheme::Remote));
     }
 }

@@ -32,9 +32,8 @@ mod units;
 pub use config::{LaunchModel, Partitioning, PolicyConfig, ShuffleSelection, Submission};
 pub use report::{JobReport, PhaseBreakdown, RunReport, StageReport};
 pub use sim::{
-    run_workload, CounterSample, FailureAt, FailureInjection, GraphletState, JobSpec,
-    RecoveryContext, RecoveryPolicy, SchedulerSession, SchemeDecision, SimConfig, SimObserver,
-    Simulation,
+    CounterSample, FailureAt, FailureInjection, GraphletState, JobSpec, RecoveryContext,
+    RecoveryPolicy, SchedulerSession, SchemeDecision, SimConfig, SimObserver, Simulation,
 };
 pub use template::{
     compute_priors, validate_scheme_priors, validate_template_roundtrip, SchemePrior,

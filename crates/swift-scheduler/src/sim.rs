@@ -390,9 +390,6 @@ pub struct SimConfig {
     /// interval up to the last event batch. Each sample carries the state
     /// just before its boundary; sampling queues no event.
     pub sample_every: Option<SimDuration>,
-    /// Detection latency for self-reported process restarts (§IV-A: the
-    /// re-launched process reports its status immediately).
-    pub process_restart_delay: SimDuration,
     /// Ignored: the event queue has no window. It stays only because the
     /// benchmark passes it to `ShardedEventQueue::new`.
     pub shard_window: SimDuration,
@@ -405,7 +402,6 @@ impl SimConfig {
             policy: PolicyConfig::swift(),
             recovery: RecoveryPolicy::FineGrained,
             sample_every: None,
-            process_restart_delay: SimDuration::from_millis(1_000),
             shard_window: SimDuration::from_millis(256),
         }
     }
@@ -483,9 +479,9 @@ struct JobSt {
     /// stage-offset scan is the debug cross-check in `task_id`).
     task_ids: Vec<TaskId>,
     unit_submitted: Vec<bool>,
-    /// Unfinished tasks per unit (drives `ReleaseMode::UnitEnd`).
+    /// Unfinished tasks per unit (drives the graphlet-complete events).
     unit_remaining: Vec<u32>,
-    /// Executors held past task completion (UnitEnd / JobEnd release).
+    /// Executors held past task completion (JobEnd release).
     held: Vec<Vec<ExecutorId>>,
     /// Units served in waves (gang larger than the cluster): their gang
     /// semantics are already broken, so they release per task to avoid
@@ -1836,10 +1832,8 @@ impl Simulation {
                 let unit = j.plan.unit_of(tid.stage) as usize;
                 match self.cfg.policy.release {
                     ReleaseMode::PerTask => self.release_if_live(exec),
-                    ReleaseMode::UnitEnd | ReleaseMode::JobEnd if j.unit_wave_mode[unit] => {
-                        self.release_if_live(exec)
-                    }
-                    ReleaseMode::UnitEnd | ReleaseMode::JobEnd => j.held[unit].push(exec),
+                    ReleaseMode::JobEnd if j.unit_wave_mode[unit] => self.release_if_live(exec),
+                    ReleaseMode::JobEnd => j.held[unit].push(exec),
                 }
             }
         }
@@ -1847,20 +1841,12 @@ impl Simulation {
         if let Some(mach) = produced_on {
             self.cache_model_insert(job, tid, mach);
         }
-        // Unit-end release: pipeline gang-mates stream from memory, so
-        // their executors free together once the whole unit is done.
         {
             let unit = self.jobs[job].plan.unit_of(tid.stage) as usize;
             let j = &mut self.jobs[job];
             let was = j.unit_remaining[unit];
             j.unit_remaining[unit] = was.saturating_sub(1);
             let drained = j.unit_remaining[unit] == 0;
-            if drained && self.cfg.policy.release == ReleaseMode::UnitEnd {
-                let held = std::mem::take(&mut j.held[unit]);
-                for e in held {
-                    self.release_if_live(e);
-                }
-            }
             if was > 0 && drained && self.observer.is_some() {
                 self.notify(|obs, _| {
                     obs.on_graphlet_state_changed(
@@ -2038,16 +2024,19 @@ impl Simulation {
     }
 
     fn schedule_recovery(&mut self, job: usize, flat: u32, kind: FailureKind) {
+        // Detection latency of a self-reported process restart (§IV-A: the
+        // re-launched process reports its status immediately).
+        const PROCESS_RESTART_DELAY: SimDuration = SimDuration::from_millis(1_000);
         let delay = match kind {
-            FailureKind::ProcessRestart => self.cfg.process_restart_delay,
+            FailureKind::ProcessRestart => PROCESS_RESTART_DELAY,
             FailureKind::ApplicationError => SimDuration::from_millis(100),
-            FailureKind::MachineUnhealthy => self.cfg.process_restart_delay,
+            FailureKind::MachineUnhealthy => PROCESS_RESTART_DELAY,
             FailureKind::MachineCrash => {
                 let hb = self
                     .cluster
                     .cost()
                     .heartbeat_interval(self.cluster.machine_count());
-                hb + self.cfg.process_restart_delay
+                hb + PROCESS_RESTART_DELAY
             }
         };
         self.q.schedule_in(
@@ -2274,20 +2263,4 @@ impl Simulation {
         }
         self.kick();
     }
-}
-
-/// Convenience: run `workload` on a fresh cluster under `cfg`.
-pub fn run_workload(
-    machines: u32,
-    executors_per_machine: u32,
-    cost: swift_cluster::CostModel,
-    cfg: SimConfig,
-    workload: Vec<JobSpec>,
-) -> RunReport {
-    Simulation::new(
-        Cluster::new(machines, executors_per_machine, cost),
-        cfg,
-        workload,
-    )
-    .run()
 }

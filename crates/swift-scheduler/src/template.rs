@@ -31,7 +31,7 @@
 //! | scheme + medium + crossing per edge | gang sizes, task ids, offsets |
 //!
 //! Scheme decisions are cacheable because the shape's edge class is the
-//! *selection bucket* (Direct/Remote/Local under the policy's
+//! *selection bucket* (Direct/Remote/Local under the paper's
 //! thresholds), not the raw size: two edges in the same bucket always
 //! select the same scheme, including the §III-B barrier-edge upgrade of
 //! Direct to Remote on memory-staged crossing edges.
@@ -80,18 +80,19 @@ pub fn compute_priors(dag: &JobDag, plan: &UnitPlan, policy: &PolicyConfig) -> V
         .map(|(ei, e)| {
             let size = dag.edge_shuffle_size(e);
             let crossing = plan.unit_of(e.src) != plan.unit_of(e.dst);
-            let (selection, medium) = if crossing {
-                (&policy.cross_unit_shuffle, policy.cross_unit_medium)
+            // Bubble stages crossing edges on disk and the rest in memory.
+            let medium = if crossing {
+                policy.cross_unit_medium
             } else {
-                (&policy.intra_unit_shuffle, policy.intra_unit_medium)
+                policy.intra_unit_medium
             };
-            let mut scheme = selection.select(size);
+            let mut scheme = policy.shuffle.select(size);
             // Adaptive Direct Shuffle cannot serve a memory-staged crossing
             // edge (§III-B): upgrade to Remote. Fixed schemes are honored.
             if crossing
                 && medium == ShuffleMedium::Memory
                 && scheme == ShuffleScheme::Direct
-                && matches!(selection, ShuffleSelection::Adaptive(_))
+                && policy.shuffle == ShuffleSelection::Adaptive
             {
                 scheme = ShuffleScheme::Remote;
             }
@@ -216,16 +217,14 @@ struct Classes {
     /// counts, so under that partitioning the exact count joins the
     /// stage class.
     exact_tasks: bool,
-    intra: ShuffleSelection,
-    cross: ShuffleSelection,
+    selection: ShuffleSelection,
 }
 
 impl Classes {
     fn new(policy: &PolicyConfig) -> Self {
         Classes {
             exact_tasks: matches!(policy.partitioning, Partitioning::Bubbles { .. }),
-            intra: policy.intra_unit_shuffle,
-            cross: policy.cross_unit_shuffle,
+            selection: policy.shuffle,
         }
     }
 
@@ -245,11 +244,14 @@ impl Classes {
         c
     }
 
-    /// The per-edge class: the edge's selection bucket under both the
-    /// cross-unit and intra-unit selection (whichever applies once the
-    /// plan is known, equal classes imply equal selected schemes).
+    /// The per-edge class: the edge's selection bucket, so equal classes
+    /// imply equal selected schemes. The bucket fills both two-bit fields
+    /// of the class: template signatures hash this value and are rendered
+    /// into the trace goldens and pinned trace digests, so its layout must
+    /// not change.
     fn edge(&self, size: u64) -> u64 {
-        selection_bucket(&self.cross, size) << 2 | selection_bucket(&self.intra, size)
+        let bucket = selection_bucket(&self.selection, size);
+        bucket << 2 | bucket
     }
 }
 
@@ -435,15 +437,11 @@ impl TemplateCache {
 fn selection_bucket(sel: &ShuffleSelection, size: u64) -> u64 {
     match sel {
         ShuffleSelection::Fixed(_) => 0,
-        ShuffleSelection::Adaptive(t) => {
-            if size < t.small {
-                0
-            } else if size <= t.large {
-                1
-            } else {
-                2
-            }
-        }
+        ShuffleSelection::Adaptive => match AdaptiveThresholds::default().select(size) {
+            ShuffleScheme::Direct => 0,
+            ShuffleScheme::Remote => 1,
+            ShuffleScheme::Local => 2,
+        },
     }
 }
 

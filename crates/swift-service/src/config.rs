@@ -33,8 +33,6 @@ pub struct ServiceConfig {
     pub cold_start_delay: SimDuration,
     /// Dispatch cost onto an already-warm session.
     pub warm_dispatch_delay: SimDuration,
-    /// Back-off advertised to rejected jobs.
-    pub retry_after: SimDuration,
     /// Telemetry sampling cadence (`None` = no counter frames). Frames are
     /// sealed between event batches, so the report is the same at any
     /// cadence.
@@ -54,7 +52,6 @@ impl Default for ServiceConfig {
             session_ttl: SimDuration::from_secs(30),
             cold_start_delay: SimDuration::from_millis(250),
             warm_dispatch_delay: SimDuration::from_millis(5),
-            retry_after: SimDuration::from_secs(1),
             sample_every: None,
         }
     }

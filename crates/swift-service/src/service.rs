@@ -21,12 +21,15 @@ use swift_cluster::{Cluster, CostModel, ExecutorId, ExecutorState, MachineHealth
 use swift_metrics as metrics;
 use swift_metrics::Registry;
 use swift_scheduler::{JobSpec, SchedulerSession, SimConfig, Simulation};
-use swift_sim::{Cadence, Fnv64, ShardedEventQueue, SimTime};
+use swift_sim::{Cadence, Fnv64, ShardedEventQueue, SimDuration, SimTime};
 use swift_workload::{JobPriority, ServiceJob};
 
 use crate::config::ServiceConfig;
 use crate::observer::{NullServiceObserver, ServiceObserver};
 use crate::report::{LatencySummary, ServiceReport, ServiceRun, TenantReport};
+
+/// Back-off advertised to a job rejected at the admission watermark.
+const RETRY_AFTER: SimDuration = SimDuration::from_secs(1);
 
 /// Service-loop event.
 #[derive(Debug)]
@@ -355,7 +358,7 @@ impl ServiceSim {
             self.tenants[tenant as usize].report.rejected += 1;
             self.registry.add(metrics::SERVICE_JOBS_REJECTED, 1);
             self.observer
-                .on_job_rejected(now, job, tenant, self.queue_depth, self.cfg.retry_after);
+                .on_job_rejected(now, job, tenant, self.queue_depth, RETRY_AFTER);
             self.jobs[job].done = true;
             return;
         }

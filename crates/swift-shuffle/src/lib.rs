@@ -23,12 +23,11 @@ pub mod bytes;
 mod memory;
 mod scheme;
 mod store;
-pub mod sync;
 mod versions;
 
 pub use bytes::{Bytes, BytesMut};
 pub use memory::{CacheWorkerMemory, InsertOutcome, SegmentKey, SegmentLocation};
-pub use scheme::{select_scheme, AdaptiveThresholds, ExtraCopies, ShuffleMedium, ShuffleScheme};
+pub use scheme::{AdaptiveThresholds, ExtraCopies, ShuffleMedium, ShuffleScheme};
 pub use store::CacheWorkerStore;
 pub use versions::{LedgerKey, StaleDelivery, VersionLedger};
 

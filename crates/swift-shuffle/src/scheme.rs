@@ -135,11 +135,6 @@ impl AdaptiveThresholds {
     }
 }
 
-/// Selects a scheme with the default production thresholds.
-pub fn select_scheme(edge_size: u64) -> ShuffleScheme {
-    AdaptiveThresholds::default().select(edge_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,16 +187,6 @@ mod tests {
                 reader_side: 0
             }
         );
-    }
-
-    #[test]
-    fn adaptive_selection_uses_production_thresholds() {
-        assert_eq!(select_scheme(0), ShuffleScheme::Direct);
-        assert_eq!(select_scheme(9_999), ShuffleScheme::Direct);
-        assert_eq!(select_scheme(10_000), ShuffleScheme::Remote);
-        assert_eq!(select_scheme(90_000), ShuffleScheme::Remote);
-        assert_eq!(select_scheme(90_001), ShuffleScheme::Local);
-        assert_eq!(select_scheme(u64::MAX), ShuffleScheme::Local);
     }
 
     #[test]

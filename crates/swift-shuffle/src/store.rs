@@ -33,15 +33,19 @@
 //! Cache Worker swaps to disk to free memory, and a lost process is a
 //! machine failure, which §IV recovery handles by re-running producers.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the store serves producer and consumer threads of the real engine, never the simulator's event order, so it locks"
+)]
+
 use crate::bytes::Bytes;
 use crate::memory::{CacheWorkerMemory, SegmentKey, SegmentLocation};
-use crate::sync::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 #[derive(Debug)]
 enum Payload {
@@ -251,19 +255,26 @@ impl CacheWorkerStore {
         })
     }
 
+    /// Locks the store's state. A poisoned lock is recovered, not
+    /// propagated: a panicking producer thread must not wedge every
+    /// consumer blocked on the same store.
+    fn lock(&self) -> MutexGuard<'_, StoreState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Bytes currently resident in memory.
     pub fn in_memory_bytes(&self) -> u64 {
-        self.state.lock().model.in_memory_bytes()
+        self.lock().model.in_memory_bytes()
     }
 
     /// Total bytes spilled to disk over the store's lifetime.
     pub fn spilled_bytes_total(&self) -> u64 {
-        self.state.lock().model.total_spilled_bytes()
+        self.lock().model.total_spilled_bytes()
     }
 
     /// Number of live segments.
     pub fn segment_count(&self) -> usize {
-        self.state.lock().model.segment_count()
+        self.lock().model.segment_count()
     }
 
     /// Stores `data` under `key`, spilling LRU segments if the memory cap
@@ -272,7 +283,7 @@ impl CacheWorkerStore {
     /// returned and every payload, `data` included, stays readable in
     /// memory.
     pub fn put(&self, key: SegmentKey, data: Bytes) -> io::Result<()> {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         let victims = st.model.insert(key, data.len() as u64, 1).spilled;
         st.payloads.insert(key, Payload::Memory(data));
         let spilled = st.spill(&victims);
@@ -301,10 +312,12 @@ impl CacheWorkerStore {
             producer,
             partition,
         };
-        let mut st = self.state.lock();
-        while !(0..expected).all(|p| st.payloads.contains_key(&key(p))) {
-            self.arrived.wait(&mut st);
-        }
+        let mut st = self
+            .arrived
+            .wait_while(self.lock(), |st| {
+                !(0..expected).all(|p| st.payloads.contains_key(&key(p)))
+            })
+            .unwrap_or_else(PoisonError::into_inner);
         let fetches: Vec<Fetch> = (0..expected).map(|p| st.fetch(key(p))).collect();
         drop(st);
         fetches.into_iter().map(Fetch::load).collect()
@@ -313,7 +326,7 @@ impl CacheWorkerStore {
     /// Drops all segments of `job`. Their spilled ranges stay in the log,
     /// unused, until the store drops.
     pub fn delete_job(&self, job: u64) -> io::Result<()> {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         st.model.drop_job(job);
         st.payloads.retain(|k, _| k.job != job);
         st.check_consistent();
@@ -323,7 +336,8 @@ impl CacheWorkerStore {
 
 impl Drop for CacheWorkerStore {
     fn drop(&mut self) {
-        if let Some(log) = &self.state.lock().log {
+        let st = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(log) = &st.log {
             let _ = fs::remove_dir_all(&log.dir);
         }
     }
@@ -370,6 +384,25 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_lock_holder_does_not_wedge_the_store() {
+        let store = Arc::new(CacheWorkerStore::new(1 << 20).unwrap());
+        store.put(key(1, 0, 0), Bytes::from_static(b"a")).unwrap();
+        let s2 = Arc::clone(&store);
+        let holder = thread::spawn(move || {
+            let _held = s2.lock();
+            panic!("poison the store's lock");
+        });
+        assert!(holder.join().is_err());
+        assert!(store.state.is_poisoned());
+        store.put(key(1, 1, 0), Bytes::from_static(b"b")).unwrap();
+        let got = store.collect_keep(1, 0, 0, 2).unwrap();
+        assert_eq!(
+            got,
+            vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")]
+        );
+    }
+
+    #[test]
     fn collect_blocks_until_all_producers_deliver() {
         let store = Arc::new(CacheWorkerStore::new(1 << 20).unwrap());
         let s2 = Arc::clone(&store);
@@ -398,7 +431,7 @@ mod tests {
     }
 
     fn spill_dir(store: &CacheWorkerStore) -> Option<PathBuf> {
-        store.state.lock().log.as_ref().map(|log| log.dir.clone())
+        store.lock().log.as_ref().map(|log| log.dir.clone())
     }
 
     #[test]
@@ -553,7 +586,7 @@ mod tests {
                                                       // Swap the log's handle for a read-only one: the next append fails.
         let path = spill_dir(&store).expect("spilled").join("spill.log");
         let writable = {
-            let mut st = store.state.lock();
+            let mut st = store.lock();
             let log = st.log.as_mut().expect("spilled");
             std::mem::replace(&mut log.file, Arc::new(File::open(&path).unwrap()))
         };
@@ -562,7 +595,7 @@ mod tests {
         assert_eq!(store.spilled_bytes_total(), 60);
         let all = |n: u32| (0..n).map(payload).collect::<Vec<_>>();
         assert_eq!(store.collect_keep(1, 0, 0, 3).unwrap(), all(3));
-        store.state.lock().log.as_mut().expect("spilled").file = writable;
+        store.lock().log.as_mut().expect("spilled").file = writable;
         store.put(key(1, 3, 0), payload(3)).unwrap();
         assert!(store.in_memory_bytes() <= 100);
         assert_eq!(store.collect_keep(1, 0, 0, 4).unwrap(), all(4));

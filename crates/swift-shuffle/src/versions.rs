@@ -109,12 +109,6 @@ impl VersionLedger {
             Ok(())
         }
     }
-
-    /// Forgets all state of one job (job completion/abort cleanup).
-    pub fn forget_job(&mut self, job: usize) {
-        self.latest.retain(|k, _| k.0 != job);
-        self.output.retain(|k, _| k.0 != job);
-    }
 }
 
 #[cfg(test)]
@@ -158,16 +152,13 @@ mod tests {
     }
 
     #[test]
-    fn jobs_are_independent_and_forgettable() {
+    fn jobs_are_independent() {
         let mut l = VersionLedger::new();
         l.record_output(key(0, 0, 0), 0);
         l.record_output(key(1, 0, 0), 5);
         l.begin_instance(key(1, 0, 0), 6);
         assert!(l.check_delivery(key(0, 0, 0), 0).is_ok());
         assert!(l.check_delivery(key(1, 0, 0), 5).is_err());
-        l.forget_job(1);
-        assert_eq!(l.latest_epoch(key(1, 0, 0)), 0);
-        assert!(l.check_delivery(key(1, 0, 0), 0).is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   [`ZipfTable`] for the service workload's tenant skew;
 //! * [`Fnv64`] — the word-at-a-time hasher every shape signature and
 //!   report digest folds through;
-//! * [`stats`] — quartile ("four quartile method" [26] in the paper) and
+//! * [`stats`] — quartile ("four quartile method" \[26\] in the paper) and
 //!   CDF helpers used to report every figure.
 //!
 //! Determinism is a hard requirement: every experiment must be exactly

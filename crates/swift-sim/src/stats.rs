@@ -24,7 +24,7 @@ pub struct Quartiles {
 /// Computes [`Quartiles`] of a non-empty sample. Returns `None` for an
 /// empty slice. Uses linear interpolation between order statistics
 /// (Hyndman–Fan type 7, the default of R/NumPy, cited by the paper as the
-/// "four quartile method" [26]).
+/// "four quartile method" \[26\]).
 pub fn quartiles(samples: &[f64]) -> Option<Quartiles> {
     if samples.is_empty() {
         return None;

@@ -49,12 +49,12 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// A duration of `secs` seconds (saturating at `u64::MAX` microseconds).
-    pub fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs.saturating_mul(1_000_000))
     }
 
     /// A duration of `ms` milliseconds (saturating).
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms.saturating_mul(1_000))
     }
 

@@ -5,7 +5,7 @@
 //! `i` instants for point events, `C` counter rows (one Perfetto counter
 //! track per `swift-metrics` series, when the trace carries counter
 //! frames), and `M` metadata records naming the rows. Load it via
-//! `chrome://tracing` ("Load") or https://ui.perfetto.dev.
+//! `chrome://tracing` ("Load") or <https://ui.perfetto.dev>.
 //!
 //! Row layout: pid 0 is the cluster (machine health, cache activity);
 //! each job `j` is pid `j + 1`, with tid 0 for the job-lifetime span,

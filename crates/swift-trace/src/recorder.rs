@@ -163,13 +163,6 @@ impl TraceHandle<MemorySink> {
 }
 
 impl<S: TraceSink> TraceHandle<S> {
-    /// Events recorded so far (for incremental inspection; includes an
-    /// event still held in the coalescing buffer).
-    pub fn event_count(&self) -> usize {
-        let st = self.state.borrow();
-        st.sink.events_recorded() as usize + usize::from(st.pending_read.is_some())
-    }
-
     /// Recovers the sink after the run, flushing the coalescing buffer.
     /// For a [`crate::StreamSink`], chain with
     /// [`crate::StreamSink::finish`] to write the footer.
