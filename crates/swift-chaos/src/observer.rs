@@ -1,7 +1,7 @@
 //! The invariant-checking [`SimObserver`].
 //!
-//! [`ChaosObserver`] taps every lifecycle hook the simulator exposes and
-//! checks, *while the run unfolds*:
+//! [`ChaosObserver`] reads the simulator's event stream and recovery
+//! plans and checks, *while the run unfolds*:
 //!
 //! * **shuffle version discipline** — every input read must deliver data
 //!   from the producer's latest launched instance, never from a superseded
@@ -25,9 +25,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use swift_dag::TaskId;
+use swift_dag::{StageId, TaskId};
 use swift_ft::{validate_plan_versions, validate_recovery_plan};
-use swift_scheduler::{RecoveryContext, SimObserver, TemplateDecision, TemplateOutcome};
+use swift_scheduler::{RecoveryContext, SimEvent, SimObserver};
 use swift_shuffle::VersionLedger;
 use swift_sim::SimTime;
 
@@ -74,51 +74,70 @@ impl ChaosObserver {
 }
 
 impl SimObserver for ChaosObserver {
-    fn on_task_started(&mut self, _now: SimTime, job: usize, task: TaskId, epoch: u32) {
-        self.0
-            .borrow_mut()
-            .ledger
-            .begin_instance((job, task), epoch);
-    }
-
-    fn on_task_finished(&mut self, _now: SimTime, job: usize, task: TaskId, epoch: u32) {
-        self.0.borrow_mut().ledger.record_output((job, task), epoch);
-    }
-
-    fn on_task_invalidated(&mut self, _now: SimTime, job: usize, task: TaskId, new_epoch: u32) {
-        // Registering the superseding epoch as "latest launched" is what
-        // makes any later read of the old output show up as stale.
-        self.0
-            .borrow_mut()
-            .ledger
-            .begin_instance((job, task), new_epoch);
-    }
-
-    fn on_template_decision(&mut self, _now: SimTime, _job: usize, decision: &TemplateDecision) {
+    fn on_event(&mut self, now: SimTime, event: SimEvent) {
         let mut st = self.0.borrow_mut();
-        st.template_lookups += 1;
-        if matches!(decision.outcome, TemplateOutcome::Hit) {
-            st.template_hits += 1;
-        }
-    }
-
-    fn on_input_read(&mut self, now: SimTime, job: usize, producer: TaskId, consumer: TaskId) {
-        let mut st = self.0.borrow_mut();
-        st.reads_checked += 1;
-        let key = (job, producer);
-        match st.ledger.output_epoch(key) {
-            None => st.violations.push(format!(
-                "[stale-shuffle] t={now:?} job {job}: consumer {consumer:?} read from \
-                 producer {producer:?} which has no visible output"
-            )),
-            Some(delivered) => {
-                if let Err(stale) = st.ledger.check_delivery(key, delivered) {
-                    st.violations.push(format!(
-                        "[stale-shuffle] t={now:?} job {job}: consumer {consumer:?} \
-                         read superseded data: {stale}"
-                    ));
+        match event {
+            // An invalidation registers the superseding epoch as "latest
+            // launched": that is what makes any later read of the old
+            // output show up as stale.
+            SimEvent::TaskStarted { job, task, epoch }
+            | SimEvent::TaskInvalidated {
+                job,
+                task,
+                new_epoch: epoch,
+            } => st.ledger.begin_instance((job as usize, task.into()), epoch),
+            SimEvent::TaskFinished { job, task, epoch } => {
+                st.ledger.record_output((job as usize, task.into()), epoch);
+            }
+            SimEvent::TemplateMiss { .. } => st.template_lookups += 1,
+            SimEvent::TemplateHit { .. } => {
+                st.template_lookups += 1;
+                st.template_hits += 1;
+            }
+            SimEvent::InputRead {
+                job,
+                consumer,
+                producer_stage,
+                producers,
+            } => {
+                let consumer = TaskId::from(consumer);
+                st.reads_checked += u64::from(producers);
+                for i in 0..producers {
+                    let producer = TaskId::new(StageId(producer_stage), i);
+                    let key = (job as usize, producer);
+                    match st.ledger.output_epoch(key) {
+                        None => st.violations.push(format!(
+                            "[stale-shuffle] t={now:?} job {job}: consumer {consumer:?} read \
+                             from producer {producer:?} which has no visible output"
+                        )),
+                        Some(delivered) => {
+                            if let Err(stale) = st.ledger.check_delivery(key, delivered) {
+                                st.violations.push(format!(
+                                    "[stale-shuffle] t={now:?} job {job}: consumer \
+                                     {consumer:?} read superseded data: {stale}"
+                                ));
+                            }
+                        }
+                    }
                 }
             }
+            SimEvent::JobCompleted { job, aborted } => {
+                let prev = st
+                    .terminal
+                    .get_mut(job as usize)
+                    .map(|t| t.replace(aborted));
+                match prev {
+                    None => st
+                        .violations
+                        .push(format!("[completion] unknown job index {job} completed")),
+                    Some(Some(prev)) => st.violations.push(format!(
+                        "[completion] job {job} reached a terminal state twice \
+                         (first aborted={prev}, now aborted={aborted})"
+                    )),
+                    Some(None) => {}
+                }
+            }
+            _ => {}
         }
     }
 
@@ -149,44 +168,61 @@ impl SimObserver for ChaosObserver {
                 .push(format!("[plan-static] t={now:?} job {job}: {v}"));
         }
     }
-
-    fn on_job_completed(&mut self, _now: SimTime, job: usize, aborted: bool) {
-        let mut st = self.0.borrow_mut();
-        if job < st.terminal.len() {
-            if let Some(prev) = st.terminal[job] {
-                st.violations.push(format!(
-                    "[completion] job {job} reached a terminal state twice \
-                     (first aborted={prev}, now aborted={aborted})"
-                ));
-            }
-            st.terminal[job] = Some(aborted);
-        } else {
-            st.violations
-                .push(format!("[completion] unknown job index {job} completed"));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swift_dag::StageId;
+    use swift_scheduler::TaskRef;
 
-    fn tid(stage: u32, index: u32) -> TaskId {
-        TaskId {
-            stage: StageId(stage),
-            index,
+    fn task(stage: u32, index: u32) -> TaskRef {
+        TaskRef { stage, index }
+    }
+
+    fn ms(m: u64) -> SimTime {
+        SimTime::from_millis(m)
+    }
+
+    /// Feeds `task` one started-then-finished instance at epoch 0.
+    fn run_once(obs: &mut ChaosObserver, task: TaskRef) {
+        obs.on_event(
+            ms(0),
+            SimEvent::TaskStarted {
+                job: 0,
+                task,
+                epoch: 0,
+            },
+        );
+        obs.on_event(
+            ms(5),
+            SimEvent::TaskFinished {
+                job: 0,
+                task,
+                epoch: 0,
+            },
+        );
+    }
+
+    /// A read by task 0 of stage 1 of the first `producers` tasks of stage 0.
+    fn read(producers: u32) -> SimEvent {
+        SimEvent::InputRead {
+            job: 0,
+            consumer: task(1, 0),
+            producer_stage: 0,
+            producers,
         }
+    }
+
+    fn completed(aborted: bool) -> SimEvent {
+        SimEvent::JobCompleted { job: 0, aborted }
     }
 
     #[test]
     fn clean_read_sequence_records_no_violation() {
         let mut obs = ChaosObserver::new(1);
-        let p = tid(0, 0);
-        obs.on_task_started(SimTime::ZERO, 0, p, 0);
-        obs.on_task_finished(SimTime::from_millis(5), 0, p, 0);
-        obs.on_input_read(SimTime::from_millis(6), 0, p, tid(1, 0));
-        obs.on_job_completed(SimTime::from_millis(9), 0, false);
+        run_once(&mut obs, task(0, 0));
+        obs.on_event(ms(6), read(1));
+        obs.on_event(ms(9), completed(false));
         let st = obs.0.borrow();
         assert!(st.violations.is_empty(), "unexpected: {:?}", st.violations);
         assert_eq!(st.reads_checked, 1);
@@ -196,14 +232,17 @@ mod tests {
     #[test]
     fn read_of_superseded_output_is_flagged() {
         let mut obs = ChaosObserver::new(1);
-        let p = tid(0, 0);
-        obs.on_task_started(SimTime::ZERO, 0, p, 0);
-        obs.on_task_finished(SimTime::from_millis(5), 0, p, 0);
+        run_once(&mut obs, task(0, 0));
         // The producer is invalidated (epoch 1 launched) but a consumer
         // still reads the epoch-0 output: that is the bug class invariant
         // 5 exists to catch.
-        obs.on_task_invalidated(SimTime::from_millis(6), 0, p, 1);
-        obs.on_input_read(SimTime::from_millis(7), 0, p, tid(1, 0));
+        let invalidated = SimEvent::TaskInvalidated {
+            job: 0,
+            task: task(0, 0),
+            new_epoch: 1,
+        };
+        obs.on_event(ms(6), invalidated);
+        obs.on_event(ms(7), read(1));
         let st = obs.0.borrow();
         assert_eq!(st.violations.len(), 1, "{:?}", st.violations);
         assert!(st.violations[0].contains("[stale-shuffle]"));
@@ -212,9 +251,13 @@ mod tests {
     #[test]
     fn read_before_any_output_is_flagged() {
         let mut obs = ChaosObserver::new(1);
-        let p = tid(0, 0);
-        obs.on_task_started(SimTime::ZERO, 0, p, 0);
-        obs.on_input_read(SimTime::from_millis(1), 0, p, tid(1, 0));
+        let started = SimEvent::TaskStarted {
+            job: 0,
+            task: task(0, 0),
+            epoch: 0,
+        };
+        obs.on_event(ms(0), started);
+        obs.on_event(ms(1), read(1));
         let st = obs.0.borrow();
         assert_eq!(st.violations.len(), 1);
         assert!(st.violations[0].contains("no visible output"));
@@ -223,10 +266,30 @@ mod tests {
     #[test]
     fn double_completion_is_flagged() {
         let mut obs = ChaosObserver::new(1);
-        obs.on_job_completed(SimTime::ZERO, 0, false);
-        obs.on_job_completed(SimTime::from_millis(1), 0, true);
+        obs.on_event(ms(0), completed(false));
+        obs.on_event(ms(1), completed(true));
         let st = obs.0.borrow();
         assert_eq!(st.violations.len(), 1);
         assert!(st.violations[0].contains("twice"));
+    }
+
+    #[test]
+    fn stage_read_checks_every_producer() {
+        let mut obs = ChaosObserver::new(1);
+        for i in 0..3 {
+            run_once(&mut obs, task(0, i));
+        }
+        let invalidated = SimEvent::TaskInvalidated {
+            job: 0,
+            task: task(0, 1),
+            new_epoch: 1,
+        };
+        obs.on_event(ms(6), invalidated);
+        obs.on_event(ms(7), read(3));
+        let st = obs.0.borrow();
+        assert_eq!(st.reads_checked, 3);
+        assert_eq!(st.violations.len(), 1, "{:?}", st.violations);
+        assert!(st.violations[0].contains("[stale-shuffle]"));
+        assert!(st.violations[0].contains("s0t1"), "{}", st.violations[0]);
     }
 }

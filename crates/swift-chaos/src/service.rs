@@ -34,7 +34,7 @@ use swift_cluster::MachineId;
 use swift_scheduler::{RunReport, SimObserver};
 use swift_service::{ServiceConfig, ServiceObserver, ServiceRun, ServiceSim};
 use swift_sim::{SimDuration, SimRng, SimTime};
-use swift_trace::Trace;
+use swift_trace::{RecorderConfig, Trace, TraceRecorder};
 use swift_workload::{generate_service_workload, ServiceWorkloadConfig, TraceConfig};
 
 use crate::campaign::{CampaignKind, SeedOutcome};
@@ -109,11 +109,11 @@ pub fn generate_service_scenario(seed: u64) -> ServiceScenario {
     }
 }
 
-/// Observer wired into the service loop for a chaos seed: one fresh
-/// [`ChaosObserver`] per dispatched job (the inner-run invariants), plus
-/// event-stream witnesses for the service-layer invariants.
+/// Event-stream witnesses for the service-layer invariants, plus one
+/// fresh [`ChaosObserver`] state per dispatched job (the inner-run
+/// invariants).
 #[derive(Debug, Default)]
-struct ServiceChaos {
+struct Witness {
     /// One (job, state) pair per dispatch, in dispatch order.
     job_states: Vec<(usize, Rc<RefCell<ChaosState>>)>,
     /// session -> owning tenant, from cold starts.
@@ -126,9 +126,16 @@ struct ServiceChaos {
     violations: Vec<String>,
 }
 
+/// Observer wired into the service loop for a chaos seed, over a shared
+/// [`Witness`]: the driver keeps one clone and reads the witness after
+/// `ServiceSim::run` consumed the other.
+#[derive(Clone, Debug, Default)]
+struct ServiceChaos(Rc<RefCell<Witness>>);
+
 impl ServiceObserver for ServiceChaos {
     fn on_job_admitted(&mut self, _now: SimTime, _job: usize, _tenant: u32, queue_depth: u32) {
-        self.max_admission_depth = self.max_admission_depth.max(queue_depth);
+        let mut w = self.0.borrow_mut();
+        w.max_admission_depth = w.max_admission_depth.max(queue_depth);
     }
 
     fn on_session_cold_start(
@@ -139,56 +146,68 @@ impl ServiceObserver for ServiceChaos {
         session: u32,
         _executors: u32,
     ) {
-        self.owner.insert(session, tenant);
-        let live = self.live.entry(tenant).or_insert(0);
+        let w = &mut *self.0.borrow_mut();
+        w.owner.insert(session, tenant);
+        let live = w.live.entry(tenant).or_insert(0);
         *live += 1;
-        self.max_live_per_tenant = self.max_live_per_tenant.max(*live);
+        w.max_live_per_tenant = w.max_live_per_tenant.max(*live);
     }
 
     fn on_session_warm_hit(&mut self, _now: SimTime, job: usize, tenant: u32, session: u32) {
-        if self.owner.get(&session) != Some(&tenant) {
-            self.violations.push(format!(
+        let mut w = self.0.borrow_mut();
+        let owner = w.owner.get(&session).copied();
+        if owner != Some(tenant) {
+            w.violations.push(format!(
                 "[warm-pool] job {job}: session {session} reused by tenant {tenant} but \
-                 owned by {:?}",
-                self.owner.get(&session)
+                 owned by {owner:?}"
             ));
         }
     }
 
     fn on_session_expired(&mut self, _now: SimTime, tenant: u32, session: u32, _executors: u32) {
-        self.owner.remove(&session);
-        *self.live.entry(tenant).or_insert(1) -= 1;
+        self.0.borrow_mut().end_session(tenant, session);
     }
 
     fn on_session_killed(&mut self, _now: SimTime, tenant: u32, session: u32, _executors: u32) {
-        self.owner.remove(&session);
-        *self.live.entry(tenant).or_insert(1) -= 1;
+        self.0.borrow_mut().end_session(tenant, session);
     }
 
     fn job_sim_observer(&mut self, job: usize, _tenant: u32) -> Option<Box<dyn SimObserver>> {
         let obs = ChaosObserver::new(1);
-        self.job_states.push((job, Rc::clone(&obs.0)));
+        self.0
+            .borrow_mut()
+            .job_states
+            .push((job, Rc::clone(&obs.0)));
         Some(Box::new(obs))
     }
 
     fn on_job_report(&mut self, _now: SimTime, job: usize, _tenant: u32, report: &RunReport) {
-        let (_, state) = self
+        let w = &mut *self.0.borrow_mut();
+        let (_, state) = w
             .job_states
             .last()
             .expect("observer installed before report");
         let state = state.borrow();
         for v in &state.violations {
-            self.violations.push(format!("[inner job {job}] {v}"));
+            w.violations.push(format!("[inner job {job}] {v}"));
         }
         match state.terminal.first().copied().flatten() {
-            None => self.violations.push(format!(
+            None => w.violations.push(format!(
                 "[completion] job {job} inner run never reached a terminal state"
             )),
-            Some(aborted) if aborted != report.jobs[0].aborted => self.violations.push(format!(
+            Some(aborted) if aborted != report.jobs[0].aborted => w.violations.push(format!(
                 "[completion] job {job}: observer saw aborted={aborted}, report disagrees"
             )),
             Some(_) => {}
         }
+    }
+}
+
+impl Witness {
+    /// The session retired or was killed: its tenant holds one fewer.
+    fn end_session(&mut self, tenant: u32, session: u32) {
+        self.owner.remove(&session);
+        *self.live.entry(tenant).or_insert(1) -= 1;
     }
 }
 
@@ -202,57 +221,13 @@ fn build_service(seed: u64) -> ServiceSim {
 }
 
 /// Runs one service seed and returns the run plus the chaos witness.
-fn execute_service_observed(seed: u64) -> (ServiceRun, Rc<RefCell<ServiceChaos>>) {
-    let witness = Rc::new(RefCell::new(ServiceChaos::default()));
+fn execute_service_observed(seed: u64) -> (ServiceRun, Witness) {
+    let witness = ServiceChaos::default();
     let mut sim = build_service(seed);
-    sim.set_observer(Box::new(SharedChaos(Rc::clone(&witness))));
-    (sim.run(), witness)
-}
-
-/// Forwarding observer so the driver can keep the witness after
-/// `ServiceSim::run` consumes the observer box.
-#[derive(Debug)]
-struct SharedChaos(Rc<RefCell<ServiceChaos>>);
-
-impl ServiceObserver for SharedChaos {
-    fn on_job_admitted(&mut self, now: SimTime, job: usize, tenant: u32, queue_depth: u32) {
-        self.0
-            .borrow_mut()
-            .on_job_admitted(now, job, tenant, queue_depth);
-    }
-    fn on_session_cold_start(
-        &mut self,
-        now: SimTime,
-        job: usize,
-        tenant: u32,
-        session: u32,
-        executors: u32,
-    ) {
-        self.0
-            .borrow_mut()
-            .on_session_cold_start(now, job, tenant, session, executors);
-    }
-    fn on_session_warm_hit(&mut self, now: SimTime, job: usize, tenant: u32, session: u32) {
-        self.0
-            .borrow_mut()
-            .on_session_warm_hit(now, job, tenant, session);
-    }
-    fn on_session_expired(&mut self, now: SimTime, tenant: u32, session: u32, executors: u32) {
-        self.0
-            .borrow_mut()
-            .on_session_expired(now, tenant, session, executors);
-    }
-    fn on_session_killed(&mut self, now: SimTime, tenant: u32, session: u32, executors: u32) {
-        self.0
-            .borrow_mut()
-            .on_session_killed(now, tenant, session, executors);
-    }
-    fn job_sim_observer(&mut self, job: usize, tenant: u32) -> Option<Box<dyn SimObserver>> {
-        self.0.borrow_mut().job_sim_observer(job, tenant)
-    }
-    fn on_job_report(&mut self, now: SimTime, job: usize, tenant: u32, report: &RunReport) {
-        self.0.borrow_mut().on_job_report(now, job, tenant, report);
-    }
+    sim.set_observer(Box::new(witness.clone()));
+    let run = sim.run();
+    let witness = Rc::try_unwrap(witness.0).expect("driver holds the last handle");
+    (run, witness.into_inner())
 }
 
 /// Runs one service seed without the witness (the determinism replay).
@@ -264,7 +239,7 @@ pub fn execute_service(seed: u64) -> ServiceRun {
 pub fn execute_service_traced(seed: u64) -> (ServiceRun, Trace) {
     let mut sim = build_service(seed);
     let scenario_name = format!("chaos-service-{seed}");
-    let (rec, handle) = swift_service::service_recorder(&scenario_name, seed);
+    let (rec, handle) = TraceRecorder::new(&scenario_name, seed, RecorderConfig::default());
     sim.set_observer(Box::new(rec));
     let run = sim.run();
     (run, handle.finish())
@@ -285,9 +260,6 @@ pub fn run_service_seed(seed: u64) -> SeedOutcome {
     }
 
     let (run, witness) = execute_service_observed(seed);
-    let witness = Rc::try_unwrap(witness)
-        .expect("driver holds the last handle")
-        .into_inner();
     violations.extend(witness.violations);
     let r = &run.report;
 

@@ -24,12 +24,14 @@
 #![warn(missing_docs)]
 
 mod config;
+mod event;
 mod report;
 mod sim;
 mod template;
 mod units;
 
 pub use config::{LaunchModel, Partitioning, PolicyConfig, ShuffleSelection, Submission};
+pub use event::{SimEvent, TaskRef};
 pub use report::{JobReport, PhaseBreakdown, RunReport, StageReport};
 pub use sim::{
     CounterSample, FailureAt, FailureInjection, GraphletState, JobSpec, RecoveryContext,
@@ -37,7 +39,6 @@ pub use sim::{
 };
 pub use template::{
     compute_priors, validate_scheme_priors, validate_template_roundtrip, SchemePrior,
-    TemplateCache, TemplateDecision, TemplateHit, TemplateLookup, TemplateOutcome, TemplateStats,
-    TemplateTicket,
+    TemplateCache, TemplateHit, TemplateLookup, TemplateStats, TemplateTicket,
 };
 pub use units::{plan_units, ScheduleUnit, UnitPlan};

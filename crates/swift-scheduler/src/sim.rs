@@ -23,6 +23,7 @@
 //! tasks idle through their predecessors' entire runtime.
 
 use crate::config::{LaunchModel, PolicyConfig, ReleaseMode, Submission};
+use crate::event::SimEvent;
 use crate::report::{JobReport, PhaseBreakdown, RunReport, StageReport};
 use crate::template::{
     plan_artifacts, SchemePrior, TemplateCache, TemplateDecision, TemplateLookup, TemplateOutcome,
@@ -31,7 +32,7 @@ use crate::template::{
 use crate::units::UnitPlan;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use swift_cluster::{Cluster, ExecutorId, MachineHealth, MachineId};
+use swift_cluster::{Cluster, ExecutorId, MachineId};
 use swift_dag::{JobDag, Partition, StageId, TaskId};
 use swift_ft::{plan_recovery, ExecutionSnapshot, FailureKind, RecoveryPlan, TaskRunState};
 use swift_shuffle::{SegmentKey, ShuffleMedium, ShuffleScheme};
@@ -120,7 +121,7 @@ impl std::fmt::Debug for RecoveryContext<'_> {
 }
 
 /// Lifecycle state of a graphlet (schedule unit) as seen by the DAG
-/// scheduler, reported through [`SimObserver::on_graphlet_state_changed`].
+/// scheduler, reported as [`SimEvent::GraphletState`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GraphletState {
     /// The unit became submittable and its resource request entered the
@@ -141,8 +142,7 @@ impl GraphletState {
 }
 
 /// One shuffle-edge scheme decision, made once at job preparation (§III)
-/// and reported through [`SimObserver::on_shuffle_scheme_selected`] when
-/// the job is submitted.
+/// and reported as [`SimEvent::SchemeSelected`] when the job is submitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SchemeDecision {
     /// Edge index within the job DAG.
@@ -166,6 +166,16 @@ impl SchemeDecision {
     /// segments the cache shadow model tracks.
     fn memory_staged(&self) -> bool {
         self.scheme.uses_cache_worker() && self.medium == ShuffleMedium::Memory
+    }
+}
+
+/// The [`SimEvent::GangWaitEnded`] of `job`'s unit `unit`.
+fn gang_wait_ended(job: usize, unit: u32, tasks: u32, wave: bool) -> SimEvent {
+    SimEvent::GangWaitEnded {
+        job: job as u32,
+        unit,
+        tasks,
+        wave,
     }
 }
 
@@ -208,25 +218,79 @@ pub struct CounterSample {
     pub cache_store_bytes: u64,
 }
 
-/// Observer receiving simulation lifecycle callbacks — the hook surface
-/// the chaos harness uses to check invariants without perturbing the
-/// deterministic event flow, and the trace recorder uses to build a
-/// replayable event stream. All methods default to no-ops.
+/// Observer of a simulation run: the hook surface the chaos harness uses
+/// to check invariants without perturbing the deterministic event flow,
+/// and the trace recorder uses to store a replayable event stream.
+///
+/// The simulator hands every event it emits to [`SimObserver::on_event`],
+/// building the [`SimEvent`] only while an observer is installed. Two
+/// richer callbacks carry what an event cannot: the recovery plan with
+/// the context it was planned against, and the counter sample. Every
+/// method defaults to a no-op, except that `on_event` fans the events of
+/// the legacy callbacks out to them.
 #[allow(unused_variables)]
 pub trait SimObserver {
-    /// A task instance began executing (shuffle read started).
-    fn on_task_started(&mut self, now: SimTime, job: usize, task: TaskId, epoch: u32) {}
-
-    /// A task instance finished; its output is now the visible one.
-    fn on_task_finished(&mut self, now: SimTime, job: usize, task: TaskId, epoch: u32) {}
-
-    /// A task's current instance was superseded (killed, re-run or job
-    /// restart); any output of epochs below `new_epoch` is now invalid.
-    fn on_task_invalidated(&mut self, now: SimTime, job: usize, task: TaskId, new_epoch: u32) {}
-
-    /// A starting consumer read the output of `producer` (the consumer's
-    /// whole input is read at execution start in the timing model).
-    fn on_input_read(&mut self, now: SimTime, job: usize, producer: TaskId, consumer: TaskId) {}
+    /// One event at `now`, in emission order. The default forwards the ten
+    /// variants that have a legacy callback to it and drops the rest.
+    fn on_event(&mut self, now: SimTime, event: SimEvent) {
+        match event {
+            SimEvent::TaskAssigned {
+                job,
+                task,
+                epoch,
+                executor,
+            } => self.on_task_assigned(now, job as usize, task.into(), epoch, ExecutorId(executor)),
+            SimEvent::PlanDelivered { job, task, epoch } => {
+                self.on_plan_delivered(now, job as usize, task.into(), epoch);
+            }
+            SimEvent::TaskStarted { job, task, epoch } => {
+                self.on_task_started(now, job as usize, task.into(), epoch);
+            }
+            SimEvent::TaskFinished { job, task, epoch } => {
+                self.on_task_finished(now, job as usize, task.into(), epoch);
+            }
+            SimEvent::TaskInvalidated {
+                job,
+                task,
+                new_epoch,
+            } => self.on_task_invalidated(now, job as usize, task.into(), new_epoch),
+            SimEvent::FailureDetected { job, task, kind } => {
+                self.on_failure_detected(now, job as usize, task.into(), kind);
+            }
+            SimEvent::JobRestarted { job } => self.on_job_restarted(now, job as usize),
+            SimEvent::SchemeSelected {
+                job,
+                edge,
+                src,
+                dst,
+                size,
+                scheme,
+                medium,
+                crossing,
+            } => {
+                let decision = SchemeDecision {
+                    edge,
+                    src: StageId(src),
+                    dst: StageId(dst),
+                    edge_size: size,
+                    scheme,
+                    medium,
+                    crossing,
+                };
+                self.on_shuffle_scheme_selected(now, job as usize, &decision);
+            }
+            SimEvent::GangWaitStarted { job, unit, tasks } => {
+                self.on_gang_wait_started(now, job as usize, unit, tasks as usize);
+            }
+            SimEvent::GangWaitEnded {
+                job,
+                unit,
+                tasks,
+                wave,
+            } => self.on_gang_wait_ended(now, job as usize, unit, tasks as usize, wave),
+            _ => {}
+        }
+    }
 
     /// Fine-grained recovery produced `plan` for the failure in `ctx`.
     /// Called before the plan is applied.
@@ -239,59 +303,20 @@ pub trait SimObserver {
     ) {
     }
 
-    /// The whole job was restarted (RecoveryPolicy::JobRestart).
-    fn on_job_restarted(&mut self, now: SimTime, job: usize) {}
+    /// A counter sample at a `SimTime` window boundary (see
+    /// [`CounterSample`]). Emitted between event batches whenever the
+    /// clock has crossed the boundary requested by
+    /// [`SimObserver::counter_window`], plus one final sealing sample
+    /// when the loop quiesces (before [`SimEvent::RunFinished`]). Purely
+    /// observational: samples are not queue events and never change
+    /// `events_processed` or the [`RunReport`].
+    fn on_counter_sample(&mut self, now: SimTime, sample: &CounterSample) {}
 
-    /// The job reached a terminal state.
-    fn on_job_completed(&mut self, now: SimTime, job: usize, aborted: bool) {}
+    // The legacy per-kind callbacks. Only the default `on_event` calls
+    // them; they stay because the benchmark's observer overrides them,
+    // and ROADMAP item 17(b) deletes them together with that fan-out.
 
-    /// The job's resource requests are about to be issued (its Submit
-    /// event, after the partition overhead elapsed).
-    fn on_job_submitted(&mut self, now: SimTime, job: usize) {}
-
-    /// A shuffle-edge scheme decision. Decisions are made once at job
-    /// preparation; they are reported at submit time, one call per DAG
-    /// edge in edge order.
-    fn on_shuffle_scheme_selected(&mut self, now: SimTime, job: usize, decision: &SchemeDecision) {}
-
-    /// How the job's admission interacted with the scheduling-template
-    /// cache: one call per job, at submit time, before the scheme
-    /// decisions.
-    fn on_template_decision(&mut self, now: SimTime, job: usize, decision: &TemplateDecision) {}
-
-    /// A graphlet changed lifecycle state. `stages` lists the unit's
-    /// stages for [`GraphletState::Submitted`] and is empty for
-    /// [`GraphletState::Complete`]. A unit whose tasks are re-run by
-    /// recovery can report `Complete` more than once.
-    fn on_graphlet_state_changed(
-        &mut self,
-        now: SimTime,
-        job: usize,
-        unit: u32,
-        state: GraphletState,
-        stages: &[StageId],
-    ) {
-    }
-
-    /// A whole-unit gang request entered the ReqItem queue with `tasks`
-    /// pending tasks.
-    fn on_gang_wait_started(&mut self, now: SimTime, job: usize, unit: u32, tasks: usize) {}
-
-    /// A unit's gang request left the queue: `tasks` executors were
-    /// assigned (`wave = true` when the gang was oversized and only a
-    /// first wave started; `tasks = 0` when the request dissolved because
-    /// its tasks were superseded while queued).
-    fn on_gang_wait_ended(
-        &mut self,
-        now: SimTime,
-        job: usize,
-        unit: u32,
-        tasks: usize,
-        wave: bool,
-    ) {
-    }
-
-    /// A task was bound to an executor; plan delivery is now in flight.
+    /// [`SimEvent::TaskAssigned`].
     fn on_task_assigned(
         &mut self,
         now: SimTime,
@@ -302,46 +327,40 @@ pub trait SimObserver {
     ) {
     }
 
-    /// A task's execution plan arrived at its pre-launched executor.
+    /// [`SimEvent::PlanDelivered`].
     fn on_plan_delivered(&mut self, now: SimTime, job: usize, task: TaskId, epoch: u32) {}
 
-    /// The Admin detected a failure affecting `task` — the §IV-A
-    /// detection delay (self-report, heartbeat timeout, ...) has elapsed
-    /// and recovery planning happens next.
+    /// [`SimEvent::TaskStarted`].
+    fn on_task_started(&mut self, now: SimTime, job: usize, task: TaskId, epoch: u32) {}
+
+    /// [`SimEvent::TaskFinished`].
+    fn on_task_finished(&mut self, now: SimTime, job: usize, task: TaskId, epoch: u32) {}
+
+    /// [`SimEvent::TaskInvalidated`].
+    fn on_task_invalidated(&mut self, now: SimTime, job: usize, task: TaskId, new_epoch: u32) {}
+
+    /// [`SimEvent::FailureDetected`].
     fn on_failure_detected(&mut self, now: SimTime, job: usize, task: TaskId, kind: FailureKind) {}
 
-    /// A machine's health transitioned (e.g. heartbeat loss).
-    fn on_machine_health_changed(
+    /// [`SimEvent::JobRestarted`].
+    fn on_job_restarted(&mut self, now: SimTime, job: usize) {}
+
+    /// [`SimEvent::SchemeSelected`].
+    fn on_shuffle_scheme_selected(&mut self, now: SimTime, job: usize, decision: &SchemeDecision) {}
+
+    /// [`SimEvent::GangWaitStarted`].
+    fn on_gang_wait_started(&mut self, now: SimTime, job: usize, unit: u32, tasks: usize) {}
+
+    /// [`SimEvent::GangWaitEnded`].
+    fn on_gang_wait_ended(
         &mut self,
         now: SimTime,
-        machine: MachineId,
-        from: MachineHealth,
-        to: MachineHealth,
+        job: usize,
+        unit: u32,
+        tasks: usize,
+        wave: bool,
     ) {
     }
-
-    /// A Cache Worker spilled `bytes` across `segments` LRU segments to
-    /// disk (§III-B memory management). Emitted by the cache shadow model
-    /// only (see [`SimObserver::wants_cache_model`]).
-    fn on_cache_spill(&mut self, now: SimTime, machine: MachineId, bytes: u64, segments: usize) {}
-
-    /// A Cache Worker released `bytes` of staged segments (fully consumed,
-    /// superseded by a re-run relocation, or dropped with their job).
-    fn on_cache_evict(&mut self, now: SimTime, machine: MachineId, bytes: u64) {}
-
-    /// A counter sample at a `SimTime` window boundary (see
-    /// [`CounterSample`]). Emitted between event batches whenever the
-    /// clock has crossed the boundary requested by
-    /// [`SimObserver::counter_window`], plus one final sealing sample
-    /// when the loop quiesces (before
-    /// [`SimObserver::on_run_finished`]). Purely observational: samples
-    /// are not queue events and never change `events_processed` or the
-    /// [`RunReport`].
-    fn on_counter_sample(&mut self, now: SimTime, sample: &CounterSample) {}
-
-    /// The event loop quiesced; `events` is the total processed count.
-    /// Always the final callback of a run.
-    fn on_run_finished(&mut self, now: SimTime, events: u64) {}
 
     /// The window duration at which the observer wants
     /// [`SimObserver::on_counter_sample`] callbacks, or `None` (the
@@ -352,10 +371,10 @@ pub trait SimObserver {
         None
     }
 
-    /// Whether the observer wants the per-producer [`SimObserver::on_input_read`]
-    /// fan-out. It costs O(predecessor tasks) callbacks per task start, so
-    /// observers that ignore it should return `false`; the default keeps
-    /// the historical behavior for existing observers.
+    /// Whether the observer wants [`SimEvent::InputRead`]: one event per
+    /// predecessor stage at every task start. Observers that ignore it
+    /// should return `false`; the default keeps the historical behavior
+    /// for existing observers.
     fn wants_input_reads(&self) -> bool {
         true
     }
@@ -363,8 +382,9 @@ pub trait SimObserver {
     /// Whether the observer wants the Cache Worker shadow model: staged
     /// cross-graphlet segments are inserted into / consumed from each
     /// machine's [`swift_shuffle::CacheWorkerMemory`], generating
-    /// spill/evict callbacks. Purely observational — it never affects
-    /// scheduling decisions, timing or the [`RunReport`].
+    /// [`SimEvent::CacheSpill`] and [`SimEvent::CacheEvict`]. Purely
+    /// observational — it never affects scheduling decisions, timing or
+    /// the [`RunReport`].
     fn wants_cache_model(&self) -> bool {
         false
     }
@@ -1155,7 +1175,7 @@ impl Simulation {
         let events = self.q.processed();
         if self.observer.is_some() {
             let now = self.q.now();
-            self.notify(|obs, _| obs.on_run_finished(now, events));
+            self.notify(|obs, _| obs.on_event(now, SimEvent::RunFinished { events }));
         }
         self.observer = None;
         let jobs = (0..self.jobs.len()).map(|i| self.job_report(i)).collect();
@@ -1203,10 +1223,49 @@ impl Simulation {
                 if self.observer.is_some() {
                     let now = self.q.now();
                     self.notify(|obs, sim| {
-                        obs.on_job_submitted(now, i as usize);
-                        obs.on_template_decision(now, i as usize, &sim.jobs[i as usize].template);
-                        for d in &sim.jobs[i as usize].schemes {
-                            obs.on_shuffle_scheme_selected(now, i as usize, d);
+                        let j = &sim.jobs[i as usize];
+                        obs.on_event(now, SimEvent::JobSubmitted { job: i });
+                        let t = j.template;
+                        match t.outcome {
+                            TemplateOutcome::Miss => obs.on_event(
+                                now,
+                                SimEvent::TemplateMiss {
+                                    job: i,
+                                    signature: t.signature,
+                                },
+                            ),
+                            TemplateOutcome::Hit => {
+                                obs.on_event(
+                                    now,
+                                    SimEvent::TemplateHit {
+                                        job: i,
+                                        signature: t.signature,
+                                    },
+                                );
+                                obs.on_event(
+                                    now,
+                                    SimEvent::TemplateInstantiate {
+                                        job: i,
+                                        units: t.units,
+                                        edges: t.edges,
+                                    },
+                                );
+                            }
+                        }
+                        for d in &j.schemes {
+                            obs.on_event(
+                                now,
+                                SimEvent::SchemeSelected {
+                                    job: i,
+                                    edge: d.edge,
+                                    src: d.src.index() as u32,
+                                    dst: d.dst.index() as u32,
+                                    size: d.edge_size,
+                                    scheme: d.scheme,
+                                    medium: d.medium,
+                                    crossing: d.crossing,
+                                },
+                            );
                         }
                     });
                 }
@@ -1295,8 +1354,23 @@ impl Simulation {
                     let now = self.q.now();
                     self.notify(|obs, sim| {
                         let stages = &sim.jobs[i].plan.units[u as usize].stages;
-                        obs.on_graphlet_state_changed(now, i, u, GraphletState::Submitted, stages);
-                        obs.on_gang_wait_started(now, i, u, gang);
+                        obs.on_event(
+                            now,
+                            SimEvent::GraphletState {
+                                job: i as u32,
+                                unit: u,
+                                state: GraphletState::Submitted,
+                                stages: stages.iter().map(|s| s.index() as u32).collect(),
+                            },
+                        );
+                        obs.on_event(
+                            now,
+                            SimEvent::GangWaitStarted {
+                                job: i as u32,
+                                unit: u,
+                                tasks: gang as u32,
+                            },
+                        );
                     });
                 }
             }
@@ -1352,7 +1426,7 @@ impl Simulation {
                 if let Some(u) = req.unit {
                     if self.observer.is_some() {
                         let now = self.q.now();
-                        self.notify(|obs, _| obs.on_gang_wait_ended(now, job, u, 0, false));
+                        self.notify(|obs, _| obs.on_event(now, gang_wait_ended(job, u, 0, false)));
                     }
                 }
                 self.recycle_vec(req.tasks);
@@ -1365,8 +1439,10 @@ impl Simulation {
                 if let Some(u) = req.unit {
                     if self.observer.is_some() {
                         let now = self.q.now();
-                        let gang = req.tasks.len();
-                        self.notify(|obs, _| obs.on_gang_wait_ended(now, job, u, gang, false));
+                        let gang = req.tasks.len() as u32;
+                        self.notify(|obs, _| {
+                            obs.on_event(now, gang_wait_ended(job, u, gang, false))
+                        });
                     }
                 }
                 self.assign(job, &req.tasks);
@@ -1417,8 +1493,10 @@ impl Simulation {
                 if let Some(u) = req.unit.take() {
                     if self.observer.is_some() {
                         let now = self.q.now();
-                        let gang = wave.len();
-                        self.notify(|obs, _| obs.on_gang_wait_ended(now, job, u, gang, true));
+                        let gang = wave.len() as u32;
+                        self.notify(|obs, _| {
+                            obs.on_event(now, gang_wait_ended(job, u, gang, true))
+                        });
                     }
                 }
                 if req.tasks.is_empty() {
@@ -1577,8 +1655,8 @@ impl Simulation {
         self.notify_assigned(now, job, assigned);
     }
 
-    /// Delivers one gang's `on_task_assigned` batch and puts the buffer
-    /// back as [`Simulation::scratch_assigned`].
+    /// Delivers one gang's [`SimEvent::TaskAssigned`] batch and puts the
+    /// buffer back as [`Simulation::scratch_assigned`].
     fn notify_assigned(
         &mut self,
         now: SimTime,
@@ -1587,8 +1665,16 @@ impl Simulation {
     ) {
         if !assigned.is_empty() {
             self.notify(|obs, _| {
-                for &(tid, e, ex) in &assigned {
-                    obs.on_task_assigned(now, job, tid, e, ex);
+                for &(tid, epoch, ex) in &assigned {
+                    obs.on_event(
+                        now,
+                        SimEvent::TaskAssigned {
+                            job: job as u32,
+                            task: tid.into(),
+                            epoch,
+                            executor: ex.0,
+                        },
+                    );
                 }
             });
         }
@@ -1617,7 +1703,16 @@ impl Simulation {
         }
         let tid = self.jobs[job].task_id(flat);
         if self.observer.is_some() {
-            self.notify(|obs, _| obs.on_plan_delivered(now, job, tid, epoch));
+            self.notify(|obs, _| {
+                obs.on_event(
+                    now,
+                    SimEvent::PlanDelivered {
+                        job: job as u32,
+                        task: tid.into(),
+                        epoch,
+                    },
+                )
+            });
         }
         if self.stage_inputs_ready(job, tid.stage) {
             self.start_exec(job, flat);
@@ -1658,18 +1753,39 @@ impl Simulation {
         };
         let wants_reads = self.obs_wants_reads;
         self.notify(|obs, sim| {
-            obs.on_task_started(now, job, tid, epoch);
-            // The timing model reads the whole input at execution start.
+            let job = job as u32;
+            obs.on_event(
+                now,
+                SimEvent::TaskStarted {
+                    job,
+                    task: tid.into(),
+                    epoch,
+                },
+            );
+            // The timing model reads the whole input at execution start:
+            // every task of every predecessor stage.
             if wants_reads {
-                let j = &sim.jobs[job];
-                for p_stage in j.dag.predecessors(tid.stage) {
-                    for i in 0..j.dag.stage(p_stage).task_count {
-                        obs.on_input_read(now, job, TaskId::new(p_stage, i), tid);
-                    }
+                let dag = &sim.jobs[job as usize].dag;
+                for p_stage in dag.predecessors(tid.stage) {
+                    obs.on_event(
+                        now,
+                        SimEvent::InputRead {
+                            job,
+                            consumer: tid.into(),
+                            producer_stage: p_stage.index() as u32,
+                            producers: dag.stage(p_stage).task_count,
+                        },
+                    );
                 }
             }
             for &(mach, bytes) in &freed {
-                obs.on_cache_evict(now, mach, bytes);
+                obs.on_event(
+                    now,
+                    SimEvent::CacheEvict {
+                        machine: mach.0,
+                        bytes,
+                    },
+                );
             }
         });
     }
@@ -1761,11 +1877,24 @@ impl Simulation {
         }
         if spilled_segs > 0 || !stale_evicted.is_empty() {
             self.notify(|obs, _| {
-                for &(m, b) in &stale_evicted {
-                    obs.on_cache_evict(now, m, b);
+                for &(m, bytes) in &stale_evicted {
+                    obs.on_event(
+                        now,
+                        SimEvent::CacheEvict {
+                            machine: m.0,
+                            bytes,
+                        },
+                    );
                 }
                 if spilled_segs > 0 {
-                    obs.on_cache_spill(now, mach, spilled_bytes, spilled_segs);
+                    obs.on_event(
+                        now,
+                        SimEvent::CacheSpill {
+                            machine: mach.0,
+                            bytes: spilled_bytes,
+                            segments: spilled_segs as u32,
+                        },
+                    );
                 }
             });
         }
@@ -1799,8 +1928,14 @@ impl Simulation {
         }
         if !freed.is_empty() {
             self.notify(|obs, _| {
-                for &(m, b) in &freed {
-                    obs.on_cache_evict(now, m, b);
+                for &(m, bytes) in &freed {
+                    obs.on_event(
+                        now,
+                        SimEvent::CacheEvict {
+                            machine: m.0,
+                            bytes,
+                        },
+                    );
                 }
             });
         }
@@ -1837,7 +1972,16 @@ impl Simulation {
                 }
             }
         }
-        self.notify(|obs, _| obs.on_task_finished(now, job, tid, finished_epoch));
+        self.notify(|obs, _| {
+            obs.on_event(
+                now,
+                SimEvent::TaskFinished {
+                    job: job as u32,
+                    task: tid.into(),
+                    epoch: finished_epoch,
+                },
+            );
+        });
         if let Some(mach) = produced_on {
             self.cache_model_insert(job, tid, mach);
         }
@@ -1849,12 +1993,14 @@ impl Simulation {
             let drained = j.unit_remaining[unit] == 0;
             if was > 0 && drained && self.observer.is_some() {
                 self.notify(|obs, _| {
-                    obs.on_graphlet_state_changed(
+                    obs.on_event(
                         now,
-                        job,
-                        unit as u32,
-                        GraphletState::Complete,
-                        &[],
+                        SimEvent::GraphletState {
+                            job: job as u32,
+                            unit: unit as u32,
+                            state: GraphletState::Complete,
+                            stages: Vec::new(),
+                        },
                     );
                 });
             }
@@ -1911,7 +2057,15 @@ impl Simulation {
         self.release_all_held(job);
         self.cache_model_drop_job(job);
         self.close_queued_gang_waits(job);
-        self.notify(|obs, _| obs.on_job_completed(now, job, false));
+        self.notify(|obs, _| {
+            obs.on_event(
+                now,
+                SimEvent::JobCompleted {
+                    job: job as u32,
+                    aborted: false,
+                },
+            )
+        });
         self.kick();
     }
 
@@ -1937,7 +2091,7 @@ impl Simulation {
         let now = self.q.now();
         self.notify(|obs, _| {
             for &u in &units {
-                obs.on_gang_wait_ended(now, job, u, 0, false);
+                obs.on_event(now, gang_wait_ended(job, u, 0, false));
             }
         });
     }
@@ -2019,7 +2173,16 @@ impl Simulation {
         if let Some(new_epoch) = invalidated {
             let now = self.q.now();
             let tid = self.jobs[job].task_id(flat);
-            self.notify(|obs, _| obs.on_task_invalidated(now, job, tid, new_epoch));
+            self.notify(|obs, _| {
+                obs.on_event(
+                    now,
+                    SimEvent::TaskInvalidated {
+                        job: job as u32,
+                        task: tid.into(),
+                        new_epoch,
+                    },
+                );
+            });
         }
     }
 
@@ -2057,7 +2220,16 @@ impl Simulation {
         let tid = self.jobs[job].task_id(flat);
         if self.observer.is_some() {
             let now = self.q.now();
-            self.notify(|obs, _| obs.on_failure_detected(now, job, tid, kind));
+            self.notify(|obs, _| {
+                obs.on_event(
+                    now,
+                    SimEvent::FailureDetected {
+                        job: job as u32,
+                        task: tid.into(),
+                        kind,
+                    },
+                );
+            });
         }
         match self.cfg.recovery {
             RecoveryPolicy::JobRestart => {
@@ -2141,8 +2313,15 @@ impl Simulation {
             flats.push(flat);
         }
         self.notify(|obs, _| {
-            for &(tid, e) in &invalidated {
-                obs.on_task_invalidated(now, job, tid, e);
+            for &(tid, new_epoch) in &invalidated {
+                obs.on_event(
+                    now,
+                    SimEvent::TaskInvalidated {
+                        job: job as u32,
+                        task: tid.into(),
+                        new_epoch,
+                    },
+                );
             }
         });
         if flats.is_empty() {
@@ -2211,9 +2390,17 @@ impl Simulation {
         self.reqs.retain(|r| r.job != job);
         self.cache_model_drop_job(job);
         self.notify(|obs, sim| {
-            obs.on_job_restarted(now, job);
-            for &(flat, e) in &invalidated {
-                obs.on_task_invalidated(now, job, sim.jobs[job].task_id(flat), e);
+            obs.on_event(now, SimEvent::JobRestarted { job: job as u32 });
+            for &(flat, new_epoch) in &invalidated {
+                let task = sim.jobs[job].task_id(flat).into();
+                obs.on_event(
+                    now,
+                    SimEvent::TaskInvalidated {
+                        job: job as u32,
+                        task,
+                        new_epoch,
+                    },
+                );
             }
         });
         self.evaluate_units(job);
@@ -2240,7 +2427,15 @@ impl Simulation {
         self.release_all_held(job);
         self.cache_model_drop_job(job);
         self.close_queued_gang_waits(job);
-        self.notify(|obs, _| obs.on_job_completed(now, job, true));
+        self.notify(|obs, _| {
+            obs.on_event(
+                now,
+                SimEvent::JobCompleted {
+                    job: job as u32,
+                    aborted: true,
+                },
+            )
+        });
         self.kick();
     }
 
@@ -2250,7 +2445,16 @@ impl Simulation {
         let after = self.cluster.machine(m).health;
         if before != after && self.observer.is_some() {
             let now = self.q.now();
-            self.notify(|obs, _| obs.on_machine_health_changed(now, m, before, after));
+            self.notify(|obs, _| {
+                obs.on_event(
+                    now,
+                    SimEvent::MachineHealthChanged {
+                        machine: m.0,
+                        from: before,
+                        to: after,
+                    },
+                );
+            });
         }
         let mut victims: Vec<(u32, u32)> = lost
             .iter()

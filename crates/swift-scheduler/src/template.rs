@@ -141,10 +141,10 @@ impl TemplateStats {
     }
 }
 
-/// How a job's admission interacted with the template cache, reported
-/// through [`crate::SimObserver::on_template_decision`].
+/// How a job's admission interacted with the template cache, reported as
+/// [`crate::SimEvent::TemplateMiss`] or [`crate::SimEvent::TemplateHit`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TemplateOutcome {
+pub(crate) enum TemplateOutcome {
     /// No equal-shape template existed; the job was planned from scratch
     /// and its artifacts registered.
     Miss,
@@ -155,18 +155,18 @@ pub enum TemplateOutcome {
 /// One job's template-cache decision: the outcome plus the dimensions the
 /// trace events publish.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TemplateDecision {
+pub(crate) struct TemplateDecision {
     /// Hit or miss.
-    pub outcome: TemplateOutcome,
+    pub(crate) outcome: TemplateOutcome,
     /// 64-bit digest identifying the template that served (or, on a miss,
     /// was registered by) this admission: the hash of its as-numbered
     /// shape. Hits report the same digest as the miss that created the
     /// template.
-    pub signature: u64,
+    pub(crate) signature: u64,
     /// Number of schedule units in the (served or fresh) plan.
-    pub units: u32,
+    pub(crate) units: u32,
     /// Number of DAG edges covered by scheme priors.
-    pub edges: u32,
+    pub(crate) edges: u32,
 }
 
 /// The control-plane artifacts a hit hands to the admission path: the

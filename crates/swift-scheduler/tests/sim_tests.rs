@@ -10,12 +10,12 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use swift_cluster::{Cluster, CostModel, MachineId};
-use swift_dag::{DagBuilder, JobDag, Operator, StageProfile};
+use swift_cluster::{Cluster, CostModel, ExecutorId, MachineId};
+use swift_dag::{DagBuilder, JobDag, Operator, StageProfile, TaskId};
 use swift_ft::FailureKind;
 use swift_scheduler::{
     CounterSample, FailureAt, FailureInjection, JobSpec, PolicyConfig, RecoveryPolicy,
-    SchedulerSession, SimConfig, SimObserver, Simulation,
+    SchedulerSession, SchemeDecision, SimConfig, SimEvent, SimObserver, Simulation, TaskRef,
 };
 use swift_sim::{SimDuration, SimTime};
 
@@ -265,8 +265,10 @@ fn utilization_sampling_produces_series() {
 struct LastBatch(Rc<Cell<SimTime>>);
 
 impl SimObserver for LastBatch {
-    fn on_run_finished(&mut self, now: SimTime, _events: u64) {
-        self.0.set(now);
+    fn on_event(&mut self, now: SimTime, event: SimEvent) {
+        if let SimEvent::RunFinished { .. } = event {
+            self.0.set(now);
+        }
     }
 }
 
@@ -397,5 +399,200 @@ fn spark_pays_launch_in_every_stage() {
     let report = run_one(SimConfig::swift(), three_stage_job(1, 16));
     for s in &report.jobs[0].stages {
         assert_eq!(s.phases.launch, CostModel::default().plan_delivery);
+    }
+}
+
+/// One legacy-callback call: `(time, callback, job, the other arguments)`.
+type Call = (SimTime, &'static str, usize, String);
+
+/// Records the ten legacy callbacks, which the benchmark's observer
+/// overrides and which only the default `on_event` fan-out reaches.
+struct Legacy(Rc<RefCell<Vec<Call>>>);
+
+impl Legacy {
+    fn push(&mut self, now: SimTime, call: &'static str, job: usize, rest: String) {
+        self.0.borrow_mut().push((now, call, job, rest));
+    }
+}
+
+impl SimObserver for Legacy {
+    fn on_task_assigned(
+        &mut self,
+        now: SimTime,
+        job: usize,
+        task: TaskId,
+        epoch: u32,
+        executor: ExecutorId,
+    ) {
+        self.push(
+            now,
+            "assigned",
+            job,
+            format!("{task} {epoch} {}", executor.0),
+        );
+    }
+    fn on_plan_delivered(&mut self, now: SimTime, job: usize, task: TaskId, epoch: u32) {
+        self.push(now, "delivered", job, format!("{task} {epoch}"));
+    }
+    fn on_task_started(&mut self, now: SimTime, job: usize, task: TaskId, epoch: u32) {
+        self.push(now, "started", job, format!("{task} {epoch}"));
+    }
+    fn on_task_finished(&mut self, now: SimTime, job: usize, task: TaskId, epoch: u32) {
+        self.push(now, "finished", job, format!("{task} {epoch}"));
+    }
+    fn on_task_invalidated(&mut self, now: SimTime, job: usize, task: TaskId, new_epoch: u32) {
+        self.push(now, "invalidated", job, format!("{task} {new_epoch}"));
+    }
+    fn on_failure_detected(&mut self, now: SimTime, job: usize, task: TaskId, kind: FailureKind) {
+        self.push(now, "detected", job, format!("{task} {kind:?}"));
+    }
+    fn on_job_restarted(&mut self, now: SimTime, job: usize) {
+        self.push(now, "restarted", job, String::new());
+    }
+    fn on_shuffle_scheme_selected(&mut self, now: SimTime, job: usize, d: &SchemeDecision) {
+        let (src, dst) = (d.src.0, d.dst.0);
+        let rest = format!(
+            "{} {src} {dst} {} {:?} {:?} {}",
+            d.edge, d.edge_size, d.scheme, d.medium, d.crossing
+        );
+        self.push(now, "scheme", job, rest);
+    }
+    fn on_gang_wait_started(&mut self, now: SimTime, job: usize, unit: u32, tasks: usize) {
+        self.push(now, "gang_started", job, format!("{unit} {tasks}"));
+    }
+    fn on_gang_wait_ended(
+        &mut self,
+        now: SimTime,
+        job: usize,
+        unit: u32,
+        tasks: usize,
+        wave: bool,
+    ) {
+        self.push(now, "gang_ended", job, format!("{unit} {tasks} {wave}"));
+    }
+}
+
+/// Records the same ten kinds straight off `on_event`.
+struct Events(Rc<RefCell<Vec<Call>>>);
+
+impl SimObserver for Events {
+    fn on_event(&mut self, now: SimTime, event: SimEvent) {
+        let task = |t: TaskRef| format!("s{}t{}", t.stage, t.index);
+        let (call, job, rest) = match event {
+            SimEvent::TaskAssigned {
+                job,
+                task: t,
+                epoch,
+                executor,
+            } => ("assigned", job, format!("{} {epoch} {executor}", task(t))),
+            SimEvent::PlanDelivered {
+                job,
+                task: t,
+                epoch,
+            } => ("delivered", job, format!("{} {epoch}", task(t))),
+            SimEvent::TaskStarted {
+                job,
+                task: t,
+                epoch,
+            } => ("started", job, format!("{} {epoch}", task(t))),
+            SimEvent::TaskFinished {
+                job,
+                task: t,
+                epoch,
+            } => ("finished", job, format!("{} {epoch}", task(t))),
+            SimEvent::TaskInvalidated {
+                job,
+                task: t,
+                new_epoch,
+            } => ("invalidated", job, format!("{} {new_epoch}", task(t))),
+            SimEvent::FailureDetected { job, task: t, kind } => {
+                ("detected", job, format!("{} {kind:?}", task(t)))
+            }
+            SimEvent::JobRestarted { job } => ("restarted", job, String::new()),
+            SimEvent::SchemeSelected {
+                job,
+                edge,
+                src,
+                dst,
+                size,
+                scheme,
+                medium,
+                crossing,
+            } => (
+                "scheme",
+                job,
+                format!("{edge} {src} {dst} {size} {scheme:?} {medium:?} {crossing}"),
+            ),
+            SimEvent::GangWaitStarted { job, unit, tasks } => {
+                ("gang_started", job, format!("{unit} {tasks}"))
+            }
+            SimEvent::GangWaitEnded {
+                job,
+                unit,
+                tasks,
+                wave,
+            } => ("gang_ended", job, format!("{unit} {tasks} {wave}")),
+            _ => return,
+        };
+        self.0.borrow_mut().push((now, call, job as usize, rest));
+    }
+}
+
+/// Two staggered jobs with a task failure and a machine crash, run under
+/// `recovery` with `observer` installed.
+fn run_faulted(recovery: RecoveryPolicy, observer: Box<dyn SimObserver>) {
+    let jobs = (0..2)
+        .map(|i| JobSpec::at(three_stage_job(i, 16), SimTime::from_secs(i)))
+        .collect();
+    let mut cfg = SimConfig::swift();
+    cfg.recovery = recovery;
+    let mut sim = Simulation::new(cluster(), cfg, jobs);
+    sim.inject_failures(vec![FailureInjection {
+        job_index: 0,
+        stage: "J".into(),
+        task_index: 3,
+        at: FailureAt::AfterSubmit(SimDuration::from_secs(4)),
+        kind: FailureKind::ProcessRestart,
+    }]);
+    sim.fail_machines(vec![(SimTime::from_secs(3), MachineId(0))]);
+    sim.set_observer(observer);
+    sim.run();
+}
+
+#[test]
+fn legacy_callbacks_see_what_on_event_sees() {
+    for recovery in [RecoveryPolicy::FineGrained, RecoveryPolicy::JobRestart] {
+        let legacy = Rc::new(RefCell::new(Vec::new()));
+        let events = Rc::new(RefCell::new(Vec::new()));
+        run_faulted(recovery, Box::new(Legacy(Rc::clone(&legacy))));
+        run_faulted(recovery, Box::new(Events(Rc::clone(&events))));
+        let (legacy, events) = (legacy.take(), events.take());
+        let longer = legacy.len().max(events.len());
+        if let Some(i) = (0..longer).find(|&i| legacy.get(i) != events.get(i)) {
+            panic!(
+                "{recovery:?}: call {i} differs: legacy {:?}, on_event {:?}",
+                legacy.get(i),
+                events.get(i)
+            );
+        }
+        let mut kinds: Vec<&str> = legacy.iter().map(|c| c.1).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        let mut expected = vec![
+            "assigned",
+            "delivered",
+            "detected",
+            "finished",
+            "gang_ended",
+            "gang_started",
+            "invalidated",
+            "scheme",
+            "started",
+        ];
+        if recovery == RecoveryPolicy::JobRestart {
+            expected.push("restarted");
+            expected.sort_unstable();
+        }
+        assert_eq!(kinds, expected, "{recovery:?}");
     }
 }

@@ -35,7 +35,7 @@
 pub mod cli;
 pub mod config;
 pub mod observer;
-pub mod recorder;
+mod recorder;
 pub mod report;
 pub mod scenarios;
 pub mod service;
@@ -43,6 +43,5 @@ pub mod service;
 pub use cli::run_cli;
 pub use config::ServiceConfig;
 pub use observer::{NullServiceObserver, ServiceObserver};
-pub use recorder::{service_recorder, ServiceTraceHandle, ServiceTraceRecorder};
 pub use report::{LatencySummary, ServiceReport, ServiceRun, TenantReport};
 pub use service::ServiceSim;

@@ -1,10 +1,7 @@
-//! The [`ServiceTraceRecorder`]: a [`ServiceObserver`] that turns the
-//! service loop's callback stream into a [`Trace`].
-//!
-//! Follows the `swift-trace` recorder's ownership pattern: the observer
-//! box handed to [`crate::ServiceSim::set_observer`] and the
-//! [`ServiceTraceHandle`] the caller keeps share one `Rc<RefCell<...>>`
-//! cell, so the recording survives `ServiceSim::run` consuming the box.
+//! The service loop's trace recording: [`swift_trace::TraceRecorder`]
+//! is a [`ServiceObserver`] too, so one recorder type records both the
+//! per-job simulator and the service front door. Each callback hands its
+//! [`SimEvent`] to the recorder's [`SimObserver::on_event`].
 //!
 //! Event mapping (service callbacks → trace vocabulary):
 //!
@@ -19,82 +16,24 @@
 //!   `machine_health` / `counters` lines, and the stream ends with
 //!   `run_finished`.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "per-run observer state shared by the observer and the caller's handle; Rc is !Send and only observer callbacks write it"
-)]
-
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use swift_cluster::{MachineHealth, MachineId};
 use swift_metrics::Frame;
+use swift_scheduler::{SimEvent, SimObserver};
 use swift_sim::{SimDuration, SimTime};
-use swift_trace::{Trace, TraceEvent, TraceEventKind};
+use swift_trace::{TraceRecorder, TraceSink};
 
 use crate::observer::ServiceObserver;
 
-/// Shared recording state.
-#[derive(Debug, Default)]
-struct RecState {
-    events: Vec<TraceEvent>,
-}
-
-/// The observer half: install with [`crate::ServiceSim::set_observer`].
-#[derive(Debug)]
-pub struct ServiceTraceRecorder {
-    state: Rc<RefCell<RecState>>,
-}
-
-/// The caller's half: yields the [`Trace`] after the run.
-#[derive(Debug)]
-pub struct ServiceTraceHandle {
-    state: Rc<RefCell<RecState>>,
-    scenario: String,
-    seed: u64,
-}
-
-/// Creates a connected recorder/handle pair for one service run.
-pub fn service_recorder(scenario: &str, seed: u64) -> (ServiceTraceRecorder, ServiceTraceHandle) {
-    let state = Rc::new(RefCell::new(RecState::default()));
-    (
-        ServiceTraceRecorder {
-            state: Rc::clone(&state),
-        },
-        ServiceTraceHandle {
-            state,
-            scenario: scenario.to_string(),
-            seed,
-        },
-    )
-}
-
-impl ServiceTraceHandle {
-    /// Consumes the recording into a [`Trace`].
-    pub fn finish(self) -> Trace {
-        Trace {
-            scenario: self.scenario,
-            seed: self.seed,
-            events: std::mem::take(&mut self.state.borrow_mut().events),
-        }
-    }
-}
-
-impl ServiceTraceRecorder {
-    fn emit(&self, at: SimTime, kind: TraceEventKind) {
-        self.state.borrow_mut().events.push(TraceEvent { at, kind });
-    }
-}
-
-impl ServiceObserver for ServiceTraceRecorder {
+impl<S: TraceSink> ServiceObserver for TraceRecorder<S> {
     fn on_job_admitted(&mut self, now: SimTime, job: usize, tenant: u32, queue_depth: u32) {
         // The span opens at admission, not arrival: a rejected job never
         // entered the system, so it gets no span at all.
-        self.emit(now, TraceEventKind::JobSubmitted { job: job as u32 });
-        self.emit(
+        let job = job as u32;
+        self.on_event(now, SimEvent::JobSubmitted { job });
+        self.on_event(
             now,
-            TraceEventKind::JobAdmitted {
-                job: job as u32,
+            SimEvent::JobAdmitted {
+                job,
                 tenant,
                 queue_depth,
             },
@@ -109,9 +48,9 @@ impl ServiceObserver for ServiceTraceRecorder {
         queue_depth: u32,
         retry_after: SimDuration,
     ) {
-        self.emit(
+        self.on_event(
             now,
-            TraceEventKind::JobRejected {
+            SimEvent::JobRejected {
                 job: job as u32,
                 tenant,
                 queue_depth,
@@ -121,9 +60,9 @@ impl ServiceObserver for ServiceTraceRecorder {
     }
 
     fn on_session_warm_hit(&mut self, now: SimTime, job: usize, tenant: u32, session: u32) {
-        self.emit(
+        self.on_event(
             now,
-            TraceEventKind::SessionWarmHit {
+            SimEvent::SessionWarmHit {
                 job: job as u32,
                 tenant,
                 session,
@@ -139,9 +78,9 @@ impl ServiceObserver for ServiceTraceRecorder {
         session: u32,
         executors: u32,
     ) {
-        self.emit(
+        self.on_event(
             now,
-            TraceEventKind::SessionColdStart {
+            SimEvent::SessionColdStart {
                 job: job as u32,
                 tenant,
                 session,
@@ -151,9 +90,9 @@ impl ServiceObserver for ServiceTraceRecorder {
     }
 
     fn on_session_expired(&mut self, now: SimTime, tenant: u32, session: u32, executors: u32) {
-        self.emit(
+        self.on_event(
             now,
-            TraceEventKind::SessionExpired {
+            SimEvent::SessionExpired {
                 tenant,
                 session,
                 executors,
@@ -162,9 +101,9 @@ impl ServiceObserver for ServiceTraceRecorder {
     }
 
     fn on_job_completed(&mut self, now: SimTime, job: usize, _tenant: u32) {
-        self.emit(
+        self.on_event(
             now,
-            TraceEventKind::JobCompleted {
+            SimEvent::JobCompleted {
                 job: job as u32,
                 aborted: false,
             },
@@ -172,13 +111,13 @@ impl ServiceObserver for ServiceTraceRecorder {
     }
 
     fn on_job_requeued(&mut self, now: SimTime, job: usize, _tenant: u32) {
-        self.emit(now, TraceEventKind::JobRestarted { job: job as u32 });
+        self.on_event(now, SimEvent::JobRestarted { job: job as u32 });
     }
 
     fn on_machine_failed(&mut self, now: SimTime, machine: MachineId) {
-        self.emit(
+        self.on_event(
             now,
-            TraceEventKind::MachineHealthChanged {
+            SimEvent::MachineHealthChanged {
                 machine: machine.0,
                 from: MachineHealth::Healthy,
                 to: MachineHealth::Failed,
@@ -187,9 +126,9 @@ impl ServiceObserver for ServiceTraceRecorder {
     }
 
     fn on_sample(&mut self, now: SimTime, frame: &Frame) {
-        self.emit(
+        self.on_event(
             now,
-            TraceEventKind::CounterFrame {
+            SimEvent::CounterFrame {
                 window: frame.window,
                 values: frame.values.clone(),
             },
@@ -197,6 +136,6 @@ impl ServiceObserver for ServiceTraceRecorder {
     }
 
     fn on_service_finished(&mut self, now: SimTime, events: u64) {
-        self.emit(now, TraceEventKind::RunFinished { events });
+        self.on_event(now, SimEvent::RunFinished { events });
     }
 }

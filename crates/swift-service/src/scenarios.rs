@@ -11,11 +11,10 @@
 
 use swift_cluster::MachineId;
 use swift_sim::{SimDuration, SimTime};
-use swift_trace::Trace;
+use swift_trace::{RecorderConfig, Trace, TraceRecorder};
 use swift_workload::{generate_service_workload, ServiceWorkloadConfig, TraceConfig};
 
 use crate::config::ServiceConfig;
-use crate::recorder::service_recorder;
 use crate::report::ServiceRun;
 use crate::service::ServiceSim;
 
@@ -129,7 +128,7 @@ pub fn run_recorded(name: &str, seed: u64) -> Result<(Trace, ServiceRun), String
         build(name, seed).ok_or_else(|| format!("unknown scenario {name}"))?;
     let mut sim = ServiceSim::new(cfg, generate_service_workload(&wl));
     sim.fail_machines(failures);
-    let (recorder, handle) = service_recorder(name, seed);
+    let (recorder, handle) = TraceRecorder::new(name, seed, RecorderConfig::default());
     sim.set_observer(Box::new(recorder));
     let run = sim.run();
     Ok((handle.finish(), run))

@@ -24,8 +24,8 @@
 use std::fs;
 use std::path::PathBuf;
 
+use swift_scheduler::SimEvent;
 use swift_service::scenarios;
-use swift_trace::TraceEventKind;
 
 /// `(scenario, seed)` pairs pinned by a text golden.
 const GOLDENS: &[(&str, u64)] = &[("service-small", 1), ("service-storm", 3)];
@@ -106,14 +106,13 @@ fn golden_service_counter_tracks_match() {
 #[test]
 fn golden_scenario_covers_all_admission_paths() {
     let (trace, run) = scenarios::run_recorded("service-small", 1).expect("known scenario");
-    let count =
-        |pred: fn(&TraceEventKind) -> bool| trace.events.iter().filter(|e| pred(&e.kind)).count();
-    assert!(count(|k| matches!(k, TraceEventKind::JobAdmitted { .. })) > 0);
-    assert!(count(|k| matches!(k, TraceEventKind::JobRejected { .. })) > 0);
-    assert!(count(|k| matches!(k, TraceEventKind::SessionWarmHit { .. })) > 0);
-    assert!(count(|k| matches!(k, TraceEventKind::SessionColdStart { .. })) > 0);
-    assert!(count(|k| matches!(k, TraceEventKind::SessionExpired { .. })) > 0);
-    assert!(count(|k| matches!(k, TraceEventKind::CounterFrame { .. })) > 0);
+    let count = |pred: fn(&SimEvent) -> bool| trace.events.iter().filter(|e| pred(&e.kind)).count();
+    assert!(count(|k| matches!(k, SimEvent::JobAdmitted { .. })) > 0);
+    assert!(count(|k| matches!(k, SimEvent::JobRejected { .. })) > 0);
+    assert!(count(|k| matches!(k, SimEvent::SessionWarmHit { .. })) > 0);
+    assert!(count(|k| matches!(k, SimEvent::SessionColdStart { .. })) > 0);
+    assert!(count(|k| matches!(k, SimEvent::SessionExpired { .. })) > 0);
+    assert!(count(|k| matches!(k, SimEvent::CounterFrame { .. })) > 0);
     // The workload is the 3-tenants-x-4-jobs round-robin split.
     assert_eq!(run.report.jobs_submitted, 12);
     assert_eq!(run.report.tenants.len(), 3);
@@ -128,7 +127,7 @@ fn storm_scenario_covers_failure_paths() {
     assert!(trace
         .events
         .iter()
-        .any(|e| matches!(e.kind, TraceEventKind::MachineHealthChanged { .. })));
+        .any(|e| matches!(e.kind, SimEvent::MachineHealthChanged { .. })));
     assert!(run.report.sessions_killed > 0, "failure killed no session");
     assert!(run.report.jobs_restarted > 0, "failure requeued no job");
     assert_eq!(run.report.jobs_completed, run.report.jobs_admitted);

@@ -15,7 +15,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::event::{health_str, medium_str, TaskRef, TraceEvent, TraceEventKind};
+use swift_scheduler::{SimEvent, TaskRef};
+
+use crate::event::{health_str, medium_str, TraceEvent};
 use crate::Trace;
 
 const CLUSTER_PID: u32 = 0;
@@ -125,14 +127,14 @@ pub fn to_chrome_json(trace: &Trace) -> String {
         let ts = at.as_micros();
         last_ts = last_ts.max(ts);
         match kind {
-            TraceEventKind::JobSubmitted { job } => {
+            SimEvent::JobSubmitted { job } => {
                 let pid = job + 1;
                 w.meta(pid, None, "process_name", &format!("job {job}"));
                 w.meta(pid, Some(JOB_TID), "thread_name", "job");
                 w.begin(pid, JOB_TID, ts, &format!("job {job}"), "");
                 w.open_jobs.insert(pid, ts);
             }
-            TraceEventKind::SchemeSelected {
+            SimEvent::SchemeSelected {
                 job,
                 edge,
                 scheme,
@@ -152,7 +154,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     ),
                 );
             }
-            TraceEventKind::TemplateMiss { job, signature } => {
+            SimEvent::TemplateMiss { job, signature } => {
                 w.instant(
                     job + 1,
                     JOB_TID,
@@ -161,7 +163,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     &format!("\"signature\":\"{signature:016x}\""),
                 );
             }
-            TraceEventKind::TemplateHit { job, signature } => {
+            SimEvent::TemplateHit { job, signature } => {
                 w.instant(
                     job + 1,
                     JOB_TID,
@@ -170,7 +172,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     &format!("\"signature\":\"{signature:016x}\""),
                 );
             }
-            TraceEventKind::TemplateInstantiate { job, units, edges } => {
+            SimEvent::TemplateInstantiate { job, units, edges } => {
                 w.instant(
                     job + 1,
                     JOB_TID,
@@ -179,7 +181,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     &format!("\"units\":{units},\"edges\":{edges}"),
                 );
             }
-            TraceEventKind::GraphletState {
+            SimEvent::GraphletState {
                 job, unit, state, ..
             } => {
                 w.instant(
@@ -190,7 +192,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     "",
                 );
             }
-            TraceEventKind::GangWaitStarted { job, unit, tasks } => {
+            SimEvent::GangWaitStarted { job, unit, tasks } => {
                 let (pid, tid) = (job + 1, GANG_TID_BASE + unit);
                 w.meta(pid, Some(tid), "thread_name", &format!("unit {unit}"));
                 w.begin(
@@ -202,13 +204,13 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 );
                 w.open_gangs.insert((pid, tid), ts);
             }
-            TraceEventKind::GangWaitEnded { job, unit, .. } => {
+            SimEvent::GangWaitEnded { job, unit, .. } => {
                 let key = (job + 1, GANG_TID_BASE + unit);
                 if w.open_gangs.remove(&key).is_some() {
                     w.end(key.0, key.1, ts);
                 }
             }
-            TraceEventKind::TaskStarted { job, task, epoch } => {
+            SimEvent::TaskStarted { job, task, epoch } => {
                 let tid = w.task_tid(*job, *task);
                 w.begin(
                     job + 1,
@@ -219,8 +221,8 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 );
                 w.open_tasks.insert((job + 1, tid), ts);
             }
-            TraceEventKind::TaskFinished { job, task, .. }
-            | TraceEventKind::TaskInvalidated { job, task, .. } => {
+            SimEvent::TaskFinished { job, task, .. }
+            | SimEvent::TaskInvalidated { job, task, .. } => {
                 let tid = w.task_tid(*job, *task);
                 // An invalidation only closes a span that is actually open
                 // (a queued/assigned task has no running span).
@@ -228,11 +230,11 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     w.end(job + 1, tid, ts);
                 }
             }
-            TraceEventKind::FailureDetected { job, task, kind } => {
+            SimEvent::FailureDetected { job, task, kind } => {
                 let tid = w.task_tid(*job, *task);
                 w.instant(job + 1, tid, ts, &format!("failure detected: {kind}"), "");
             }
-            TraceEventKind::RecoveryPlanned {
+            SimEvent::RecoveryPlanned {
                 job, case, rerun, ..
             } => {
                 w.instant(
@@ -243,10 +245,10 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     &format!("\"rerun\":{}", rerun.len()),
                 );
             }
-            TraceEventKind::JobRestarted { job } => {
+            SimEvent::JobRestarted { job } => {
                 w.instant(job + 1, JOB_TID, ts, "job restarted", "");
             }
-            TraceEventKind::JobCompleted { job, aborted } => {
+            SimEvent::JobCompleted { job, aborted } => {
                 let pid = job + 1;
                 if w.open_jobs.remove(&pid).is_some() {
                     w.end(pid, JOB_TID, ts);
@@ -255,7 +257,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     w.instant(pid, JOB_TID, ts, "job aborted", "");
                 }
             }
-            TraceEventKind::MachineHealthChanged { machine, from, to } => {
+            SimEvent::MachineHealthChanged { machine, from, to } => {
                 w.instant(
                     CLUSTER_PID,
                     *machine,
@@ -268,7 +270,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     "",
                 );
             }
-            TraceEventKind::CacheSpill {
+            SimEvent::CacheSpill {
                 machine,
                 bytes,
                 segments,
@@ -281,7 +283,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     &format!("\"bytes\":{bytes},\"segments\":{segments}"),
                 );
             }
-            TraceEventKind::CacheEvict { machine, bytes } => {
+            SimEvent::CacheEvict { machine, bytes } => {
                 w.instant(
                     CLUSTER_PID,
                     *machine,
@@ -290,7 +292,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     &format!("\"bytes\":{bytes}"),
                 );
             }
-            TraceEventKind::CounterFrame { values, .. } => {
+            SimEvent::CounterFrame { values, .. } => {
                 // One Perfetto counter track per series, on the cluster
                 // process row.
                 for (id, v) in values {
@@ -299,7 +301,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     }
                 }
             }
-            TraceEventKind::JobAdmitted {
+            SimEvent::JobAdmitted {
                 job,
                 tenant,
                 queue_depth,
@@ -312,7 +314,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     &format!("\"tenant\":{tenant},\"queue_depth\":{queue_depth}"),
                 );
             }
-            TraceEventKind::JobRejected {
+            SimEvent::JobRejected {
                 job,
                 tenant,
                 queue_depth,
@@ -331,7 +333,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     ),
                 );
             }
-            TraceEventKind::SessionWarmHit {
+            SimEvent::SessionWarmHit {
                 job,
                 tenant,
                 session,
@@ -344,7 +346,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     &format!("\"tenant\":{tenant},\"session\":{session}"),
                 );
             }
-            TraceEventKind::SessionColdStart {
+            SimEvent::SessionColdStart {
                 job,
                 tenant,
                 session,
@@ -358,7 +360,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     &format!("\"tenant\":{tenant},\"session\":{session},\"executors\":{executors}"),
                 );
             }
-            TraceEventKind::SessionExpired {
+            SimEvent::SessionExpired {
                 tenant,
                 session,
                 executors,
@@ -371,10 +373,10 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     &format!("\"tenant\":{tenant},\"session\":{session},\"executors\":{executors}"),
                 );
             }
-            TraceEventKind::PlanDelivered { .. }
-            | TraceEventKind::TaskAssigned { .. }
-            | TraceEventKind::InputRead { .. }
-            | TraceEventKind::RunFinished { .. } => {}
+            SimEvent::PlanDelivered { .. }
+            | SimEvent::TaskAssigned { .. }
+            | SimEvent::InputRead { .. }
+            | SimEvent::RunFinished { .. } => {}
         }
     }
 

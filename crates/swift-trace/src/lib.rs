@@ -1,8 +1,9 @@
 //! `swift-trace`: deterministic structured tracing for Swift runs.
 //!
-//! A [`TraceRecorder`] is a [`swift_scheduler::SimObserver`] that turns
-//! the simulator's callback stream into a [`Trace`] — an ordered,
-//! `SimTime`-stamped event list covering the whole control plane:
+//! A [`TraceRecorder`] is a [`swift_scheduler::SimObserver`] that stores
+//! the [`swift_scheduler::SimEvent`]s the simulator emits, as they come,
+//! in a [`Trace`] — an ordered, `SimTime`-stamped event list covering the
+//! whole control plane:
 //! scheme decisions, graphlet state changes, gang waits, task attempt
 //! lifecycles, failure detection and recovery plans, machine health and
 //! Cache Worker spill/evict activity.
@@ -46,13 +47,14 @@ use std::collections::BTreeMap;
 
 pub use cli::run_cli;
 pub use diff::{diff_texts, DiffReport};
-pub use event::{TaskRef, TraceEvent, TraceEventKind};
+pub use event::TraceEvent;
 pub use metrics::{Histogram, IdleAccount, TraceMetrics, LATENCY_BUCKETS_US};
 pub use recorder::{RecorderConfig, TraceHandle, TraceRecorder, DEFAULT_COUNTER_WINDOW_MS};
 pub use sink::{
     MemorySink, StreamSink, StreamStats, TraceSink, DEFAULT_CHUNK_BYTES, STREAM_BATCH_EVENTS,
 };
 
+use swift_scheduler::SimEvent;
 use swift_sim::SimDuration;
 
 /// Version tag in the text header; bump when the line format changes
@@ -171,12 +173,12 @@ impl Trace {
 
         for e in &self.events {
             match &e.kind {
-                TraceEventKind::JobSubmitted { job } => {
+                SimEvent::JobSubmitted { job } => {
                     if jobs.insert(*job, JobSpan::Open).is_some() {
                         return Err(format!("job {job} submitted twice"));
                     }
                 }
-                TraceEventKind::JobCompleted { job, aborted } => {
+                SimEvent::JobCompleted { job, aborted } => {
                     require_open(&jobs, *job, "job_completed")?;
                     jobs.insert(*job, JobSpan::Closed { aborted: *aborted });
                     if *aborted {
@@ -185,7 +187,7 @@ impl Trace {
                         open_tasks.retain(|&(j, _, _), _| j != *job);
                     }
                 }
-                TraceEventKind::TaskStarted { job, task, epoch } => {
+                SimEvent::TaskStarted { job, task, epoch } => {
                     require_open(&jobs, *job, "task_started")?;
                     let key = (*job, task.stage, task.index);
                     if let Some(prev) = open_tasks.insert(key, *epoch) {
@@ -194,7 +196,7 @@ impl Trace {
                         ));
                     }
                 }
-                TraceEventKind::TaskFinished { job, task, epoch } => {
+                SimEvent::TaskFinished { job, task, epoch } => {
                     require_open(&jobs, *job, "task_finished")?;
                     match open_tasks.remove(&(*job, task.stage, task.index)) {
                         Some(open) if open == *epoch => {}
@@ -210,7 +212,7 @@ impl Trace {
                         }
                     }
                 }
-                TraceEventKind::TaskInvalidated {
+                SimEvent::TaskInvalidated {
                     job,
                     task,
                     new_epoch,
@@ -227,13 +229,13 @@ impl Trace {
                         }
                     }
                 }
-                TraceEventKind::GangWaitStarted { job, unit, .. } => {
+                SimEvent::GangWaitStarted { job, unit, .. } => {
                     require_open(&jobs, *job, "gang_wait_started")?;
                     if open_gangs.insert((*job, *unit), 0).is_some() {
                         return Err(format!("job {job} unit {unit}: overlapping gang waits"));
                     }
                 }
-                TraceEventKind::GangWaitEnded { job, unit, .. } => {
+                SimEvent::GangWaitEnded { job, unit, .. } => {
                     require_open(&jobs, *job, "gang_wait_ended")?;
                     if open_gangs.remove(&(*job, *unit)).is_none() {
                         return Err(format!(
@@ -241,31 +243,31 @@ impl Trace {
                         ));
                     }
                 }
-                TraceEventKind::SchemeSelected { job, .. }
-                | TraceEventKind::TemplateMiss { job, .. }
-                | TraceEventKind::TemplateHit { job, .. }
-                | TraceEventKind::TemplateInstantiate { job, .. }
-                | TraceEventKind::GraphletState { job, .. }
-                | TraceEventKind::TaskAssigned { job, .. }
-                | TraceEventKind::PlanDelivered { job, .. }
-                | TraceEventKind::InputRead { job, .. }
-                | TraceEventKind::FailureDetected { job, .. }
-                | TraceEventKind::RecoveryPlanned { job, .. }
-                | TraceEventKind::JobRestarted { job }
-                | TraceEventKind::JobAdmitted { job, .. }
-                | TraceEventKind::SessionWarmHit { job, .. }
-                | TraceEventKind::SessionColdStart { job, .. } => {
+                SimEvent::SchemeSelected { job, .. }
+                | SimEvent::TemplateMiss { job, .. }
+                | SimEvent::TemplateHit { job, .. }
+                | SimEvent::TemplateInstantiate { job, .. }
+                | SimEvent::GraphletState { job, .. }
+                | SimEvent::TaskAssigned { job, .. }
+                | SimEvent::PlanDelivered { job, .. }
+                | SimEvent::InputRead { job, .. }
+                | SimEvent::FailureDetected { job, .. }
+                | SimEvent::RecoveryPlanned { job, .. }
+                | SimEvent::JobRestarted { job }
+                | SimEvent::JobAdmitted { job, .. }
+                | SimEvent::SessionWarmHit { job, .. }
+                | SimEvent::SessionColdStart { job, .. } => {
                     require_open(&jobs, *job, e.name())?;
                 }
                 // A rejected job never opens a span (no `job_submitted`),
                 // and session expiry is a cluster-level event.
-                TraceEventKind::JobRejected { .. }
-                | TraceEventKind::SessionExpired { .. }
-                | TraceEventKind::MachineHealthChanged { .. }
-                | TraceEventKind::CacheSpill { .. }
-                | TraceEventKind::CacheEvict { .. }
-                | TraceEventKind::CounterFrame { .. }
-                | TraceEventKind::RunFinished { .. } => {}
+                SimEvent::JobRejected { .. }
+                | SimEvent::SessionExpired { .. }
+                | SimEvent::MachineHealthChanged { .. }
+                | SimEvent::CacheSpill { .. }
+                | SimEvent::CacheEvict { .. }
+                | SimEvent::CounterFrame { .. }
+                | SimEvent::RunFinished { .. } => {}
             }
         }
 

@@ -17,9 +17,10 @@
 
 use std::collections::BTreeMap;
 
+use swift_scheduler::{SimEvent, TaskRef};
 use swift_sim::{SimDuration, SimTime};
 
-use crate::event::{TaskRef, TraceEvent, TraceEventKind};
+use crate::event::TraceEvent;
 use crate::Trace;
 
 // The histogram moved into the dependency-free `swift-metrics` registry
@@ -255,7 +256,7 @@ pub fn derive(trace: &Trace, schedule_overhead: SimDuration) -> TraceMetrics {
     for TraceEvent { at, kind } in &trace.events {
         let at = *at;
         match kind {
-            TraceEventKind::SchemeSelected {
+            SimEvent::SchemeSelected {
                 scheme,
                 size: edge_size,
                 ..
@@ -268,22 +269,22 @@ pub fn derive(trace: &Trace, schedule_overhead: SimDuration) -> TraceMetrics {
                 *m.scheme_counts.entry(label).or_insert(0) += 1;
                 *m.scheme_edge_size.entry(label).or_insert(0) += edge_size;
             }
-            TraceEventKind::GraphletState {
+            SimEvent::GraphletState {
                 job, unit, stages, ..
             } => {
                 for &s in stages {
                     stage_unit.insert((*job, s), *unit);
                 }
             }
-            TraceEventKind::TaskAssigned {
+            SimEvent::TaskAssigned {
                 job, task, epoch, ..
             } => {
                 assigned.insert(attempt_key(*job, *task, *epoch), at);
             }
-            TraceEventKind::PlanDelivered { job, task, epoch } => {
+            SimEvent::PlanDelivered { job, task, epoch } => {
                 delivered.insert(attempt_key(*job, *task, *epoch), at);
             }
-            TraceEventKind::TaskStarted { job, task, epoch } => {
+            SimEvent::TaskStarted { job, task, epoch } => {
                 let key = attempt_key(*job, *task, *epoch);
                 started.insert(key, at);
                 if let Some(&d) = delivered.get(&key) {
@@ -302,7 +303,7 @@ pub fn derive(trace: &Trace, schedule_overhead: SimDuration) -> TraceMetrics {
                     m.replan_to_rerun.observe(at.saturating_since(planned_at));
                 }
             }
-            TraceEventKind::TaskFinished { job, task, epoch } => {
+            SimEvent::TaskFinished { job, task, epoch } => {
                 let key = attempt_key(*job, *task, *epoch);
                 if let Some(&d) = delivered.get(&key) {
                     let occ = at.saturating_since(d).as_micros();
@@ -326,22 +327,22 @@ pub fn derive(trace: &Trace, schedule_overhead: SimDuration) -> TraceMetrics {
                     }
                 }
             }
-            TraceEventKind::TaskInvalidated { job, task, .. } => {
+            SimEvent::TaskInvalidated { job, task, .. } => {
                 invalidated_at.insert((*job, task.stage, task.index), at);
             }
-            TraceEventKind::FailureDetected { job, task, .. } => {
+            SimEvent::FailureDetected { job, task, .. } => {
                 if let Some(&k) = invalidated_at.get(&(*job, task.stage, task.index)) {
                     m.detection_latency.observe(at.saturating_since(k));
                 }
             }
-            TraceEventKind::RecoveryPlanned {
+            SimEvent::RecoveryPlanned {
                 job, rerun, abort, ..
             } => {
                 if !abort && !rerun.is_empty() {
                     open_plans.push((*job, at, rerun.clone()));
                 }
             }
-            TraceEventKind::JobCompleted { job, aborted } => {
+            SimEvent::JobCompleted { job, aborted } => {
                 if *aborted {
                     m.aborted_jobs.push(*job);
                 } else {
@@ -350,42 +351,42 @@ pub fn derive(trace: &Trace, schedule_overhead: SimDuration) -> TraceMetrics {
                 // Jobs with no completed task still appear in the account.
                 m.job_idle.entry(*job).or_default();
             }
-            TraceEventKind::CacheSpill {
+            SimEvent::CacheSpill {
                 bytes, segments, ..
             } => {
                 m.spill_bytes += bytes;
                 m.spill_events += 1;
                 m.spill_segments += u64::from(*segments);
             }
-            TraceEventKind::CacheEvict { bytes, .. } => {
+            SimEvent::CacheEvict { bytes, .. } => {
                 m.evict_bytes += bytes;
             }
-            TraceEventKind::TemplateMiss { .. } => {
+            SimEvent::TemplateMiss { .. } => {
                 m.template_misses += 1;
             }
-            TraceEventKind::TemplateHit { .. } => {
+            SimEvent::TemplateHit { .. } => {
                 m.template_hits += 1;
             }
-            TraceEventKind::TemplateInstantiate { .. } => {
+            SimEvent::TemplateInstantiate { .. } => {
                 m.template_instantiations += 1;
             }
-            TraceEventKind::CounterFrame { values, .. } => {
+            SimEvent::CounterFrame { values, .. } => {
                 m.record_window(values);
             }
-            TraceEventKind::RunFinished { events } => {
+            SimEvent::RunFinished { events } => {
                 m.sim_events = *events;
             }
-            TraceEventKind::JobSubmitted { .. }
-            | TraceEventKind::GangWaitStarted { .. }
-            | TraceEventKind::GangWaitEnded { .. }
-            | TraceEventKind::InputRead { .. }
-            | TraceEventKind::JobRestarted { .. }
-            | TraceEventKind::MachineHealthChanged { .. }
-            | TraceEventKind::JobAdmitted { .. }
-            | TraceEventKind::JobRejected { .. }
-            | TraceEventKind::SessionWarmHit { .. }
-            | TraceEventKind::SessionColdStart { .. }
-            | TraceEventKind::SessionExpired { .. } => {}
+            SimEvent::JobSubmitted { .. }
+            | SimEvent::GangWaitStarted { .. }
+            | SimEvent::GangWaitEnded { .. }
+            | SimEvent::InputRead { .. }
+            | SimEvent::JobRestarted { .. }
+            | SimEvent::MachineHealthChanged { .. }
+            | SimEvent::JobAdmitted { .. }
+            | SimEvent::JobRejected { .. }
+            | SimEvent::SessionWarmHit { .. }
+            | SimEvent::SessionColdStart { .. }
+            | SimEvent::SessionExpired { .. } => {}
         }
     }
     m

@@ -1,10 +1,12 @@
-//! The [`TraceRecorder`]: a [`SimObserver`] that turns the simulator's
-//! callback stream into a [`Trace`] (or streams it straight to disk).
+//! The [`TraceRecorder`]: a [`SimObserver`] that stores the simulator's
+//! [`SimEvent`] stream as a [`Trace`] (or streams it straight to disk).
 //!
 //! The recorder follows the chaos-observer ownership pattern: the value
 //! handed to [`swift_scheduler::Simulation::set_observer`] and the
 //! [`TraceHandle`] the caller keeps share one `Rc<RefCell<...>>` cell, so
-//! the trace survives `Simulation::run` consuming the observer box.
+//! the trace survives `Simulation::run` consuming the observer box. The
+//! service loop's events reach the same recorder through its
+//! `ServiceObserver` impl in `swift-service`.
 //!
 //! The recorder is generic over its [`TraceSink`]: [`MemorySink`] (the
 //! default) buffers the stream for [`TraceHandle::finish`]; a
@@ -19,10 +21,10 @@
 //! event is rendered on the simulation thread.
 //!
 //! When [`RecorderConfig::counter_window`] is set, the recorder also owns
-//! a [`swift_metrics::Registry`]: observer callbacks feed the counter
-//! series (tasks started/finished, spill/evict bytes, open gang waits),
-//! the simulator's [`CounterSample`] callback feeds the gauges, and each
-//! sample seals one [`TraceEventKind::CounterFrame`] into the stream.
+//! a [`swift_metrics::Registry`]: the events feed the counter series
+//! (tasks started/finished, spill/evict bytes, open gang waits), the
+//! simulator's [`CounterSample`] callback feeds the gauges, and each
+//! sample seals one [`SimEvent::CounterFrame`] into the stream.
 
 #![expect(
     clippy::disallowed_types,
@@ -32,17 +34,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use swift_cluster::{ExecutorId, MachineHealth, MachineId};
-use swift_dag::{StageId, TaskId};
-use swift_ft::{FailureKind, RecoveryPlan};
+use swift_ft::RecoveryPlan;
 use swift_metrics as sm;
-use swift_scheduler::{
-    CounterSample, GraphletState, RecoveryContext, SchemeDecision, SimObserver, TemplateDecision,
-    TemplateOutcome,
-};
+use swift_scheduler::{CounterSample, RecoveryContext, SimEvent, SimObserver};
 use swift_sim::{SimDuration, SimTime};
 
-use crate::event::{task_ref, TraceEvent, TraceEventKind};
+use crate::event::TraceEvent;
 use crate::sink::{MemorySink, TraceSink};
 use crate::Trace;
 
@@ -53,14 +50,14 @@ pub const DEFAULT_COUNTER_WINDOW_MS: u64 = 250;
 /// What the recorder asks the simulator to emit.
 ///
 /// The default records the control-plane stream only; [`RecorderConfig::full`]
-/// additionally enables the per-producer input-read fan-out, the Cache
+/// additionally enables the per-stage input reads, the Cache
 /// Worker shadow model (spill/evict events) and counter-track sampling.
 /// All extras are purely observational — they never change scheduling or
 /// the `RunReport`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecorderConfig {
-    /// Record the per-producer `on_input_read` fan-out (coalesced per
-    /// producer stage). Costs O(predecessor tasks) per task start.
+    /// Record `input_read` events: one per predecessor stage at every
+    /// task start.
     pub input_reads: bool,
     /// Drive the Cache Worker shadow model: staged cross-graphlet segments
     /// are inserted into / consumed from each machine's cache accounting,
@@ -96,27 +93,7 @@ struct MetricsState {
 #[derive(Debug)]
 struct RecorderState<S: TraceSink> {
     sink: S,
-    /// An `input_read` run being coalesced (one-event lookback); flushed
-    /// before any other event reaches the sink, so the sink still sees
-    /// the exact stream order.
-    pending_read: Option<TraceEvent>,
     metrics: Option<MetricsState>,
-}
-
-impl<S: TraceSink> RecorderState<S> {
-    #[inline]
-    fn push(&mut self, at: SimTime, kind: TraceEventKind) {
-        if let Some(p) = self.pending_read.take() {
-            self.sink.record(p);
-        }
-        self.sink.record(TraceEvent { at, kind });
-    }
-
-    fn flush_pending(&mut self) {
-        if let Some(p) = self.pending_read.take() {
-            self.sink.record(p);
-        }
-    }
 }
 
 /// Shared handle to a recording in progress; survives the simulation
@@ -149,11 +126,7 @@ impl TraceHandle<MemorySink> {
             seed,
             state,
         } = self;
-        let events = {
-            let mut st = state.borrow_mut();
-            st.flush_pending();
-            st.sink.take_events()
-        };
+        let events = state.borrow_mut().sink.take_events();
         Trace {
             scenario,
             seed,
@@ -163,9 +136,8 @@ impl TraceHandle<MemorySink> {
 }
 
 impl<S: TraceSink> TraceHandle<S> {
-    /// Recovers the sink after the run, flushing the coalescing buffer.
-    /// For a [`crate::StreamSink`], chain with
-    /// [`crate::StreamSink::finish`] to write the footer.
+    /// Recovers the sink after the run. For a [`crate::StreamSink`],
+    /// chain with [`crate::StreamSink::finish`] to write the footer.
     ///
     /// # Panics
     ///
@@ -173,11 +145,7 @@ impl<S: TraceSink> TraceHandle<S> {
     /// `Simulation::run` returned (which drops the observer box).
     pub fn into_sink(self) -> S {
         match Rc::try_unwrap(self.state) {
-            Ok(cell) => {
-                let mut st = cell.into_inner();
-                st.flush_pending();
-                st.sink
-            }
+            Ok(cell) => cell.into_inner().sink,
             Err(_) => {
                 panic!("TraceHandle::into_sink while the recorder is installed; call after Simulation::run")
             }
@@ -216,7 +184,6 @@ impl<S: TraceSink> TraceRecorder<S> {
     ) -> (TraceRecorder<S>, TraceHandle<S>) {
         let state = Rc::new(RefCell::new(RecorderState {
             sink,
-            pending_read: None,
             metrics: cfg.counter_window.map(|_| MetricsState {
                 reg: sm::Registry::new(),
                 open_gangs: 0,
@@ -234,88 +201,25 @@ impl<S: TraceSink> TraceRecorder<S> {
             },
         )
     }
-
-    fn push(&mut self, at: SimTime, kind: TraceEventKind) {
-        self.state.borrow_mut().push(at, kind);
-    }
 }
 
 impl<S: TraceSink> SimObserver for TraceRecorder<S> {
-    fn on_task_started(&mut self, now: SimTime, job: usize, task: TaskId, epoch: u32) {
+    fn on_event(&mut self, now: SimTime, event: SimEvent) {
         let mut st = self.state.borrow_mut();
         if let Some(m) = st.metrics.as_mut() {
-            m.reg.add(sm::SCHED_TASKS_STARTED, 1);
-        }
-        st.push(
-            now,
-            TraceEventKind::TaskStarted {
-                job: job as u32,
-                task: task_ref(task),
-                epoch,
-            },
-        );
-    }
-
-    fn on_task_finished(&mut self, now: SimTime, job: usize, task: TaskId, epoch: u32) {
-        let mut st = self.state.borrow_mut();
-        if let Some(m) = st.metrics.as_mut() {
-            m.reg.add(sm::SCHED_TASKS_FINISHED, 1);
-        }
-        st.push(
-            now,
-            TraceEventKind::TaskFinished {
-                job: job as u32,
-                task: task_ref(task),
-                epoch,
-            },
-        );
-    }
-
-    fn on_task_invalidated(&mut self, now: SimTime, job: usize, task: TaskId, new_epoch: u32) {
-        self.push(
-            now,
-            TraceEventKind::TaskInvalidated {
-                job: job as u32,
-                task: task_ref(task),
-                new_epoch,
-            },
-        );
-    }
-
-    fn on_input_read(&mut self, now: SimTime, job: usize, producer: TaskId, consumer: TaskId) {
-        // The fan-out arrives one producer task at a time, grouped by
-        // producer stage within one callback batch; coalesce runs into one
-        // event per (consumer, producer stage) to keep traces compact. The
-        // run in progress lives in `pending_read` (not the sink) so a
-        // streaming sink never has to take an event back.
-        let mut st = self.state.borrow_mut();
-        let p_stage = producer.stage.index() as u32;
-        let c = task_ref(consumer);
-        if let Some(TraceEvent {
-            at,
-            kind:
-                TraceEventKind::InputRead {
-                    job: j,
-                    consumer,
-                    producer_stage,
-                    producers,
-                },
-        }) = st.pending_read.as_mut()
-        {
-            if *at == now && *j == job as u32 && *consumer == c && *producer_stage == p_stage {
-                *producers += 1;
-                return;
+            match event {
+                SimEvent::TaskStarted { .. } => m.reg.add(sm::SCHED_TASKS_STARTED, 1),
+                SimEvent::TaskFinished { .. } => m.reg.add(sm::SCHED_TASKS_FINISHED, 1),
+                SimEvent::GangWaitStarted { .. } => m.open_gangs += 1,
+                SimEvent::GangWaitEnded { .. } => m.open_gangs = m.open_gangs.saturating_sub(1),
+                SimEvent::CacheSpill { bytes, .. } => m.reg.add(sm::SHUFFLE_SPILL_BYTES, bytes),
+                SimEvent::CacheEvict { bytes, .. } => m.reg.add(sm::SHUFFLE_EVICT_BYTES, bytes),
+                _ => {}
             }
         }
-        st.flush_pending();
-        st.pending_read = Some(TraceEvent {
+        st.sink.record(TraceEvent {
             at: now,
-            kind: TraceEventKind::InputRead {
-                job: job as u32,
-                consumer: c,
-                producer_stage: p_stage,
-                producers: 1,
-            },
+            kind: event,
         });
     }
 
@@ -326,222 +230,15 @@ impl<S: TraceSink> SimObserver for TraceRecorder<S> {
         ctx: &RecoveryContext<'_>,
         plan: &RecoveryPlan,
     ) {
-        self.push(
+        self.on_event(
             now,
-            TraceEventKind::RecoveryPlanned {
+            SimEvent::RecoveryPlanned {
                 job: job as u32,
-                failed: task_ref(ctx.failed),
+                failed: ctx.failed.into(),
                 case: plan.case,
                 abort: plan.abort_job,
-                rerun: plan.rerun.iter().map(|&t| task_ref(t)).collect(),
+                rerun: plan.rerun.iter().map(|&t| t.into()).collect(),
                 updates: plan.updates.len() as u32,
-            },
-        );
-    }
-
-    fn on_job_restarted(&mut self, now: SimTime, job: usize) {
-        self.push(now, TraceEventKind::JobRestarted { job: job as u32 });
-    }
-
-    fn on_job_completed(&mut self, now: SimTime, job: usize, aborted: bool) {
-        self.push(
-            now,
-            TraceEventKind::JobCompleted {
-                job: job as u32,
-                aborted,
-            },
-        );
-    }
-
-    fn on_job_submitted(&mut self, now: SimTime, job: usize) {
-        self.push(now, TraceEventKind::JobSubmitted { job: job as u32 });
-    }
-
-    fn on_shuffle_scheme_selected(&mut self, now: SimTime, job: usize, d: &SchemeDecision) {
-        self.push(
-            now,
-            TraceEventKind::SchemeSelected {
-                job: job as u32,
-                edge: d.edge,
-                src: d.src.index() as u32,
-                dst: d.dst.index() as u32,
-                size: d.edge_size,
-                scheme: d.scheme,
-                medium: d.medium,
-                crossing: d.crossing,
-            },
-        );
-    }
-
-    fn on_template_decision(&mut self, now: SimTime, job: usize, d: &TemplateDecision) {
-        match d.outcome {
-            TemplateOutcome::Miss => self.push(
-                now,
-                TraceEventKind::TemplateMiss {
-                    job: job as u32,
-                    signature: d.signature,
-                },
-            ),
-            TemplateOutcome::Hit => {
-                self.push(
-                    now,
-                    TraceEventKind::TemplateHit {
-                        job: job as u32,
-                        signature: d.signature,
-                    },
-                );
-                self.push(
-                    now,
-                    TraceEventKind::TemplateInstantiate {
-                        job: job as u32,
-                        units: d.units,
-                        edges: d.edges,
-                    },
-                );
-            }
-        }
-    }
-
-    fn on_graphlet_state_changed(
-        &mut self,
-        now: SimTime,
-        job: usize,
-        unit: u32,
-        state: GraphletState,
-        stages: &[StageId],
-    ) {
-        self.push(
-            now,
-            TraceEventKind::GraphletState {
-                job: job as u32,
-                unit,
-                state,
-                stages: stages.iter().map(|s| s.index() as u32).collect(),
-            },
-        );
-    }
-
-    fn on_gang_wait_started(&mut self, now: SimTime, job: usize, unit: u32, tasks: usize) {
-        let mut st = self.state.borrow_mut();
-        if let Some(m) = st.metrics.as_mut() {
-            m.open_gangs += 1;
-        }
-        st.push(
-            now,
-            TraceEventKind::GangWaitStarted {
-                job: job as u32,
-                unit,
-                tasks: tasks as u32,
-            },
-        );
-    }
-
-    fn on_gang_wait_ended(
-        &mut self,
-        now: SimTime,
-        job: usize,
-        unit: u32,
-        tasks: usize,
-        wave: bool,
-    ) {
-        let mut st = self.state.borrow_mut();
-        if let Some(m) = st.metrics.as_mut() {
-            m.open_gangs = m.open_gangs.saturating_sub(1);
-        }
-        st.push(
-            now,
-            TraceEventKind::GangWaitEnded {
-                job: job as u32,
-                unit,
-                tasks: tasks as u32,
-                wave,
-            },
-        );
-    }
-
-    fn on_task_assigned(
-        &mut self,
-        now: SimTime,
-        job: usize,
-        task: TaskId,
-        epoch: u32,
-        executor: ExecutorId,
-    ) {
-        self.push(
-            now,
-            TraceEventKind::TaskAssigned {
-                job: job as u32,
-                task: task_ref(task),
-                epoch,
-                executor: executor.0,
-            },
-        );
-    }
-
-    fn on_plan_delivered(&mut self, now: SimTime, job: usize, task: TaskId, epoch: u32) {
-        self.push(
-            now,
-            TraceEventKind::PlanDelivered {
-                job: job as u32,
-                task: task_ref(task),
-                epoch,
-            },
-        );
-    }
-
-    fn on_failure_detected(&mut self, now: SimTime, job: usize, task: TaskId, kind: FailureKind) {
-        self.push(
-            now,
-            TraceEventKind::FailureDetected {
-                job: job as u32,
-                task: task_ref(task),
-                kind,
-            },
-        );
-    }
-
-    fn on_machine_health_changed(
-        &mut self,
-        now: SimTime,
-        machine: MachineId,
-        from: MachineHealth,
-        to: MachineHealth,
-    ) {
-        self.push(
-            now,
-            TraceEventKind::MachineHealthChanged {
-                machine: crate::event::machine_u32(machine),
-                from,
-                to,
-            },
-        );
-    }
-
-    fn on_cache_spill(&mut self, now: SimTime, machine: MachineId, bytes: u64, segments: usize) {
-        let mut st = self.state.borrow_mut();
-        if let Some(m) = st.metrics.as_mut() {
-            m.reg.add(sm::SHUFFLE_SPILL_BYTES, bytes);
-        }
-        st.push(
-            now,
-            TraceEventKind::CacheSpill {
-                machine: crate::event::machine_u32(machine),
-                bytes,
-                segments: segments as u32,
-            },
-        );
-    }
-
-    fn on_cache_evict(&mut self, now: SimTime, machine: MachineId, bytes: u64) {
-        let mut st = self.state.borrow_mut();
-        if let Some(m) = st.metrics.as_mut() {
-            m.reg.add(sm::SHUFFLE_EVICT_BYTES, bytes);
-        }
-        st.push(
-            now,
-            TraceEventKind::CacheEvict {
-                machine: crate::event::machine_u32(machine),
-                bytes,
             },
         );
     }
@@ -570,17 +267,13 @@ impl<S: TraceSink> SimObserver for TraceRecorder<S> {
             }
             None => return,
         };
-        st.push(
-            now,
-            TraceEventKind::CounterFrame {
+        st.sink.record(TraceEvent {
+            at: now,
+            kind: SimEvent::CounterFrame {
                 window: frame.window,
                 values: frame.values,
             },
-        );
-    }
-
-    fn on_run_finished(&mut self, now: SimTime, events: u64) {
-        self.push(now, TraceEventKind::RunFinished { events });
+        });
     }
 
     fn wants_input_reads(&self) -> bool {

@@ -285,8 +285,8 @@ pub fn run_traced(name: &str, seed: u64, cfg: RecorderConfig) -> Option<(Trace, 
 
 /// Runs `(name, seed)` with the recorder delivering into an explicit
 /// [`TraceSink`] (e.g. a [`crate::StreamSink`] for bounded-memory on-disk
-/// recording). Returns the sink (flushed of the coalescing buffer; call
-/// [`crate::StreamSink::finish`] to write the footer) plus the report.
+/// recording). Returns the sink (call [`crate::StreamSink::finish`] to
+/// write the footer) plus the report.
 pub fn run_traced_sink<S: TraceSink + 'static>(
     name: &str,
     seed: u64,

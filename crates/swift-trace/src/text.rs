@@ -15,8 +15,9 @@
 //! apart from the scenario label, so the bytes are UTF-8 by construction.
 
 use swift_metrics::series_def;
+use swift_scheduler::{SimEvent, TaskRef};
 
-use crate::event::{health_str, medium_str, TaskRef, TraceEvent, TraceEventKind};
+use crate::event::{health_str, medium_str, TraceEvent};
 use crate::TEXT_FORMAT_VERSION;
 
 /// Width of the right-aligned timestamp column.
@@ -152,7 +153,7 @@ pub(crate) fn write_footer(out: &mut Vec<u8>, events: u64) {
 /// `{micros:>12} window=W {series name} {value}`. Other events append
 /// nothing.
 pub(crate) fn write_counter_lines(out: &mut Vec<u8>, event: &TraceEvent) {
-    let TraceEventKind::CounterFrame { window, values } = &event.kind else {
+    let SimEvent::CounterFrame { window, values } = &event.kind else {
         return;
     };
     for &(id, v) in values {
@@ -175,10 +176,10 @@ impl TraceEvent {
         out.push(b' ');
         out.extend_from_slice(self.name().as_bytes());
         match &self.kind {
-            TraceEventKind::JobSubmitted { job } | TraceEventKind::JobRestarted { job } => {
+            SimEvent::JobSubmitted { job } | SimEvent::JobRestarted { job } => {
                 field(out, b" job=", *job);
             }
-            TraceEventKind::SchemeSelected {
+            SimEvent::SchemeSelected {
                 job,
                 edge,
                 src,
@@ -197,18 +198,18 @@ impl TraceEvent {
                 field_str(out, b" medium=", medium_str(*medium));
                 field_bool(out, b" crossing=", *crossing);
             }
-            TraceEventKind::TemplateMiss { job, signature }
-            | TraceEventKind::TemplateHit { job, signature } => {
+            SimEvent::TemplateMiss { job, signature }
+            | SimEvent::TemplateHit { job, signature } => {
                 field(out, b" job=", *job);
                 out.extend_from_slice(b" signature=");
                 push_hex16(out, *signature);
             }
-            TraceEventKind::TemplateInstantiate { job, units, edges } => {
+            SimEvent::TemplateInstantiate { job, units, edges } => {
                 field(out, b" job=", *job);
                 field(out, b" units=", *units);
                 field(out, b" edges=", *edges);
             }
-            TraceEventKind::GraphletState {
+            SimEvent::GraphletState {
                 job,
                 unit,
                 state,
@@ -224,12 +225,12 @@ impl TraceEvent {
                     }
                 }
             }
-            TraceEventKind::GangWaitStarted { job, unit, tasks } => {
+            SimEvent::GangWaitStarted { job, unit, tasks } => {
                 field(out, b" job=", *job);
                 field(out, b" unit=", *unit);
                 field(out, b" tasks=", *tasks);
             }
-            TraceEventKind::GangWaitEnded {
+            SimEvent::GangWaitEnded {
                 job,
                 unit,
                 tasks,
@@ -240,7 +241,7 @@ impl TraceEvent {
                 field(out, b" tasks=", *tasks);
                 field_bool(out, b" wave=", *wave);
             }
-            TraceEventKind::TaskAssigned {
+            SimEvent::TaskAssigned {
                 job,
                 task,
                 epoch,
@@ -251,14 +252,14 @@ impl TraceEvent {
                 field(out, b" epoch=", *epoch);
                 field(out, b" exec=", *executor);
             }
-            TraceEventKind::PlanDelivered { job, task, epoch }
-            | TraceEventKind::TaskStarted { job, task, epoch }
-            | TraceEventKind::TaskFinished { job, task, epoch } => {
+            SimEvent::PlanDelivered { job, task, epoch }
+            | SimEvent::TaskStarted { job, task, epoch }
+            | SimEvent::TaskFinished { job, task, epoch } => {
                 field(out, b" job=", *job);
                 field_task(out, b" task=", task);
                 field(out, b" epoch=", *epoch);
             }
-            TraceEventKind::TaskInvalidated {
+            SimEvent::TaskInvalidated {
                 job,
                 task,
                 new_epoch,
@@ -267,7 +268,7 @@ impl TraceEvent {
                 field_task(out, b" task=", task);
                 field(out, b" new_epoch=", *new_epoch);
             }
-            TraceEventKind::InputRead {
+            SimEvent::InputRead {
                 job,
                 consumer,
                 producer_stage,
@@ -278,12 +279,12 @@ impl TraceEvent {
                 field(out, b" producer_stage=", *producer_stage);
                 field(out, b" producers=", *producers);
             }
-            TraceEventKind::FailureDetected { job, task, kind } => {
+            SimEvent::FailureDetected { job, task, kind } => {
                 field(out, b" job=", *job);
                 field_task(out, b" task=", task);
                 field_str(out, b" kind=", kind.as_str());
             }
-            TraceEventKind::RecoveryPlanned {
+            SimEvent::RecoveryPlanned {
                 job,
                 failed,
                 case,
@@ -303,16 +304,16 @@ impl TraceEvent {
                     }
                 }
             }
-            TraceEventKind::JobCompleted { job, aborted } => {
+            SimEvent::JobCompleted { job, aborted } => {
                 field(out, b" job=", *job);
                 field_bool(out, b" aborted=", *aborted);
             }
-            TraceEventKind::MachineHealthChanged { machine, from, to } => {
+            SimEvent::MachineHealthChanged { machine, from, to } => {
                 field(out, b" machine=", *machine);
                 field_str(out, b" from=", health_str(*from));
                 field_str(out, b" to=", health_str(*to));
             }
-            TraceEventKind::CacheSpill {
+            SimEvent::CacheSpill {
                 machine,
                 bytes,
                 segments,
@@ -321,21 +322,21 @@ impl TraceEvent {
                 field64(out, b" bytes=", *bytes);
                 field(out, b" segments=", *segments);
             }
-            TraceEventKind::CacheEvict { machine, bytes } => {
+            SimEvent::CacheEvict { machine, bytes } => {
                 field(out, b" machine=", *machine);
                 field64(out, b" bytes=", *bytes);
             }
-            TraceEventKind::CounterFrame { window, values } => {
+            SimEvent::CounterFrame { window, values } => {
                 field64(out, b" window=", *window);
                 for &(id, v) in values {
                     field(out, b" s", u32::from(id));
                     field64(out, b"=", v);
                 }
             }
-            TraceEventKind::RunFinished { events } => {
+            SimEvent::RunFinished { events } => {
                 field64(out, b" events=", *events);
             }
-            TraceEventKind::JobAdmitted {
+            SimEvent::JobAdmitted {
                 job,
                 tenant,
                 queue_depth,
@@ -344,7 +345,7 @@ impl TraceEvent {
                 field(out, b" tenant=", *tenant);
                 field(out, b" queue_depth=", *queue_depth);
             }
-            TraceEventKind::JobRejected {
+            SimEvent::JobRejected {
                 job,
                 tenant,
                 queue_depth,
@@ -355,7 +356,7 @@ impl TraceEvent {
                 field(out, b" queue_depth=", *queue_depth);
                 field64(out, b" retry_after_ms=", *retry_after_ms);
             }
-            TraceEventKind::SessionWarmHit {
+            SimEvent::SessionWarmHit {
                 job,
                 tenant,
                 session,
@@ -364,7 +365,7 @@ impl TraceEvent {
                 field(out, b" tenant=", *tenant);
                 field(out, b" session=", *session);
             }
-            TraceEventKind::SessionColdStart {
+            SimEvent::SessionColdStart {
                 job,
                 tenant,
                 session,
@@ -375,7 +376,7 @@ impl TraceEvent {
                 field(out, b" session=", *session);
                 field(out, b" executors=", *executors);
             }
-            TraceEventKind::SessionExpired {
+            SimEvent::SessionExpired {
                 tenant,
                 session,
                 executors,

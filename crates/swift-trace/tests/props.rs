@@ -5,7 +5,8 @@
 
 use std::collections::BTreeSet;
 
-use swift_trace::{scenarios, RecorderConfig, StreamSink, TraceEventKind};
+use swift_scheduler::SimEvent;
+use swift_trace::{scenarios, RecorderConfig, StreamSink};
 
 const SEEDS: std::ops::Range<u64> = 0..12;
 
@@ -61,10 +62,10 @@ fn every_finish_has_a_matching_start() {
             let mut finishes = 0u64;
             for e in &trace.events {
                 match &e.kind {
-                    TraceEventKind::TaskStarted { job, task, epoch } => {
+                    SimEvent::TaskStarted { job, task, epoch } => {
                         started.insert((*job, task.stage, task.index, *epoch));
                     }
-                    TraceEventKind::TaskFinished { job, task, epoch } => {
+                    SimEvent::TaskFinished { job, task, epoch } => {
                         finishes += 1;
                         assert!(
                             started.contains(&(*job, task.stage, task.index, *epoch)),
@@ -99,7 +100,7 @@ fn stream_is_monotonic_and_terminated() {
                 .events
                 .iter()
                 .filter_map(|e| match e.kind {
-                    TraceEventKind::RunFinished { events } => Some(events),
+                    SimEvent::RunFinished { events } => Some(events),
                     _ => None,
                 })
                 .collect();
@@ -111,7 +112,7 @@ fn stream_is_monotonic_and_terminated() {
             assert!(
                 matches!(
                     trace.events.last().map(|e| &e.kind),
-                    Some(TraceEventKind::RunFinished { .. })
+                    Some(SimEvent::RunFinished { .. })
                 ),
                 "{name} seed {seed}: run_finished is not the final event"
             );
@@ -174,7 +175,7 @@ fn counter_frames_are_complete_and_deterministic() {
             let mut frames = 0u64;
             let mut prev_window = 0u64;
             for e in &a.events {
-                if let TraceEventKind::CounterFrame { window, values } = &e.kind {
+                if let SimEvent::CounterFrame { window, values } = &e.kind {
                     frames += 1;
                     assert!(
                         *window >= prev_window,
@@ -210,10 +211,10 @@ fn default_config_is_lean_and_well_nested() {
                 assert!(
                     !matches!(
                         e.kind,
-                        TraceEventKind::InputRead { .. }
-                            | TraceEventKind::CacheSpill { .. }
-                            | TraceEventKind::CacheEvict { .. }
-                            | TraceEventKind::CounterFrame { .. }
+                        SimEvent::InputRead { .. }
+                            | SimEvent::CacheSpill { .. }
+                            | SimEvent::CacheEvict { .. }
+                            | SimEvent::CounterFrame { .. }
                     ),
                     "{name} seed {seed}: {} recorded under the default config",
                     e.name()

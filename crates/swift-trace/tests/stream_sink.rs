@@ -6,13 +6,14 @@ use std::io::{self, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Sender, TryRecvError};
 
+use swift_scheduler::SimEvent;
 use swift_sim::SimTime;
-use swift_trace::{StreamSink, TraceEvent, TraceEventKind, TraceSink, STREAM_BATCH_EVENTS};
+use swift_trace::{StreamSink, TraceEvent, TraceSink, STREAM_BATCH_EVENTS};
 
 fn event(i: usize) -> TraceEvent {
     TraceEvent {
         at: SimTime(i as u64),
-        kind: TraceEventKind::JobSubmitted { job: i as u32 },
+        kind: SimEvent::JobSubmitted { job: i as u32 },
     }
 }
 

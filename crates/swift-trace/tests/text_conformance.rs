@@ -3,7 +3,7 @@
 //! The reference below renders the format with `format!`, one format
 //! string per event kind, exactly as the format is specified: a
 //! right-aligned 12-column timestamp, the event name, then the kind's
-//! `key=value` fields. Every `TraceEventKind` variant is built with field
+//! `key=value` fields. Every `SimEvent` variant is built with field
 //! values at 0, at `u32::MAX`/`u64::MAX` and seeded at random, with every
 //! label of every enum, empty and non-empty lists, and timestamps of 1,
 //! 11, 12, 13 and 20 digits. The writer must match the reference byte for
@@ -15,12 +15,12 @@
 
 use swift_cluster::MachineHealth;
 use swift_ft::{FailureKind, RecoveryCase};
-use swift_scheduler::GraphletState;
+use swift_scheduler::{GraphletState, SimEvent, TaskRef};
 use swift_shuffle::{ShuffleMedium, ShuffleScheme};
 use swift_sim::{SimRng, SimTime};
 use swift_trace::{
-    StreamSink, TaskRef, Trace, TraceEvent, TraceEventKind, TraceSink, DEFAULT_CHUNK_BYTES,
-    STREAM_BATCH_EVENTS, TEXT_FORMAT_VERSION,
+    StreamSink, Trace, TraceEvent, TraceSink, DEFAULT_CHUNK_BYTES, STREAM_BATCH_EVENTS,
+    TEXT_FORMAT_VERSION,
 };
 
 const SCHEMES: [ShuffleScheme; 3] = [
@@ -110,11 +110,11 @@ impl Values {
 
 /// Every event kind once, enum labels chosen by `round`, lists of length
 /// `round % 4` (so some empty) and field values from `v`.
-fn every_kind(round: usize, v: &mut Values) -> Vec<TraceEventKind> {
+fn every_kind(round: usize, v: &mut Values) -> Vec<SimEvent> {
     let list = round % 4;
     vec![
-        TraceEventKind::JobSubmitted { job: v.u32() },
-        TraceEventKind::SchemeSelected {
+        SimEvent::JobSubmitted { job: v.u32() },
+        SimEvent::SchemeSelected {
             job: v.u32(),
             edge: v.u32(),
             src: v.u32(),
@@ -124,74 +124,74 @@ fn every_kind(round: usize, v: &mut Values) -> Vec<TraceEventKind> {
             medium: MEDIA[round % MEDIA.len()],
             crossing: v.bool(),
         },
-        TraceEventKind::TemplateMiss {
+        SimEvent::TemplateMiss {
             job: v.u32(),
             signature: v.u64(),
         },
-        TraceEventKind::TemplateHit {
+        SimEvent::TemplateHit {
             job: v.u32(),
             signature: v.u64(),
         },
-        TraceEventKind::TemplateInstantiate {
+        SimEvent::TemplateInstantiate {
             job: v.u32(),
             units: v.u32(),
             edges: v.u32(),
         },
-        TraceEventKind::GraphletState {
+        SimEvent::GraphletState {
             job: v.u32(),
             unit: v.u32(),
             state: STATES[round % STATES.len()],
             stages: (0..list).map(|_| v.u32()).collect(),
         },
-        TraceEventKind::GangWaitStarted {
+        SimEvent::GangWaitStarted {
             job: v.u32(),
             unit: v.u32(),
             tasks: v.u32(),
         },
-        TraceEventKind::GangWaitEnded {
+        SimEvent::GangWaitEnded {
             job: v.u32(),
             unit: v.u32(),
             tasks: v.u32(),
             wave: v.bool(),
         },
-        TraceEventKind::TaskAssigned {
+        SimEvent::TaskAssigned {
             job: v.u32(),
             task: v.task(),
             epoch: v.u32(),
             executor: v.u32(),
         },
-        TraceEventKind::PlanDelivered {
+        SimEvent::PlanDelivered {
             job: v.u32(),
             task: v.task(),
             epoch: v.u32(),
         },
-        TraceEventKind::TaskStarted {
+        SimEvent::TaskStarted {
             job: v.u32(),
             task: v.task(),
             epoch: v.u32(),
         },
-        TraceEventKind::TaskFinished {
+        SimEvent::TaskFinished {
             job: v.u32(),
             task: v.task(),
             epoch: v.u32(),
         },
-        TraceEventKind::TaskInvalidated {
+        SimEvent::TaskInvalidated {
             job: v.u32(),
             task: v.task(),
             new_epoch: v.u32(),
         },
-        TraceEventKind::InputRead {
+        SimEvent::InputRead {
             job: v.u32(),
             consumer: v.task(),
             producer_stage: v.u32(),
             producers: v.u32(),
         },
-        TraceEventKind::FailureDetected {
+        SimEvent::FailureDetected {
             job: v.u32(),
             task: v.task(),
             kind: FAILURES[round % FAILURES.len()],
         },
-        TraceEventKind::RecoveryPlanned {
+        SimEvent::RecoveryPlanned {
             job: v.u32(),
             failed: v.task(),
             case: CASES[round % CASES.len()],
@@ -199,55 +199,55 @@ fn every_kind(round: usize, v: &mut Values) -> Vec<TraceEventKind> {
             rerun: (0..list).map(|_| v.task()).collect(),
             updates: v.u32(),
         },
-        TraceEventKind::JobRestarted { job: v.u32() },
-        TraceEventKind::JobCompleted {
+        SimEvent::JobRestarted { job: v.u32() },
+        SimEvent::JobCompleted {
             job: v.u32(),
             aborted: v.bool(),
         },
-        TraceEventKind::MachineHealthChanged {
+        SimEvent::MachineHealthChanged {
             machine: v.u32(),
             from: HEALTH[round % HEALTH.len()],
             to: HEALTH[(round + 1) % HEALTH.len()],
         },
-        TraceEventKind::CacheSpill {
+        SimEvent::CacheSpill {
             machine: v.u32(),
             bytes: v.u64(),
             segments: v.u32(),
         },
-        TraceEventKind::CacheEvict {
+        SimEvent::CacheEvict {
             machine: v.u32(),
             bytes: v.u64(),
         },
-        TraceEventKind::CounterFrame {
+        SimEvent::CounterFrame {
             window: v.u64(),
             // Ids 0-31: the 24-series vocabulary and ids past it, which
             // the counter tracks name `unknown`.
             values: (0..list * 9).map(|_| (v.u16() % 32, v.u64())).collect(),
         },
-        TraceEventKind::RunFinished { events: v.u64() },
-        TraceEventKind::JobAdmitted {
+        SimEvent::RunFinished { events: v.u64() },
+        SimEvent::JobAdmitted {
             job: v.u32(),
             tenant: v.u32(),
             queue_depth: v.u32(),
         },
-        TraceEventKind::JobRejected {
+        SimEvent::JobRejected {
             job: v.u32(),
             tenant: v.u32(),
             queue_depth: v.u32(),
             retry_after_ms: v.u64(),
         },
-        TraceEventKind::SessionWarmHit {
+        SimEvent::SessionWarmHit {
             job: v.u32(),
             tenant: v.u32(),
             session: v.u32(),
         },
-        TraceEventKind::SessionColdStart {
+        SimEvent::SessionColdStart {
             job: v.u32(),
             tenant: v.u32(),
             session: v.u32(),
             executors: v.u32(),
         },
-        TraceEventKind::SessionExpired {
+        SimEvent::SessionExpired {
             tenant: v.u32(),
             session: v.u32(),
             executors: v.u32(),
@@ -287,10 +287,10 @@ fn task(t: &TaskRef) -> String {
 /// The format, one `format!` per kind (no trailing newline).
 fn reference_line(e: &TraceEvent) -> String {
     let fields = match &e.kind {
-        TraceEventKind::JobSubmitted { job } | TraceEventKind::JobRestarted { job } => {
+        SimEvent::JobSubmitted { job } | SimEvent::JobRestarted { job } => {
             format!(" job={job}")
         }
-        TraceEventKind::SchemeSelected {
+        SimEvent::SchemeSelected {
             job,
             edge,
             src,
@@ -309,14 +309,13 @@ fn reference_line(e: &TraceEvent) -> String {
                  medium={medium} crossing={crossing}"
             )
         }
-        TraceEventKind::TemplateMiss { job, signature }
-        | TraceEventKind::TemplateHit { job, signature } => {
+        SimEvent::TemplateMiss { job, signature } | SimEvent::TemplateHit { job, signature } => {
             format!(" job={job} signature={signature:016x}")
         }
-        TraceEventKind::TemplateInstantiate { job, units, edges } => {
+        SimEvent::TemplateInstantiate { job, units, edges } => {
             format!(" job={job} units={units} edges={edges}")
         }
-        TraceEventKind::GraphletState {
+        SimEvent::GraphletState {
             job,
             unit,
             state,
@@ -328,44 +327,44 @@ fn reference_line(e: &TraceEvent) -> String {
             }
             s
         }
-        TraceEventKind::GangWaitStarted { job, unit, tasks } => {
+        SimEvent::GangWaitStarted { job, unit, tasks } => {
             format!(" job={job} unit={unit} tasks={tasks}")
         }
-        TraceEventKind::GangWaitEnded {
+        SimEvent::GangWaitEnded {
             job,
             unit,
             tasks,
             wave,
         } => format!(" job={job} unit={unit} tasks={tasks} wave={wave}"),
-        TraceEventKind::TaskAssigned {
+        SimEvent::TaskAssigned {
             job,
             task: t,
             epoch,
             executor,
         } => format!(" job={job} task={} epoch={epoch} exec={executor}", task(t)),
-        TraceEventKind::PlanDelivered {
+        SimEvent::PlanDelivered {
             job,
             task: t,
             epoch,
         }
-        | TraceEventKind::TaskStarted {
+        | SimEvent::TaskStarted {
             job,
             task: t,
             epoch,
         }
-        | TraceEventKind::TaskFinished {
+        | SimEvent::TaskFinished {
             job,
             task: t,
             epoch,
         } => {
             format!(" job={job} task={} epoch={epoch}", task(t))
         }
-        TraceEventKind::TaskInvalidated {
+        SimEvent::TaskInvalidated {
             job,
             task: t,
             new_epoch,
         } => format!(" job={job} task={} new_epoch={new_epoch}", task(t)),
-        TraceEventKind::InputRead {
+        SimEvent::InputRead {
             job,
             consumer,
             producer_stage,
@@ -374,10 +373,10 @@ fn reference_line(e: &TraceEvent) -> String {
             " job={job} consumer={} producer_stage={producer_stage} producers={producers}",
             task(consumer)
         ),
-        TraceEventKind::FailureDetected { job, task: t, kind } => {
+        SimEvent::FailureDetected { job, task: t, kind } => {
             format!(" job={job} task={} kind={kind}", task(t))
         }
-        TraceEventKind::RecoveryPlanned {
+        SimEvent::RecoveryPlanned {
             job,
             failed,
             case,
@@ -394,36 +393,36 @@ fn reference_line(e: &TraceEvent) -> String {
             }
             s
         }
-        TraceEventKind::JobCompleted { job, aborted } => format!(" job={job} aborted={aborted}"),
-        TraceEventKind::MachineHealthChanged { machine, from, to } => {
+        SimEvent::JobCompleted { job, aborted } => format!(" job={job} aborted={aborted}"),
+        SimEvent::MachineHealthChanged { machine, from, to } => {
             format!(
                 " machine={machine} from={} to={}",
                 health(*from),
                 health(*to)
             )
         }
-        TraceEventKind::CacheSpill {
+        SimEvent::CacheSpill {
             machine,
             bytes,
             segments,
         } => format!(" machine={machine} bytes={bytes} segments={segments}"),
-        TraceEventKind::CacheEvict { machine, bytes } => {
+        SimEvent::CacheEvict { machine, bytes } => {
             format!(" machine={machine} bytes={bytes}")
         }
-        TraceEventKind::CounterFrame { window, values } => {
+        SimEvent::CounterFrame { window, values } => {
             let mut s = format!(" window={window}");
             for (id, v) in values {
                 s += &format!(" s{id}={v}");
             }
             s
         }
-        TraceEventKind::RunFinished { events } => format!(" events={events}"),
-        TraceEventKind::JobAdmitted {
+        SimEvent::RunFinished { events } => format!(" events={events}"),
+        SimEvent::JobAdmitted {
             job,
             tenant,
             queue_depth,
         } => format!(" job={job} tenant={tenant} queue_depth={queue_depth}"),
-        TraceEventKind::JobRejected {
+        SimEvent::JobRejected {
             job,
             tenant,
             queue_depth,
@@ -431,18 +430,18 @@ fn reference_line(e: &TraceEvent) -> String {
         } => format!(
             " job={job} tenant={tenant} queue_depth={queue_depth} retry_after_ms={retry_after_ms}"
         ),
-        TraceEventKind::SessionWarmHit {
+        SimEvent::SessionWarmHit {
             job,
             tenant,
             session,
         } => format!(" job={job} tenant={tenant} session={session}"),
-        TraceEventKind::SessionColdStart {
+        SimEvent::SessionColdStart {
             job,
             tenant,
             session,
             executors,
         } => format!(" job={job} tenant={tenant} session={session} executors={executors}"),
-        TraceEventKind::SessionExpired {
+        SimEvent::SessionExpired {
             tenant,
             session,
             executors,
@@ -474,7 +473,7 @@ fn reference_text(trace: &Trace) -> String {
 fn reference_counters(trace: &Trace) -> String {
     let mut s = String::new();
     for e in &trace.events {
-        if let TraceEventKind::CounterFrame { window, values } = &e.kind {
+        if let SimEvent::CounterFrame { window, values } = &e.kind {
             for (id, v) in values {
                 let name = swift_metrics::series_def(*id).map_or("unknown", |d| d.name);
                 s += &format!("{:>12} window={window} {name} {v}\n", e.at.as_micros());
@@ -502,7 +501,7 @@ fn every_line_matches_the_reference() {
 fn line_appends_after_existing_bytes() {
     let e = TraceEvent {
         at: SimTime(42),
-        kind: TraceEventKind::JobSubmitted { job: 9 },
+        kind: SimEvent::JobSubmitted { job: 9 },
     };
     let mut out = b"prefix\n".to_vec();
     e.write_line(&mut out);
@@ -551,9 +550,9 @@ fn short_events(n: usize) -> Vec<TraceEvent> {
                 index: rng.range(0, 10_000) as u32,
             };
             let kind = if i % 2 == 0 {
-                TraceEventKind::TaskStarted { job, task, epoch }
+                SimEvent::TaskStarted { job, task, epoch }
             } else {
-                TraceEventKind::TaskFinished { job, task, epoch }
+                SimEvent::TaskFinished { job, task, epoch }
             };
             TraceEvent {
                 at: SimTime(at),

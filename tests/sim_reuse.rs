@@ -20,10 +20,11 @@ use swift::cluster::{Cluster, CostModel, MachineId};
 use swift::dag::{DagBuilder, JobDag, Operator, StageProfile};
 use swift::ft::FailureKind;
 use swift::scheduler::{
-    FailureAt, FailureInjection, JobSpec, RunReport, SchedulerSession, SimConfig, Simulation,
+    FailureAt, FailureInjection, JobSpec, RunReport, SchedulerSession, SimConfig, SimEvent,
+    Simulation,
 };
 use swift::sim::{SimDuration, SimTime};
-use swift::trace::{RecorderConfig, TraceEventKind, TraceRecorder};
+use swift::trace::{RecorderConfig, TraceRecorder};
 use swift::workload::terasort_dag;
 
 const MACHINES: u32 = 4;
@@ -208,11 +209,7 @@ fn specs(step: &Step) -> Vec<JobSpec> {
 
 /// Arms `step`'s faults and a full recorder, runs, and returns the
 /// report, the rendered trace and the recorded event kinds.
-fn run_step(
-    sim: &mut Simulation,
-    step: &Step,
-    i: usize,
-) -> (RunReport, String, Vec<TraceEventKind>) {
+fn run_step(sim: &mut Simulation, step: &Step, i: usize) -> (RunReport, String, Vec<SimEvent>) {
     sim.inject_failures(step.injections.clone());
     sim.fail_machines(step.crashes.clone());
     let (rec, handle) = TraceRecorder::new("sim_reuse", i as u64, RecorderConfig::full());
@@ -225,7 +222,7 @@ fn run_step(
 }
 
 /// How many of `kinds` match `f`.
-fn count(kinds: &[TraceEventKind], f: fn(&TraceEventKind) -> bool) -> usize {
+fn count(kinds: &[SimEvent], f: fn(&SimEvent) -> bool) -> usize {
     kinds.iter().filter(|k| f(k)).count()
 }
 
@@ -265,17 +262,16 @@ fn a_reused_simulation_runs_every_step_like_a_new_one() {
     }
 
     // The oracle is only as strong as what the sequence exercises.
-    let total = |f: fn(&TraceEventKind) -> bool| -> usize {
-        recorded.iter().map(|kinds| count(kinds, f)).sum()
-    };
-    let hits = total(|k| matches!(k, TraceEventKind::TemplateHit { .. }));
-    let misses = total(|k| matches!(k, TraceEventKind::TemplateMiss { .. }));
+    let total =
+        |f: fn(&SimEvent) -> bool| -> usize { recorded.iter().map(|kinds| count(kinds, f)).sum() };
+    let hits = total(|k| matches!(k, SimEvent::TemplateHit { .. }));
+    let misses = total(|k| matches!(k, SimEvent::TemplateMiss { .. }));
     assert!(hits >= 5 && misses >= 3, "hits {hits}, misses {misses}");
     let faulted = &recorded[FAULTED];
     assert_eq!(
         count(faulted, |k| matches!(
             k,
-            TraceEventKind::MachineHealthChanged { .. }
+            SimEvent::MachineHealthChanged { .. }
         )),
         2,
         "the faulted step crashes two machines"
@@ -283,12 +279,12 @@ fn a_reused_simulation_runs_every_step_like_a_new_one() {
     assert!(
         count(faulted, |k| matches!(
             k,
-            TraceEventKind::RecoveryPlanned { abort: false, .. }
+            SimEvent::RecoveryPlanned { abort: false, .. }
         )) >= 3,
         "the faulted step recovers its task faults"
     );
     assert!(
-        count(faulted, |k| matches!(k, TraceEventKind::CacheEvict { .. })) > 0,
+        count(faulted, |k| matches!(k, SimEvent::CacheEvict { .. })) > 0,
         "the faulted step drives the Cache Worker shadow model"
     );
     // The whole-cluster job after the faulted step gets its gang in one
@@ -296,7 +292,7 @@ fn a_reused_simulation_runs_every_step_like_a_new_one() {
     assert_eq!(
         count(&recorded[FAULTED + 1], |k| matches!(
             k,
-            TraceEventKind::GangWaitEnded {
+            SimEvent::GangWaitEnded {
                 tasks: 8,
                 wave: false,
                 ..

@@ -24,10 +24,10 @@ use std::sync::Arc;
 use swift::cluster::{Cluster, CostModel};
 use swift::dag::{DagBuilder, JobDag, Operator, StageProfile};
 use swift::ft::FailureKind;
-use swift::scheduler::{FailureAt, FailureInjection, JobSpec, SimConfig, Simulation};
+use swift::scheduler::{FailureAt, FailureInjection, JobSpec, SimConfig, SimEvent, Simulation};
 use swift::sim::{Fnv64, SimDuration, SimTime};
 use swift::trace::scenarios;
-use swift::trace::{RecorderConfig, Trace, TraceEventKind, TraceRecorder};
+use swift::trace::{RecorderConfig, Trace, TraceRecorder};
 
 /// `(scenario, seed, RunReport digest, stripped trace digest)` of every
 /// registry scenario at seeds 1, 7 and 23, captured when every job was
@@ -117,7 +117,7 @@ fn cache_on_equals_cache_off_across_registry() {
         hits += trace
             .events
             .iter()
-            .filter(|e| matches!(e.kind, TraceEventKind::TemplateHit { .. }))
+            .filter(|e| matches!(e.kind, SimEvent::TemplateHit { .. }))
             .count();
     }
     assert!(hits > 0, "no registry run ever hit the template cache");
@@ -220,14 +220,14 @@ fn recovery_replans_from_an_instantiated_plan() {
     // the cache and then suffers the fault.
     let (trace, digest) = run_faulted();
     let hit_job = trace.events.iter().find_map(|e| match e.kind {
-        TraceEventKind::TemplateHit { job, .. } => Some(job),
+        SimEvent::TemplateHit { job, .. } => Some(job),
         _ => None,
     });
     assert_eq!(hit_job, Some(1), "job 1's plan must come from the cache");
     let recovery_planned = trace
         .events
         .iter()
-        .any(|e| matches!(e.kind, TraceEventKind::RecoveryPlanned { job, .. } if job == 1));
+        .any(|e| matches!(e.kind, SimEvent::RecoveryPlanned { job, .. } if job == 1));
     assert!(
         recovery_planned,
         "the injected restart must drive replanning on the cache-served job"
