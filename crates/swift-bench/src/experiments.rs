@@ -817,10 +817,9 @@ pub fn ablate_heartbeat() -> Figure {
     let baseline = single_job_secs(SimConfig::swift(), dag.clone());
     let mut rows = Vec::new();
     for interval_s in [2u64, 5, 10, 15, 30, 60] {
+        // The 100-machine cluster is in the "small" tier.
         let cost = CostModel {
             heartbeat_small: SimDuration::from_secs(interval_s),
-            small_cluster_machines: 1_000, // force the "small" tier
-            ..CostModel::default()
         };
         let mut sim = Simulation::new(
             Cluster::new(100, 32, cost),

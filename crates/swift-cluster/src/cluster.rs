@@ -113,7 +113,7 @@ impl Cluster {
             machines > 0 && executors_per_machine > 0,
             "cluster must be non-empty"
         );
-        let capacity = cost.cache_worker_capacity;
+        let capacity = CostModel::CACHE_WORKER_CAPACITY;
         let ms = (0..machines)
             .map(|m| Machine {
                 id: MachineId(m),
@@ -159,7 +159,7 @@ impl Cluster {
             // LIFO stack: lowest relative index allocated first.
             m.free.clear();
             m.free.extend((0..m.executor_count).rev());
-            m.cache = CacheWorkerMemory::new(self.cost.cache_worker_capacity);
+            m.cache = CacheWorkerMemory::new(CostModel::CACHE_WORKER_CAPACITY);
             m.recent_task_failures = 0;
             self.free_index.insert(m.executor_count, m.id);
             total += m.executor_count;

@@ -1,131 +1,114 @@
 //! The calibrated cost model shared by every simulated experiment.
 //!
-//! All timing constants of the reproduction live here, in one documented
-//! struct, so the TPC-H, Terasort, trace-replay and fault-injection
-//! experiments run against the same calibration (DESIGN.md §5). Absolute
-//! values are calibrated to the paper's published observations (e.g. "over
-//! 71 s" of Spark task launching on Q9, "hundreds of milliseconds" per TCP
-//! connection under congestion, 3 % vs 0.02 % retransmission rates); the
-//! *shape* of each figure is what the model must reproduce.
+//! All timing constants of the reproduction live here, as associated
+//! constants of one documented type, so the TPC-H, Terasort, trace-replay
+//! and fault-injection experiments run against the same calibration
+//! (DESIGN.md §5). Absolute values are calibrated to the paper's published
+//! observations (e.g. "over 71 s" of Spark task launching on Q9, "hundreds
+//! of milliseconds" per TCP connection under congestion, 3 % vs 0.02 %
+//! retransmission rates); the *shape* of each figure is what the model
+//! must reproduce.
 
 use swift_shuffle::{ShuffleMedium, ShuffleScheme};
 use swift_sim::SimDuration;
 
-/// Timing and capacity constants of the simulated cluster.
+/// Timing and capacity constants of the simulated cluster: associated
+/// constants, plus the one interval an experiment sweeps.
 #[derive(Clone, Debug)]
 pub struct CostModel {
-    // ---- control plane ----
-    /// Time for Swift Admin to deliver a cached execution plan to a
-    /// pre-launched executor (§II-C step 10 / Fig. 9b "L" phase for Swift).
-    pub plan_delivery: SimDuration,
-    /// Per-graphlet scheduling overhead inside Swift Admin (event handling,
-    /// resource assignment).
-    pub swift_schedule_overhead: SimDuration,
-    /// Per-stage task-launch overhead of the Spark baseline: package
-    /// download plus executor launch. Calibrated so that launching the
-    /// critical tasks of TPC-H Q9 costs ~71 s in total (Fig. 9b).
-    pub spark_stage_launch: SimDuration,
-
-    // ---- network ----
-    /// NIC bandwidth per machine, bytes/second (10 GbE ≈ 1.25e9).
-    pub net_bandwidth: f64,
-    /// Expected number of tasks concurrently sharing one machine's NIC;
-    /// a task's transfer bandwidth is `net_bandwidth / net_share_tasks`.
-    pub net_share_tasks: f64,
-    /// Uncongested TCP connection establishment time.
-    pub tcp_connect_base: SimDuration,
-    /// Total concurrent connection count at which per-connection setup time
-    /// has doubled (linear growth beyond).
-    pub tcp_congestion_conns: f64,
-    /// Cap on per-connection setup time ("hundreds of milliseconds in a
-    /// congested network", §V-E).
-    pub tcp_connect_max: SimDuration,
-    /// Baseline retransmission probability at `incast_fanin` concurrent
-    /// inbound connections per consumer.
-    pub retx_base_rate: f64,
-    /// Fan-in at which `retx_base_rate` applies; the rate grows
-    /// cubically with fan-in beyond it (TCP incast collapses fast once the
-    /// switch buffers saturate, \[54\]).
-    pub incast_fanin: f64,
-    /// Retransmission rate cap (paper: Direct Shuffle reaches 3 %).
-    pub retx_rate_cap: f64,
-    /// Transfer-time multiplier per unit of retransmission rate: effective
-    /// time = ideal × (1 + retx_penalty × rate). Timeout-driven recovery
-    /// makes each retransmitted segment far more expensive than its size.
-    pub retx_penalty: f64,
-    /// Multiplier (< 1) applied to the Local Shuffle retransmission rate:
-    /// Cache Workers aggregate many task-level streams into few large
-    /// machine-level transfers, sidestepping incast (paper: < 0.02 %).
-    pub local_chunk_mitigation: f64,
-    /// Multiplier (< 1) applied to the retransmission rate of disk-staged
-    /// shuffles: fetches of on-disk segments are paced by disk reads, so
-    /// the incast burst is milder than memory-to-memory direct streaming.
-    pub disk_fetch_mitigation: f64,
-    /// Store-and-forward slowdown of Local Shuffle transfers: data is
-    /// staged at the writer-side Cache Worker before the CW→CW hop, so the
-    /// effective transfer takes `(1 + local_store_forward)` times longer.
-    pub local_store_forward: f64,
-    /// Accept-queue contention coefficient for Remote Shuffle reads: each
-    /// source Cache Worker serves `N` puller connections, and queueing
-    /// delay grows quadratically near saturation — the read path is
-    /// charged `cw_accept_time × N²`.
-    pub cw_accept_time: SimDuration,
-
-    // ---- memory & disk ----
-    /// Memory-copy bandwidth, bytes/second (one extra copy costs
-    /// `bytes / mem_copy_bandwidth`; Local Shuffle adds two copies, Remote
-    /// one, §III-B).
-    pub mem_copy_bandwidth: f64,
-    /// Sequential disk bandwidth, bytes/second (7.2k SATA ≈ 1.2e8).
-    pub disk_bandwidth: f64,
-    /// Per-file seek/open penalty for disk-based shuffle.
-    pub disk_seek: SimDuration,
-    /// Cache Worker memory capacity per machine, bytes.
-    pub cache_worker_capacity: u64,
-
-    // ---- failure detection (§IV-A) ----
-    /// Heartbeat interval for small clusters (< `small_cluster_machines`).
+    /// Heartbeat interval for small clusters (< [`CostModel::SMALL_CLUSTER_MACHINES`]),
+    /// the failure-detection delay of a machine crash (§IV-A). The one
+    /// setting: `ablate_heartbeat` sweeps it.
     pub heartbeat_small: SimDuration,
-    /// Heartbeat interval for medium clusters.
-    pub heartbeat_medium: SimDuration,
-    /// Heartbeat interval for large clusters (≥ `large_cluster_machines`).
-    pub heartbeat_large: SimDuration,
-    /// Upper bound (exclusive) on machine count for the "small" tier.
-    pub small_cluster_machines: u32,
-    /// Lower bound (inclusive) on machine count for the "large" tier.
-    pub large_cluster_machines: u32,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
-            plan_delivery: SimDuration::from_millis(50),
-            swift_schedule_overhead: SimDuration::from_millis(20),
-            spark_stage_launch: SimDuration::from_secs(6),
-            net_bandwidth: 1.25e9,
-            net_share_tasks: 8.0,
-            tcp_connect_base: SimDuration::from_micros(374),
-            tcp_congestion_conns: 94_800.0,
-            tcp_connect_max: SimDuration::from_millis(488),
-            retx_base_rate: 0.000146,
-            incast_fanin: 50.0,
-            retx_rate_cap: 0.03,
-            retx_penalty: 48.85,
-            local_chunk_mitigation: 0.0112,
-            disk_fetch_mitigation: 0.25,
-            local_store_forward: 0.30,
-            cw_accept_time: SimDuration::from_micros(3),
-            mem_copy_bandwidth: 5.0e9,
-            disk_bandwidth: 1.2e8,
-            disk_seek: SimDuration::from_millis(8),
-            cache_worker_capacity: 32 << 30,
             heartbeat_small: SimDuration::from_secs(5),
-            heartbeat_medium: SimDuration::from_secs(10),
-            heartbeat_large: SimDuration::from_secs(15),
-            small_cluster_machines: 500,
-            large_cluster_machines: 5_000,
         }
     }
+}
+
+impl CostModel {
+    // ---- control plane ----
+    /// Time for Swift Admin to deliver a cached execution plan to a
+    /// pre-launched executor (§II-C step 10 / Fig. 9b "L" phase for Swift).
+    pub const PLAN_DELIVERY: SimDuration = SimDuration::from_millis(50);
+    /// Per-graphlet scheduling overhead inside Swift Admin (event handling,
+    /// resource assignment).
+    pub const SWIFT_SCHEDULE_OVERHEAD: SimDuration = SimDuration::from_millis(20);
+    /// Per-stage task-launch overhead of the Spark baseline: package
+    /// download plus executor launch. Calibrated so that launching the
+    /// critical tasks of TPC-H Q9 costs ~71 s in total (Fig. 9b).
+    pub const SPARK_STAGE_LAUNCH: SimDuration = SimDuration::from_secs(6);
+
+    // ---- network ----
+    /// NIC bandwidth per machine, bytes/second (10 GbE ≈ 1.25e9).
+    pub const NET_BANDWIDTH: f64 = 1.25e9;
+    /// Expected number of tasks concurrently sharing one machine's NIC;
+    /// a task's transfer bandwidth is `NET_BANDWIDTH / NET_SHARE_TASKS`.
+    pub const NET_SHARE_TASKS: f64 = 8.0;
+    /// Uncongested TCP connection establishment time.
+    pub const TCP_CONNECT_BASE: SimDuration = SimDuration::from_micros(374);
+    /// Total concurrent connection count at which per-connection setup time
+    /// has doubled (linear growth beyond).
+    pub const TCP_CONGESTION_CONNS: f64 = 94_800.0;
+    /// Cap on per-connection setup time ("hundreds of milliseconds in a
+    /// congested network", §V-E).
+    pub const TCP_CONNECT_MAX: SimDuration = SimDuration::from_millis(488);
+    /// Baseline retransmission probability at `INCAST_FANIN` concurrent
+    /// inbound connections per consumer.
+    pub const RETX_BASE_RATE: f64 = 0.000146;
+    /// Fan-in at which `RETX_BASE_RATE` applies; the rate grows
+    /// cubically with fan-in beyond it (TCP incast collapses fast once the
+    /// switch buffers saturate, \[54\]).
+    pub const INCAST_FANIN: f64 = 50.0;
+    /// Retransmission rate cap (paper: Direct Shuffle reaches 3 %).
+    pub const RETX_RATE_CAP: f64 = 0.03;
+    /// Transfer-time multiplier per unit of retransmission rate: effective
+    /// time = ideal × (1 + RETX_PENALTY × rate). Timeout-driven recovery
+    /// makes each retransmitted segment far more expensive than its size.
+    pub const RETX_PENALTY: f64 = 48.85;
+    /// Multiplier (< 1) applied to the Local Shuffle retransmission rate:
+    /// Cache Workers aggregate many task-level streams into few large
+    /// machine-level transfers, sidestepping incast (paper: < 0.02 %).
+    pub const LOCAL_CHUNK_MITIGATION: f64 = 0.0112;
+    /// Multiplier (< 1) applied to the retransmission rate of disk-staged
+    /// shuffles: fetches of on-disk segments are paced by disk reads, so
+    /// the incast burst is milder than memory-to-memory direct streaming.
+    pub const DISK_FETCH_MITIGATION: f64 = 0.25;
+    /// Store-and-forward slowdown of Local Shuffle transfers: data is
+    /// staged at the writer-side Cache Worker before the CW→CW hop, so the
+    /// effective transfer takes `(1 + LOCAL_STORE_FORWARD)` times longer.
+    pub const LOCAL_STORE_FORWARD: f64 = 0.30;
+    /// Accept-queue contention coefficient for Remote Shuffle reads: each
+    /// source Cache Worker serves `N` puller connections, and queueing
+    /// delay grows quadratically near saturation — the read path is
+    /// charged `CW_ACCEPT_TIME × N²`.
+    pub const CW_ACCEPT_TIME: SimDuration = SimDuration::from_micros(3);
+
+    // ---- memory & disk ----
+    /// Memory-copy bandwidth, bytes/second (one extra copy costs
+    /// `bytes / MEM_COPY_BANDWIDTH`; Local Shuffle adds two copies, Remote
+    /// one, §III-B).
+    pub const MEM_COPY_BANDWIDTH: f64 = 5.0e9;
+    /// Sequential disk bandwidth, bytes/second (7.2k SATA ≈ 1.2e8).
+    pub const DISK_BANDWIDTH: f64 = 1.2e8;
+    /// Per-file seek/open penalty for disk-based shuffle.
+    pub const DISK_SEEK: SimDuration = SimDuration::from_millis(8);
+    /// Cache Worker memory capacity per machine, bytes.
+    pub const CACHE_WORKER_CAPACITY: u64 = 32 << 30;
+
+    // ---- failure detection (§IV-A) ----
+    /// Heartbeat interval for medium clusters.
+    pub const HEARTBEAT_MEDIUM: SimDuration = SimDuration::from_secs(10);
+    /// Heartbeat interval for large clusters (≥ `LARGE_CLUSTER_MACHINES`).
+    pub const HEARTBEAT_LARGE: SimDuration = SimDuration::from_secs(15);
+    /// Upper bound (exclusive) on machine count for the "small" tier.
+    pub const SMALL_CLUSTER_MACHINES: u32 = 500;
+    /// Lower bound (inclusive) on machine count for the "large" tier.
+    pub const LARGE_CLUSTER_MACHINES: u32 = 5_000;
 }
 
 /// Breakdown of one shuffle edge's cost, per producer/consumer task.
@@ -145,7 +128,7 @@ pub struct ShuffleCost {
 impl CostModel {
     /// Per-task network bandwidth in bytes/second.
     pub fn per_task_net_bandwidth(&self) -> f64 {
-        self.net_bandwidth / self.net_share_tasks
+        Self::NET_BANDWIDTH / Self::NET_SHARE_TASKS
     }
 
     /// Time for one task to move `bytes` over the network (no penalties).
@@ -155,39 +138,39 @@ impl CostModel {
 
     /// Time for one extra in-memory copy of `bytes`.
     pub fn mem_copy(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / self.mem_copy_bandwidth)
+        SimDuration::from_secs_f64(bytes as f64 / Self::MEM_COPY_BANDWIDTH)
     }
 
     /// Sequential disk write/read of `bytes` plus one seek.
     pub fn disk_io(&self, bytes: u64) -> SimDuration {
-        self.disk_seek + SimDuration::from_secs_f64(bytes as f64 / self.disk_bandwidth)
+        Self::DISK_SEEK + SimDuration::from_secs_f64(bytes as f64 / Self::DISK_BANDWIDTH)
     }
 
     /// Per-connection TCP setup time when `total_conns` connections are
     /// being established across the shuffle: grows linearly with
-    /// congestion, capped at [`CostModel::tcp_connect_max`].
+    /// congestion, capped at [`CostModel::TCP_CONNECT_MAX`].
     pub fn tcp_connect_time(&self, total_conns: u64) -> SimDuration {
-        let factor = 1.0 + total_conns as f64 / self.tcp_congestion_conns;
-        let t = self.tcp_connect_base.as_secs_f64() * factor;
-        SimDuration::from_secs_f64(t.min(self.tcp_connect_max.as_secs_f64()))
+        let factor = 1.0 + total_conns as f64 / Self::TCP_CONGESTION_CONNS;
+        let t = Self::TCP_CONNECT_BASE.as_secs_f64() * factor;
+        SimDuration::from_secs_f64(t.min(Self::TCP_CONNECT_MAX.as_secs_f64()))
     }
 
     /// Modeled retransmission rate for a consumer with `fan_in` concurrent
     /// inbound connections (cubic incast growth, capped).
     pub fn retx_rate(&self, fan_in: u64) -> f64 {
-        let x = fan_in as f64 / self.incast_fanin;
-        (self.retx_base_rate * x * x * x).min(self.retx_rate_cap)
+        let x = fan_in as f64 / Self::INCAST_FANIN;
+        (Self::RETX_BASE_RATE * x * x * x).min(Self::RETX_RATE_CAP)
     }
 
     /// Heartbeat interval by cluster size (§IV-A: 5 s / 10 s / 15 s for
     /// small / medium / large clusters).
     pub fn heartbeat_interval(&self, machines: u32) -> SimDuration {
-        if machines < self.small_cluster_machines {
+        if machines < Self::SMALL_CLUSTER_MACHINES {
             self.heartbeat_small
-        } else if machines < self.large_cluster_machines {
-            self.heartbeat_medium
+        } else if machines < Self::LARGE_CLUSTER_MACHINES {
+            Self::HEARTBEAT_MEDIUM
         } else {
-            self.heartbeat_large
+            Self::HEARTBEAT_LARGE
         }
     }
 
@@ -245,16 +228,16 @@ impl CostModel {
         };
         let mut retx = self.retx_rate(fan_in);
         if scheme == ShuffleScheme::Local {
-            retx *= self.local_chunk_mitigation;
+            retx *= Self::LOCAL_CHUNK_MITIGATION;
         }
         if medium == ShuffleMedium::Disk {
-            retx *= self.disk_fetch_mitigation;
+            retx *= Self::DISK_FETCH_MITIGATION;
         }
-        let mut transfer = self.net_transfer(bytes_per_dst) * (1.0 + retx * self.retx_penalty);
+        let mut transfer = self.net_transfer(bytes_per_dst) * (1.0 + retx * Self::RETX_PENALTY);
         if scheme == ShuffleScheme::Local {
             // Data is staged at the writer-side Cache Worker before the
             // CW→CW hop: store-and-forward stretches the transfer.
-            transfer = transfer * (1.0 + self.local_store_forward);
+            transfer = transfer * (1.0 + Self::LOCAL_STORE_FORWARD);
         }
         let mut read = per_conn * conns_per_reader + transfer;
         read += self.mem_copy(bytes_per_dst) * (extra_copies.reader_side as u64);
@@ -262,7 +245,7 @@ impl CostModel {
             // Accept-queue delay at the serving Cache Workers, which each
             // handle connections from all N pullers; queueing grows
             // quadratically as the accept queues saturate.
-            read += self.cw_accept_time * (n64 * n64);
+            read += Self::CW_ACCEPT_TIME * (n64 * n64);
         }
         if medium == ShuffleMedium::Disk {
             read += self.disk_io(bytes_per_dst);
@@ -369,8 +352,8 @@ mod tests {
         let b = cm.tcp_connect_time(100_000);
         let c = cm.tcp_connect_time(1_000_000_000);
         assert!(a < b);
-        assert!(b <= cm.tcp_connect_max);
-        assert_eq!(c, cm.tcp_connect_max);
+        assert!(b <= CostModel::TCP_CONNECT_MAX);
+        assert_eq!(c, CostModel::TCP_CONNECT_MAX);
     }
 
     #[test]
@@ -382,7 +365,7 @@ mod tests {
         assert_eq!(cm.retx_rate(600), 0.03);
         // staged schemes with ~100 source machines stay well below it
         assert!(cm.retx_rate(100) < 0.005);
-        assert!(cm.retx_rate(100) * cm.local_chunk_mitigation < 0.0005);
+        assert!(cm.retx_rate(100) * CostModel::LOCAL_CHUNK_MITIGATION < 0.0005);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Scheduling policy configurations: Swift and the three baselines the
-//! paper compares against (JetScope, Bubble Execution, Spark).
+//! paper compares against (JetScope, Bubble Execution, Spark), and the
+//! simulation-wide [`SimConfig`] that carries one of them.
 //!
 //! Each policy is expressed as a combination of four orthogonal choices —
 //! how the job DAG is partitioned into schedule units, when a unit is
@@ -60,7 +61,7 @@ pub enum LaunchModel {
     /// costs one plan delivery.
     PlanDelivery,
     /// Spark: each stage wave pays package download + executor launch
-    /// (`CostModel::spark_stage_launch`).
+    /// (`CostModel::SPARK_STAGE_LAUNCH`).
     ColdStart,
 }
 
@@ -188,6 +189,51 @@ impl PolicyConfig {
             cross_unit_medium: ShuffleMedium::Disk,
             partition_overhead: SimDuration::ZERO,
             release: ReleaseMode::PerTask,
+        }
+    }
+}
+
+/// Which recovery policy handles failures.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecoveryPolicy {
+    /// Swift's fine-grained graphlet-based recovery (§IV-B).
+    FineGrained,
+    /// Restart the whole job (the baseline in Figs. 14 & 15).
+    JobRestart,
+}
+
+/// Simulation-wide configuration.
+#[derive(Clone, Debug)]
+pub struct SimConfig {
+    /// Scheduling policy.
+    pub policy: PolicyConfig,
+    /// Recovery policy.
+    pub recovery: RecoveryPolicy,
+    /// If set, sample `(time, running executors)` at every multiple of this
+    /// interval up to the last event batch. Each sample carries the state
+    /// just before its boundary; sampling queues no event.
+    pub sample_every: Option<SimDuration>,
+    /// Ignored: the event queue has no window. It stays only because the
+    /// benchmark passes it to `ShardedEventQueue::new`.
+    pub shard_window: SimDuration,
+}
+
+impl SimConfig {
+    /// Swift policy with fine-grained recovery and no sampling.
+    pub fn swift() -> Self {
+        SimConfig {
+            policy: PolicyConfig::swift(),
+            recovery: RecoveryPolicy::FineGrained,
+            sample_every: None,
+            shard_window: SimDuration::from_millis(256),
+        }
+    }
+
+    /// Same, for an arbitrary policy.
+    pub fn with_policy(policy: PolicyConfig) -> Self {
+        SimConfig {
+            policy,
+            ..Self::swift()
         }
     }
 }

@@ -30,12 +30,15 @@ mod sim;
 mod template;
 mod units;
 
-pub use config::{LaunchModel, Partitioning, PolicyConfig, ShuffleSelection, Submission};
+pub use config::{
+    LaunchModel, Partitioning, PolicyConfig, RecoveryPolicy, ShuffleSelection, SimConfig,
+    Submission,
+};
 pub use event::{SimEvent, TaskRef};
 pub use report::{JobReport, PhaseBreakdown, RunReport, StageReport};
 pub use sim::{
     CounterSample, FailureAt, FailureInjection, GraphletState, JobSpec, RecoveryContext,
-    RecoveryPolicy, SchedulerSession, SchemeDecision, SimConfig, SimObserver, Simulation,
+    SchedulerSession, SchemeDecision, SimObserver, Simulation,
 };
 pub use template::{
     compute_priors, validate_scheme_priors, validate_template_roundtrip, SchemePrior,

@@ -391,14 +391,14 @@ fn spark_pays_launch_in_every_stage() {
     for s in &report.jobs[0].stages {
         assert_eq!(
             s.phases.launch,
-            CostModel::default().spark_stage_launch,
+            CostModel::SPARK_STAGE_LAUNCH,
             "stage {} must carry cold-start launch",
             s.name
         );
     }
     let report = run_one(SimConfig::swift(), three_stage_job(1, 16));
     for s in &report.jobs[0].stages {
-        assert_eq!(s.phases.launch, CostModel::default().plan_delivery);
+        assert_eq!(s.phases.launch, CostModel::PLAN_DELIVERY);
     }
 }
 

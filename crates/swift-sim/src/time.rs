@@ -59,7 +59,7 @@ impl SimDuration {
     }
 
     /// A duration of `us` microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us)
     }
 

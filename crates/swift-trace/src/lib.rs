@@ -127,7 +127,7 @@ impl Trace {
     }
 
     /// Derives the metrics registry from the stream. `schedule_overhead`
-    /// is the cost model's `swift_schedule_overhead` (needed to split
+    /// is the cost model's `SWIFT_SCHEDULE_OVERHEAD` (needed to split
     /// plan-delivery latency into overhead + launch for the per-stage
     /// phase totals); pass [`SimDuration::ZERO`] if phase totals are not
     /// being cross-checked.

@@ -231,7 +231,7 @@ fn attempt_key(job: u32, t: TaskRef, epoch: u32) -> AttemptKey {
 
 /// Derives the full metrics registry from a trace.
 ///
-/// `schedule_overhead` is the cost model's `swift_schedule_overhead` (the
+/// `schedule_overhead` is the cost model's `SWIFT_SCHEDULE_OVERHEAD` (the
 /// gap between assignment and plan dispatch that is *not* part of the
 /// stage's launch phase); pass [`SimDuration::ZERO`] when stage phase
 /// totals are not needed.

@@ -50,19 +50,18 @@ pub const DEFAULT_COUNTER_WINDOW_MS: u64 = 250;
 /// What the recorder asks the simulator to emit.
 ///
 /// The default records the control-plane stream only; [`RecorderConfig::full`]
-/// additionally enables the per-stage input reads, the Cache
-/// Worker shadow model (spill/evict events) and counter-track sampling.
-/// All extras are purely observational — they never change scheduling or
-/// the `RunReport`.
+/// additionally enables the extras (the per-stage input reads and the
+/// Cache Worker shadow model's spill/evict events) and counter-track
+/// sampling. All of them are purely observational — they never change
+/// scheduling or the `RunReport`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecorderConfig {
-    /// Record `input_read` events: one per predecessor stage at every
-    /// task start.
-    pub input_reads: bool,
-    /// Drive the Cache Worker shadow model: staged cross-graphlet segments
-    /// are inserted into / consumed from each machine's cache accounting,
-    /// generating `cache_spill` / `cache_evict` events.
-    pub cache_model: bool,
+    /// Record the extras: `input_read` events, one per predecessor stage
+    /// at every task start, and the Cache Worker shadow model, whose
+    /// staged cross-graphlet segments are inserted into / consumed from
+    /// each machine's cache accounting, generating `cache_spill` /
+    /// `cache_evict` events.
+    pub extras: bool,
     /// Sample the `swift-metrics` registry into `counters` frames at this
     /// simulated-time window. `None` (the default) disables sampling
     /// entirely — lean traces and the perf paths carry no frames.
@@ -70,12 +69,11 @@ pub struct RecorderConfig {
 }
 
 impl RecorderConfig {
-    /// Everything on: input reads, the cache shadow model and counter
-    /// sampling at [`DEFAULT_COUNTER_WINDOW_MS`].
+    /// Everything on: the extras and counter sampling at
+    /// [`DEFAULT_COUNTER_WINDOW_MS`].
     pub fn full() -> Self {
         RecorderConfig {
-            input_reads: true,
-            cache_model: true,
+            extras: true,
             counter_window: Some(SimDuration::from_millis(DEFAULT_COUNTER_WINDOW_MS)),
         }
     }
@@ -277,11 +275,11 @@ impl<S: TraceSink> SimObserver for TraceRecorder<S> {
     }
 
     fn wants_input_reads(&self) -> bool {
-        self.cfg.input_reads
+        self.cfg.extras
     }
 
     fn wants_cache_model(&self) -> bool {
-        self.cfg.cache_model
+        self.cfg.extras
     }
 
     fn counter_window(&self) -> Option<SimDuration> {

@@ -254,11 +254,11 @@ pub fn names() -> Vec<&'static str> {
     SCENARIOS.iter().map(|s| s.name).collect()
 }
 
-/// The `swift_schedule_overhead` of the cost model every scenario runs
+/// The `SWIFT_SCHEDULE_OVERHEAD` of the cost model every scenario runs
 /// under — the value to pass to [`Trace::metrics`] when cross-checking
 /// per-stage phase totals.
 pub fn schedule_overhead() -> SimDuration {
-    CostModel::default().swift_schedule_overhead
+    CostModel::SWIFT_SCHEDULE_OVERHEAD
 }
 
 /// Builds the simulation for `(name, seed)` without an observer
